@@ -56,7 +56,6 @@ def _config_from(args) -> SearchConfig:
         degeneracy_tol=args.tol_degeneracy,
         max_block=args.max_block,
         seed=_resolve_seed(args),
-        threads=args.threads,
     )
 
 
@@ -100,6 +99,7 @@ def _verdict_json(verdict: Verdict) -> dict:
         "best_objective": verdict.best_objective,
         "degenerate_fallback": verdict.used_degenerate_fallback,
         "seed": verdict.seed,
+        "restarts_used": verdict.restarts_used,
         "objective_history": [[i, f] for i, f in verdict.objective_history],
     }
     if verdict.witness is not None:
@@ -221,6 +221,13 @@ def cmd_factor(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    try:
+        return _gen(args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _gen(args) -> int:
     seed = _resolve_seed(args)
     prefix = args.out_prefix
     if args.kind == "paper-example":
@@ -288,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multistart restarts (default 20)")
         p.add_argument("--max-block", type=int, default=2,
                        help="largest degenerate block the fallback searches (default 2)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="concurrent restarts (default 1, reproducible)")
         p.add_argument("--seed", type=int, default=None,
                        help="search seed (default: $LU_EQUIV_SEED or 0)")
 

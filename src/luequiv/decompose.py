@@ -102,7 +102,7 @@ def factor_pair(u, dim_left: int, dim_right: int, tol: float) -> tuple[np.ndarra
     report = rank_one_test(tilde, tol, cut=1)
     if not report.is_rank_one:
         raise NotDecomposableError(report)
-    uu, sv, vh = np.linalg.svd(tilde)
+    uu, sv, vh = np.linalg.svd(tilde, full_matrices=False)
     a = unvec(uu[:, 0], dim_left, dim_left)
     b = unvec(vh[0, :], dim_right, dim_right)
     # least-squares unitarization scale: s^2 = tr(AA^dag) / ||AA^dag||_F^2

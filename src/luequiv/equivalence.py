@@ -58,7 +58,6 @@ class SearchConfig:
     witness_tol: float = 1e-8
     max_block: int = 2
     seed: int = 0
-    threads: int = 1
 
     @property
     def objective_success(self) -> float:
@@ -87,6 +86,7 @@ class Verdict:
     best_objective: float | None = None
     used_degenerate_fallback: bool = False
     seed: int | None = None
+    restarts_used: int = 0
 
 
 def build_V(x_basis, y_basis, phases) -> np.ndarray:
@@ -136,6 +136,49 @@ def _objective_of_v(v: np.ndarray, splits: list[tuple[int, int]]) -> float:
     return f
 
 
+def _objective_and_leading_pairs(
+    v: np.ndarray, splits: list[tuple[int, int]]
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """Objective at V and each cut's leading pair (u1, v1), u1^dag tilde v1 = sigma1.
+
+    One thin SVD per cut gives both.  Full factors of a lopsided cut (4 x 1024
+    on 2^6) would build a 1024 x 1024 unitary only to read one column of it.
+    """
+    f = 0.0
+    pairs = []
+    for d_left, d_right in splits:
+        uu, sv, vh = np.linalg.svd(_realign_matrix(v, d_left, d_right), full_matrices=False)
+        if sv[0] > 0 and sv.size > 1:
+            f += float((sv[1] / sv[0]) ** 2)
+        pairs.append((uu[:, 0], vh[0, :].conj()))
+    return f, pairs
+
+
+class _LeadingPairCache:
+    """Leading pairs of the point an alignment pass ended on.
+
+    The next pass usually starts from that exact point; any other parameter
+    vector (the line search mutates params in place) is decomposed afresh.
+    """
+
+    def __init__(self, build, splits: list[tuple[int, int]]):
+        self._build = build
+        self._splits = splits
+        self._key: np.ndarray | None = None
+        self._pairs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def at(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._key is not None and np.array_equal(self._key, params):
+            return self._pairs
+        return _objective_and_leading_pairs(self._build(params), self._splits)[1]
+
+    def finish(self, params: np.ndarray) -> float:
+        """Objective at a pass's new point, keeping its pairs for the next pass."""
+        f, self._pairs = _objective_and_leading_pairs(self._build(params), self._splits)
+        self._key = params.copy()
+        return f
+
+
 def _objective_of_v_batch(vs: np.ndarray, splits: list[tuple[int, int]]) -> np.ndarray:
     g = vs.shape[0]
     f = np.zeros(g)
@@ -175,6 +218,7 @@ class PhaseContext:
         self.splits = _cut_splits(profile)
         self.yh = self.y.conj().T
         self._tensors: list[np.ndarray] | None = None
+        self._leading = _LeadingPairCache(self.build, self.splits)
 
     def build(self, theta: np.ndarray) -> np.ndarray:
         return (self.x * np.exp(1j * theta)[np.newaxis, :]) @ self.yh
@@ -205,13 +249,14 @@ class PhaseContext:
         it squeezes the subdominant singular mass toward zero.
         """
         tensors = self._cut_tensors()
+        pairs = self._leading.at(theta)
+        g = np.stack(
+            [
+                np.einsum("a,jab,b->j", u1.conj(), t_k, v1)
+                for t_k, (u1, v1) in zip(tensors, pairs)
+            ]
+        )
         c = np.exp(1j * theta)
-        gammas = []
-        for t_k in tensors:
-            tilde = np.tensordot(c, t_k, axes=(0, 0))
-            uu, sv, vh = np.linalg.svd(tilde)
-            gammas.append(np.einsum("a,jab,b->j", uu[:, 0].conj(), t_k, vh[0, :].conj()))
-        g = np.stack(gammas)
         for _ in range(3):
             s = g @ c
             for j in range(self.dim):
@@ -224,7 +269,7 @@ class PhaseContext:
         c *= np.conj(c[0]) / abs(c[0])  # keep theta_1 pinned at 0
         theta_new = np.angle(c) % (2.0 * np.pi)
         theta_new[0] = 0.0
-        return theta_new, self.eval_full(theta_new)
+        return theta_new, self._leading.finish(theta_new)
 
 
 def objective(phases, ctx: PhaseContext) -> float:
@@ -252,7 +297,6 @@ def phase_search(ctx: PhaseContext, config: SearchConfig) -> SearchOutcome:
         f_target=config.objective_target,
         f_success=config.objective_success,
         seed=config.seed,
-        threads=config.threads,
     )
 
 
@@ -304,6 +348,7 @@ class BlockContext:
             p += width
         self.n_params = p
         self._tensors: list[list[np.ndarray]] | None = None
+        self._leading = _LeadingPairCache(self.build, self.splits)
 
     def blocks_from(self, params: np.ndarray) -> list[np.ndarray]:
         out = []
@@ -380,15 +425,11 @@ class BlockContext:
         """
         tensors = self._cut_tensors()
         blocks = self.blocks_from(params)
-        v = self.build(params)
-        gammas: list[list[np.ndarray]] = []
-        for (d_left, d_right), per_block in zip(self.splits, tensors):
-            tilde = _realign_matrix(v, d_left, d_right)
-            uu, _, vh = np.linalg.svd(tilde)
-            u1, v1 = uu[:, 0], vh[0, :].conj()
-            gammas.append(
-                [np.einsum("a,pqab,b->qp", u1.conj(), t_b, v1) for t_b in per_block]
-            )
+        pairs = self._leading.at(params)
+        gammas = [
+            [np.einsum("a,pqab,b->qp", u1.conj(), t_b, v1) for t_b in per_block]
+            for per_block, (u1, v1) in zip(tensors, pairs)
+        ]
         ncuts = len(self.splits)
         z = np.array(
             [
@@ -414,7 +455,7 @@ class BlockContext:
                 )
                 z = w + own_new
         params_new = self.params_from_blocks(blocks)
-        return params_new, self.eval_full(params_new)
+        return params_new, self._leading.finish(params_new)
 
 
 def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: FactorSet) -> float:
@@ -499,6 +540,7 @@ def check_equivalence(
                     objective_history=outcome.history,
                     best_objective=outcome.objective,
                     seed=config.seed,
+                    restarts_used=outcome.restarts_used,
                 )
         return Verdict(
             status=VerdictStatus.NOT_FOUND,
@@ -507,6 +549,7 @@ def check_equivalence(
             objective_history=outcome.history,
             best_objective=outcome.objective,
             seed=config.seed,
+            restarts_used=outcome.restarts_used,
         )
 
     if deg.max_multiplicity > config.max_block:
@@ -526,7 +569,6 @@ def check_equivalence(
         f_target=config.objective_target,
         f_success=config.objective_success,
         seed=config.seed,
-        threads=config.threads,
     )
     v_best = ctx.build(outcome.params)
     reports = _cut_reports(v_best, profile, config.rank_tol)
@@ -543,6 +585,7 @@ def check_equivalence(
                 best_objective=outcome.objective,
                 used_degenerate_fallback=True,
                 seed=config.seed,
+                restarts_used=outcome.restarts_used,
             )
     return Verdict(
         status=VerdictStatus.NOT_FOUND,
@@ -551,4 +594,5 @@ def check_equivalence(
         best_objective=outcome.objective,
         used_degenerate_fallback=True,
         seed=config.seed,
+        restarts_used=outcome.restarts_used,
     )

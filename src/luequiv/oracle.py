@@ -51,12 +51,15 @@ def haar_unitary(n: int, seed) -> np.ndarray:
 def _generic_spectrum(n: int, rng: np.random.Generator, min_gap: float = 1e-3) -> np.ndarray:
     """Descending eigenvalues summing to 1 with pairwise gaps >= min_gap.
 
-    A linear ramp is added to sorted uniforms; its slope is chosen so the
-    gap bound survives the final normalization exactly.
+    n eigenvalues fit min_gap only while min_gap * n(n-1)/2 < 1 (n <= 45 at
+    the default); past that the gap shrinks to 1/(n(n-1)), which leaves half
+    of the mass to the random part.  A linear ramp is added to sorted
+    uniforms; its slope is chosen so the gap bound survives the final
+    normalization exactly.
     """
+    if min_gap * n * (n - 1) / 2.0 >= 1.0:
+        min_gap = 1.0 / (n * (n - 1))
     headroom = 1.0 - min_gap * n * (n - 1) / 2.0
-    if headroom <= 0:
-        raise ValueError(f"cannot fit {n} eigenvalues with pairwise gaps >= {min_gap}")
     raw = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
     slope = min_gap * raw.sum() / headroom
     lam = raw + slope * np.arange(n - 1, -1, -1, dtype=float)
@@ -148,7 +151,7 @@ def make_spectrum_mismatch_pair(
         if lam[1] >= 2 * delta:  # keep the shifted eigenvalue non-negative
             break
     else:
-        raise RuntimeError(f"could not draw a spectrum with lambda_2 >= {2 * delta}")
+        raise ValueError(f"could not draw {n} eigenvalues with lambda_2 >= {2 * delta}")
     u = haar_unitary(n, rng)
     rho = (u * lam[np.newaxis, :]) @ u.conj().T
     lam2 = lam.copy()

@@ -12,7 +12,6 @@ each coordinate's circle, and multistart.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,17 +164,14 @@ def run_search(
     f_target: float = 1e-20,
     f_success: float | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> SearchOutcome:
     """Seed, descend, and restart until the objective drops below f_success.
 
     f_target is the polish level each restart descends toward; f_success
     (>= f_target) is the level at which the search stops launching restarts
-    and declares success.  The selected result is deterministic for a given
-    seed regardless of the thread count: restart r draws from its own
-    generator, the lowest-indexed success wins, and without a success the
-    best objective wins with the lowest index breaking ties.  Only the
-    recorded history depends on how many restarts actually ran.
+    and declares success.  The result is deterministic for a given seed:
+    restart r draws from its own generator, and without a success the best
+    objective wins with the lowest index breaking ties.
     """
     if free is None:
         free = np.arange(1, n_params)
@@ -196,37 +192,18 @@ def run_search(
         p[free] = np.random.default_rng([seed, r]).uniform(0.0, TWO_PI, size=free.size)
         return p
 
-    def run_one(r: int):
-        params, f, trace = coordinate_descent(ctx, start_point(r), free, sweeps, f_target)
-        return r, params, f, trace
-
     results = []
-    if threads <= 1:
-        for r in range(max(1, restarts)):
-            results.append(run_one(r))
-            if results[-1][2] <= f_success:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            r = 0
-            total = max(1, restarts)
-            while r < total:
-                wave = list(range(r, min(r + threads, total)))
-                results.extend(pool.map(run_one, wave))
-                r = wave[-1] + 1
-                if any(item[2] <= f_success for item in results):
-                    break
+    for r in range(max(1, restarts)):
+        results.append(coordinate_descent(ctx, start_point(r), free, sweeps, f_target))
+        if results[-1][1] <= f_success:
+            break
 
-    # successes are interchangeable (all below threshold): take the lowest
-    # restart index so the selection does not depend on the thread count;
-    # otherwise best objective wins, lowest index breaking ties
-    results.sort(
-        key=lambda item: (item[2] > f_success, 0.0 if item[2] <= f_success else item[2], item[0])
-    )
-    _, best_params, best_f, _ = results[0]
+    # only the last restart can be a success; otherwise the best objective
+    # wins, and min keeps the lowest restart index among ties
+    best_params, best_f, _ = min(results, key=lambda item: item[1])
     history: list[tuple[int, float]] = []
     step = 0
-    for r, _, _, trace in sorted(results, key=lambda item: item[0]):
+    for _, _, trace in results:
         for f in trace:
             history.append((step, float(f)))
             step += 1

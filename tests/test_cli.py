@@ -101,6 +101,7 @@ def test_check_json_contract(tmp_path, capsys):
     assert doc["witness_residual"] < 1e-8
     assert doc["witness"] is not None
     assert doc["degenerate_fallback"] is False
+    assert doc["restarts_used"] >= 1
     assert isinstance(doc["objective_history"], list)
 
 
@@ -135,6 +136,23 @@ def test_gen_planted_factors_verify(tmp_path):
     rho_p = load_matrix(f"{prefix}_b.json").matrix
     w = kron_all([load_matrix(f"{prefix}_u{i}.json").matrix for i in (1, 2)])
     assert np.linalg.norm(w @ rho @ w.conj().T - rho_p) < 1e-12
+
+
+def test_gen_planted_pair_of_64_levels_checks_equivalent(tmp_path, capsys):
+    prefix = _gen(tmp_path, "pair-equivalent", "--dims", "4,4,4", "--seed", "1")
+    capsys.readouterr()
+    rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["witness_residual"] <= 1e-8
+
+
+def test_gen_generator_error_exit_one(tmp_path, capsys):
+    # 128 levels leave no room for the +/-1e-2 shift of the mismatch pair
+    for kind, dims in [("pair-spectrum-mismatch", "8,16"), ("pair-equivalent", "2,0")]:
+        rc = main(["gen", kind, "--dims", dims, "-o", str(tmp_path / "g")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gen_seed_env_var(tmp_path, monkeypatch):

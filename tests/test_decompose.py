@@ -52,14 +52,16 @@ def test_is_decomposable_rejects_non_unitary():
 
 def test_factor_pair_recovers_up_to_phase():
     rng = np.random.default_rng(53)
-    a, b = haar_unitary(2, rng), haar_unitary(3, rng)
-    left, right = factor_pair(np.kron(a, b), 2, 3, 1e-7)
-    assert np.linalg.norm(np.kron(left, right) - np.kron(a, b)) < 1e-10
-    # each recovered factor is the original up to one global phase
-    phase = left[np.unravel_index(np.argmax(np.abs(a)), a.shape)] / a[
-        np.unravel_index(np.argmax(np.abs(a)), a.shape)
-    ]
-    assert np.allclose(left, phase * a, atol=1e-10)
+    # (2, 32) realigns to a lopsided 4 x 1024 matrix
+    for d_left, d_right in [(2, 3), (2, 32)]:
+        a, b = haar_unitary(d_left, rng), haar_unitary(d_right, rng)
+        left, right = factor_pair(np.kron(a, b), d_left, d_right, 1e-7)
+        assert np.linalg.norm(np.kron(left, right) - np.kron(a, b)) < 1e-10
+        # each recovered factor is the original up to one global phase
+        phase = left[np.unravel_index(np.argmax(np.abs(a)), a.shape)] / a[
+            np.unravel_index(np.argmax(np.abs(a)), a.shape)
+        ]
+        assert np.allclose(left, phase * a, atol=1e-10)
 
 
 def test_factor_pair_absorbs_scale():

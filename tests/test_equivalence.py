@@ -21,8 +21,14 @@ from luequiv import (
     phase_search,
     verify_witness,
 )
-from luequiv.equivalence import PhaseContext
-from luequiv.oracle import haar_unitary, local_unitaries, make_equivalent_pair, random_density
+from luequiv.equivalence import BlockContext, PhaseContext
+from luequiv.oracle import (
+    haar_unitary,
+    local_unitaries,
+    make_degenerate_pair,
+    make_equivalent_pair,
+    random_density,
+)
 
 from helpers import WITNESS_SIGNS, example_bases
 
@@ -290,15 +296,61 @@ def test_check_deterministic_given_seed():
         assert np.array_equal(f1, f2)
 
 
-def test_threads_do_not_change_the_result():
-    sample = make_equivalent_pair(DimProfile((2, 2, 2)), 97)
-    v1 = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=3, threads=1))
-    v2 = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=3, threads=4))
-    assert v1.status is v2.status is VerdictStatus.EQUIVALENT
-    assert np.array_equal(v1.phases, v2.phases)
-    assert v1.best_objective == v2.best_objective
-    for f1, f2 in zip(v1.witness.factors, v2.witness.factors):
-        assert np.array_equal(f1, f2)
+def _context_factories():
+    """(label, make_context, n_params): two phase contexts and one block context."""
+    rng = np.random.default_rng(61)
+    out = []
+    for dims in [(2, 2, 2), (2,) * 6]:
+        profile = DimProfile(dims)
+        x, y = haar_unitary(profile.total, rng), haar_unitary(profile.total, rng)
+        out.append((dims, lambda p=profile, x=x, y=y: PhaseContext(x, y, p), profile.total))
+    sample = make_degenerate_pair(DimProfile((2, 2, 2)), 23)
+    s1 = eig_hermitian(sample.rho.matrix)
+    s2 = eig_hermitian(sample.rho_prime.matrix)
+    deg = degeneracy_profile(s1, 1e-8)
+    assert deg.max_multiplicity == 2
+
+    def block():
+        return BlockContext(s1.basis, s2.basis, sample.rho.profile, deg)
+
+    out.append(("block", block, block().n_params))
+    return out
+
+
+def test_align_pass_objective_is_eval_full_at_returned_params():
+    rng = np.random.default_rng(67)
+    for label, make, n_params in _context_factories():
+        ctx = make()
+        params = rng.uniform(0.0, 2.0 * np.pi, n_params)
+        for _ in range(4):
+            params, f = ctx.align_pass(params)
+            expected = ctx.eval_full(params)
+            assert abs(f - expected) <= 1e-12 * expected, label
+
+
+def test_align_pass_reuse_matches_a_fresh_decomposition():
+    # a pass reuses the pairs of the point the previous pass ended on; that
+    # must give exactly what decomposing afresh gives, and a point mutated in
+    # place (as the line search does) must not hit the stale pairs
+    rng = np.random.default_rng(71)
+    for label, make, n_params in _context_factories():
+        ctx = make()
+        params, _ = ctx.align_pass(rng.uniform(0.0, 2.0 * np.pi, n_params))
+        for mutate in (False, True):
+            if mutate:
+                params[1] = (params[1] + 0.7) % (2.0 * np.pi)
+            fresh_params, fresh_f = make().align_pass(params.copy())
+            params, f = ctx.align_pass(params)
+            assert np.array_equal(params, fresh_params), (label, mutate)
+            assert f == fresh_f, (label, mutate)
+
+
+def test_planted_pair_on_six_qubits():
+    sample = make_equivalent_pair(DimProfile((2,) * 6), 7)
+    verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=7))
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.witness_residual <= 1e-8
+    assert verdict.restarts_used >= 1
 
 
 def test_planted_pairs_beyond_three_qubits():

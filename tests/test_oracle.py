@@ -74,6 +74,9 @@ def test_random_density_generic_gaps():
     prof = degeneracy_profile(s, 1e-8)
     assert prof.is_nondegenerate
     assert np.min(-np.diff(s.eigenvalues)) >= 1e-3 - 1e-12
+    # 64 levels cannot keep 1e-3 apart; the gap shrinks to 1/(n(n-1))
+    s = eig_hermitian(random_density(DimProfile((4, 4, 4)), "generic-nondegenerate", 11).matrix)
+    assert np.min(-np.diff(s.eigenvalues)) >= 1.0 / (64 * 63) - 1e-12
 
 
 def test_random_density_rejects_bad_spectrum():
@@ -125,6 +128,7 @@ def test_mismatch_pair_detected():
         sample.rho, sample.rho_prime, SearchConfig(seeds=8, sweeps=20, restarts=4)
     )
     assert verdict.status is VerdictStatus.INEQUIVALENT_SPECTRUM
+    assert verdict.restarts_used == 0
 
 
 def test_paper_example_unnormalized_multiset():
