@@ -1,22 +1,21 @@
 """luequiv: local-unitary equivalence of multipartite density matrices.
 
 Decides whether two mixed states are related by a tensor product of local
-unitaries, using realignment rank-one tests on the diagonal-phase coset of
+unitaries, using realignment rank-one tests on the block-unitary coset of
 the eigenbasis change, and produces explicit witness unitaries on success.
 """
 
 from .decompose import FactorSet, NotDecomposableError, factor_full, factor_pair, is_decomposable
 from .equivalence import (
-    BlockContext,
-    PhaseContext,
+    CosetContext,
     SearchConfig,
     Verdict,
     VerdictStatus,
     build_V,
     build_V0,
     check_equivalence,
+    coset_search,
     objective,
-    phase_search,
     verify_witness,
 )
 from .matfile import MatrixFile, MatrixFileError, load_matrix, save_matrix
@@ -57,7 +56,7 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockContext",
+    "CosetContext",
     "CutRealignment",
     "DegeneracyProfile",
     "DensityMatrix",
@@ -68,7 +67,6 @@ __all__ = [
     "NotDecomposableError",
     "PairLabel",
     "PairSample",
-    "PhaseContext",
     "RankOneReport",
     "SearchConfig",
     "ShapeError",
@@ -78,6 +76,7 @@ __all__ = [
     "build_V",
     "build_V0",
     "check_equivalence",
+    "coset_search",
     "degeneracy_profile",
     "eig_hermitian",
     "factor_full",
@@ -92,7 +91,6 @@ __all__ = [
     "make_spectrum_mismatch_pair",
     "objective",
     "paper_example",
-    "phase_search",
     "random_density",
     "rank_one_test",
     "realign",

@@ -48,7 +48,6 @@ def _resolve_seed(args) -> int:
 
 def _config_from(args) -> SearchConfig:
     return SearchConfig(
-        seeds=args.seeds,
         sweeps=args.sweeps,
         restarts=args.restarts,
         rank_tol=args.tol_rank,
@@ -67,6 +66,13 @@ def _load_operator(path) -> MatrixFile:
     except MatrixFileError as exc:
         raise CliError(f"{path}: {exc}") from None
     return mf
+
+
+def _save(path, m, **meta) -> None:
+    try:
+        save_matrix(path, m, **meta)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
 
 
 def _dims_list(parts: str) -> tuple[int, ...]:
@@ -180,7 +186,7 @@ def cmd_realign(args) -> int:
         raise CliError(str(exc)) from None
     s1, s2 = two_leading_singulars(cr.matrix)
     out_path = args.out or f"{args.file}.cut{args.cut}.realigned.json"
-    save_matrix(out_path, cr.matrix, dims=None, label=f"realigned cut {args.cut}")
+    _save(out_path, cr.matrix, dims=None, label=f"realigned cut {args.cut}")
     ratio = s2 / s1 if s1 > 0 else 0.0
     print(f"cut {args.cut}: shape {cr.shape[0]}x{cr.shape[1]} -> {out_path}")
     print(f"sigma1={s1:.12e} sigma2={s2:.12e} ratio={ratio:.3e}")
@@ -214,7 +220,7 @@ def cmd_factor(args) -> int:
     prefix = args.out_prefix or f"{args.file}.factor"
     for i, (f, d) in enumerate(zip(fs.factors, profile.dims), start=1):
         path = f"{prefix}{i}.json"
-        save_matrix(path, f, dims=(d,), label=f"factor {i}")
+        _save(path, f, dims=(d,), label=f"factor {i}")
         print(f"factor U{i} ({d}x{d}) -> {path}")
     print(f"reconstruction residual: {fs.residual:.3e}")
     return 0
@@ -233,8 +239,8 @@ def _gen(args) -> int:
     if args.kind == "paper-example":
         rho, rho_prime = paper_example(args.a, args.b, args.c)
         dims = rho.profile.dims
-        save_matrix(f"{prefix}_a.json", rho.matrix, dims=dims, label="paper-example rho")
-        save_matrix(
+        _save(f"{prefix}_a.json", rho.matrix, dims=dims, label="paper-example rho")
+        _save(
             f"{prefix}_b.json", rho_prime.matrix, dims=dims, label="paper-example rho_prime"
         )
         print(f"wrote {prefix}_a.json {prefix}_b.json (a={args.a} b={args.b} c={args.c})")
@@ -244,28 +250,28 @@ def _gen(args) -> int:
     profile = DimProfile(_dims_list(args.dims))
     if args.kind == "pair-equivalent":
         sample = make_equivalent_pair(profile, seed)
-        save_matrix(
+        _save(
             f"{prefix}_a.json", sample.rho.matrix, dims=profile.dims,
             label="planted rho", seed=seed,
         )
-        save_matrix(
+        _save(
             f"{prefix}_b.json", sample.rho_prime.matrix, dims=profile.dims,
             label="planted rho_prime", seed=seed,
         )
         written = [f"{prefix}_a.json", f"{prefix}_b.json"]
         for i, (u, d) in enumerate(zip(sample.planted, profile.dims), start=1):
             path = f"{prefix}_u{i}.json"
-            save_matrix(path, u, dims=(d,), label=f"planted factor {i}", seed=seed)
+            _save(path, u, dims=(d,), label=f"planted factor {i}", seed=seed)
             written.append(path)
         print("wrote " + " ".join(written))
         return 0
     if args.kind == "pair-spectrum-mismatch":
         sample = make_spectrum_mismatch_pair(profile, seed)
-        save_matrix(
+        _save(
             f"{prefix}_a.json", sample.rho.matrix, dims=profile.dims,
             label="mismatch rho", seed=seed,
         )
-        save_matrix(
+        _save(
             f"{prefix}_b.json", sample.rho_prime.matrix, dims=profile.dims,
             label="mismatch rho_prime", seed=seed,
         )
@@ -288,11 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="eigenvalue matching tolerance (default 1e-8)")
         p.add_argument("--tol-degeneracy", type=float, default=1e-8,
                        help="degeneracy grouping tolerance, relative to spectral range")
-        p.add_argument("--seeds", type=int, default=64, help="discrete seeds (default 64)")
-        p.add_argument("--sweeps", type=int, default=200,
-                       help="coordinate-descent sweeps per restart (default 200)")
+        p.add_argument("--sweeps", type=int, default=1000,
+                       help="alignment passes per start (default 1000)")
         p.add_argument("--restarts", type=int, default=20,
-                       help="multistart restarts (default 20)")
+                       help="search starts, raced three at a time (default 20)")
         p.add_argument("--max-block", type=int, default=2,
                        help="largest degenerate block the fallback searches (default 2)")
         p.add_argument("--seed", type=int, default=None,

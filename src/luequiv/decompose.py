@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import RankOneReport, rank_one_test
+from .spectral import RankOneReport, rank_one_report, rank_one_test
 from .tensor import DimProfile, as_cmatrix, kron_all, leading_index, realign, unvec
 
 UNITARY_TOL = 1e-8
@@ -98,11 +98,10 @@ def factor_pair(u, dim_left: int, dim_right: int, tol: float) -> tuple[np.ndarra
         )
     profile = DimProfile((dim_left, dim_right))
     _require_unitary(u, "factor_pair input")
-    tilde = realign(u, profile, 1).matrix
-    report = rank_one_test(tilde, tol, cut=1)
+    uu, sv, vh = np.linalg.svd(realign(u, profile, 1).matrix, full_matrices=False)
+    report = rank_one_report(float(sv[0]), float(sv[1]) if sv.size > 1 else 0.0, tol, cut=1)
     if not report.is_rank_one:
         raise NotDecomposableError(report)
-    uu, sv, vh = np.linalg.svd(tilde, full_matrices=False)
     a = unvec(uu[:, 0], dim_left, dim_left)
     b = unvec(vh[0, :], dim_right, dim_right)
     # least-squares unitarization scale: s^2 = tr(AA^dag) / ||AA^dag||_F^2

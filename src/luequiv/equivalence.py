@@ -3,15 +3,16 @@
 Two states with matching non-degenerate spectra are equivalent exactly when
 some diagonal phase matrix D makes V = X D Y^dag tensor decomposable, which
 the realignment rank-one criterion detects at every sequential cut.  The
-phases are found numerically by minimizing the smooth surrogate
+coset element is found numerically by minimizing the smooth surrogate
 
-    f(theta) = sum over cuts of (sigma2 / sigma1)^2 of realign(V(theta)),
+    f = sum over cuts of (sigma2 / sigma1)^2 of realign(V),
 
 which is exactly zero at solutions.  Spectra with small degenerate blocks
-fall back to a block-unitary search V0 = X blockdiag(A_1..A_r) Y^dag; that
-extension of the bipartite criterion is unproven in the multipartite setting,
-so verdicts from it are flagged.  Every EQUIVALENT verdict ships an explicit
-witness (U_1, ..., U_M) whose conjugation residual is verified.
+widen the coset to V0 = X blockdiag(A_1..A_r) Y^dag with unitary blocks, and
+the same search runs over it; that extension of the bipartite criterion is
+unproven in the multipartite setting, so verdicts from it are flagged.
+Every EQUIVALENT verdict ships an explicit witness (U_1, ..., U_M) whose
+conjugation residual is verified.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .decompose import FactorSet, NotDecomposableError, factor_full
-from .search import SearchOutcome, run_search
+from .oracle import haar_unitary
+from .search import STARTS_PER_ROUND, SearchOutcome, run_search
 from .spectral import (
     DegeneracyProfile,
     RankOneReport,
@@ -36,6 +38,9 @@ from .states import DensityMatrix, validate_density
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
 
 OBJECTIVE_POLISH = 1e-20
+# a start whose objective is above this per cut is still in the bulk of the coset
+ESCAPE_LEVEL_PER_CUT = 0.1
+BLOCK_ROUNDS = 3  # rounds over all blocks in one alignment pass
 
 
 class VerdictStatus(str, Enum):
@@ -47,10 +52,12 @@ class VerdictStatus(str, Enum):
 
 @dataclass
 class SearchConfig:
-    """Tolerances and budgets for the equivalence pipeline."""
+    """Tolerances and budgets for the equivalence pipeline.
 
-    seeds: int = 64
-    sweeps: int = 200
+    ``sweeps`` is the number of alignment passes each restart may run.
+    """
+
+    sweeps: int = 1000
     restarts: int = 20
     rank_tol: float = 1e-7
     spec_tol: float = 1e-8
@@ -73,7 +80,7 @@ class SearchConfig:
 class Verdict:
     """Outcome of a check, with enough detail to reproduce and report it.
 
-    NOT_FOUND never asserts inequivalence: the phase search is one-sided and
+    NOT_FOUND never asserts inequivalence: the coset search is one-sided and
     only reports that no decomposable element was found within budget.
     """
 
@@ -127,15 +134,6 @@ def _cut_splits(profile: DimProfile) -> list[tuple[int, int]]:
     return [profile.split(k) for k in range(1, profile.nsites)]
 
 
-def _objective_of_v(v: np.ndarray, splits: list[tuple[int, int]]) -> float:
-    f = 0.0
-    for d_left, d_right in splits:
-        sv = np.linalg.svd(_realign_matrix(v, d_left, d_right), compute_uv=False)
-        if sv[0] > 0 and sv.size > 1:
-            f += float((sv[1] / sv[0]) ** 2)
-    return f
-
-
 def _objective_and_leading_pairs(
     v: np.ndarray, splits: list[tuple[int, int]]
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
@@ -154,308 +152,151 @@ def _objective_and_leading_pairs(
     return f, pairs
 
 
-class _LeadingPairCache:
-    """Leading pairs of the point an alignment pass ended on.
+def _leading_overlaps(
+    xt: np.ndarray, yh: np.ndarray, u1: np.ndarray, v1: np.ndarray, d_left: int, d_right: int
+) -> np.ndarray:
+    """u1^dag realign(x_m y_m^dag) v1 for every row x_m of xt and y_m^dag of yh.
 
-    The next pass usually starts from that exact point; any other parameter
-    vector (the line search mutates params in place) is decomposed afresh.
+    realign(x y^dag) is kron(X, Y) with X, Y the d_left x d_right reshapes of
+    x and conj(y), so each overlap is sum conj(U)_ik X_ij Y_kl W_jl with U, W
+    the reshapes of u1 and v1; the D^2-sized realignments are never formed.
+    """
+    m = xt.shape[0]
+    u = u1.conj().reshape(d_left, d_left)
+    w = v1.reshape(d_right, d_right)
+    q = u @ yh.reshape(m, d_left, d_right) @ w.T
+    return np.einsum("mij,mij->m", xt.reshape(m, d_left, d_right), q)
+
+
+class CosetContext:
+    """The coset X blockdiag(A_1..A_r) Y^dag and its realignment objective.
+
+    A point is the complex vector of the blocks' entries, block after block
+    and each block row-major, so V = sum_m a_m x_{row m} y_{col m}^dag.  With
+    every block 1x1 (a non-degenerate spectrum) the point is e^{i theta}.
     """
 
-    def __init__(self, build, splits: list[tuple[int, int]]):
-        self._build = build
-        self._splits = splits
-        self._key: np.ndarray | None = None
-        self._pairs: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def at(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self._key is not None and np.array_equal(self._key, params):
-            return self._pairs
-        return _objective_and_leading_pairs(self._build(params), self._splits)[1]
-
-    def finish(self, params: np.ndarray) -> float:
-        """Objective at a pass's new point, keeping its pairs for the next pass."""
-        f, self._pairs = _objective_and_leading_pairs(self._build(params), self._splits)
-        self._key = params.copy()
-        return f
-
-
-def _objective_of_v_batch(vs: np.ndarray, splits: list[tuple[int, int]]) -> np.ndarray:
-    g = vs.shape[0]
-    f = np.zeros(g)
-    for d_left, d_right in splits:
-        tilde = (
-            vs.reshape(g, d_left, d_right, d_left, d_right)
-            .transpose(0, 1, 3, 2, 4)
-            .reshape(g, d_left * d_left, d_right * d_right)
-        )
-        sv = np.linalg.svd(tilde, compute_uv=False)
-        if sv.shape[1] > 1:
-            f += (sv[:, 1] / np.maximum(sv[:, 0], 1e-300)) ** 2
-    return f
-
-
-def _realign_rank1_stack(x: np.ndarray, y: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
-    """T[j] = realignment of outer(x[:, j], conj(y[:, j])), stacked over j."""
-    n, d = x.shape
-    outers = x.T[:, :, np.newaxis] * y.conj().T[:, np.newaxis, :]  # (d, n, n)
-    return (
-        outers.reshape(d, d_left, d_right, d_left, d_right)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(d, d_left * d_left, d_right * d_right)
-    )
-
-
-class PhaseContext:
-    """Precomputed eigenbases and cut splits for the phase objective."""
-
-    def __init__(self, x_basis, y_basis, profile: DimProfile):
-        self.x = as_cmatrix(x_basis)
-        self.y = as_cmatrix(y_basis)
-        self.profile = profile
-        self.dim = profile.total
-        if self.x.shape != (self.dim, self.dim) or self.y.shape != (self.dim, self.dim):
+    def __init__(self, x_basis, y_basis, profile: DimProfile, multiplicities):
+        x = as_cmatrix(x_basis)
+        y = as_cmatrix(y_basis)
+        dim = profile.total
+        if x.shape != (dim, dim) or y.shape != (dim, dim):
             raise ValueError("eigenbasis shapes do not match the dimension profile")
+        self.sizes = tuple(int(n) for n in multiplicities)
+        if sum(self.sizes) != dim:
+            raise ValueError(f"multiplicities sum to {sum(self.sizes)}, not {dim}")
+        self.slices: list[slice] = []
+        rows, cols = [], []
+        lo = m = 0
+        for n in self.sizes:
+            self.slices.append(slice(m, m + n * n))
+            rows.append(lo + np.repeat(np.arange(n), n))
+            cols.append(lo + np.tile(np.arange(n), n))
+            lo += n
+            m += n * n
+        self.size = m
+        self.xt = np.ascontiguousarray(x[:, np.concatenate(rows)].T)
+        self.ych = np.ascontiguousarray(y[:, np.concatenate(cols)].conj().T)
         self.splits = _cut_splits(profile)
-        self.yh = self.y.conj().T
-        self._tensors: list[np.ndarray] | None = None
-        self._leading = _LeadingPairCache(self.build, self.splits)
+        self._memo: list[tuple[np.ndarray, float, list[tuple[np.ndarray, np.ndarray]]]] = []
 
-    def build(self, theta: np.ndarray) -> np.ndarray:
-        return (self.x * np.exp(1j * theta)[np.newaxis, :]) @ self.yh
+    def identity(self) -> np.ndarray:
+        return np.concatenate([np.eye(n, dtype=np.complex128).ravel() for n in self.sizes])
 
-    def eval_full(self, theta: np.ndarray) -> float:
-        return _objective_of_v(self.build(theta), self.splits)
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        """Independent Haar blocks; a 1x1 block is a uniform phase."""
+        if max(self.sizes) == 1:
+            return np.exp(2j * np.pi * rng.random(self.size))
+        return np.concatenate([haar_unitary(n, rng).ravel() for n in self.sizes])
 
-    def eval_coord_batch(self, theta: np.ndarray, j: int, values: np.ndarray) -> np.ndarray:
-        v = self.build(theta)
-        r_j = np.outer(self.x[:, j], self.y[:, j].conj())
-        delta = np.exp(1j * values) - np.exp(1j * theta[j])
-        vs = v[np.newaxis, :, :] + delta[:, np.newaxis, np.newaxis] * r_j[np.newaxis, :, :]
-        return _objective_of_v_batch(vs, self.splits)
+    def build(self, point: np.ndarray) -> np.ndarray:
+        return self.xt.T @ (point[:, np.newaxis] * self.ych)
 
-    def _cut_tensors(self) -> list[np.ndarray]:
-        if self._tensors is None:
-            self._tensors = [
-                _realign_rank1_stack(self.x, self.y, dl, dr) for dl, dr in self.splits
-            ]
-        return self._tensors
+    def _decompose(self, point: np.ndarray) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+        """Objective and leading pairs at a point, kept for the next calls.
 
-    def align_pass(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
-        """One monotone refinement: align phases against leading singular pairs.
+        A pass starts where the previous pass (or the start evaluation)
+        ended, so each cut is decomposed once per pass; the last
+        STARTS_PER_ROUND points are kept, so starts that take passes in turn
+        are too.  Keys are copies, so a point mutated in place is decomposed
+        afresh.
+        """
+        for key, f, pairs in self._memo:
+            if np.array_equal(key, point):
+                return f, pairs
+        f, pairs = _objective_and_leading_pairs(self.build(point), self.splits)
+        self._memo = [(point.copy(), f, pairs)] + self._memo[: STARTS_PER_ROUND - 1]
+        return f, pairs
+
+    def eval_full(self, point: np.ndarray) -> float:
+        return self._decompose(point)[0]
+
+    def align_pass(self, point: np.ndarray) -> tuple[np.ndarray, float]:
+        """One monotone refinement of every block against leading singular pairs.
 
         With the leading singular vectors (u_k, v_k) of each realignment held
-        fixed, sum_k |u_k^dag Vtilde_k v_k|^2 is a lower bound of sum_k sigma1^2
-        that closed-form unit-modulus updates maximize coordinate-wise; raising
-        it squeezes the subdominant singular mass toward zero.
+        fixed, s_k = u_k^dag Vtilde_k v_k is linear in the point, and
+        sum_k |s_k|^2 is a lower bound of sum_k sigma1^2; raising it squeezes
+        the subdominant singular mass toward zero.  A 1x1 block takes the
+        exact phase maximizing it with the other blocks fixed; a larger
+        block takes the polar step, the unitary maximizing the bound's
+        linearization at the current point.
         """
-        tensors = self._cut_tensors()
-        pairs = self._leading.at(theta)
+        _, pairs = self._decompose(point)
         g = np.stack(
             [
-                np.einsum("a,jab,b->j", u1.conj(), t_k, v1)
-                for t_k, (u1, v1) in zip(tensors, pairs)
+                _leading_overlaps(self.xt, self.ych, u1, v1, dl, dr)
+                for (dl, dr), (u1, v1) in zip(self.splits, pairs)
             ]
         )
-        c = np.exp(1j * theta)
-        for _ in range(3):
-            s = g @ c
-            for j in range(self.dim):
-                w = s - g[:, j] * c[j]
-                z = np.vdot(g[:, j].conj(), w.conj())
-                if abs(z) > 0:
+        a = point.copy()
+        s = g @ a
+        for _ in range(BLOCK_ROUNDS):
+            for sl, n in zip(self.slices, self.sizes):
+                gb = g[:, sl]
+                if n == 1:
+                    # maximize sum_k |w_k + g_k c|^2 over |c| = 1
+                    w = s - gb[:, 0] * a[sl.start]
+                    z = gb[:, 0] @ w.conj()
+                    if z == 0:
+                        continue
                     new = np.conj(z) / abs(z)
-                    s += g[:, j] * (new - c[j])
-                    c[j] = new
-        c *= np.conj(c[0]) / abs(c[0])  # keep theta_1 pinned at 0
-        theta_new = np.angle(c) % (2.0 * np.pi)
-        theta_new[0] = 0.0
-        return theta_new, self._leading.finish(theta_new)
+                else:
+                    # maximize Re sum_k conj(s_k) tr(G_kb^T A) over unitaries A
+                    uu, _, vh = np.linalg.svd((s.conj() @ gb).reshape(n, n).conj())
+                    new = (uu @ vh).ravel()
+                s += gb @ (new - a[sl])
+                a[sl] = new
+        # pin the first block's determinant phase: a global phase never
+        # changes the realignment ratios
+        n1 = self.sizes[0]
+        a *= np.exp(-1j * np.angle(np.linalg.det(a[self.slices[0]].reshape(n1, n1))) / n1)
+        return a, self._decompose(a)[0]
 
 
-def objective(phases, ctx: PhaseContext) -> float:
-    """Sum over sequential cuts of (sigma2/sigma1)^2 at V(phases); zero iff rank one."""
-    theta = np.asarray(phases, dtype=float).reshape(-1)
-    if theta.size != ctx.dim:
-        raise ValueError(f"phase vector length {theta.size} != dimension {ctx.dim}")
-    return ctx.eval_full(theta)
+def objective(point, ctx: CosetContext) -> float:
+    """Sum over sequential cuts of (sigma2/sigma1)^2 at a coset point; zero iff rank one."""
+    a = np.asarray(point, dtype=np.complex128).reshape(-1)
+    if a.size != ctx.size:
+        raise ValueError(f"point length {a.size} != coset size {ctx.size}")
+    return ctx.eval_full(a)
 
 
-def phase_search(ctx: PhaseContext, config: SearchConfig) -> SearchOutcome:
-    """Find phases driving the objective below rank_tol^2, or report the best.
+def coset_search(ctx: CosetContext, config: SearchConfig) -> SearchOutcome:
+    """Find a coset point driving the objective below rank_tol^2, or report the best.
 
-    Requires a non-degenerate spectrum pairing (the diagonal-phase coset is
-    only exhaustive in that case).  theta_1 is pinned to zero: a global phase
-    shift never changes the realignment ratios.
+    Start 0 is the identity and later starts are random points, raced a few
+    at a time; each runs up to ``config.sweeps`` alignment passes.
     """
     return run_search(
         ctx,
-        ctx.dim,
-        free=np.arange(1, ctx.dim),
-        n_seeds=config.seeds,
-        sweeps=config.sweeps,
+        passes=config.sweeps,
         restarts=config.restarts,
+        f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
         f_target=config.objective_target,
         f_success=config.objective_success,
         seed=config.seed,
     )
-
-
-def _unitary_2x2(phi: float, alpha: float, beta: float, t: float) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.exp(1j * phi) * np.array(
-        [
-            [np.exp(1j * alpha) * c, np.exp(1j * beta) * s],
-            [-np.exp(-1j * beta) * s, np.exp(-1j * alpha) * c],
-        ],
-        dtype=np.complex128,
-    )
-
-
-def _params_from_2x2(a: np.ndarray) -> tuple[float, float, float, float]:
-    phi = 0.5 * float(np.angle(np.linalg.det(a)))
-    b = a * np.exp(-1j * phi)
-    t = float(np.arctan2(abs(b[0, 1]), abs(b[0, 0])))
-    alpha = float(np.angle(b[0, 0])) if abs(b[0, 0]) > 0 else 0.0
-    beta = float(np.angle(b[0, 1])) if abs(b[0, 1]) > 0 else 0.0
-    return phi, alpha, beta, t
-
-
-class BlockContext:
-    """Torus parameterization of blockdiag(A_1..A_r) for degenerate spectra.
-
-    1x1 blocks contribute one phase; 2x2 blocks contribute four angles
-    (phi, alpha, beta, t) covering all of U(2).
-    """
-
-    def __init__(self, x_basis, y_basis, profile: DimProfile, deg: DegeneracyProfile):
-        self.x = as_cmatrix(x_basis)
-        self.y = as_cmatrix(y_basis)
-        self.profile = profile
-        self.deg = deg
-        self.splits = _cut_splits(profile)
-        self.yh = self.y.conj().T
-        if deg.max_multiplicity > 2:
-            raise ValueError("block search supports multiplicities up to 2")
-        self.block_slices: list[slice] = []
-        self.param_slices: list[slice] = []
-        lo = 0
-        p = 0
-        for _, n in deg.blocks:
-            self.block_slices.append(slice(lo, lo + n))
-            width = 1 if n == 1 else 4
-            self.param_slices.append(slice(p, p + width))
-            lo += n
-            p += width
-        self.n_params = p
-        self._tensors: list[list[np.ndarray]] | None = None
-        self._leading = _LeadingPairCache(self.build, self.splits)
-
-    def blocks_from(self, params: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for (_, n), ps in zip(self.deg.blocks, self.param_slices):
-            q = params[ps]
-            if n == 1:
-                out.append(np.array([[np.exp(1j * q[0])]], dtype=np.complex128))
-            else:
-                out.append(_unitary_2x2(q[0], q[1], q[2], q[3]))
-        return out
-
-    def params_from_blocks(self, blocks: list[np.ndarray]) -> np.ndarray:
-        params = np.zeros(self.n_params)
-        for (_, n), ps, a in zip(self.deg.blocks, self.param_slices, blocks):
-            if n == 1:
-                params[ps.start] = float(np.angle(a[0, 0]))
-            else:
-                params[ps] = _params_from_2x2(a)
-        # pin the first block's overall phase at zero (global gauge)
-        shift = params[0]
-        for ps in self.param_slices:
-            params[ps.start] -= shift
-        return params % (2.0 * np.pi)
-
-    def build(self, params: np.ndarray) -> np.ndarray:
-        v = np.zeros((self.profile.total, self.profile.total), dtype=np.complex128)
-        for b, sl in zip(self.blocks_from(params), self.block_slices):
-            v += self.x[:, sl] @ b @ self.yh[sl, :]
-        return v
-
-    def eval_full(self, params: np.ndarray) -> float:
-        return _objective_of_v(self.build(params), self.splits)
-
-    def eval_coord_batch(self, params: np.ndarray, j: int, values: np.ndarray) -> np.ndarray:
-        # only the block owning parameter j varies across the batch
-        owner = next(
-            i for i, ps in enumerate(self.param_slices) if ps.start <= j < ps.stop
-        )
-        sl = self.block_slices[owner]
-        base = self.build(params) - self.x[:, sl] @ self.blocks_from(params)[owner] @ self.yh[sl, :]
-        work = params.copy()
-        stack = []
-        for val in values:
-            work[j] = val
-            blk = self.blocks_from(work)[owner]
-            stack.append(self.x[:, sl] @ blk @ self.yh[sl, :])
-        vs = base[np.newaxis, :, :] + np.stack(stack)
-        return _objective_of_v_batch(vs, self.splits)
-
-    def _cut_tensors(self) -> list[list[np.ndarray]]:
-        """tensors[k][b][p, q] = realignment of outer(x_bp, conj(y_bq))."""
-        if self._tensors is None:
-            self._tensors = []
-            for d_left, d_right in self.splits:
-                per_block = []
-                for sl in self.block_slices:
-                    xb = self.x[:, sl]
-                    yb = self.y[:, sl]
-                    n = xb.shape[1]
-                    outers = np.einsum("ip,jq->pqij", xb, yb.conj())
-                    per_block.append(
-                        outers.reshape(n, n, d_left, d_right, d_left, d_right)
-                        .transpose(0, 1, 2, 4, 3, 5)
-                        .reshape(n, n, d_left * d_left, d_right * d_right)
-                    )
-                self._tensors.append(per_block)
-        return self._tensors
-
-    def align_pass(self, params: np.ndarray) -> tuple[np.ndarray, float]:
-        """One monotone refinement of all blocks against leading singular pairs.
-
-        For fixed (u_k, v_k), each block maximizes sum_k |tr(G_kb A_b) + rest|^2
-        over unitaries via a polar-decomposition step (phases for 1x1 blocks).
-        """
-        tensors = self._cut_tensors()
-        blocks = self.blocks_from(params)
-        pairs = self._leading.at(params)
-        gammas = [
-            [np.einsum("a,pqab,b->qp", u1.conj(), t_b, v1) for t_b in per_block]
-            for per_block, (u1, v1) in zip(tensors, pairs)
-        ]
-        ncuts = len(self.splits)
-        z = np.array(
-            [
-                sum(np.trace(gammas[k][b] @ blocks[b]) for b in range(len(blocks)))
-                for k in range(ncuts)
-            ],
-            dtype=np.complex128,
-        )
-        for _ in range(3):
-            for b in range(len(blocks)):
-                own = np.array(
-                    [np.trace(gammas[k][b] @ blocks[b]) for k in range(ncuts)]
-                )
-                w = z - own
-                cmat = sum(
-                    np.conj(z[k]) * gammas[k][b] for k in range(ncuts)
-                )
-                uc, _, vc = np.linalg.svd(cmat)
-                a_new = (vc.conj().T @ uc.conj().T)
-                blocks[b] = a_new
-                own_new = np.array(
-                    [np.trace(gammas[k][b] @ a_new) for k in range(ncuts)]
-                )
-                z = w + own_new
-        params_new = self.params_from_blocks(blocks)
-        return params_new, self._leading.finish(params_new)
 
 
 def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: FactorSet) -> float:
@@ -499,9 +340,9 @@ def check_equivalence(
     """Decide LU equivalence and produce witness local unitaries when found.
 
     Pipeline: validate, compare spectra (a mismatch is a conclusive NO),
-    then search the diagonal-phase coset (non-degenerate) or the block
-    coset (degenerate with multiplicities <= max_block) for a tensor
-    decomposable element, factor it, and verify the witness.
+    then search the coset X blockdiag(A_1..A_r) Y^dag (diagonal phases when
+    the spectrum is non-degenerate, multiplicities <= max_block otherwise)
+    for a tensor decomposable element, factor it, and verify the witness.
     """
     if config is None:
         config = SearchConfig()
@@ -520,58 +361,25 @@ def check_equivalence(
     span = float(w_avg[0] - w_avg[-1])
     deg_tol = config.degeneracy_tol * max(span, 1e-300)
     deg = degeneracy_profile(Spectrum(eigenvalues=w_avg, basis=s1.basis), deg_tol)
+    fallback = not deg.is_nondegenerate
+    if fallback and deg.max_multiplicity > config.max_block:
+        return Verdict(status=VerdictStatus.DEGENERATE_UNSUPPORTED, seed=config.seed)
 
-    profile = rho.profile
-    if deg.is_nondegenerate:
-        ctx = PhaseContext(s1.basis, s2.basis, profile)
-        outcome = phase_search(ctx, config)
-        v_best = ctx.build(outcome.params)
-        reports = _cut_reports(v_best, profile, config.rank_tol)
-        if outcome.success:
-            verified = _witness_from_v(v_best, rho, rho_prime, config)
-            if verified is not None:
-                witness, residual = verified
-                return Verdict(
-                    status=VerdictStatus.EQUIVALENT,
-                    witness=witness,
-                    witness_residual=residual,
-                    phases=outcome.params,
-                    cut_reports=reports,
-                    objective_history=outcome.history,
-                    best_objective=outcome.objective,
-                    seed=config.seed,
-                    restarts_used=outcome.restarts_used,
-                )
-        return Verdict(
-            status=VerdictStatus.NOT_FOUND,
-            phases=outcome.params,
-            cut_reports=reports,
-            objective_history=outcome.history,
-            best_objective=outcome.objective,
-            seed=config.seed,
-            restarts_used=outcome.restarts_used,
-        )
-
-    if deg.max_multiplicity > config.max_block:
-        return Verdict(
-            status=VerdictStatus.DEGENERATE_UNSUPPORTED,
-            seed=config.seed,
-        )
-
-    ctx = BlockContext(s1.basis, s2.basis, profile, deg)
-    outcome = run_search(
-        ctx,
-        ctx.n_params,
-        free=np.arange(1, ctx.n_params),
-        n_seeds=config.seeds,
-        sweeps=config.sweeps,
-        restarts=config.restarts,
-        f_target=config.objective_target,
-        f_success=config.objective_success,
+    ctx = CosetContext(s1.basis, s2.basis, rho.profile, deg.multiplicities)
+    outcome = coset_search(ctx, config)
+    v_best = ctx.build(outcome.point)
+    found = dict(
+        # measured from a_1, so theta_1 is exactly zero
+        phases=None
+        if fallback
+        else (np.angle(outcome.point) - np.angle(outcome.point[0])) % (2.0 * np.pi),
+        cut_reports=_cut_reports(v_best, rho.profile, config.rank_tol),
+        objective_history=outcome.history,
+        best_objective=outcome.objective,
+        used_degenerate_fallback=fallback,
         seed=config.seed,
+        restarts_used=outcome.restarts_used,
     )
-    v_best = ctx.build(outcome.params)
-    reports = _cut_reports(v_best, profile, config.rank_tol)
     if outcome.success:
         verified = _witness_from_v(v_best, rho, rho_prime, config)
         if verified is not None:
@@ -580,19 +388,6 @@ def check_equivalence(
                 status=VerdictStatus.EQUIVALENT,
                 witness=witness,
                 witness_residual=residual,
-                cut_reports=reports,
-                objective_history=outcome.history,
-                best_objective=outcome.objective,
-                used_degenerate_fallback=True,
-                seed=config.seed,
-                restarts_used=outcome.restarts_used,
+                **found,
             )
-    return Verdict(
-        status=VerdictStatus.NOT_FOUND,
-        cut_reports=reports,
-        objective_history=outcome.history,
-        best_objective=outcome.objective,
-        used_degenerate_fallback=True,
-        seed=config.seed,
-        restarts_used=outcome.restarts_used,
-    )
+    return Verdict(status=VerdictStatus.NOT_FOUND, **found)

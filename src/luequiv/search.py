@@ -1,13 +1,19 @@
-"""Coordinate-descent minimization over periodic (torus) parameter vectors.
+"""Multistart of monotone alignment passes over a coset context.
 
-The engine is generic over an objective context providing
-``eval_full(params) -> float`` and ``eval_coord_batch(params, j, values) ->
-array``; a context may also provide ``align_pass(params) -> (params, f)``, a
-monotone local refinement step that the engine interleaves with the sweeps.
+The engine is generic over a context providing ``identity()`` and
+``random_point(rng)`` (start points), ``eval_full(point) -> float`` and
+``align_pass(point) -> (point, f)``, a monotone local refinement step.
 
-Stages: discrete seeding on the quarter-turn lattice {0, pi/2, pi, 3pi/2},
-cyclic coordinate descent with a grid + golden-section line minimization on
-each coordinate's circle, and multistart.
+Start r = 0 is the identity; start r >= 1 is a random point drawn from its
+own generator.  Most starts leave the bulk of the coset, where every cut's
+realignment still has sigma2 close to sigma1, within a few passes; the rest
+crawl there for tens of passes, whether or not they end at a solution.  So
+starts race STARTS_PER_ROUND at a time: each start still above the escape
+level takes a pass in turn, and a start that falls to it runs passes alone
+until the objective reaches the polish target, the passes stall, or the pass
+budget runs out.  A start still in the bulk after ESCAPE_PASSES passes is
+dropped.  A search then costs about one fast start per round, and a start
+that never escapes costs a fixed number of passes instead of a crawl.
 """
 
 from __future__ import annotations
@@ -16,201 +22,122 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-QUARTER_TURNS = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
-GRID_POINTS = 16
-INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-STALL_PATIENCE = 6
-STALL_REL = 3e-3
-ALIGN_MAX_ITERS = 300
 ALIGN_STALL_REL = 1e-3
+ALIGN_STALL_PATIENCE = 3
+ESCAPE_PASSES = 20
+STARTS_PER_ROUND = 3
 
 
 @dataclass
 class SearchOutcome:
     success: bool
-    params: np.ndarray
+    point: np.ndarray
     objective: float
     history: list[tuple[int, float]] = field(default_factory=list)
     restarts_used: int = 0
 
 
-def _golden_section(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Minimize g on [lo, hi] assuming a bracketed interior minimum."""
-    a, b = lo, hi
-    h = b - a
-    c = b - INVPHI * h
-    d = a + INVPHI * h
-    gc, gd = g(c), g(d)
-    while h > xtol:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            h = b - a
-            c = b - INVPHI * h
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            h = b - a
-            d = a + INVPHI * h
-            gd = g(d)
-    return (c, gc) if gc < gd else (d, gd)
-
-
-def _minimize_coordinate(ctx, params: np.ndarray, j: int, f_cur: float) -> float:
-    """Line-minimize coordinate j on its circle; mutates params in place."""
-    grid = np.linspace(0.0, TWO_PI, GRID_POINTS, endpoint=False)
-    values = np.concatenate([grid, [params[j] % TWO_PI]])
-    fs = ctx.eval_coord_batch(params, j, values)
-    best = int(np.argmin(fs))
-    x0, f0 = float(values[best]), float(fs[best])
-    half = TWO_PI / GRID_POINTS
-    # refine around the grid winner; tolerance tightens as f approaches zero
-    xtol = float(np.clip(0.05 * np.sqrt(max(f0, 0.0)), 1e-9, 0.05))
-
-    def g(x: float) -> float:
-        return float(ctx.eval_coord_batch(params, j, np.array([x]))[0])
-
-    x_ref, f_ref = _golden_section(g, x0 - half, x0 + half, xtol)
-    if f_ref < f0:
-        x0, f0 = x_ref, f_ref
-    if f0 < f_cur:
-        params[j] = x0 % TWO_PI
-        return f0
-    return f_cur
-
-
 def _align_until_stall(
-    ctx, params: np.ndarray, f: float, f_target: float
+    ctx, point: np.ndarray, passes: int, f_target: float, trace: list[float]
 ) -> tuple[np.ndarray, float]:
-    """Run the context's monotone refinement until it converges or stalls."""
+    """Run alignment passes until the target, a stall or ``passes``; returns (point, f)."""
+    f = ctx.eval_full(point)
     stall = 0
-    for _ in range(ALIGN_MAX_ITERS):
-        params, f_new = ctx.align_pass(params)
+    for _ in range(passes):
+        point, f_new = ctx.align_pass(point)
+        trace.append(f_new)
         if f_new <= f_target:
-            return params, f_new
+            return point, f_new
         if f - f_new <= ALIGN_STALL_REL * max(f, 1e-300):
             stall += 1
-            if stall >= 3:
-                return params, f_new
+            if stall >= ALIGN_STALL_PATIENCE:
+                return point, f_new
         else:
             stall = 0
         f = f_new
-    return params, f
+    return point, f
 
 
-def coordinate_descent(
+def _race(
     ctx,
-    start: np.ndarray,
-    free: np.ndarray,
-    sweeps: int,
+    starts: list[np.ndarray],
+    passes: int,
+    f_escape: float,
     f_target: float,
-) -> tuple[np.ndarray, float, list[float]]:
-    """Descend from one start; returns (params, f, per-sweep objective trace)."""
-    params = np.array(start, dtype=float) % TWO_PI
-    f = float(ctx.eval_full(params))
-    trace = [f]
-    stall = 0
-    has_align = hasattr(ctx, "align_pass")
-    for _ in range(sweeps):
-        f_before = f
-        if has_align:
-            params, f = _align_until_stall(ctx, params, f, f_target)
-            if f <= f_target:
-                trace.append(f)
-                break
-        for j in free:
-            f = _minimize_coordinate(ctx, params, int(j), f)
-        trace.append(f)
-        if f <= f_target:
-            break
-        if f_before - f <= STALL_REL * max(f, 1e-18):
-            stall += 1
-            if stall >= STALL_PATIENCE:
-                break
-        else:
-            stall = 0
-    return params, f, trace
+    f_success: float,
+    trace: list[float],
+) -> tuple[np.ndarray, float]:
+    """Race the starts until one reaches f_success; returns the best (point, f).
 
-
-def _greedy_quarter_pass(ctx, start: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """One in-order pass picking the best quarter-turn per coordinate."""
-    params = np.array(start, dtype=float)
-    for j in free:
-        fs = ctx.eval_coord_batch(params, int(j), QUARTER_TURNS)
-        params[j] = QUARTER_TURNS[int(np.argmin(fs))]
-    return params
-
-
-def discrete_seeds(ctx, n_params: int, free: np.ndarray, n_seeds: int, rng) -> list[np.ndarray]:
-    """Quarter-turn lattice seeds: zeros, a greedy guided pass, then random."""
-    seeds = [np.zeros(n_params)]
-    if n_seeds > 1:
-        seeds.append(_greedy_quarter_pass(ctx, np.zeros(n_params), free))
-    while len(seeds) < n_seeds:
-        s = np.zeros(n_params)
-        s[free] = rng.choice(QUARTER_TURNS, size=free.size)
-        seeds.append(s)
-    return seeds
+    Each round, every start above f_escape takes a pass.  A start that falls
+    to it leaves the race and runs passes alone until the polish target, a
+    stall or the pass budget; the race ends when that start reaches
+    f_success, and goes on with the others when it does not.  A start still
+    above f_escape after ESCAPE_PASSES passes is dropped.
+    """
+    live = [(p, ctx.eval_full(p)) for p in starts]
+    best = min(live, key=lambda item: item[1])
+    done = 0
+    while True:
+        racing = []
+        for point, f in live:
+            if f <= f_escape:
+                point, f = _align_until_stall(ctx, point, passes - done, f_target, trace)
+                if f < best[1]:
+                    best = (point, f)
+                if f <= f_success:
+                    return best
+            else:
+                racing.append(point)
+        if not racing or done >= min(passes, ESCAPE_PASSES):
+            return best
+        live = [ctx.align_pass(point) for point in racing]
+        trace.extend(f for _, f in live)
+        best = min([best, *live], key=lambda item: item[1])
+        done += 1
 
 
 def run_search(
     ctx,
-    n_params: int,
     *,
-    free: np.ndarray | None = None,
-    n_seeds: int = 64,
-    sweeps: int = 200,
-    restarts: int = 20,
-    f_target: float = 1e-20,
-    f_success: float | None = None,
+    passes: int,
+    restarts: int,
+    f_escape: float,
+    f_target: float,
+    f_success: float,
     seed: int = 0,
 ) -> SearchOutcome:
-    """Seed, descend, and restart until the objective drops below f_success.
+    """Race starts, STARTS_PER_ROUND at a time, until the objective drops below f_success.
 
-    f_target is the polish level each restart descends toward; f_success
-    (>= f_target) is the level at which the search stops launching restarts
-    and declares success.  The result is deterministic for a given seed:
-    restart r draws from its own generator, and without a success the best
-    objective wins with the lowest index breaking ties.
+    ``restarts`` is the number of starts and ``passes`` the alignment passes
+    each may run.  f_escape is the level below which a start has left the
+    bulk, f_target the polish level an escaped start descends toward, and
+    f_success (>= f_target) the level at which the search stops and declares
+    success.  The result is deterministic for a given seed:
+    start r draws from its own generator, and without a success the lowest
+    objective wins, the earliest start breaking ties.
     """
-    if free is None:
-        free = np.arange(1, n_params)
-    if f_success is None:
-        f_success = f_target
     f_success = max(f_success, f_target)
-    rng = np.random.default_rng([seed, 0x5EED])
-    seeds = discrete_seeds(ctx, n_params, free, n_seeds, rng)
-    seed_f = np.array([ctx.eval_full(s) for s in seeds])
-    order = np.argsort(seed_f, kind="stable")
-    ranked = [seeds[int(i)] for i in order]
-
-    def start_point(r: int) -> np.ndarray:
-        # alternate between the best discrete seeds and fresh random points
-        if r % 2 == 0 and r // 2 < len(ranked):
-            return ranked[r // 2]
-        p = np.zeros(n_params)
-        p[free] = np.random.default_rng([seed, r]).uniform(0.0, TWO_PI, size=free.size)
-        return p
-
-    results = []
-    for r in range(max(1, restarts)):
-        results.append(coordinate_descent(ctx, start_point(r), free, sweeps, f_target))
-        if results[-1][1] <= f_success:
+    n = max(1, restarts)
+    trace: list[float] = []
+    best_point, best_f = None, np.inf
+    used = 0
+    for first in range(0, n, STARTS_PER_ROUND):
+        rs = range(first, min(first + STARTS_PER_ROUND, n))
+        used += len(rs)
+        starts = [
+            ctx.identity() if r == 0 else ctx.random_point(np.random.default_rng([seed, r]))
+            for r in rs
+        ]
+        point, f = _race(ctx, starts, passes, f_escape, f_target, f_success, trace)
+        if f < best_f:
+            best_point, best_f = point, f
+        if best_f <= f_success:
             break
-
-    # only the last restart can be a success; otherwise the best objective
-    # wins, and min keeps the lowest restart index among ties
-    best_params, best_f, _ = min(results, key=lambda item: item[1])
-    history: list[tuple[int, float]] = []
-    step = 0
-    for _, _, trace in results:
-        for f in trace:
-            history.append((step, float(f)))
-            step += 1
     return SearchOutcome(
         success=bool(best_f <= f_success),
-        params=best_params % TWO_PI,
+        point=best_point,
         objective=float(best_f),
-        history=history,
-        restarts_used=len(results),
+        history=[(i, float(f)) for i, f in enumerate(trace)],
+        restarts_used=used,
     )

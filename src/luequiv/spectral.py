@@ -139,15 +139,14 @@ def two_leading_singulars(m) -> tuple[float, float]:
     return s1, s2
 
 
-def rank_one_test(m, tol: float, cut: int | None = None) -> RankOneReport:
-    """Rank-one verdict via the ratio of the two leading singular values.
+def rank_one_report(s1: float, s2: float, tol: float, cut: int | None = None) -> RankOneReport:
+    """Rank-one verdict from the two leading singular values sigma1 >= sigma2.
 
     is_rank_one <=> sigma1 > 0 and sigma2 <= tol * sigma1.  The ratio is
     scale-invariant, so the verdict ignores any overall scalar factor.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    s1, s2 = two_leading_singulars(m)
     ratio = s2 / s1 if s1 > 0 else 0.0
     return RankOneReport(
         sigma1=s1,
@@ -156,3 +155,8 @@ def rank_one_test(m, tol: float, cut: int | None = None) -> RankOneReport:
         is_rank_one=bool(s1 > 0 and s2 <= tol * s1),
         cut=cut,
     )
+
+
+def rank_one_test(m, tol: float, cut: int | None = None) -> RankOneReport:
+    """Rank-one verdict via the ratio of the two leading singular values of m."""
+    return rank_one_report(*two_leading_singulars(m), tol, cut=cut)

@@ -8,7 +8,7 @@ from luequiv import DimProfile, kron_all, load_matrix, save_matrix
 from luequiv.cli import main
 from luequiv.oracle import haar_unitary, local_unitaries
 
-FAST = ["--seeds", "16", "--sweeps", "40", "--restarts", "6"]
+FAST = ["--sweeps", "40", "--restarts", "6"]
 
 
 def _gen(tmp_path, kind, *extra):
@@ -49,7 +49,7 @@ def test_check_not_found_exit_three(tmp_path):
     save_matrix(tmp_path / "a.json", (bell * lam) @ bell.conj().T, dims=(2, 2))
     save_matrix(tmp_path / "b.json", np.diag(lam), dims=(2, 2))
     rc = main(["check", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
-               "--seeds", "8", "--sweeps", "15", "--restarts", "3"])
+               "--sweeps", "15", "--restarts", "3"])
     assert rc == 3
 
 
@@ -155,6 +155,13 @@ def test_gen_generator_error_exit_one(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_gen_unwritable_output_exit_one(tmp_path, capsys):
+    rc = main(["gen", "pair-equivalent", "--dims", "2,2", "-o", str(tmp_path / "no" / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_gen_seed_env_var(tmp_path, monkeypatch):
     p1 = str(tmp_path / "env")
     p2 = str(tmp_path / "flag")
@@ -211,6 +218,15 @@ def test_realign_bad_cut_exit_one(tmp_path, capsys):
     assert "cut" in capsys.readouterr().err
 
 
+def test_realign_unwritable_output_exit_one(tmp_path, capsys):
+    save_matrix(tmp_path / "id.json", np.eye(4), dims=(2, 2))
+    out = str(tmp_path / "no" / "re.json")
+    rc = main(["realign", str(tmp_path / "id.json"), "--cut", "1", "-o", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_factor_product_writes_factors(tmp_path, capsys):
     factors = local_unitaries(DimProfile((2, 2, 2)), 17)
     save_matrix(tmp_path / "v.json", kron_all(factors), dims=(2, 2, 2))
@@ -245,6 +261,14 @@ def test_factor_non_unitary_exit_one(tmp_path, capsys):
     rc = main(["factor", str(tmp_path / "n.json")])
     assert rc == 1
     assert "unitary" in capsys.readouterr().err
+
+
+def test_factor_unwritable_output_exit_one(tmp_path, capsys):
+    save_matrix(tmp_path / "v.json", np.eye(4), dims=(2, 2))
+    rc = main(["factor", str(tmp_path / "v.json"), "-o", str(tmp_path / "no" / "f")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 def test_console_entry_point_smoke(tmp_path):

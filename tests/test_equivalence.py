@@ -12,16 +12,17 @@ from luequiv import (
     build_V,
     build_V0,
     check_equivalence,
+    coset_search,
     degeneracy_profile,
     eig_hermitian,
     is_decomposable,
     kron_all,
     objective,
     paper_example,
-    phase_search,
     verify_witness,
 )
-from luequiv.equivalence import BlockContext, PhaseContext
+from luequiv.equivalence import CosetContext
+from luequiv.search import ESCAPE_PASSES, STARTS_PER_ROUND, run_search
 from luequiv.oracle import (
     haar_unitary,
     local_unitaries,
@@ -32,7 +33,7 @@ from luequiv.oracle import (
 
 from helpers import WITNESS_SIGNS, example_bases
 
-QUICK = SearchConfig(seeds=16, sweeps=40, restarts=6)
+QUICK = SearchConfig(sweeps=40, restarts=6)
 
 
 def witness_phases() -> np.ndarray:
@@ -109,43 +110,59 @@ def test_build_v0_size_mismatch():
 
 def test_objective_zero_at_solution():
     x, y, _ = example_bases(3, 5, 7)
-    ctx = PhaseContext(x, y, DimProfile((2, 2, 2)))
-    assert objective(witness_phases(), ctx) < 1e-20
+    ctx = CosetContext(x, y, DimProfile((2, 2, 2)), (1,) * 8)
+    assert objective(np.exp(1j * witness_phases()), ctx) < 1e-20
 
 
 def test_objective_positive_at_zero_phases():
     x, y, _ = example_bases(3, 5, 7)
-    ctx = PhaseContext(x, y, DimProfile((2, 2, 2)))
-    assert objective(np.zeros(8), ctx) > 1e-4
+    ctx = CosetContext(x, y, DimProfile((2, 2, 2)), (1,) * 8)
+    assert objective(ctx.identity(), ctx) > 1e-4
 
 
 def test_objective_invariant_under_global_shift():
     rng = np.random.default_rng(11)
     x, y = haar_unitary(8, rng), haar_unitary(8, rng)
-    ctx = PhaseContext(x, y, DimProfile((2, 2, 2)))
+    ctx = CosetContext(x, y, DimProfile((2, 2, 2)), (1,) * 8)
     theta = rng.uniform(0, 2 * np.pi, 8)
-    f0 = objective(theta, ctx)
+    f0 = objective(np.exp(1j * theta), ctx)
     for c in [0.7, np.pi, 5.1]:
-        assert np.isclose(objective((theta + c) % (2 * np.pi), ctx), f0, rtol=1e-9)
+        assert np.isclose(objective(np.exp(1j * (theta + c)), ctx), f0, rtol=1e-9)
 
 
 def test_phase_search_identical_state_succeeds_from_zero_seed():
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 3)
     s = eig_hermitian(rho.matrix)
-    ctx = PhaseContext(s.basis, s.basis, rho.profile)
-    assert ctx.eval_full(np.zeros(8)) < 1e-14  # the zero seed is already a solution
-    outcome = phase_search(ctx, QUICK)
+    ctx = CosetContext(s.basis, s.basis, rho.profile, (1,) * 8)
+    assert ctx.eval_full(ctx.identity()) < 1e-14  # the identity start is already a solution
+    outcome = coset_search(ctx, QUICK)
     assert outcome.success and outcome.objective < 1e-14
 
 
 def test_phase_search_paper_pair_and_decompose_agreement():
     rho, rho_p = paper_example(3, 5, 7)
     s1, s2 = eig_hermitian(rho.matrix), eig_hermitian(rho_p.matrix)
-    ctx = PhaseContext(s1.basis, s2.basis, rho.profile)
-    outcome = phase_search(ctx, QUICK)
+    ctx = CosetContext(s1.basis, s2.basis, rho.profile, (1,) * 8)
+    outcome = coset_search(ctx, QUICK)
     assert outcome.success
-    ok, _ = is_decomposable(build_V(s1.basis, s2.basis, outcome.params), rho.profile, 1e-7)
+    theta = np.angle(outcome.point)
+    ok, _ = is_decomposable(build_V(s1.basis, s2.basis, theta), rho.profile, 1e-7)
     assert ok
+
+
+def test_coset_build_matches_build_v_and_build_v0():
+    rng = np.random.default_rng(13)
+    profile = DimProfile((2, 2, 2))
+    x, y = haar_unitary(8, rng), haar_unitary(8, rng)
+    theta = rng.uniform(0, 2 * np.pi, 8)
+    ctx = CosetContext(x, y, profile, (1,) * 8)
+    assert np.allclose(ctx.build(np.exp(1j * theta)), build_V(x, y, theta), atol=1e-14)
+    deg = degeneracy_profile(eig_hermitian(np.diag([6, 5, 5, 4, 3, 3, 2, 1.0])), 1e-8)
+    assert deg.multiplicities == (1, 2, 1, 2, 1, 1)
+    blocks = [haar_unitary(n, rng) for n in deg.multiplicities]
+    ctx = CosetContext(x, y, profile, deg.multiplicities)
+    point = np.concatenate([b.ravel() for b in blocks])
+    assert np.allclose(ctx.build(point), build_V0(x, y, deg, blocks), atol=1e-14)
 
 
 def test_check_self_equivalence_identity_witness():
@@ -230,7 +247,7 @@ def test_not_found_for_equal_spectrum_inequivalent_pair():
         matrix=(bell * lam[np.newaxis, :]) @ bell.conj().T, profile=DimProfile((2, 2))
     )
     rho_p = DensityMatrix(matrix=np.diag(lam).astype(complex), profile=DimProfile((2, 2)))
-    verdict = check_equivalence(rho, rho_p, SearchConfig(seeds=8, sweeps=20, restarts=4))
+    verdict = check_equivalence(rho, rho_p, SearchConfig(sweeps=20, restarts=4))
     assert verdict.status is VerdictStatus.NOT_FOUND
     assert verdict.witness is None
     assert verdict.best_objective > 1e-6
@@ -297,13 +314,14 @@ def test_check_deterministic_given_seed():
 
 
 def _context_factories():
-    """(label, make_context, n_params): two phase contexts and one block context."""
+    """(label, make_context): two all-1x1 contexts and one multiplicity-2 context."""
     rng = np.random.default_rng(61)
     out = []
     for dims in [(2, 2, 2), (2,) * 6]:
         profile = DimProfile(dims)
         x, y = haar_unitary(profile.total, rng), haar_unitary(profile.total, rng)
-        out.append((dims, lambda p=profile, x=x, y=y: PhaseContext(x, y, p), profile.total))
+        ones = (1,) * profile.total
+        out.append((dims, lambda p=profile, x=x, y=y, m=ones: CosetContext(x, y, p, m)))
     sample = make_degenerate_pair(DimProfile((2, 2, 2)), 23)
     s1 = eig_hermitian(sample.rho.matrix)
     s2 = eig_hermitian(sample.rho_prime.matrix)
@@ -311,38 +329,113 @@ def _context_factories():
     assert deg.max_multiplicity == 2
 
     def block():
-        return BlockContext(s1.basis, s2.basis, sample.rho.profile, deg)
+        return CosetContext(s1.basis, s2.basis, sample.rho.profile, deg.multiplicities)
 
-    out.append(("block", block, block().n_params))
+    out.append(("block", block))
     return out
 
 
 def test_align_pass_objective_is_eval_full_at_returned_params():
     rng = np.random.default_rng(67)
-    for label, make, n_params in _context_factories():
+    for label, make in _context_factories():
         ctx = make()
-        params = rng.uniform(0.0, 2.0 * np.pi, n_params)
+        point = ctx.random_point(rng)
         for _ in range(4):
-            params, f = ctx.align_pass(params)
-            expected = ctx.eval_full(params)
+            point, f = ctx.align_pass(point)
+            expected = make().eval_full(point)  # a fresh context keeps no pairs
             assert abs(f - expected) <= 1e-12 * expected, label
 
 
 def test_align_pass_reuse_matches_a_fresh_decomposition():
     # a pass reuses the pairs of the point the previous pass ended on; that
     # must give exactly what decomposing afresh gives, and a point mutated in
-    # place (as the line search does) must not hit the stale pairs
+    # place must not hit the stale pairs
     rng = np.random.default_rng(71)
-    for label, make, n_params in _context_factories():
+    for label, make in _context_factories():
         ctx = make()
-        params, _ = ctx.align_pass(rng.uniform(0.0, 2.0 * np.pi, n_params))
+        point, _ = ctx.align_pass(ctx.random_point(rng))
         for mutate in (False, True):
             if mutate:
-                params[1] = (params[1] + 0.7) % (2.0 * np.pi)
-            fresh_params, fresh_f = make().align_pass(params.copy())
-            params, f = ctx.align_pass(params)
-            assert np.array_equal(params, fresh_params), (label, mutate)
+                point[1] *= np.exp(0.7j)
+            fresh_point, fresh_f = make().align_pass(point.copy())
+            point, f = ctx.align_pass(point)
+            assert np.array_equal(point, fresh_point), (label, mutate)
             assert f == fresh_f, (label, mutate)
+
+
+def test_align_pass_reuse_with_starts_taken_in_turn():
+    # racing starts take passes in turn; each must still reuse its own pairs
+    # and match a fresh decomposition
+    rng = np.random.default_rng(73)
+    for label, make in _context_factories():
+        ctx = make()
+        points = [ctx.random_point(rng) for _ in range(STARTS_PER_ROUND)]
+        for _ in range(3):
+            for i, point in enumerate(points):
+                fresh_point, fresh_f = make().align_pass(point.copy())
+                points[i], f = ctx.align_pass(point)
+                assert np.array_equal(points[i], fresh_point), label
+                assert f == fresh_f, label
+
+
+class _ScriptedContext:
+    """A point is (start, passes taken); its objective follows the start's script."""
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+        self.started = 0
+
+    def _start(self):
+        point = np.array([self.started, 0])
+        self.started += 1
+        return point
+
+    def identity(self):
+        return self._start()
+
+    def random_point(self, rng):
+        return self._start()
+
+    def eval_full(self, point):
+        return self.scripts[point[0]](point[1])
+
+    def align_pass(self, point):
+        nxt = point + np.array([0, 1])
+        return nxt, self.eval_full(nxt)
+
+
+def _search(ctx, restarts, passes=1000):
+    return run_search(
+        ctx, passes=passes, restarts=restarts, f_escape=0.1, f_target=1e-20, f_success=1e-14
+    )
+
+
+def test_race_goes_on_after_an_escaped_start_stalls():
+    # start 0 escapes the bulk first but stalls in a local minimum; the race
+    # then goes on, and start 1, escaping one pass later, succeeds
+    ctx = _ScriptedContext(
+        [lambda k: 1.0 if k == 0 else 1e-2, lambda k: 1.0 if k < 2 else 10.0 ** (-3 * k)]
+        + [lambda k: 1.0] * (STARTS_PER_ROUND - 2)
+    )
+    outcome = _search(ctx, restarts=STARTS_PER_ROUND)
+    assert outcome.success
+    assert outcome.point[0] == 1
+    assert outcome.restarts_used == STARTS_PER_ROUND
+    # a racing pass per start, 3 stalled passes of start 0, a racing pass
+    # per other start, then start 1 polishes from 1e-6 to 1e-21
+    assert len(outcome.history) == STARTS_PER_ROUND + 3 + (STARTS_PER_ROUND - 1) + 5
+
+
+def test_start_stuck_in_the_bulk_costs_a_fixed_number_of_passes():
+    ctx = _ScriptedContext([lambda k: 1.0 - 1e-3 * k] * 6)
+    outcome = _search(ctx, restarts=6)
+    assert not outcome.success
+    assert outcome.restarts_used == 6
+    assert len(outcome.history) == 6 * ESCAPE_PASSES
+    assert outcome.objective == pytest.approx(1.0 - 1e-3 * ESCAPE_PASSES)
+    # a pass budget below ESCAPE_PASSES caps the race too
+    outcome = _search(_ScriptedContext([lambda k: 1.0] * 6), restarts=6, passes=3)
+    assert len(outcome.history) == 6 * 3
 
 
 def test_planted_pair_on_six_qubits():
@@ -374,3 +467,13 @@ def test_planted_success_rate_small():
             assert verdict.witness_residual < 1e-8
             wins += 1
     assert wins >= 19
+
+
+def test_multiplicity_two_pairs_within_the_default_pass_budget():
+    # a 200-pass cap leaves seeds 0 and 11 short of the polish target
+    profile = DimProfile((2, 2))
+    for seed in range(20):
+        sample = make_degenerate_pair(profile, seed)
+        verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=seed))
+        assert verdict.status is VerdictStatus.EQUIVALENT, seed
+        assert verdict.witness_residual < 1e-8

@@ -125,7 +125,7 @@ def test_mismatch_pair_detected():
     assert not spectra_match(s1, s2, 1e-8)
     assert np.max(np.abs(s1.eigenvalues - s2.eigenvalues)) >= 0.5e-2
     verdict = check_equivalence(
-        sample.rho, sample.rho_prime, SearchConfig(seeds=8, sweeps=20, restarts=4)
+        sample.rho, sample.rho_prime, SearchConfig(sweeps=20, restarts=4)
     )
     assert verdict.status is VerdictStatus.INEQUIVALENT_SPECTRUM
     assert verdict.restarts_used == 0
