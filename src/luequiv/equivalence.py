@@ -198,7 +198,7 @@ class CosetContext:
         self.xt = np.ascontiguousarray(x[:, np.concatenate(rows)].T)
         self.ych = np.ascontiguousarray(y[:, np.concatenate(cols)].conj().T)
         self.splits = _cut_splits(profile)
-        self._memo: list[tuple[np.ndarray, float, list[tuple[np.ndarray, np.ndarray]]]] = []
+        self._memo: list[tuple[bytes, float, list[tuple[np.ndarray, np.ndarray]]]] = []
 
     def identity(self) -> np.ndarray:
         return np.concatenate([np.eye(n, dtype=np.complex128).ravel() for n in self.sizes])
@@ -218,14 +218,15 @@ class CosetContext:
         A pass starts where the previous pass (or the start evaluation)
         ended, so each cut is decomposed once per pass; the last
         STARTS_PER_ROUND points are kept, so starts that take passes in turn
-        are too.  Keys are copies, so a point mutated in place is decomposed
-        afresh.
+        are too.  Keys are the points' bytes, so a point mutated in place is
+        decomposed afresh.
         """
-        for key, f, pairs in self._memo:
-            if np.array_equal(key, point):
+        key = point.tobytes()
+        for k, f, pairs in self._memo:
+            if k == key:
                 return f, pairs
         f, pairs = _objective_and_leading_pairs(self.build(point), self.splits)
-        self._memo = [(point.copy(), f, pairs)] + self._memo[: STARTS_PER_ROUND - 1]
+        self._memo = [(key, f, pairs)] + self._memo[: STARTS_PER_ROUND - 1]
         return f, pairs
 
     def eval_full(self, point: np.ndarray) -> float:
@@ -249,28 +250,42 @@ class CosetContext:
                 for (dl, dr), (u1, v1) in zip(self.splits, pairs)
             ]
         )
-        a = point.copy()
-        s = g @ a
+        # the sweep runs on Python scalars: s and each column of g have one
+        # entry per cut, too few for numpy calls to pay their overhead
+        a = point.tolist()
+        s = (g @ point).tolist()
+        cols = g.T.tolist()
+        cuts = range(len(s))
         for _ in range(BLOCK_ROUNDS):
             for sl, n in zip(self.slices, self.sizes):
-                gb = g[:, sl]
                 if n == 1:
-                    # maximize sum_k |w_k + g_k c|^2 over |c| = 1
-                    w = s - gb[:, 0] * a[sl.start]
-                    z = gb[:, 0] @ w.conj()
+                    # maximize sum_k |w_k + g_k c|^2 over |c| = 1, w_k = s_k - g_k a_m
+                    m = sl.start
+                    gm = cols[m]
+                    am = a[m]
+                    z = 0j
+                    for k in cuts:
+                        z += gm[k].conjugate() * (s[k] - gm[k] * am)
                     if z == 0:
                         continue
-                    new = np.conj(z) / abs(z)
+                    new = z / abs(z)
+                    d = new - am
+                    for k in cuts:
+                        s[k] += gm[k] * d
+                    a[m] = new
                 else:
                     # maximize Re sum_k conj(s_k) tr(G_kb^T A) over unitaries A
-                    uu, _, vh = np.linalg.svd((s.conj() @ gb).reshape(n, n).conj())
+                    gb = g[:, sl]
+                    sv = np.array(s)
+                    uu, _, vh = np.linalg.svd((sv.conj() @ gb).reshape(n, n).conj())
                     new = (uu @ vh).ravel()
-                s += gb @ (new - a[sl])
-                a[sl] = new
+                    s = (sv + gb @ (new - np.array(a[sl]))).tolist()
+                    a[sl] = new.tolist()
         # pin the first block's determinant phase: a global phase never
         # changes the realignment ratios
         n1 = self.sizes[0]
-        a *= np.exp(-1j * np.angle(np.linalg.det(a[self.slices[0]].reshape(n1, n1))) / n1)
+        det = a[0] if n1 == 1 else np.linalg.det(np.array(a[self.slices[0]]).reshape(n1, n1))
+        a = np.array(a) * np.exp(-1j * np.angle(det) / n1)
         return a, self._decompose(a)[0]
 
 

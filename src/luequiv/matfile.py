@@ -9,6 +9,7 @@ precision, so a write/read round trip is value-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,28 @@ def save_matrix(path, m, dims=None, label=None, seed=None) -> None:
         fh.write(dump_matrix(m, dims=dims, label=label, seed=seed))
 
 
+def _int_list(doc: dict, key: str) -> tuple[int, ...]:
+    value = doc[key]
+    if not isinstance(value, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value
+    ):
+        raise MatrixFileError(f"'{key}' must be a list of positive integers")
+    return tuple(value)
+
+
+def _entries(data) -> np.ndarray:
+    """The [re, im] pairs of 'data' as a flat complex vector, in one conversion."""
+    try:
+        pairs = np.array(data)
+    except ValueError:  # ragged nesting
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise MatrixFileError("'data' must be a list of [re, im] pairs")
+    if pairs.dtype.kind not in "iuf":
+        raise MatrixFileError("'data' entries must be JSON numbers")
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
+
+
 def parse_matrix(text: str) -> MatrixFile:
     try:
         doc = json.loads(text)
@@ -82,22 +105,20 @@ def parse_matrix(text: str) -> MatrixFile:
         raise MatrixFileError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "data" not in doc:
         raise MatrixFileError("matrix file must be a JSON object with a 'data' field")
-    data = doc["data"]
-    if not isinstance(data, list) or any(
-        not isinstance(z, list) or len(z) != 2 for z in data
-    ):
-        raise MatrixFileError("'data' must be a list of [re, im] pairs")
-    flat = np.array([complex(z[0], z[1]) for z in data], dtype=np.complex128)
+    flat = _entries(doc["data"])
     if "dims" in doc:
-        dims = tuple(int(d) for d in doc["dims"])
-        n = int(np.prod(dims))
+        dims = _int_list(doc, "dims")
+        n = math.prod(dims)
         if flat.size != n * n:
             raise MatrixFileError(
                 f"data length {flat.size} != (product of dims)^2 = {n * n}"
             )
         m = flat.reshape(n, n)
     elif "shape" in doc:
-        rows, cols = (int(v) for v in doc["shape"])
+        shape = _int_list(doc, "shape")
+        if len(shape) != 2:
+            raise MatrixFileError("'shape' must be [rows, cols]")
+        rows, cols = shape
         if flat.size != rows * cols:
             raise MatrixFileError(f"data length {flat.size} != shape {rows}x{cols}")
         m = flat.reshape(rows, cols)
@@ -106,14 +127,20 @@ def parse_matrix(text: str) -> MatrixFile:
         raise MatrixFileError("matrix file needs a 'dims' or 'shape' header")
     label = doc.get("label")
     seed = doc.get("seed")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise MatrixFileError("'seed' must be an integer")
     return MatrixFile(
         matrix=m,
         dims=dims,
         label=None if label is None else str(label),
-        seed=None if seed is None else int(seed),
+        seed=seed,
     )
 
 
 def load_matrix(path) -> MatrixFile:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFileError(f"not ASCII: {exc.reason} at byte {exc.start}") from None
+    return parse_matrix(text)

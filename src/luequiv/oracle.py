@@ -141,17 +141,27 @@ def make_degenerate_pair(profile: DimProfile, seed: int) -> PairSample:
 
 
 def make_spectrum_mismatch_pair(
-    profile: DimProfile, seed: int, delta: float = 1e-2
+    profile: DimProfile, seed: int, delta: float | None = None
 ) -> PairSample:
-    """Same eigenvectors, one eigenvalue pair shifted by +/- delta."""
+    """Same eigenvectors, one eigenvalue pair shifted by +/- delta.
+
+    Without an explicit delta the shift is min(1e-2, lambda_2 / 2) of the
+    drawn spectrum, so any dimension works; an explicit delta redraws the
+    spectrum until lambda_2 >= 2 delta keeps the shifted eigenvalue
+    non-negative.
+    """
     rng = np.random.default_rng([int(seed), 0x5B])
     n = profile.total
-    for _ in range(1000):
+    if delta is None:
         lam = _generic_spectrum(n, rng)
-        if lam[1] >= 2 * delta:  # keep the shifted eigenvalue non-negative
-            break
+        delta = min(1e-2, lam[1] / 2.0)
     else:
-        raise ValueError(f"could not draw {n} eigenvalues with lambda_2 >= {2 * delta}")
+        for _ in range(1000):
+            lam = _generic_spectrum(n, rng)
+            if lam[1] >= 2 * delta:
+                break
+        else:
+            raise ValueError(f"could not draw {n} eigenvalues with lambda_2 >= {2 * delta}")
     u = haar_unitary(n, rng)
     rho = (u * lam[np.newaxis, :]) @ u.conj().T
     lam2 = lam.copy()

@@ -88,6 +88,32 @@ def test_check_parse_error_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _check_bad_file_exit_one(tmp_path, capsys, content: bytes):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    rc = main(["check", str(bad), str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_non_numeric_entries_exit_one(tmp_path, capsys):
+    for data in (
+        '[["1","0"],["0","0"],["0","0"],["1","0"]]',
+        "[[null,0],[0,0],[0,0],[1,0]]",
+        "[[true,false],[false,false],[false,false],[true,false]]",
+    ):
+        _check_bad_file_exit_one(tmp_path, capsys, f'{{"dims":[1,2],"data":{data}}}'.encode())
+
+
+def test_check_non_integer_dims_exit_one(tmp_path, capsys):
+    _check_bad_file_exit_one(tmp_path, capsys, b'{"dims":["a",2],"data":[[1,0],[0,0]]}')
+
+
+def test_check_non_ascii_file_exit_one(tmp_path, capsys):
+    _check_bad_file_exit_one(tmp_path, capsys, '{"dims":[1,2],"label":"\u00e9"}'.encode())
+
+
 def test_check_json_contract(tmp_path, capsys):
     prefix = _gen(tmp_path, "pair-equivalent", "--dims", "2,2,2", "--seed", "7")
     capsys.readouterr()  # drop the gen report
@@ -147,12 +173,19 @@ def test_gen_planted_pair_of_64_levels_checks_equivalent(tmp_path, capsys):
 
 
 def test_gen_generator_error_exit_one(tmp_path, capsys):
-    # 128 levels leave no room for the +/-1e-2 shift of the mismatch pair
-    for kind, dims in [("pair-spectrum-mismatch", "8,16"), ("pair-equivalent", "2,0")]:
-        rc = main(["gen", kind, "--dims", dims, "-o", str(tmp_path / "g")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    rc = main(["gen", "pair-equivalent", "--dims", "2,0", "-o", str(tmp_path / "g")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_spectrum_mismatch_pair_of_128_levels_checks_inequivalent(tmp_path, capsys):
+    # lambda_2 of 128 levels is below 2e-2, so the shift shrinks to lambda_2 / 2
+    prefix = _gen(tmp_path, "pair-spectrum-mismatch", "--dims", "8,16")
+    capsys.readouterr()
+    rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json", "--json"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "INEQUIVALENT_SPECTRUM"
 
 
 def test_gen_unwritable_output_exit_one(tmp_path, capsys):

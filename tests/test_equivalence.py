@@ -21,7 +21,7 @@ from luequiv import (
     paper_example,
     verify_witness,
 )
-from luequiv.equivalence import CosetContext
+from luequiv.equivalence import BLOCK_ROUNDS, CosetContext, _leading_overlaps
 from luequiv.search import ESCAPE_PASSES, STARTS_PER_ROUND, run_search
 from luequiv.oracle import (
     haar_unitary,
@@ -30,6 +30,7 @@ from luequiv.oracle import (
     make_equivalent_pair,
     random_density,
 )
+from luequiv.tensor import _realign_matrix
 
 from helpers import WITNESS_SIGNS, example_bases
 
@@ -376,6 +377,72 @@ def test_align_pass_reuse_with_starts_taken_in_turn():
                 points[i], f = ctx.align_pass(point)
                 assert np.array_equal(points[i], fresh_point), label
                 assert f == fresh_f, label
+
+
+def _reference_align_pass(ctx, point):
+    """An alignment pass with its block sweep on length-K numpy vectors."""
+    _, pairs = ctx._decompose(point)
+    g = np.stack(
+        [
+            _leading_overlaps(ctx.xt, ctx.ych, u1, v1, dl, dr)
+            for (dl, dr), (u1, v1) in zip(ctx.splits, pairs)
+        ]
+    )
+    a = point.copy()
+    s = g @ a
+    for _ in range(BLOCK_ROUNDS):
+        for sl, n in zip(ctx.slices, ctx.sizes):
+            gb = g[:, sl]
+            if n == 1:
+                w = s - gb[:, 0] * a[sl.start]
+                z = gb[:, 0] @ w.conj()
+                if z == 0:
+                    continue
+                new = np.conj(z) / abs(z)
+            else:
+                uu, _, vh = np.linalg.svd((s.conj() @ gb).reshape(n, n).conj())
+                new = (uu @ vh).ravel()
+            s += gb @ (new - a[sl])
+            a[sl] = new
+    n1 = ctx.sizes[0]
+    a *= np.exp(-1j * np.angle(np.linalg.det(a[ctx.slices[0]].reshape(n1, n1))) / n1)
+    return a
+
+
+def test_align_pass_matches_the_numpy_reference_sweep():
+    rng = np.random.default_rng(79)
+    for label, make in _context_factories():
+        ctx = make()
+        for _ in range(3):
+            point = ctx.random_point(rng)
+            expected = _reference_align_pass(ctx, point)
+            got, _ = ctx.align_pass(point)
+            assert np.max(np.abs(got - expected)) <= 1e-12, label
+
+
+def _leading_mass(ctx, point):
+    v = ctx.build(point)
+    return sum(
+        np.linalg.svd(_realign_matrix(v, dl, dr), compute_uv=False)[0] ** 2
+        for dl, dr in ctx.splits
+    )
+
+
+def test_align_pass_never_lowers_the_leading_singular_mass():
+    # the pass raises a lower bound of sum over cuts of sigma1^2 that is tight
+    # where it starts, so that sum can only grow from pass to pass
+    rng = np.random.default_rng(83)
+    for label, make in _context_factories():
+        ctx = make()
+        dim = ctx.xt.shape[1]
+        for _ in range(20):
+            point = ctx.random_point(rng)
+            mass = _leading_mass(ctx, point)
+            for _ in range(10):
+                point, _ = ctx.align_pass(point)
+                new_mass = _leading_mass(ctx, point)
+                assert new_mass >= mass - 1e-12 * dim, label
+                mass = new_mass
 
 
 class _ScriptedContext:

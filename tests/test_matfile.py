@@ -59,6 +59,22 @@ def test_parse_rejects_bad_pairs():
         parse_matrix(text)
 
 
+def test_parse_rejects_non_numbers_and_bad_headers():
+    cases = [
+        ('{"shape": [1, 1], "data": [["1", "0"]]}', "numbers"),
+        ('{"shape": [1, 1], "data": [[null, 0]]}', "numbers"),
+        ('{"shape": [1, 1], "data": [[true, false]]}', "numbers"),
+        ('{"shape": [1, 1], "data": "x"}', "pairs"),
+        ('{"dims": ["a", 2], "data": [[1, 0]]}', "dims"),
+        ('{"dims": 2, "data": [[1, 0]]}', "dims"),
+        ('{"shape": [1], "data": [[1, 0]]}', "shape"),
+        ('{"shape": [1, 1], "seed": "s", "data": [[1, 0]]}', "seed"),
+    ]
+    for text, match in cases:
+        with pytest.raises(MatrixFileError, match=match):
+            parse_matrix(text)
+
+
 def test_parse_requires_header():
     with pytest.raises(MatrixFileError, match="header"):
         parse_matrix('{"data": [[1, 0]]}')
