@@ -141,27 +141,17 @@ def make_degenerate_pair(profile: DimProfile, seed: int) -> PairSample:
 
 
 def make_spectrum_mismatch_pair(
-    profile: DimProfile, seed: int, delta: float | None = None
+    profile: DimProfile, seed: int, delta: float = 1e-2
 ) -> PairSample:
     """Same eigenvectors, one eigenvalue pair shifted by +/- delta.
 
-    Without an explicit delta the shift is min(1e-2, lambda_2 / 2) of the
-    drawn spectrum, so any dimension works; an explicit delta redraws the
-    spectrum until lambda_2 >= 2 delta keeps the shifted eigenvalue
-    non-negative.
+    The shift is capped at lambda_2 / 2 of the drawn spectrum, which keeps the
+    shifted eigenvalue non-negative at any dimension.
     """
     rng = np.random.default_rng([int(seed), 0x5B])
     n = profile.total
-    if delta is None:
-        lam = _generic_spectrum(n, rng)
-        delta = min(1e-2, lam[1] / 2.0)
-    else:
-        for _ in range(1000):
-            lam = _generic_spectrum(n, rng)
-            if lam[1] >= 2 * delta:
-                break
-        else:
-            raise ValueError(f"could not draw {n} eigenvalues with lambda_2 >= {2 * delta}")
+    lam = _generic_spectrum(n, rng)
+    delta = min(delta, lam[1] / 2.0)
     u = haar_unitary(n, rng)
     rho = (u * lam[np.newaxis, :]) @ u.conj().T
     lam2 = lam.copy()

@@ -54,17 +54,20 @@ def test_parse_rejects_length_mismatch():
 
 
 def test_parse_rejects_bad_pairs():
-    text = '{"shape": [1, 2], "data": [[1, 0], [0]]}'
-    with pytest.raises(MatrixFileError, match="pairs"):
-        parse_matrix(text)
-
-
-def test_parse_rejects_non_numbers_and_bad_headers():
     cases = [
+        ('{"shape": [1, 2], "data": [[1, 0], [0]]}', "pairs"),
+        ('{"shape": [1, 1], "data": "x"}', "pairs"),
         ('{"shape": [1, 1], "data": [["1", "0"]]}', "numbers"),
         ('{"shape": [1, 1], "data": [[null, 0]]}', "numbers"),
         ('{"shape": [1, 1], "data": [[true, false]]}', "numbers"),
-        ('{"shape": [1, 1], "data": "x"}', "pairs"),
+    ]
+    for text, match in cases:
+        with pytest.raises(MatrixFileError, match=match):
+            parse_matrix(text)
+
+
+def test_parse_rejects_bad_headers():
+    cases = [
         ('{"dims": ["a", 2], "data": [[1, 0]]}', "dims"),
         ('{"dims": 2, "data": [[1, 0]]}', "dims"),
         ('{"shape": [1], "data": [[1, 0]]}', "shape"),
