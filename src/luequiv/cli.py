@@ -248,36 +248,18 @@ def _gen(args) -> int:
     if args.dims is None:
         raise CliError(f"--dims is required for kind {args.kind}")
     profile = DimProfile(_dims_list(args.dims))
-    if args.kind == "pair-equivalent":
-        sample = make_equivalent_pair(profile, seed)
-        _save(
-            f"{prefix}_a.json", sample.rho.matrix, dims=profile.dims,
-            label="planted rho", seed=seed,
-        )
-        _save(
-            f"{prefix}_b.json", sample.rho_prime.matrix, dims=profile.dims,
-            label="planted rho_prime", seed=seed,
-        )
-        written = [f"{prefix}_a.json", f"{prefix}_b.json"]
+    planted = args.kind == "pair-equivalent"
+    sample = (make_equivalent_pair if planted else make_spectrum_mismatch_pair)(profile, seed)
+    tag = "planted" if planted else "mismatch"
+    written = [f"{prefix}_a.json", f"{prefix}_b.json"]
+    for path, m, name in zip(written, (sample.rho, sample.rho_prime), ("rho", "rho_prime")):
+        _save(path, m.matrix, dims=profile.dims, label=f"{tag} {name}", seed=seed)
+    if planted:
         for i, (u, d) in enumerate(zip(sample.planted, profile.dims), start=1):
-            path = f"{prefix}_u{i}.json"
-            _save(path, u, dims=(d,), label=f"planted factor {i}", seed=seed)
-            written.append(path)
-        print("wrote " + " ".join(written))
-        return 0
-    if args.kind == "pair-spectrum-mismatch":
-        sample = make_spectrum_mismatch_pair(profile, seed)
-        _save(
-            f"{prefix}_a.json", sample.rho.matrix, dims=profile.dims,
-            label="mismatch rho", seed=seed,
-        )
-        _save(
-            f"{prefix}_b.json", sample.rho_prime.matrix, dims=profile.dims,
-            label="mismatch rho_prime", seed=seed,
-        )
-        print(f"wrote {prefix}_a.json {prefix}_b.json")
-        return 0
-    raise CliError(f"unknown kind {args.kind!r}")
+            written.append(f"{prefix}_u{i}.json")
+            _save(written[-1], u, dims=(d,), label=f"planted factor {i}", seed=seed)
+    print("wrote " + " ".join(written))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,23 +24,21 @@ import numpy as np
 
 from .decompose import FactorSet, NotDecomposableError, factor_full
 from .oracle import haar_unitary
-from .search import STARTS_PER_ROUND, SearchOutcome, run_search
+from .search import SearchOutcome, run_search
 from .spectral import (
     DegeneracyProfile,
     RankOneReport,
     Spectrum,
     degeneracy_profile,
-    eig_hermitian,
     rank_one_test,
     spectra_match,
 )
-from .states import DensityMatrix, validate_density
+from .states import DensityMatrix, validated_spectrum
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
 
 OBJECTIVE_POLISH = 1e-20
 # a start whose objective is above this per cut is still in the bulk of the coset
 ESCAPE_LEVEL_PER_CUT = 0.1
-BLOCK_ROUNDS = 3  # rounds over all blocks in one alignment pass
 
 
 class VerdictStatus(str, Enum):
@@ -54,7 +52,8 @@ class VerdictStatus(str, Enum):
 class SearchConfig:
     """Tolerances and budgets for the equivalence pipeline.
 
-    ``sweeps`` is the number of alignment passes each restart may run.
+    ``sweeps`` is the number of alignment passes each restart may run.  A
+    value out of range is a ValueError naming the field.
     """
 
     sweeps: int = 1000
@@ -65,6 +64,18 @@ class SearchConfig:
     witness_tol: float = 1e-8
     max_block: int = 2
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("spec_tol", "degeneracy_tol", "witness_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 < self.rank_tol < 1:
+            raise ValueError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
+        for name in ("sweeps", "restarts", "max_block"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def objective_success(self) -> float:
@@ -130,28 +141,6 @@ def build_V0(x_basis, y_basis, profile: DegeneracyProfile, blocks) -> np.ndarray
     return out
 
 
-def _cut_splits(profile: DimProfile) -> list[tuple[int, int]]:
-    return [profile.split(k) for k in range(1, profile.nsites)]
-
-
-def _objective_and_leading_pairs(
-    v: np.ndarray, splits: list[tuple[int, int]]
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Objective at V and each cut's leading pair (u1, v1), u1^dag tilde v1 = sigma1.
-
-    One thin SVD per cut gives both.  Full factors of a lopsided cut (4 x 1024
-    on 2^6) would build a 1024 x 1024 unitary only to read one column of it.
-    """
-    f = 0.0
-    pairs = []
-    for d_left, d_right in splits:
-        uu, sv, vh = np.linalg.svd(_realign_matrix(v, d_left, d_right), full_matrices=False)
-        if sv[0] > 0 and sv.size > 1:
-            f += float((sv[1] / sv[0]) ** 2)
-        pairs.append((uu[:, 0], vh[0, :].conj()))
-    return f, pairs
-
-
 def _leading_overlaps(
     xt: np.ndarray, yh: np.ndarray, u1: np.ndarray, v1: np.ndarray, d_left: int, d_right: int
 ) -> np.ndarray:
@@ -174,6 +163,8 @@ class CosetContext:
     A point is the complex vector of the blocks' entries, block after block
     and each block row-major, so V = sum_m a_m x_{row m} y_{col m}^dag.  With
     every block 1x1 (a non-degenerate spectrum) the point is e^{i theta}.
+    It is a search context (search.py): ``identity``/``random_point`` give
+    starts, then ``decompose``, ``sweep`` (one pass) and ``project``.
     """
 
     def __init__(self, x_basis, y_basis, profile: DimProfile, multiplicities):
@@ -195,10 +186,10 @@ class CosetContext:
             lo += n
             m += n * n
         self.size = m
+        self.phase_entries = [sl.start for sl, n in zip(self.slices, self.sizes) if n == 1]
         self.xt = np.ascontiguousarray(x[:, np.concatenate(rows)].T)
         self.ych = np.ascontiguousarray(y[:, np.concatenate(cols)].conj().T)
-        self.splits = _cut_splits(profile)
-        self._memo: list[tuple[bytes, float, list[tuple[np.ndarray, np.ndarray]]]] = []
+        self.splits = [profile.split(k) for k in range(1, profile.nsites)]
 
     def identity(self) -> np.ndarray:
         return np.concatenate([np.eye(n, dtype=np.complex128).ravel() for n in self.sizes])
@@ -212,28 +203,24 @@ class CosetContext:
     def build(self, point: np.ndarray) -> np.ndarray:
         return self.xt.T @ (point[:, np.newaxis] * self.ych)
 
-    def _decompose(self, point: np.ndarray) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-        """Objective and leading pairs at a point, kept for the next calls.
+    def decompose(self, point: np.ndarray) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+        """Objective at a point and each cut's leading pair (u1, v1), u1^dag tilde v1 = sigma1.
 
-        A pass starts where the previous pass (or the start evaluation)
-        ended, so each cut is decomposed once per pass; the last
-        STARTS_PER_ROUND points are kept, so starts that take passes in turn
-        are too.  Keys are the points' bytes, so a point mutated in place is
-        decomposed afresh.
+        One thin SVD per cut gives both.  Full factors of a lopsided cut (4 x 1024
+        on 2^6) would build a 1024 x 1024 unitary only to read one column of it.
         """
-        key = point.tobytes()
-        for k, f, pairs in self._memo:
-            if k == key:
-                return f, pairs
-        f, pairs = _objective_and_leading_pairs(self.build(point), self.splits)
-        self._memo = [(key, f, pairs)] + self._memo[: STARTS_PER_ROUND - 1]
+        v = self.build(point)
+        f = 0.0
+        pairs = []
+        for d_left, d_right in self.splits:
+            uu, sv, vh = np.linalg.svd(_realign_matrix(v, d_left, d_right), full_matrices=False)
+            if sv[0] > 0 and sv.size > 1:
+                f += float((sv[1] / sv[0]) ** 2)
+            pairs.append((uu[:, 0], vh[0, :].conj()))
         return f, pairs
 
-    def eval_full(self, point: np.ndarray) -> float:
-        return self._decompose(point)[0]
-
-    def align_pass(self, point: np.ndarray) -> tuple[np.ndarray, float]:
-        """One monotone refinement of every block against leading singular pairs.
+    def sweep(self, point: np.ndarray, pairs) -> np.ndarray:
+        """One monotone round over every block against the point's leading pairs.
 
         With the leading singular vectors (u_k, v_k) of each realignment held
         fixed, s_k = u_k^dag Vtilde_k v_k is linear in the point, and
@@ -241,9 +228,8 @@ class CosetContext:
         the subdominant singular mass toward zero.  A 1x1 block takes the
         exact phase maximizing it with the other blocks fixed; a larger
         block takes the polar step, the unitary maximizing the bound's
-        linearization at the current point.
+        linearization at the current point.  ``pairs`` are decompose(point)'s.
         """
-        _, pairs = self._decompose(point)
         g = np.stack(
             [
                 _leading_overlaps(self.xt, self.ych, u1, v1, dl, dr)
@@ -256,37 +242,45 @@ class CosetContext:
         s = (g @ point).tolist()
         cols = g.T.tolist()
         cuts = range(len(s))
-        for _ in range(BLOCK_ROUNDS):
-            for sl, n in zip(self.slices, self.sizes):
-                if n == 1:
-                    # maximize sum_k |w_k + g_k c|^2 over |c| = 1, w_k = s_k - g_k a_m
-                    m = sl.start
-                    gm = cols[m]
-                    am = a[m]
-                    z = 0j
-                    for k in cuts:
-                        z += gm[k].conjugate() * (s[k] - gm[k] * am)
-                    if z == 0:
-                        continue
-                    new = z / abs(z)
-                    d = new - am
-                    for k in cuts:
-                        s[k] += gm[k] * d
-                    a[m] = new
-                else:
-                    # maximize Re sum_k conj(s_k) tr(G_kb^T A) over unitaries A
-                    gb = g[:, sl]
-                    sv = np.array(s)
-                    uu, _, vh = np.linalg.svd((sv.conj() @ gb).reshape(n, n).conj())
-                    new = (uu @ vh).ravel()
-                    s = (sv + gb @ (new - np.array(a[sl]))).tolist()
-                    a[sl] = new.tolist()
+        for sl, n in zip(self.slices, self.sizes):
+            if n == 1:
+                # maximize sum_k |w_k + g_k c|^2 over |c| = 1, w_k = s_k - g_k a_m
+                m = sl.start
+                gm = cols[m]
+                am = a[m]
+                z = 0j
+                for k in cuts:
+                    z += gm[k].conjugate() * (s[k] - gm[k] * am)
+                if z == 0:
+                    continue
+                new = z / abs(z)
+                d = new - am
+                for k in cuts:
+                    s[k] += gm[k] * d
+                a[m] = new
+            else:
+                # maximize Re sum_k conj(s_k) tr(G_kb^T A) over unitaries A
+                gb = g[:, sl]
+                sv = np.array(s)
+                uu, _, vh = np.linalg.svd((sv.conj() @ gb).reshape(n, n).conj())
+                new = (uu @ vh).ravel()
+                s = (sv + gb @ (new - np.array(a[sl]))).tolist()
+                a[sl] = new.tolist()
         # pin the first block's determinant phase: a global phase never
         # changes the realignment ratios
         n1 = self.sizes[0]
         det = a[0] if n1 == 1 else np.linalg.det(np.array(a[self.slices[0]]).reshape(n1, n1))
-        a = np.array(a) * np.exp(-1j * np.angle(det) / n1)
-        return a, self._decompose(a)[0]
+        return np.array(a) * np.exp(-1j * np.angle(det) / n1)
+
+    def project(self, point: np.ndarray) -> np.ndarray:
+        """The nearest coset point: a unit phase per 1x1 block, the polar factor of a larger one."""
+        out = point.copy()
+        out[self.phase_entries] /= np.abs(point[self.phase_entries])
+        for sl, n in zip(self.slices, self.sizes):
+            if n > 1:
+                uu, _, vh = np.linalg.svd(point[sl].reshape(n, n))
+                out[sl] = (uu @ vh).ravel()
+        return out
 
 
 def objective(point, ctx: CosetContext) -> float:
@@ -294,7 +288,7 @@ def objective(point, ctx: CosetContext) -> float:
     a = np.asarray(point, dtype=np.complex128).reshape(-1)
     if a.size != ctx.size:
         raise ValueError(f"point length {a.size} != coset size {ctx.size}")
-    return ctx.eval_full(a)
+    return ctx.decompose(a)[0]
 
 
 def coset_search(ctx: CosetContext, config: SearchConfig) -> SearchOutcome:
@@ -365,10 +359,8 @@ def check_equivalence(
         raise ValueError(
             f"dimension profiles differ: {rho.profile.dims} vs {rho_prime.profile.dims}"
         )
-    rho = validate_density(rho)
-    rho_prime = validate_density(rho_prime)
-    s1 = eig_hermitian(rho.matrix)
-    s2 = eig_hermitian(rho_prime.matrix)
+    rho, s1 = validated_spectrum(rho)
+    rho_prime, s2 = validated_spectrum(rho_prime)
     if not spectra_match(s1, s2, config.spec_tol):
         return Verdict(status=VerdictStatus.INEQUIVALENT_SPECTRUM, seed=config.seed)
 

@@ -1,8 +1,11 @@
 """Multistart of monotone alignment passes over a coset context.
 
 The engine is generic over a context providing ``identity()`` and
-``random_point(rng)`` (start points), ``eval_full(point) -> float`` and
-``align_pass(point) -> (point, f)``, a monotone local refinement step.
+``random_point(rng)`` (start points), ``decompose(point) -> (f, pairs)``
+(the objective and what a pass needs from the point), ``sweep(point, pairs)
+-> point`` (one alignment pass, a monotone local refinement) and
+``project(point) -> point`` (the nearest point of the coset).  Each start
+carries its (point, f, pairs), so every point is decomposed once.
 
 Start r = 0 is the identity; start r >= 1 is a random point drawn from its
 own generator.  Most starts leave the bulk of the coset, where every cut's
@@ -14,6 +17,10 @@ until the objective reaches the polish target, the passes stall, or the pass
 budget runs out.  A start still in the bulk after ESCAPE_PASSES passes is
 dropped.  A search then costs about one fast start per round, and a start
 that never escapes costs a fixed number of passes instead of a crawl.
+
+Alone, a start converges linearly, so its passes are Anderson-mixed (Walker
+& Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) over the last MIX_DEPTH outputs.
+A mix is kept only when it lowers f; else the pass output is, with no history.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ ALIGN_STALL_REL = 1e-3
 ALIGN_STALL_PATIENCE = 3
 ESCAPE_PASSES = 20
 STARTS_PER_ROUND = 3
+MIX_DEPTH = 3
 
 
 @dataclass
@@ -37,14 +45,37 @@ class SearchOutcome:
     restarts_used: int = 0
 
 
+def _mixed_step(ctx, history: list, f: float):
+    """(point, f, pairs) of the projected Anderson mix of the (x_i, g_i = sweep
+    of x_i) in history, when it lowers the objective below f; else None.
+
+    The real weights sum to one and minimize |sum_i w_i (g_i - x_i)|.
+    """
+    x, g = (np.array(a) for a in zip(*history))
+    r = g - x
+    try:
+        w = np.linalg.solve((r.conj() @ r.T).real, np.ones(len(history)))
+    except np.linalg.LinAlgError:
+        return None
+    mixed = ctx.project((w / w.sum()) @ g)
+    f_mixed, pairs = ctx.decompose(mixed)
+    return (mixed, f_mixed, pairs) if f_mixed < f else None
+
+
 def _align_until_stall(
-    ctx, point: np.ndarray, passes: int, f_target: float, trace: list[float]
+    ctx, point: np.ndarray, f: float, pairs, passes: int, f_target: float, trace: list[float]
 ) -> tuple[np.ndarray, float]:
-    """Run alignment passes until the target, a stall or ``passes``; returns (point, f)."""
-    f = ctx.eval_full(point)
+    """Run mixed passes until the target, a stall or ``passes``; returns (point, f)."""
+    history: list = []
     stall = 0
     for _ in range(passes):
-        point, f_new = ctx.align_pass(point)
+        out = ctx.sweep(point, pairs)
+        history = history[1 - MIX_DEPTH :] + [(point, out)]
+        step = None
+        if len(history) > 1:
+            step = _mixed_step(ctx, history, f)
+            history = history if step else []
+        point, f_new, pairs = step or (out, *ctx.decompose(out))
         trace.append(f_new)
         if f_new <= f_target:
             return point, f_new
@@ -75,25 +106,25 @@ def _race(
     f_success, and goes on with the others when it does not.  A start still
     above f_escape after ESCAPE_PASSES passes is dropped.
     """
-    live = [(p, ctx.eval_full(p)) for p in starts]
-    best = min(live, key=lambda item: item[1])
+    live = [(p, *ctx.decompose(p)) for p in starts]
+    best = min(((p, f) for p, f, _ in live), key=lambda item: item[1])
     done = 0
     while True:
         racing = []
-        for point, f in live:
+        for point, f, pairs in live:
             if f <= f_escape:
-                point, f = _align_until_stall(ctx, point, passes - done, f_target, trace)
+                point, f = _align_until_stall(ctx, point, f, pairs, passes - done, f_target, trace)
                 if f < best[1]:
                     best = (point, f)
                 if f <= f_success:
                     return best
             else:
-                racing.append(point)
+                racing.append((point, pairs))
         if not racing or done >= min(passes, ESCAPE_PASSES):
             return best
-        live = [ctx.align_pass(point) for point in racing]
-        trace.extend(f for _, f in live)
-        best = min([best, *live], key=lambda item: item[1])
+        live = [(p, *ctx.decompose(p)) for p in (ctx.sweep(*item) for item in racing)]
+        trace.extend(f for _, f, _ in live)
+        best = min([best, *((p, f) for p, f, _ in live)], key=lambda item: item[1])
         done += 1
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_cmatrix, leading_index
+from .tensor import LEAD_RTOL, as_cmatrix
 
 HERMITIAN_TOL = 1e-10
 
@@ -63,12 +63,14 @@ class RankOneReport:
 
 
 def _fix_column_phases(m: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its leading entry (as ``leading_index`` picks it) is real positive."""
+    mags = np.abs(m)
+    rows = np.argmax(mags >= mags.max(axis=0) * (1.0 - LEAD_RTOL), axis=0)
+    cols = np.arange(m.shape[1])
+    lead, size = m[rows, cols], mags[rows, cols]
+    keep = size > 0
     out = m.copy()
-    for j in range(out.shape[1]):
-        lead = out[leading_index(out[:, j]), j]
-        if abs(lead) > 0:
-            out[:, j] /= lead / abs(lead)
+    out[:, keep] /= lead[keep] / size[keep]
     return out
 
 

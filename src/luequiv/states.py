@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectral import Spectrum, eig_hermitian
 from .tensor import DimProfile, as_cmatrix
 
 TRACE_TOL = 1e-8
@@ -35,12 +36,8 @@ class DensityMatrix:
         return self.profile.total
 
 
-def validate_density(rho: DensityMatrix, normalize: bool = True) -> DensityMatrix:
-    """Check Hermiticity, positivity, and trace; renormalize trace if asked.
-
-    A trace off by more than TRACE_TOL is repaired with a warning rather than
-    rejected; Hermiticity violations and eigenvalues below -PSD_TOL are errors.
-    """
+def _checked_matrix(rho: DensityMatrix, normalize: bool) -> np.ndarray:
+    """Hermiticity and trace checks; the matrix, its trace repaired if asked."""
     m = rho.matrix
     scale = max(1.0, float(np.linalg.norm(m)))
     dev = float(np.linalg.norm(m - m.conj().T))
@@ -53,10 +50,31 @@ def validate_density(rho: DensityMatrix, normalize: bool = True) -> DensityMatri
         if not normalize:
             raise ValueError(f"density matrix trace {tr} != 1")
         warnings.warn(
-            f"density matrix trace {tr:.12g} != 1; renormalizing", stacklevel=2
+            f"density matrix trace {tr:.12g} != 1; renormalizing", stacklevel=3
         )
         m = m / tr
-    lam_min = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    return m
+
+
+def _check_psd(lam_min: float) -> None:
     if lam_min < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lam_min:.3e}")
+
+
+def validate_density(rho: DensityMatrix, normalize: bool = True) -> DensityMatrix:
+    """Check Hermiticity, positivity, and trace; renormalize trace if asked.
+
+    A trace off by more than TRACE_TOL is repaired with a warning rather than
+    rejected; Hermiticity violations and eigenvalues below -PSD_TOL are errors.
+    """
+    m = _checked_matrix(rho, normalize)
+    _check_psd(float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]))
     return DensityMatrix(matrix=m, profile=rho.profile)
+
+
+def validated_spectrum(rho: DensityMatrix) -> tuple[DensityMatrix, Spectrum]:
+    """``validate_density`` and ``eig_hermitian`` of the result, from one eigensolve."""
+    m = _checked_matrix(rho, True)
+    spectrum = eig_hermitian(m)
+    _check_psd(float(spectrum.eigenvalues[-1]))
+    return DensityMatrix(matrix=m, profile=rho.profile), spectrum

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+LEAD_RTOL = 1e-9  # magnitudes this close to a maximum count as tied with it
+
 
 class ShapeError(ValueError):
     """Raised when a matrix does not conform to the declared dimensions."""
@@ -77,7 +79,7 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def leading_index(a, rtol: float = 1e-9) -> int:
+def leading_index(a, rtol: float = LEAD_RTOL) -> int:
     """Flat index of the first entry within rtol of the maximum magnitude.
 
     Plain argmax is unstable when magnitudes tie up to rounding (common for

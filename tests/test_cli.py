@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from luequiv import DimProfile, kron_all, load_matrix, save_matrix
 from luequiv.cli import main
@@ -102,6 +103,34 @@ def test_check_parse_error_exit_one(tmp_path, capsys):
 def test_check_non_ascii_file_exit_one(tmp_path, capsys):
     # fails while reading the file, before parse_matrix sees it
     _check_bad_file_exit_one(tmp_path, capsys, '{"dims":[1,2],"label":"\u00e9"}'.encode())
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--tol-rank", "1", "rank_tol"),
+        ("--tol-spec", "0", "spec_tol"),
+        ("--tol-degeneracy", "-1", "degeneracy_tol"),
+        ("--sweeps", "-3", "sweeps"),
+        ("--restarts", "-2", "restarts"),
+        ("--max-block", "0", "max_block"),
+        ("--seed", "-1", "seed"),
+        ("LU_EQUIV_SEED", "-4", "seed"),
+    ],
+)
+def test_check_invalid_search_setting_exit_one(tmp_path, capsys, monkeypatch, flag, value, field):
+    # none may reach a verdict: --tol-spec 0 would make any spectrum mismatch conclusive
+    prefix = _gen(tmp_path, "pair-equivalent", "--dims", "2,2,2", "--seed", "7")
+    capsys.readouterr()  # drop the gen report
+    args = []
+    if flag.startswith("--"):
+        args = [flag, value]
+    else:
+        monkeypatch.setenv(flag, value)
+    rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json", *args])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1
 
 
 def test_check_json_contract(tmp_path, capsys):

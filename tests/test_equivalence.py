@@ -21,8 +21,13 @@ from luequiv import (
     paper_example,
     verify_witness,
 )
-from luequiv.equivalence import BLOCK_ROUNDS, CosetContext, _leading_overlaps
-from luequiv.search import ESCAPE_PASSES, STARTS_PER_ROUND, run_search
+from luequiv.equivalence import (
+    ESCAPE_LEVEL_PER_CUT,
+    OBJECTIVE_POLISH,
+    CosetContext,
+    _leading_overlaps,
+)
+from luequiv.search import ESCAPE_PASSES, STARTS_PER_ROUND, _align_until_stall, run_search
 from luequiv.oracle import (
     haar_unitary,
     local_unitaries,
@@ -135,7 +140,7 @@ def test_phase_search_identical_state_succeeds_from_zero_seed():
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 3)
     s = eig_hermitian(rho.matrix)
     ctx = CosetContext(s.basis, s.basis, rho.profile, (1,) * 8)
-    assert ctx.eval_full(ctx.identity()) < 1e-14  # the identity start is already a solution
+    assert ctx.decompose(ctx.identity())[0] < 1e-14  # the identity start is already a solution
     outcome = coset_search(ctx, QUICK)
     assert outcome.success and outcome.objective < 1e-14
 
@@ -297,6 +302,22 @@ def test_check_normalizes_trace_with_warning():
     assert verdict.status is VerdictStatus.EQUIVALENT
 
 
+def test_check_runs_one_eigensolve_per_state(monkeypatch):
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    sample = make_equivalent_pair(DimProfile((2, 2, 2)), 113)
+    verdict = check_equivalence(sample.rho, sample.rho_prime, QUICK)
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert calls == ["eigh", "eigh"]
+
+
 def test_check_profile_mismatch():
     rho = random_density(DimProfile((2, 2)), "generic-nondegenerate", 53)
     other = DensityMatrix(matrix=rho.matrix, profile=DimProfile((4, 1)))
@@ -336,52 +357,9 @@ def _context_factories():
     return out
 
 
-def test_align_pass_objective_is_eval_full_at_returned_params():
-    rng = np.random.default_rng(67)
-    for label, make in _context_factories():
-        ctx = make()
-        point = ctx.random_point(rng)
-        for _ in range(4):
-            point, f = ctx.align_pass(point)
-            expected = make().eval_full(point)  # a fresh context keeps no pairs
-            assert abs(f - expected) <= 1e-12 * expected, label
-
-
-def test_align_pass_reuse_matches_a_fresh_decomposition():
-    # a pass reuses the pairs of the point the previous pass ended on; that
-    # must give exactly what decomposing afresh gives, and a point mutated in
-    # place must not hit the stale pairs
-    rng = np.random.default_rng(71)
-    for label, make in _context_factories():
-        ctx = make()
-        point, _ = ctx.align_pass(ctx.random_point(rng))
-        for mutate in (False, True):
-            if mutate:
-                point[1] *= np.exp(0.7j)
-            fresh_point, fresh_f = make().align_pass(point.copy())
-            point, f = ctx.align_pass(point)
-            assert np.array_equal(point, fresh_point), (label, mutate)
-            assert f == fresh_f, (label, mutate)
-
-
-def test_align_pass_reuse_with_starts_taken_in_turn():
-    # racing starts take passes in turn; each must still reuse its own pairs
-    # and match a fresh decomposition
-    rng = np.random.default_rng(73)
-    for label, make in _context_factories():
-        ctx = make()
-        points = [ctx.random_point(rng) for _ in range(STARTS_PER_ROUND)]
-        for _ in range(3):
-            for i, point in enumerate(points):
-                fresh_point, fresh_f = make().align_pass(point.copy())
-                points[i], f = ctx.align_pass(point)
-                assert np.array_equal(points[i], fresh_point), label
-                assert f == fresh_f, label
-
-
 def _reference_align_pass(ctx, point):
     """An alignment pass with its block sweep on length-K numpy vectors."""
-    _, pairs = ctx._decompose(point)
+    _, pairs = ctx.decompose(point)
     g = np.stack(
         [
             _leading_overlaps(ctx.xt, ctx.ych, u1, v1, dl, dr)
@@ -390,20 +368,19 @@ def _reference_align_pass(ctx, point):
     )
     a = point.copy()
     s = g @ a
-    for _ in range(BLOCK_ROUNDS):
-        for sl, n in zip(ctx.slices, ctx.sizes):
-            gb = g[:, sl]
-            if n == 1:
-                w = s - gb[:, 0] * a[sl.start]
-                z = gb[:, 0] @ w.conj()
-                if z == 0:
-                    continue
-                new = np.conj(z) / abs(z)
-            else:
-                uu, _, vh = np.linalg.svd((s.conj() @ gb).reshape(n, n).conj())
-                new = (uu @ vh).ravel()
-            s += gb @ (new - a[sl])
-            a[sl] = new
+    for sl, n in zip(ctx.slices, ctx.sizes):
+        gb = g[:, sl]
+        if n == 1:
+            w = s - gb[:, 0] * a[sl.start]
+            z = gb[:, 0] @ w.conj()
+            if z == 0:
+                continue
+            new = np.conj(z) / abs(z)
+        else:
+            uu, _, vh = np.linalg.svd((s.conj() @ gb).reshape(n, n).conj())
+            new = (uu @ vh).ravel()
+        s += gb @ (new - a[sl])
+        a[sl] = new
     n1 = ctx.sizes[0]
     a *= np.exp(-1j * np.angle(np.linalg.det(a[ctx.slices[0]].reshape(n1, n1))) / n1)
     return a
@@ -416,7 +393,7 @@ def test_align_pass_matches_the_numpy_reference_sweep():
         for _ in range(3):
             point = ctx.random_point(rng)
             expected = _reference_align_pass(ctx, point)
-            got, _ = ctx.align_pass(point)
+            got = ctx.sweep(point, ctx.decompose(point)[1])
             assert np.max(np.abs(got - expected)) <= 1e-12, label
 
 
@@ -439,10 +416,155 @@ def test_align_pass_never_lowers_the_leading_singular_mass():
             point = ctx.random_point(rng)
             mass = _leading_mass(ctx, point)
             for _ in range(10):
-                point, _ = ctx.align_pass(point)
+                point = ctx.sweep(point, ctx.decompose(point)[1])
                 new_mass = _leading_mass(ctx, point)
                 assert new_mass >= mass - 1e-12 * dim, label
                 mass = new_mass
+
+
+def test_project_keeps_coset_points_and_returns_unitary_blocks():
+    rng = np.random.default_rng(101)
+    for label, make in _context_factories():
+        ctx = make()
+        point = ctx.random_point(rng)
+        assert np.max(np.abs(ctx.project(point) - point)) <= 1e-14, label
+        noise = rng.standard_normal(ctx.size) + 1j * rng.standard_normal(ctx.size)
+        near = ctx.project(point + 0.1 * noise)
+        for sl, n in zip(ctx.slices, ctx.sizes):
+            block = near[sl].reshape(n, n)
+            assert np.allclose(block @ block.conj().T, np.eye(n), atol=1e-14), label
+
+
+def _planted_contexts():
+    """(label, context) of planted pairs: all-1x1 on (2,2,2) and 2^6, multiplicity-2 on (2,2,2)."""
+    out = []
+    for label, sample in [
+        ((2, 2, 2), make_equivalent_pair(DimProfile((2, 2, 2)), 3)),
+        ((2,) * 6, make_equivalent_pair(DimProfile((2,) * 6), 5)),
+        ("block", make_degenerate_pair(DimProfile((2, 2, 2)), 23)),
+    ]:
+        s1 = eig_hermitian(sample.rho.matrix)
+        s2 = eig_hermitian(sample.rho_prime.matrix)
+        sizes = degeneracy_profile(s1, 1e-8).multiplicities
+        out.append((label, CosetContext(s1.basis, s2.basis, sample.rho.profile, sizes)))
+    return out
+
+
+def _escaped_starts(ctx, count, seed):
+    """The first ``count`` (point, f, pairs) below the escape level that plain
+    passes from random starts reach within ESCAPE_PASSES."""
+    rng = np.random.default_rng(seed)
+    f_escape = ESCAPE_LEVEL_PER_CUT * len(ctx.splits)
+    out = []
+    while len(out) < count:
+        point = ctx.random_point(rng)
+        f, pairs = ctx.decompose(point)
+        for _ in range(ESCAPE_PASSES):
+            if f <= f_escape:
+                out.append((point, f, pairs))
+                break
+            point = ctx.sweep(point, pairs)
+            f, pairs = ctx.decompose(point)
+    return out
+
+
+def test_solo_descent_objective_never_rises():
+    # a mixed step is kept only when it lowers f, and below the escape level
+    # a plain pass lowers it too
+    for label, ctx in _planted_contexts():
+        for point, f, pairs in _escaped_starts(ctx, 3, 89):
+            trace = [f]
+            _align_until_stall(ctx, point, f, pairs, 200, OBJECTIVE_POLISH, trace)
+            assert all(b <= a for a, b in zip(trace, trace[1:])), label
+
+
+class _SpoiledMixContext:
+    """A coset context whose projection throws every mix to a random point."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.rng = np.random.default_rng(103)
+        self.mixes = 0
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+    def project(self, point):
+        self.mixes += 1
+        return self.ctx.random_point(self.rng)
+
+
+def test_solo_descent_drops_mixes_that_do_not_lower_the_objective():
+    # with every mix spoiled, the descent is the plain passes, step for step,
+    # and each dropped mix clears the history, so only every second pass mixes
+    for label, ctx in _planted_contexts():
+        for point, f, pairs in _escaped_starts(ctx, 2, 107):
+            spoiled = _SpoiledMixContext(ctx)
+            trace = []
+            _align_until_stall(spoiled, point, f, pairs, 200, OBJECTIVE_POLISH, trace)
+            assert spoiled.mixes == len(trace) // 2, label
+            plain = []
+            for _ in trace:
+                point = ctx.sweep(point, pairs)
+                f, pairs = ctx.decompose(point)
+                plain.append(f)
+            assert trace == plain, label
+
+
+def test_mixed_descent_reaches_the_target_in_fewer_passes_than_plain_passes():
+    for label, ctx in _planted_contexts():
+        mixed = plain = 0
+        for point, f, pairs in _escaped_starts(ctx, 3, 97):
+            trace = []
+            _, f_mixed = _align_until_stall(ctx, point, f, pairs, 1000, OBJECTIVE_POLISH, trace)
+            assert f_mixed <= OBJECTIVE_POLISH, label
+            mixed += len(trace)
+            for _ in range(1000):
+                point = ctx.sweep(point, pairs)
+                f, pairs = ctx.decompose(point)
+                plain += 1
+                if f <= OBJECTIVE_POLISH:
+                    break
+            assert f <= OBJECTIVE_POLISH, label
+        assert mixed < plain, (label, mixed, plain)
+
+
+class _CheckedContext:
+    """A coset context whose sweeps check their pairs against a fresh decomposition."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.sweeps = 0
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+    def sweep(self, point, pairs):
+        _, fresh = self.ctx.decompose(point.copy())
+        assert len(pairs) == len(fresh)
+        for (u1, v1), (fresh_u1, fresh_v1) in zip(pairs, fresh):
+            assert np.array_equal(u1, fresh_u1) and np.array_equal(v1, fresh_v1)
+        self.sweeps += 1
+        return self.ctx.sweep(point, pairs)
+
+
+def test_race_carries_the_decomposition_of_its_points():
+    # the race and the solo descent hand every sweep the pairs of the point
+    # it starts from, and report the objective of the point they return
+    contexts = [(label, make()) for label, make in _context_factories()]
+    for label, ctx in contexts + _planted_contexts():
+        checked = _CheckedContext(ctx)
+        outcome = run_search(
+            checked,
+            passes=60,
+            restarts=4,
+            f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
+            f_target=OBJECTIVE_POLISH,
+            f_success=1e-14,
+            seed=3,
+        )
+        assert checked.sweeps == len(outcome.history), label
+        assert outcome.objective == ctx.decompose(outcome.point)[0], label
 
 
 class _ScriptedContext:
@@ -463,12 +585,14 @@ class _ScriptedContext:
     def random_point(self, rng):
         return self._start()
 
-    def eval_full(self, point):
-        return self.scripts[point[0]](point[1])
+    def decompose(self, point):
+        return self.scripts[point[0]](point[1]), None
 
-    def align_pass(self, point):
-        nxt = point + np.array([0, 1])
-        return nxt, self.eval_full(nxt)
+    def sweep(self, point, pairs):
+        return point + np.array([0, 1])
+
+    def project(self, point):
+        return point
 
 
 def _search(ctx, restarts, passes=1000):

@@ -10,6 +10,8 @@ from luequiv import (
     vec,
 )
 from luequiv.oracle import haar_unitary
+from luequiv.spectral import _fix_column_phases
+from luequiv.tensor import kron_all, leading_index
 
 from helpers import WITNESS_SIGNS, reference_cut1, operator_norm_power_iteration
 
@@ -76,6 +78,36 @@ def test_eig_phase_convention():
         col = s.basis[:, j]
         tied = col[np.abs(col) >= np.abs(col).max() * (1 - 1e-9)]
         assert any(abs(z.imag) < 1e-14 and z.real > 0 for z in tied)
+
+
+def _fix_column_phases_loop(m):
+    """The phase fix one column at a time, through leading_index."""
+    out = m.copy()
+    for j in range(out.shape[1]):
+        lead = out[leading_index(out[:, j]), j]
+        if abs(lead) > 0:
+            out[:, j] /= lead / abs(lead)
+    return out
+
+
+def test_column_phase_fix_matches_the_column_loop_on_magnitude_ties():
+    # Hadamard products tie every magnitude up to rounding, so the leading
+    # entry rests on the tolerance; random column phases and a zero column too
+    rng = np.random.default_rng(37)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(6), np.arange(6)) / 6) / np.sqrt(6)
+    zero_column = haar_unitary(4, rng)
+    zero_column[:, 2] = 0
+    for m in [
+        kron_all([h, h, h]).astype(complex),
+        kron_all([h] * 6) * np.exp(2j * np.pi * rng.random(64)),
+        kron_all([h, haar_unitary(2, rng), h]),
+        fourier * np.exp(2j * np.pi * rng.random(6)),
+        haar_unitary(16, rng),
+        zero_column,
+    ]:
+        # the same leading entries; the divisions agree to rounding
+        assert np.max(np.abs(_fix_column_phases(m) - _fix_column_phases_loop(m))) <= 1e-15
 
 
 def _spectrum_of(values):
