@@ -36,14 +36,18 @@ class CliError(Exception):
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("LU_EQUIV_SEED")
-    if env is not None:
+        seed, source = int(args.seed), "--seed"
+    else:
+        env = os.environ.get("LU_EQUIV_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "LU_EQUIV_SEED"
         except ValueError:
             raise CliError(f"LU_EQUIV_SEED={env!r} is not an integer") from None
-    return 0
+    if seed < 0:
+        raise CliError(f"seed must be non-negative, got {seed} from {source}")
+    return seed
 
 
 def _config_from(args) -> SearchConfig:
@@ -141,9 +145,9 @@ def _report_check(verdict: Verdict, out, nsites: int = 2) -> None:
                 file=out,
             )
     if verdict.objective_history:
-        best = min(f for _, f in verdict.objective_history)
         print(
-            f"objective: best={best:.3e} over {len(verdict.objective_history)} recorded steps",
+            f"objective: best={verdict.best_objective:.3e} "
+            f"over {len(verdict.objective_history)} recorded steps",
             file=out,
         )
     if verdict.status is VerdictStatus.EQUIVALENT and verdict.witness is not None:

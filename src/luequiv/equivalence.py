@@ -7,10 +7,12 @@ coset element is found numerically by minimizing the smooth surrogate
 
     f = sum over cuts of (sigma2 / sigma1)^2 of realign(V),
 
-which is exactly zero at solutions.  Spectra with small degenerate blocks
-widen the coset to V0 = X blockdiag(A_1..A_r) Y^dag with unitary blocks, and
-the same search runs over it; that extension of the bipartite criterion is
-unproven in the multipartite setting, so verdicts from it are flagged.
+which is exactly zero at solutions; the search tracks an upper bound of f
+with the same zero set (CosetContext.decompose).  Spectra with small
+degenerate blocks widen the coset to V0 = X blockdiag(A_1..A_r) Y^dag with
+unitary blocks, and the same search runs over it; that extension of the
+bipartite criterion is unproven in the multipartite setting, so verdicts
+from it are flagged.
 Every EQUIVALENT verdict ships an explicit witness (U_1, ..., U_M) whose
 conjugation residual is verified.
 """
@@ -32,6 +34,7 @@ from .spectral import (
     degeneracy_profile,
     rank_one_test,
     spectra_match,
+    two_leading_singulars,
 )
 from .states import DensityMatrix, validated_spectrum
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
@@ -149,12 +152,15 @@ def _leading_overlaps(
     realign(x y^dag) is kron(X, Y) with X, Y the d_left x d_right reshapes of
     x and conj(y), so each overlap is sum conj(U)_ik X_ij Y_kl W_jl with U, W
     the reshapes of u1 and v1; the D^2-sized realignments are never formed.
+    Q_m = conj(U) Y_m W^T for every m comes from two plain matrix products
+    over the stacked Y_m, which beat a batch of m small ones.
     """
     m = xt.shape[0]
     u = u1.conj().reshape(d_left, d_left)
     w = v1.reshape(d_right, d_right)
-    q = u @ yh.reshape(m, d_left, d_right) @ w.T
-    return np.einsum("mij,mij->m", xt.reshape(m, d_left, d_right), q)
+    ys = yh.reshape(m, d_left, d_right).transpose(1, 0, 2).reshape(d_left, m * d_right)
+    q = ((u @ ys).reshape(d_left * m, d_right) @ w.T).reshape(d_left, m, d_right)
+    return np.einsum("mij,imj->m", xt.reshape(m, d_left, d_right), q)
 
 
 class CosetContext:
@@ -203,32 +209,52 @@ class CosetContext:
     def build(self, point: np.ndarray) -> np.ndarray:
         return self.xt.T @ (point[:, np.newaxis] * self.ych)
 
-    def decompose(self, point: np.ndarray) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-        """Objective at a point and each cut's leading pair (u1, v1), u1^dag tilde v1 = sigma1.
+    def decompose(self, point: np.ndarray, pairs=None) -> tuple[float, list]:
+        """Objective bound f at a point and each cut's leading pair (u, v).
 
-        One thin SVD per cut gives both.  Full factors of a lopsided cut (4 x 1024
-        on 2^6) would build a 1024 x 1024 unitary only to read one column of it.
+        Each realignment R_k takes the pair given in ``pairs`` (those of the
+        point the search came from) through one alternating power step,
+        v <- R_k^dag u / |.| then u <- R_k v / |.|.  f is
+        sum_k ||R_k - s_k u v^dag||_F^2 / |s_k|^2 with s_k = u^dag R_k v, the
+        residual formed explicitly: ||R_k||^2 - |s_k|^2 would cancel far above
+        the polish target.  By Eckart-Young and |s_k| <= sigma1, f bounds the
+        surrogate sum (sigma2/sigma1)^2 from above, with the same zero set.
+        Without ``pairs`` (a start) a thin SVD per cut gives the exact pairs;
+        full factors of a lopsided cut (4 x 1024 on 2^6) would build a
+        1024 x 1024 unitary only to read one column of it.
         """
         v = self.build(point)
         f = 0.0
-        pairs = []
-        for d_left, d_right in self.splits:
-            uu, sv, vh = np.linalg.svd(_realign_matrix(v, d_left, d_right), full_matrices=False)
-            if sv[0] > 0 and sv.size > 1:
-                f += float((sv[1] / sv[0]) ** 2)
-            pairs.append((uu[:, 0], vh[0, :].conj()))
-        return f, pairs
+        out = []
+        for k, (d_left, d_right) in enumerate(self.splits):
+            r = _realign_matrix(v, d_left, d_right)
+            if pairs is None:
+                uu, sv, vh = np.linalg.svd(r, full_matrices=False)
+                f += float(np.sum(sv[1:] ** 2) / sv[0] ** 2)
+                out.append((uu[:, 0], vh[0].conj()))
+                continue
+            # vdot and broadcasting: norm and outer cost more on small cuts
+            vh = pairs[k][0].conj() @ r
+            vh /= np.sqrt(np.vdot(vh, vh).real)
+            rv = r @ vh.conj()
+            s2 = np.vdot(rv, rv).real
+            resid = r - rv[:, np.newaxis] * vh
+            f += float(np.vdot(resid, resid).real / s2)
+            out.append((rv / np.sqrt(s2), vh.conj()))
+        return f, out
 
     def sweep(self, point: np.ndarray, pairs) -> np.ndarray:
         """One monotone round over every block against the point's leading pairs.
 
-        With the leading singular vectors (u_k, v_k) of each realignment held
-        fixed, s_k = u_k^dag Vtilde_k v_k is linear in the point, and
-        sum_k |s_k|^2 is a lower bound of sum_k sigma1^2; raising it squeezes
-        the subdominant singular mass toward zero.  A 1x1 block takes the
-        exact phase maximizing it with the other blocks fixed; a larger
-        block takes the polar step, the unitary maximizing the bound's
-        linearization at the current point.  ``pairs`` are decompose(point)'s.
+        With the unit pairs (u_k, v_k) of each realignment held fixed,
+        s_k = u_k^dag Vtilde_k v_k is linear in the point, and
+        J = sum_k |s_k|^2 is a lower bound of sum_k sigma1^2; raising it
+        squeezes the subdominant singular mass toward zero.  A 1x1 block
+        takes the exact phase maximizing J with the other blocks fixed; a
+        larger block takes the polar step, the unitary maximizing J's
+        linearization at the current point.  ``pairs`` are the ones
+        decompose returned for the point; the sweep and decompose's power
+        step each raise J, so a pass never lowers it.
         """
         g = np.stack(
             [
@@ -288,7 +314,13 @@ def objective(point, ctx: CosetContext) -> float:
     a = np.asarray(point, dtype=np.complex128).reshape(-1)
     if a.size != ctx.size:
         raise ValueError(f"point length {a.size} != coset size {ctx.size}")
-    return ctx.decompose(a)[0]
+    v = ctx.build(a)
+    f = 0.0
+    for d_left, d_right in ctx.splits:
+        s1, s2 = two_leading_singulars(_realign_matrix(v, d_left, d_right))
+        if s1 > 0:
+            f += (s2 / s1) ** 2
+    return f
 
 
 def coset_search(ctx: CosetContext, config: SearchConfig) -> SearchOutcome:
@@ -375,14 +407,16 @@ def check_equivalence(
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, deg.multiplicities)
     outcome = coset_search(ctx, config)
     v_best = ctx.build(outcome.point)
+    cut_reports = _cut_reports(v_best, rho.profile, config.rank_tol)
     found = dict(
         # measured from a_1, so theta_1 is exactly zero
         phases=None
         if fallback
         else (np.angle(outcome.point) - np.angle(outcome.point[0])) % (2.0 * np.pi),
-        cut_reports=_cut_reports(v_best, rho.profile, config.rank_tol),
+        cut_reports=cut_reports,
         objective_history=outcome.history,
-        best_objective=outcome.objective,
+        # the paper's surrogate; the search's f only bounds it from above
+        best_objective=sum(r.ratio**2 for r in cut_reports),
         used_degenerate_fallback=fallback,
         seed=config.seed,
         restarts_used=outcome.restarts_used,

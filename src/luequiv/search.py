@@ -1,11 +1,14 @@
 """Multistart of monotone alignment passes over a coset context.
 
 The engine is generic over a context providing ``identity()`` and
-``random_point(rng)`` (start points), ``decompose(point) -> (f, pairs)``
-(the objective and what a pass needs from the point), ``sweep(point, pairs)
--> point`` (one alignment pass, a monotone local refinement) and
-``project(point) -> point`` (the nearest point of the coset).  Each start
-carries its (point, f, pairs), so every point is decomposed once.
+``random_point(rng)`` (start points), ``decompose(point, pairs=None) ->
+(f, pairs)`` (the objective and what a pass needs from the point, refined
+from the pairs of the point the search came from, or computed afresh at a
+start), ``sweep(point, pairs) -> point`` (one alignment pass, a monotone
+local refinement) and ``project(point) -> point`` (the nearest point of the
+coset).  Each start carries its (point, f, pairs), so every point is
+decomposed once, and each decomposition but a start's first is warm-started
+from the pairs of the point before it.
 
 Start r = 0 is the identity; start r >= 1 is a random point drawn from its
 own generator.  Most starts leave the bulk of the coset, where every cut's
@@ -45,11 +48,12 @@ class SearchOutcome:
     restarts_used: int = 0
 
 
-def _mixed_step(ctx, history: list, f: float):
+def _mixed_step(ctx, history: list, f: float, pairs):
     """(point, f, pairs) of the projected Anderson mix of the (x_i, g_i = sweep
     of x_i) in history, when it lowers the objective below f; else None.
 
-    The real weights sum to one and minimize |sum_i w_i (g_i - x_i)|.
+    The real weights sum to one and minimize |sum_i w_i (g_i - x_i)|.  The
+    mix is decomposed from ``pairs``, those of the last x_i.
     """
     x, g = (np.array(a) for a in zip(*history))
     r = g - x
@@ -58,8 +62,8 @@ def _mixed_step(ctx, history: list, f: float):
     except np.linalg.LinAlgError:
         return None
     mixed = ctx.project((w / w.sum()) @ g)
-    f_mixed, pairs = ctx.decompose(mixed)
-    return (mixed, f_mixed, pairs) if f_mixed < f else None
+    f_mixed, mixed_pairs = ctx.decompose(mixed, pairs)
+    return (mixed, f_mixed, mixed_pairs) if f_mixed < f else None
 
 
 def _align_until_stall(
@@ -73,9 +77,9 @@ def _align_until_stall(
         history = history[1 - MIX_DEPTH :] + [(point, out)]
         step = None
         if len(history) > 1:
-            step = _mixed_step(ctx, history, f)
+            step = _mixed_step(ctx, history, f, pairs)
             history = history if step else []
-        point, f_new, pairs = step or (out, *ctx.decompose(out))
+        point, f_new, pairs = step or (out, *ctx.decompose(out, pairs))
         trace.append(f_new)
         if f_new <= f_target:
             return point, f_new
@@ -122,7 +126,10 @@ def _race(
                 racing.append((point, pairs))
         if not racing or done >= min(passes, ESCAPE_PASSES):
             return best
-        live = [(p, *ctx.decompose(p)) for p in (ctx.sweep(*item) for item in racing)]
+        live = []
+        for point, pairs in racing:
+            out = ctx.sweep(point, pairs)
+            live.append((out, *ctx.decompose(out, pairs)))
         trace.extend(f for _, f, _ in live)
         best = min([best, *((p, f) for p, f, _ in live)], key=lambda item: item[1])
         done += 1

@@ -8,7 +8,9 @@ import numpy as np
 
 from .tensor import LEAD_RTOL, as_cmatrix
 
-HERMITIAN_TOL = 1e-10
+# ||H - H^dag||_F allowed, relative to max(1, ||H||_F); the one Hermiticity
+# tolerance of the package, for states and bare matrices alike
+HERMITIAN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,13 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
+    """ValueError unless ||H - H^dag||_F <= HERMITIAN_TOL * max(1, ||H||_F)."""
+    dev = float(np.linalg.norm(h - h.conj().T))
+    if dev > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(h))):
+        raise ValueError(f"{what} is not Hermitian: ||H - H^dag||_F = {dev:.3e}")
+
+
 def eig_hermitian(h) -> Spectrum:
     """Decompose a Hermitian matrix as X diag(lambda) X^dag, lambda descending.
 
@@ -83,10 +92,12 @@ def eig_hermitian(h) -> Spectrum:
     h = as_cmatrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got {h.shape}")
-    dev = np.linalg.norm(h - h.conj().T)
-    scale = max(1.0, np.linalg.norm(h))
-    if dev > HERMITIAN_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian: ||H - H^dag||_F = {dev:.3e}")
+    require_hermitian(h)
+    return _eig_checked(h)
+
+
+def _eig_checked(h: np.ndarray) -> Spectrum:
+    """eig_hermitian of a square matrix already checked by require_hermitian."""
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()

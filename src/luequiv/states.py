@@ -7,12 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Spectrum, eig_hermitian
+from .spectral import Spectrum, _eig_checked, require_hermitian
 from .tensor import DimProfile, as_cmatrix
 
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-8
-HERM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,7 @@ class DensityMatrix:
 def _checked_matrix(rho: DensityMatrix, normalize: bool) -> np.ndarray:
     """Hermiticity and trace checks; the matrix, its trace repaired if asked."""
     m = rho.matrix
-    scale = max(1.0, float(np.linalg.norm(m)))
-    dev = float(np.linalg.norm(m - m.conj().T))
-    if dev > HERM_TOL * scale:
-        raise ValueError(f"density matrix is not Hermitian: ||H - H^dag||_F = {dev:.3e}")
+    require_hermitian(m, "density matrix")
     tr = float(np.trace(m).real)
     if tr <= 0:
         raise ValueError(f"density matrix has non-positive trace {tr:.3e}")
@@ -73,8 +69,9 @@ def validate_density(rho: DensityMatrix, normalize: bool = True) -> DensityMatri
 
 
 def validated_spectrum(rho: DensityMatrix) -> tuple[DensityMatrix, Spectrum]:
-    """``validate_density`` and ``eig_hermitian`` of the result, from one eigensolve."""
+    """``validate_density`` and ``eig_hermitian`` of the result, from one
+    eigensolve and one Hermiticity check."""
     m = _checked_matrix(rho, True)
-    spectrum = eig_hermitian(m)
+    spectrum = _eig_checked(m)
     _check_psd(float(spectrum.eigenvalues[-1]))
     return DensityMatrix(matrix=m, profile=rho.profile), spectrum

@@ -214,6 +214,19 @@ def test_gen_unwritable_output_exit_one(tmp_path, capsys):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("source", ["--seed", "LU_EQUIV_SEED"])
+def test_gen_negative_seed_exit_one(tmp_path, capsys, monkeypatch, source):
+    args = ["gen", "pair-equivalent", "--dims", "2,2", "-o", str(tmp_path / "g")]
+    if source == "--seed":
+        args += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv(source, "-1")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be non-negative, got -1 from {source}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_seed_env_var(tmp_path, monkeypatch):
     p1 = str(tmp_path / "env")
     p2 = str(tmp_path / "flag")

@@ -19,6 +19,7 @@ from luequiv import (
     kron_all,
     objective,
     paper_example,
+    validate_density,
     verify_witness,
 )
 from luequiv.equivalence import (
@@ -285,6 +286,25 @@ def test_check_rejects_non_hermitian():
         check_equivalence(rho, rho, QUICK)
 
 
+def test_check_decides_a_state_within_the_hermiticity_tolerance():
+    # validation and the eigensolve share one tolerance, so a state that
+    # validates is never rejected later as non-Hermitian
+    sample = make_equivalent_pair(DimProfile((2, 2)), 3)
+    m = sample.rho.matrix.copy()
+    m[0, 1] += 1e-9
+    rho = DensityMatrix(matrix=m, profile=sample.rho.profile)
+    validate_density(rho)
+    verdict = check_equivalence(rho, sample.rho_prime, QUICK)
+    assert verdict.status in (VerdictStatus.EQUIVALENT, VerdictStatus.NOT_FOUND)
+
+
+def test_best_objective_is_the_surrogate_of_the_reported_cuts():
+    sample = make_equivalent_pair(DimProfile((2, 2, 2)), 5)
+    verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=5))
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cut_reports)
+
+
 def test_check_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
     rho = DensityMatrix(matrix=m, profile=DimProfile((2, 2)))
@@ -384,6 +404,23 @@ def _reference_align_pass(ctx, point):
     n1 = ctx.sizes[0]
     a *= np.exp(-1j * np.angle(np.linalg.det(a[ctx.slices[0]].reshape(n1, n1))) / n1)
     return a
+
+
+def test_leading_overlaps_match_the_explicit_realignments():
+    rng = np.random.default_rng(127)
+    for dims in [(2, 3), (2, 2, 2), (3, 2, 2)]:
+        profile = DimProfile(dims)
+        n = profile.total
+        xt, yh = haar_unitary(n, rng), haar_unitary(n, rng)
+        for k in range(1, profile.nsites):
+            dl, dr = profile.split(k)
+            u1 = haar_unitary(dl * dl, rng)[:, 0]
+            v1 = haar_unitary(dr * dr, rng)[:, 0]
+            expected = [
+                u1.conj() @ _realign_matrix(np.outer(xt[m], yh[m]), dl, dr) @ v1 for m in range(n)
+            ]
+            got = _leading_overlaps(xt, yh, u1, v1, dl, dr)
+            assert np.allclose(got, expected, rtol=0, atol=1e-13), (dims, k)
 
 
 def test_align_pass_matches_the_numpy_reference_sweep():
@@ -506,7 +543,7 @@ def test_solo_descent_drops_mixes_that_do_not_lower_the_objective():
             plain = []
             for _ in trace:
                 point = ctx.sweep(point, pairs)
-                f, pairs = ctx.decompose(point)
+                f, pairs = ctx.decompose(point, pairs)
                 plain.append(f)
             assert trace == plain, label
 
@@ -530,27 +567,37 @@ def test_mixed_descent_reaches_the_target_in_fewer_passes_than_plain_passes():
 
 
 class _CheckedContext:
-    """A coset context whose sweeps check their pairs against a fresh decomposition."""
+    """A coset context that records each point's decomposition and checks
+    that every sweep gets the pairs decompose returned for its point."""
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.sweeps = 0
+        self.cold = 0
+        self.decomposed = {}
 
     def __getattr__(self, name):
         return getattr(self.ctx, name)
 
+    def decompose(self, point, pairs=None):
+        self.cold += pairs is None
+        f, out = self.ctx.decompose(point, pairs)
+        self.decomposed[point.tobytes()] = (f, out)
+        return f, out
+
     def sweep(self, point, pairs):
-        _, fresh = self.ctx.decompose(point.copy())
-        assert len(pairs) == len(fresh)
-        for (u1, v1), (fresh_u1, fresh_v1) in zip(pairs, fresh):
-            assert np.array_equal(u1, fresh_u1) and np.array_equal(v1, fresh_v1)
+        _, carried = self.decomposed[point.tobytes()]
+        assert len(pairs) == len(carried)
+        for (u1, v1), (carried_u1, carried_v1) in zip(pairs, carried):
+            assert np.array_equal(u1, carried_u1) and np.array_equal(v1, carried_v1)
         self.sweeps += 1
         return self.ctx.sweep(point, pairs)
 
 
 def test_race_carries_the_decomposition_of_its_points():
-    # the race and the solo descent hand every sweep the pairs of the point
-    # it starts from, and report the objective of the point they return
+    # the race and the solo descent hand every sweep the warm pairs of the
+    # point it starts from, and report the objective of the point they
+    # return as those pairs gave it; only a start is decomposed cold
     contexts = [(label, make()) for label, make in _context_factories()]
     for label, ctx in contexts + _planted_contexts():
         checked = _CheckedContext(ctx)
@@ -564,7 +611,78 @@ def test_race_carries_the_decomposition_of_its_points():
             seed=3,
         )
         assert checked.sweeps == len(outcome.history), label
-        assert outcome.objective == ctx.decompose(outcome.point)[0], label
+        assert checked.cold == outcome.restarts_used, label
+        assert outcome.objective == checked.decomposed[outcome.point.tobytes()][0], label
+
+
+class _BoundContext:
+    """A coset context that records (reported f, sum (sigma2/sigma1)^2) at
+    every point it decomposes."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+    def decompose(self, point, pairs=None):
+        f, out = self.ctx.decompose(point, pairs)
+        self.seen.append((f, objective(point, self.ctx)))
+        return f, out
+
+
+def test_reported_objective_never_understates_the_surrogate():
+    # f from warm pairs is an upper bound of the paper's surrogate at every
+    # pass of a lone descent and at every point the search returns
+    for label, ctx in _planted_contexts():
+        for point, f, pairs in _escaped_starts(ctx, 2, 109):
+            bounded = _BoundContext(ctx)
+            trace = []
+            _align_until_stall(bounded, point, f, pairs, 200, OBJECTIVE_POLISH, trace)
+            assert len(bounded.seen) >= len(trace), label
+            assert all(f >= paper - 1e-24 for f, paper in bounded.seen), label
+    contexts = [(label, make()) for label, make in _context_factories()]
+    for label, ctx in contexts + _planted_contexts():
+        outcome = run_search(
+            ctx,
+            passes=60,
+            restarts=4,
+            f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
+            f_target=OBJECTIVE_POLISH,
+            f_success=1e-14,
+            seed=5,
+        )
+        assert outcome.objective >= objective(outcome.point, ctx) - 1e-24, label
+
+
+def _alignment(ctx, point, pairs):
+    """J = sum over cuts of |u^dag realign(V) v| ^ 2 for the given unit pairs."""
+    v = ctx.build(point)
+    return sum(
+        abs(u.conj() @ _realign_matrix(v, dl, dr) @ w) ** 2
+        for (dl, dr), (u, w) in zip(ctx.splits, pairs)
+    )
+
+
+def test_warm_pass_never_lowers_the_alignment():
+    # the sweep raises J with the pairs fixed, then decompose's power step
+    # raises it with the point fixed
+    rng = np.random.default_rng(113)
+    for label, make in _context_factories():
+        ctx = make()
+        tol = 1e-12 * ctx.xt.shape[1]
+        for _ in range(10):
+            point = ctx.random_point(rng)
+            _, pairs = ctx.decompose(point)
+            j = _alignment(ctx, point, pairs)
+            for _ in range(15):
+                point = ctx.sweep(point, pairs)
+                swept = _alignment(ctx, point, pairs)
+                _, pairs = ctx.decompose(point, pairs)
+                refined = _alignment(ctx, point, pairs)
+                assert swept >= j - tol and refined >= swept - tol, label
+                j = refined
 
 
 class _ScriptedContext:
@@ -585,7 +703,7 @@ class _ScriptedContext:
     def random_point(self, rng):
         return self._start()
 
-    def decompose(self, point):
+    def decompose(self, point, pairs=None):
         return self.scripts[point[0]](point[1]), None
 
     def sweep(self, point, pairs):
