@@ -5,7 +5,14 @@ unitaries, using realignment rank-one tests on the block-unitary coset of
 the eigenbasis change, and produces explicit witness unitaries on success.
 """
 
-from .decompose import FactorSet, NotDecomposableError, factor_full, factor_pair, is_decomposable
+from .decompose import (
+    FactorSet,
+    NotDecomposableError,
+    cut_reports,
+    factor_full,
+    factor_pair,
+    is_decomposable,
+)
 from .equivalence import (
     CosetContext,
     SearchConfig,
@@ -77,6 +84,7 @@ __all__ = [
     "build_V0",
     "check_equivalence",
     "coset_search",
+    "cut_reports",
     "degeneracy_profile",
     "eig_hermitian",
     "factor_full",

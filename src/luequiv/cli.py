@@ -130,6 +130,13 @@ def _print_matrix(m: np.ndarray, out) -> None:
         print("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row), file=out)
 
 
+def _cut_line(r) -> str:
+    return (
+        f"cut {r.cut}: sigma1={r.sigma1:.6e} sigma2={r.sigma2:.6e} "
+        f"ratio={r.ratio:.3e} rank_one={r.is_rank_one}"
+    )
+
+
 def _report_check(verdict: Verdict, out, nsites: int = 2) -> None:
     print(f"verdict: {verdict.status.value}", file=out)
     if verdict.used_degenerate_fallback:
@@ -139,11 +146,7 @@ def _report_check(verdict: Verdict, out, nsites: int = 2) -> None:
         print(note, file=out)
     if verdict.cut_reports:
         for r in verdict.cut_reports:
-            print(
-                f"cut {r.cut}: sigma1={r.sigma1:.6e} sigma2={r.sigma2:.6e} "
-                f"ratio={r.ratio:.3e} rank_one={r.is_rank_one}",
-                file=out,
-            )
+            print(_cut_line(r), file=out)
     if verdict.objective_history:
         print(
             f"objective: best={verdict.best_objective:.3e} "
@@ -208,10 +211,7 @@ def cmd_factor(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     for r in reports:
-        print(
-            f"cut {r.cut}: sigma1={r.sigma1:.6e} sigma2={r.sigma2:.6e} "
-            f"ratio={r.ratio:.3e} rank_one={r.is_rank_one}"
-        )
+        print(_cut_line(r))
     if not ok:
         worst = max(reports, key=lambda r: r.ratio)
         print(f"not decomposable: cut {worst.cut} has ratio {worst.ratio:.3e}")

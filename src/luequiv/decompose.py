@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import RankOneReport, rank_one_report, rank_one_test
-from .tensor import DimProfile, as_cmatrix, kron_all, leading_index, realign, unvec
+from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all, leading_index, realign, unvec
 
 UNITARY_TOL = 1e-8
 
@@ -38,9 +38,6 @@ class FactorSet:
     factors: tuple[np.ndarray, ...] = field(repr=False)
     residual: float = 0.0
 
-    def product(self) -> np.ndarray:
-        return kron_all(self.factors)
-
     def adjoints(self) -> "FactorSet":
         return FactorSet(
             factors=tuple(f.conj().T for f in self.factors), residual=self.residual
@@ -52,10 +49,24 @@ def unitarity_defect(u) -> float:
     return float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
 
 
-def _require_unitary(v: np.ndarray, what: str) -> None:
+def _checked_unitary(v, profile: DimProfile, what: str) -> np.ndarray:
+    """v as a complex matrix; ValueError unless it is a unitary on the profile's space."""
+    v = as_cmatrix(v)
+    n = profile.total
+    if v.shape != (n, n):
+        raise ValueError(f"{what}: operator shape {v.shape} does not match profile {profile.dims}")
     defect = unitarity_defect(v)
     if defect > UNITARY_TOL:
         raise ValueError(f"{what} is not unitary: ||UU^dag - I||_F = {defect:.3e}")
+    return v
+
+
+def cut_reports(v, profile: DimProfile, tol: float) -> list[RankOneReport]:
+    """The rank-one test of every sequential-cut realignment of v, cuts 1..M-1."""
+    return [
+        rank_one_test(realign(v, profile, k).matrix, tol, cut=k)
+        for k in range(1, profile.nsites)
+    ]
 
 
 def is_decomposable(
@@ -65,12 +76,7 @@ def is_decomposable(
 
     Returns the overall verdict and the per-cut reports (always all cuts).
     """
-    v = as_cmatrix(v)
-    _require_unitary(v, "is_decomposable input")
-    reports = [
-        rank_one_test(realign(v, profile, k).matrix, tol, cut=k)
-        for k in range(1, profile.nsites)
-    ]
+    reports = cut_reports(_checked_unitary(v, profile, "is_decomposable input"), profile, tol)
     return all(r.is_rank_one for r in reports), reports
 
 
@@ -83,78 +89,51 @@ def _fix_leading_phase(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray,
     return left / phase, right * phase
 
 
-def factor_pair(u, dim_left: int, dim_right: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split a unitary on C^dimL x C^dimR into unitary factors (U_1, U_2).
+def _peel(u: np.ndarray, d_left: int, tol: float, cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split u across its d_left | rest cut into (U_1, U_2), or raise naming ``cut``.
 
     From the leading singular triple sigma * x * y^t of the realignment,
     U_1 = s * unvec(x) and U_2 = (sigma / s) * unvec(y), with s > 0 chosen to
-    minimize ||U_1 U_1^dag - I||_F.  The returned pair satisfies
-    u ~ U_1 kron U_2 up to the usual opposite global phases.
+    minimize ||U_1 U_1^dag - I||_F.
     """
-    u = as_cmatrix(u)
-    if u.shape != (dim_left * dim_right, dim_left * dim_right):
-        raise ValueError(
-            f"expected a {dim_left * dim_right}-dimensional operator, got {u.shape}"
-        )
-    profile = DimProfile((dim_left, dim_right))
-    _require_unitary(u, "factor_pair input")
-    uu, sv, vh = np.linalg.svd(realign(u, profile, 1).matrix, full_matrices=False)
-    report = rank_one_report(float(sv[0]), float(sv[1]) if sv.size > 1 else 0.0, tol, cut=1)
+    d_right = u.shape[0] // d_left
+    uu, sv, vh = np.linalg.svd(_realign_matrix(u, d_left, d_right), full_matrices=False)
+    report = rank_one_report(float(sv[0]), float(sv[1]) if sv.size > 1 else 0.0, tol, cut=cut)
     if not report.is_rank_one:
         raise NotDecomposableError(report)
-    a = unvec(uu[:, 0], dim_left, dim_left)
-    b = unvec(vh[0, :], dim_right, dim_right)
+    a = unvec(uu[:, 0], d_left, d_left)
+    b = unvec(vh[0, :], d_right, d_right)
     # least-squares unitarization scale: s^2 = tr(AA^dag) / ||AA^dag||_F^2
     aa = a @ a.conj().T
     s = float(np.sqrt(np.trace(aa).real / np.linalg.norm(aa) ** 2))
-    left = s * a
-    right = (float(sv[0]) / s) * b
-    return _fix_leading_phase(left, right)
+    return _fix_leading_phase(s * a, (float(sv[0]) / s) * b)
+
+
+def factor_pair(u, dim_left: int, dim_right: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split a unitary on C^dimL x C^dimR into unitary factors (U_1, U_2).
+
+    The returned pair satisfies u ~ U_1 kron U_2 up to the usual opposite
+    global phases; the positive scale relating the raw factors is absorbed.
+    """
+    u = _checked_unitary(u, DimProfile((dim_left, dim_right)), "factor_pair input")
+    return _peel(u, dim_left, tol, cut=1)
 
 
 def factor_full(v, profile: DimProfile, tol: float) -> FactorSet:
-    """Recursively peel unitary factors left to right across sequential cuts.
+    """Peel unitary factors left to right across the sequential cuts.
 
-    Raises NotDecomposableError naming the first failing cut.  The phase
-    convention fixes every left factor's leading entry real positive, pushing
-    the accumulated global phase into the final factor.
+    Raises NotDecomposableError naming the first failing cut.  Only the
+    input's unitarity is checked: a remainder is as close to unitary as v is
+    to a product, so a near product that passes the rank-one tests factors.
+    The phase convention fixes every left factor's leading entry real
+    positive, pushing the accumulated global phase into the final factor.
     """
-    v = as_cmatrix(v)
-    n = profile.total
-    if v.shape != (n, n):
-        raise ValueError(f"operator shape {v.shape} does not match profile {profile.dims}")
+    v = _checked_unitary(v, profile, "factor_full input")
     factors: list[np.ndarray] = []
     rest = v
-    rest_profile = profile
-    cut_offset = 0
-    while rest_profile.nsites > 2:
-        d_left, d_right = rest_profile.split(1)
-        try:
-            left, rest = factor_pair(rest, d_left, d_right, tol)
-        except NotDecomposableError as exc:
-            report = RankOneReport(
-                sigma1=exc.report.sigma1,
-                sigma2=exc.report.sigma2,
-                ratio=exc.report.ratio,
-                is_rank_one=False,
-                cut=cut_offset + 1,
-            )
-            raise NotDecomposableError(report) from None
+    for cut, d_left in enumerate(profile.dims[:-1], 1):
+        left, rest = _peel(rest, d_left, tol, cut)
         factors.append(left)
-        rest_profile = rest_profile.drop_left()
-        cut_offset += 1
-    d_left, d_right = rest_profile.split(1)
-    try:
-        left, right = factor_pair(rest, d_left, d_right, tol)
-    except NotDecomposableError as exc:
-        report = RankOneReport(
-            sigma1=exc.report.sigma1,
-            sigma2=exc.report.sigma2,
-            ratio=exc.report.ratio,
-            is_rank_one=False,
-            cut=cut_offset + 1,
-        )
-        raise NotDecomposableError(report) from None
-    factors.extend([left, right])
+    factors.append(rest)
     residual = float(np.linalg.norm(kron_all(factors) - v))
     return FactorSet(factors=tuple(factors), residual=residual)

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .decompose import FactorSet, NotDecomposableError, factor_full
+from .decompose import FactorSet, NotDecomposableError, cut_reports, factor_full
 from .oracle import haar_unitary
 from .search import SearchOutcome, run_search
 from .spectral import (
@@ -32,7 +32,6 @@ from .spectral import (
     RankOneReport,
     Spectrum,
     degeneracy_profile,
-    rank_one_test,
     spectra_match,
     two_leading_singulars,
 )
@@ -40,6 +39,8 @@ from .states import DensityMatrix, validated_spectrum
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
 
 OBJECTIVE_POLISH = 1e-20
+# a witness must conjugate rho onto rho' within this, relative to max(1, ||rho||_F)
+WITNESS_TOL = 1e-8
 # a start whose objective is above this per cut is still in the bulk of the coset
 ESCAPE_LEVEL_PER_CUT = 0.1
 
@@ -64,12 +65,11 @@ class SearchConfig:
     rank_tol: float = 1e-7
     spec_tol: float = 1e-8
     degeneracy_tol: float = 1e-8
-    witness_tol: float = 1e-8
     max_block: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("spec_tol", "degeneracy_tol", "witness_tol"):
+        for name in ("spec_tol", "degeneracy_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.rank_tol < 1:
@@ -349,13 +349,6 @@ def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: Factor
     return float(np.linalg.norm(w @ rho.matrix @ w.conj().T - rho_prime.matrix))
 
 
-def _cut_reports(v: np.ndarray, profile: DimProfile, tol: float) -> list[RankOneReport]:
-    return [
-        rank_one_test(_realign_matrix(v, *profile.split(k)), tol, cut=k)
-        for k in range(1, profile.nsites)
-    ]
-
-
 def _witness_from_v(
     v: np.ndarray,
     rho: DensityMatrix,
@@ -369,10 +362,9 @@ def _witness_from_v(
         return None
     witness = fs.adjoints()
     residual = verify_witness(rho, rho_prime, witness)
-    tol = config.witness_tol * max(1.0, float(np.linalg.norm(rho.matrix)))
-    if residual > tol:
+    if residual > WITNESS_TOL * max(1.0, float(np.linalg.norm(rho.matrix))):
         return None
-    return FactorSet(factors=witness.factors, residual=fs.residual), residual
+    return witness, residual
 
 
 def check_equivalence(
@@ -407,16 +399,16 @@ def check_equivalence(
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, deg.multiplicities)
     outcome = coset_search(ctx, config)
     v_best = ctx.build(outcome.point)
-    cut_reports = _cut_reports(v_best, rho.profile, config.rank_tol)
+    reports = cut_reports(v_best, rho.profile, config.rank_tol)
     found = dict(
         # measured from a_1, so theta_1 is exactly zero
         phases=None
         if fallback
         else (np.angle(outcome.point) - np.angle(outcome.point[0])) % (2.0 * np.pi),
-        cut_reports=cut_reports,
+        cut_reports=reports,
         objective_history=outcome.history,
         # the paper's surrogate; the search's f only bounds it from above
-        best_objective=sum(r.ratio**2 for r in cut_reports),
+        best_objective=sum(r.ratio**2 for r in reports),
         used_degenerate_fallback=fallback,
         seed=config.seed,
         restarts_used=outcome.restarts_used,

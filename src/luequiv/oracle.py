@@ -100,21 +100,25 @@ def local_unitaries(profile: DimProfile, seed) -> tuple[np.ndarray, ...]:
     return tuple(haar_unitary(d, rng) for d in profile.dims)
 
 
-def make_equivalent_pair(profile: DimProfile, seed: int) -> PairSample:
-    """Plant rho' = (kron U_i) rho (kron U_i)^dag with Haar local factors."""
-    rng = np.random.default_rng([int(seed), 0xE9])
-    rho = random_density(profile, "generic-nondegenerate", rng)
-    factors = local_unitaries(profile, rng)
+def _planted_pair(rho: DensityMatrix, rng: np.random.Generator, seed: int) -> PairSample:
+    """rho with rho' = (kron U_i) rho (kron U_i)^dag, Haar U_i drawn from rng."""
+    factors = local_unitaries(rho.profile, rng)
     w = kron_all(factors)
     m = w @ rho.matrix @ w.conj().T
     m = (m + m.conj().T) / 2.0
     return PairSample(
         rho=rho,
-        rho_prime=DensityMatrix(matrix=m, profile=profile),
+        rho_prime=DensityMatrix(matrix=m, profile=rho.profile),
         label=PairLabel.EQUIVALENT,
         seed=int(seed),
         planted=factors,
     )
+
+
+def make_equivalent_pair(profile: DimProfile, seed: int) -> PairSample:
+    """Plant rho' = (kron U_i) rho (kron U_i)^dag with Haar local factors."""
+    rng = np.random.default_rng([int(seed), 0xE9])
+    return _planted_pair(random_density(profile, "generic-nondegenerate", rng), rng, seed)
 
 
 def make_degenerate_pair(profile: DimProfile, seed: int) -> PairSample:
@@ -126,18 +130,7 @@ def make_degenerate_pair(profile: DimProfile, seed: int) -> PairSample:
     merged = (lam[k] + lam[k + 1]) / 2.0
     lam[k] = lam[k + 1] = merged
     lam = lam / lam.sum()
-    rho = random_density(profile, lam, rng)
-    factors = local_unitaries(profile, rng)
-    w = kron_all(factors)
-    m = w @ rho.matrix @ w.conj().T
-    m = (m + m.conj().T) / 2.0
-    return PairSample(
-        rho=rho,
-        rho_prime=DensityMatrix(matrix=m, profile=profile),
-        label=PairLabel.EQUIVALENT,
-        seed=int(seed),
-        planted=factors,
-    )
+    return _planted_pair(random_density(profile, lam, rng), rng, seed)
 
 
 def make_spectrum_mismatch_pair(

@@ -52,12 +52,6 @@ class DimProfile:
         d_left = math.prod(self.dims[:cut])
         return d_left, self.total // d_left
 
-    def drop_left(self) -> "DimProfile":
-        """Profile of subsystems 2..M (used when peeling the leftmost factor)."""
-        if self.nsites < 3:
-            raise ValueError("cannot drop a site from a bipartite profile")
-        return DimProfile(self.dims[1:])
-
 
 @dataclass(frozen=True)
 class CutRealignment:

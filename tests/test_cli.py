@@ -9,6 +9,8 @@ from luequiv import DimProfile, kron_all, load_matrix, save_matrix
 from luequiv.cli import main
 from luequiv.oracle import haar_unitary, local_unitaries
 
+from helpers import near_product
+
 FAST = ["--sweeps", "40", "--restarts", "6"]
 
 
@@ -319,6 +321,22 @@ def test_factor_entangling_fails_at_cut_one(tmp_path, capsys):
     rc = main(["factor", str(tmp_path / "w.json")])
     assert rc == 2
     assert "cut 1" in capsys.readouterr().out
+
+
+def test_factor_near_product_at_loose_tolerance(tmp_path):
+    v = near_product((2, 2, 2), 1e-4, np.random.default_rng(89))
+    save_matrix(tmp_path / "v.json", v, dims=(2, 2, 2))
+    proc = subprocess.run(
+        [sys.executable, "-m", "luequiv.cli", "factor", str(tmp_path / "v.json"),
+         "--tol-rank", "1e-3", "-o", str(tmp_path / "f")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.count("rank_one=True") == 2
+    for i in (1, 2, 3):
+        assert load_matrix(str(tmp_path / f"f{i}.json")).matrix.shape == (2, 2)
 
 
 def test_factor_non_unitary_exit_one(tmp_path, capsys):

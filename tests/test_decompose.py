@@ -12,7 +12,7 @@ from luequiv import (
 from luequiv.decompose import unitarity_defect
 from luequiv.oracle import haar_unitary
 
-from helpers import WITNESS_SIGNS, example_bases
+from helpers import WITNESS_SIGNS, example_bases, near_product
 
 
 def _cnot_on_first_two():
@@ -48,6 +48,12 @@ def test_is_decomposable_paper_witness_true():
 def test_is_decomposable_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         is_decomposable(np.diag([1.0, 2.0, 3.0, 4.0]), DimProfile((2, 2)), 1e-7)
+
+
+def test_factor_full_rejects_non_unitary():
+    with pytest.raises(ValueError, match="unitary") as err:
+        factor_full(np.diag([1.0, 2.0, 3.0, 4.0]), DimProfile((2, 2)), 1e-7)
+    assert not isinstance(err.value, NotDecomposableError)
 
 
 def test_factor_pair_recovers_up_to_phase():
@@ -139,14 +145,20 @@ def test_verdict_invariant_under_global_phase():
 def test_factor_full_agrees_with_is_decomposable():
     rng = np.random.default_rng(83)
     profile = DimProfile((2, 2, 2))
+    cases = []
     for trial in range(20):
         if trial % 2 == 0:
             v = kron_all([haar_unitary(2, rng) for _ in range(3)])
         else:
             v = haar_unitary(8, rng)
-        ok, _ = is_decomposable(v, profile, 1e-7)
+        cases.append((v, 1e-7))
+    # near products accepted at a loose tolerance: their peeled remainders
+    # are further from unitary than the input check allows
+    cases += [(near_product((2, 2, 2), 1e-4, rng), 1e-3) for _ in range(6)]
+    for v, tol in cases:
+        ok, _ = is_decomposable(v, profile, tol)
         try:
-            factor_full(v, profile, 1e-7)
+            factor_full(v, profile, tol)
             factored = True
         except NotDecomposableError:
             factored = False

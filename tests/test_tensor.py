@@ -167,4 +167,3 @@ def test_dim_profile_validation():
     assert p.total == 12
     assert p.split(1) == (2, 6)
     assert p.split(2) == (6, 2)
-    assert p.drop_left().dims == (3, 2)
