@@ -34,6 +34,14 @@ class CliError(Exception):
     """User-facing error: message printed to stderr, exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become CliError, so they exit 1 like every other input
+    error; argparse's own exit code 2 is INEQUIVALENT_SPECTRUM here."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         seed, source = int(args.seed), "--seed"
@@ -161,24 +169,11 @@ def _report_check(verdict: Verdict, out, nsites: int = 2) -> None:
 
 
 def cmd_check(args) -> int:
-    mf_a = _load_operator(args.file_a)
-    mf_b = _load_operator(args.file_b)
-    try:
-        rho = mf_a.density()
-        rho_prime = mf_b.density()
-    except (MatrixFileError, ValueError) as exc:
-        raise CliError(str(exc)) from None
-    if rho.profile != rho_prime.profile:
-        raise CliError(
-            f"dimension profiles differ: {rho.profile.dims} vs {rho_prime.profile.dims}"
-        )
-    try:
-        verdict = check_equivalence(rho, rho_prime, _config_from(args))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    rho = _load_operator(args.file_a).density()
+    rho_prime = _load_operator(args.file_b).density()
+    verdict = check_equivalence(rho, rho_prime, _config_from(args))
     if args.json:
-        json.dump(_verdict_json(verdict), sys.stdout)
-        print()
+        print(json.dumps(_verdict_json(verdict)))
     else:
         _report_check(verdict, sys.stdout, nsites=rho.profile.nsites)
     return EXIT_CODES[verdict.status]
@@ -186,11 +181,7 @@ def cmd_check(args) -> int:
 
 def cmd_realign(args) -> int:
     mf = _load_operator(args.file)
-    try:
-        profile = mf.profile
-        cr = realign(mf.matrix, profile, args.cut)
-    except (MatrixFileError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    cr = realign(mf.matrix, mf.profile, args.cut)
     s1, s2 = two_leading_singulars(cr.matrix)
     out_path = args.out or f"{args.file}.cut{args.cut}.realigned.json"
     _save(out_path, cr.matrix, dims=None, label=f"realigned cut {args.cut}")
@@ -202,14 +193,8 @@ def cmd_realign(args) -> int:
 
 def cmd_factor(args) -> int:
     mf = _load_operator(args.file)
-    try:
-        profile = mf.profile
-    except MatrixFileError as exc:
-        raise CliError(str(exc)) from None
-    try:
-        ok, reports = is_decomposable(mf.matrix, profile, args.tol_rank)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    profile = mf.profile
+    ok, reports = is_decomposable(mf.matrix, profile, args.tol_rank)
     for r in reports:
         print(_cut_line(r))
     if not ok:
@@ -231,13 +216,6 @@ def cmd_factor(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        return _gen(args)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _gen(args) -> int:
     seed = _resolve_seed(args)
     prefix = args.out_prefix
     if args.kind == "paper-example":
@@ -267,33 +245,34 @@ def _gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="luequiv",
         description="Local-unitary equivalence of multipartite density matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_search_flags(p):
-        p.add_argument("--tol-rank", type=float, default=1e-7,
-                       help="rank-one threshold on sigma2/sigma1 (default 1e-7)")
-        p.add_argument("--tol-spec", type=float, default=1e-8,
-                       help="eigenvalue matching tolerance (default 1e-8)")
-        p.add_argument("--tol-degeneracy", type=float, default=1e-8,
-                       help="degeneracy grouping tolerance, relative to spectral range")
-        p.add_argument("--sweeps", type=int, default=1000,
-                       help="alignment passes per start (default 1000)")
-        p.add_argument("--restarts", type=int, default=20,
-                       help="search starts, raced three at a time (default 20)")
-        p.add_argument("--max-block", type=int, default=2,
-                       help="largest degenerate block the fallback searches (default 2)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="search seed (default: $LU_EQUIV_SEED or 0)")
+    d = SearchConfig()  # the one source of the search defaults
+    search_flags = (
+        ("--tol-rank", float, d.rank_tol, "rank-one threshold on sigma2/sigma1"),
+        ("--tol-spec", float, d.spec_tol, "eigenvalue matching tolerance"),
+        ("--tol-degeneracy", float, d.degeneracy_tol,
+         "degeneracy grouping tolerance, relative to spectral range"),
+        ("--sweeps", int, d.sweeps, "alignment passes per start"),
+        ("--restarts", int, d.restarts, "search starts, raced three at a time"),
+        ("--max-block", int, d.max_block, "largest degenerate block the fallback searches"),
+    )
+
+    def add_flags(p, flags):
+        for flag, kind, default, what in flags:
+            p.add_argument(flag, type=kind, default=default, help=f"{what} (default %(default)s)")
 
     p_check = sub.add_parser("check", help="decide LU equivalence of two states")
     p_check.add_argument("file_a")
     p_check.add_argument("file_b")
     p_check.add_argument("--json", action="store_true", help="emit the verdict as JSON")
-    add_search_flags(p_check)
+    add_flags(p_check, search_flags)
+    p_check.add_argument("--seed", type=int, default=None,
+                         help="search seed (default: $LU_EQUIV_SEED or 0)")
     p_check.set_defaults(func=cmd_check)
 
     p_re = sub.add_parser("realign", help="realign an operator across one cut")
@@ -304,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fac = sub.add_parser("factor", help="factor a unitary into local tensor factors")
     p_fac.add_argument("file")
-    p_fac.add_argument("--tol-rank", type=float, default=1e-7)
+    add_flags(p_fac, search_flags[:1])
     p_fac.add_argument("-o", "--out-prefix", default=None, help="prefix for factor files")
     p_fac.set_defaults(func=cmd_factor)
 
@@ -323,11 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the one place a failure becomes an exit code: CliError, or a ValueError
+    # (MatrixFileError, ShapeError, LinAlgError, a SearchConfig range error)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

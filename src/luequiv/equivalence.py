@@ -35,7 +35,7 @@ from .spectral import (
     spectra_match,
     two_leading_singulars,
 )
-from .states import DensityMatrix, validated_spectrum
+from .states import DensityMatrix, validate_density
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
 
 OBJECTIVE_POLISH = 1e-20
@@ -383,8 +383,8 @@ def check_equivalence(
         raise ValueError(
             f"dimension profiles differ: {rho.profile.dims} vs {rho_prime.profile.dims}"
         )
-    rho, s1 = validated_spectrum(rho)
-    rho_prime, s2 = validated_spectrum(rho_prime)
+    rho, s1 = validate_density(rho)
+    rho_prime, s2 = validate_density(rho_prime)
     if not spectra_match(s1, s2, config.spec_tol):
         return Verdict(status=VerdictStatus.INEQUIVALENT_SPECTRUM, seed=config.seed)
 

@@ -95,6 +95,8 @@ def _entries(data) -> np.ndarray:
         raise MatrixFileError("'data' must be a list of [re, im] pairs")
     if pairs.dtype.kind not in "iuf":
         raise MatrixFileError("'data' entries must be JSON numbers")
+    if not np.isfinite(pairs).all():  # json reads NaN, Infinity, -Infinity
+        raise MatrixFileError("'data' entries must be finite")
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
 
 

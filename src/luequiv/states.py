@@ -35,43 +35,24 @@ class DensityMatrix:
         return self.profile.total
 
 
-def _checked_matrix(rho: DensityMatrix, normalize: bool) -> np.ndarray:
-    """Hermiticity and trace checks; the matrix, its trace repaired if asked."""
+def validate_density(rho: DensityMatrix) -> tuple[DensityMatrix, Spectrum]:
+    """The checked state and its spectrum, from one eigensolve.  Entries must
+    be finite, the matrix Hermitian and its eigenvalues at least -PSD_TOL; a
+    trace off by more than TRACE_TOL is repaired with a warning."""
     m = rho.matrix
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix entries are not finite")
     require_hermitian(m, "density matrix")
     tr = float(np.trace(m).real)
     if tr <= 0:
         raise ValueError(f"density matrix has non-positive trace {tr:.3e}")
     if abs(tr - 1.0) > TRACE_TOL:
-        if not normalize:
-            raise ValueError(f"density matrix trace {tr} != 1")
         warnings.warn(
             f"density matrix trace {tr:.12g} != 1; renormalizing", stacklevel=3
         )
         m = m / tr
-    return m
-
-
-def _check_psd(lam_min: float) -> None:
+    spectrum = _eig_checked(m)
+    lam_min = float(spectrum.eigenvalues[-1])
     if lam_min < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lam_min:.3e}")
-
-
-def validate_density(rho: DensityMatrix, normalize: bool = True) -> DensityMatrix:
-    """Check Hermiticity, positivity, and trace; renormalize trace if asked.
-
-    A trace off by more than TRACE_TOL is repaired with a warning rather than
-    rejected; Hermiticity violations and eigenvalues below -PSD_TOL are errors.
-    """
-    m = _checked_matrix(rho, normalize)
-    _check_psd(float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]))
-    return DensityMatrix(matrix=m, profile=rho.profile)
-
-
-def validated_spectrum(rho: DensityMatrix) -> tuple[DensityMatrix, Spectrum]:
-    """``validate_density`` and ``eig_hermitian`` of the result, from one
-    eigensolve and one Hermiticity check."""
-    m = _checked_matrix(rho, True)
-    spectrum = _eig_checked(m)
-    _check_psd(float(spectrum.eigenvalues[-1]))
     return DensityMatrix(matrix=m, profile=rho.profile), spectrum

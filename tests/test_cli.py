@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from luequiv import DimProfile, kron_all, load_matrix, save_matrix
-from luequiv.cli import main
+from luequiv import DimProfile, SearchConfig, kron_all, load_matrix, save_matrix
+from luequiv.cli import _config_from, build_parser, main
 from luequiv.oracle import haar_unitary, local_unitaries
 
 from helpers import near_product
@@ -98,6 +98,7 @@ def test_check_parse_error_exit_one(tmp_path, capsys):
         b'{"dims":[1,2],"data":[["1","0"],["0","0"],["0","0"],["1","0"]]}',
         b'{"dims":[1,2],"data":[[null,0],[0,0],[0,0],[1,0]]}',
         b'{"dims":["a",2],"data":[[1,0],[0,0]]}',
+        b'{"dims":[1,2],"data":[[Infinity,0],[0,0],[0,0],[1,0]]}',
     ):
         _check_bad_file_exit_one(tmp_path, capsys, content)
 
@@ -105,6 +106,24 @@ def test_check_parse_error_exit_one(tmp_path, capsys):
 def test_check_non_ascii_file_exit_one(tmp_path, capsys):
     # fails while reading the file, before parse_matrix sees it
     _check_bad_file_exit_one(tmp_path, capsys, '{"dims":[1,2],"label":"\u00e9"}'.encode())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["a", "b", "--bogus"], ["a", "b", "--sweeps", "abc"], ["a"]],
+    ids=["unknown-flag", "bad-value", "missing-file"],
+)
+def test_check_usage_error_exit_one(capsys, args):
+    # argparse's own exit code 2 would read as INEQUIVALENT_SPECTRUM
+    rc = main(["check", *args])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_defaults_are_the_search_config_defaults(monkeypatch):
+    monkeypatch.delenv("LU_EQUIV_SEED", raising=False)
+    assert _config_from(build_parser().parse_args(["check", "a", "b"])) == SearchConfig()
 
 
 @pytest.mark.parametrize(
@@ -283,6 +302,15 @@ def test_realign_bad_cut_exit_one(tmp_path, capsys):
     rc = main(["realign", str(tmp_path / "id.json"), "--cut", "2"])
     assert rc == 1
     assert "cut" in capsys.readouterr().err
+
+
+def test_realign_non_finite_entry_exit_one(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"dims":[2,2],"data":[[NaN,0]' + ",[0,0]" * 15 + "]}")
+    rc = main(["realign", str(bad), "--cut", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_realign_unwritable_output_exit_one(tmp_path, capsys):

@@ -305,6 +305,24 @@ def test_best_objective_is_the_surrogate_of_the_reported_cuts():
     assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cut_reports)
 
 
+def test_check_rejects_non_finite_entries():
+    m = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+    m[3, 3] = np.inf
+    rho = DensityMatrix(matrix=m, profile=DimProfile((2, 2)))
+    with pytest.raises(ValueError, match="entries are not finite"):
+        check_equivalence(rho, rho, QUICK)
+
+
+def test_validate_density_returns_the_repaired_state_and_its_spectrum():
+    rho = random_density(DimProfile((2, 2)), "generic-nondegenerate", 47)
+    doubled = DensityMatrix(matrix=2.0 * rho.matrix, profile=rho.profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        state, spectrum = validate_density(doubled)
+    assert np.allclose(state.matrix, rho.matrix, atol=1e-15)
+    assert np.allclose(spectrum.eigenvalues, eig_hermitian(rho.matrix).eigenvalues, atol=1e-14)
+
+
 def test_check_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
     rho = DensityMatrix(matrix=m, profile=DimProfile((2, 2)))

@@ -60,6 +60,8 @@ def test_parse_rejects_bad_pairs():
         ('{"shape": [1, 1], "data": [["1", "0"]]}', "numbers"),
         ('{"shape": [1, 1], "data": [[null, 0]]}', "numbers"),
         ('{"shape": [1, 1], "data": [[true, false]]}', "numbers"),
+        ('{"shape": [1, 1], "data": [[NaN, 0]]}', "finite"),
+        ('{"shape": [1, 1], "data": [[0, -Infinity]]}', "finite"),
     ]
     for text, match in cases:
         with pytest.raises(MatrixFileError, match=match):
