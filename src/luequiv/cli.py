@@ -9,6 +9,8 @@ Exit codes for ``check`` are the machine contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -244,7 +246,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; argparse looks up sys.stdout when it prints."""
     parser = _Parser(
         prog="luequiv",
         description="Local-unitary equivalence of multipartite density matrices",
@@ -306,9 +310,20 @@ def main(argv=None) -> int:
     # (MatrixFileError, ShapeError, LinAlgError, a SearchConfig range error)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left (``| head``): the rest goes to devnull, so the flush at
+        # exit does not fail again; a stream with no descriptor is left alone
+        with contextlib.suppress(AttributeError, OSError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         return 1
 
 

@@ -19,6 +19,7 @@ conjugation residual is verified.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -144,23 +145,29 @@ def build_V0(x_basis, y_basis, profile: DegeneracyProfile, blocks) -> np.ndarray
     return out
 
 
-def _leading_overlaps(
-    xt: np.ndarray, yh: np.ndarray, u1: np.ndarray, v1: np.ndarray, d_left: int, d_right: int
-) -> np.ndarray:
-    """u1^dag realign(x_m y_m^dag) v1 for every row x_m of xt and y_m^dag of yh.
+def _cut_stacks(xt: np.ndarray, ych: np.ndarray, d_left: int, d_right: int):
+    """_leading_overlaps' (X, Y) at a cut: the d_left x d_right reshapes of the
+    rows of xt, and those of the rows of ych side by side."""
+    m = xt.shape[0]
+    ys = ych.reshape(m, d_left, d_right).transpose(1, 0, 2).reshape(d_left, m * d_right)
+    return xt.reshape(m, d_left, d_right), ys
+
+
+def _leading_overlaps(xs: np.ndarray, ys: np.ndarray, u1: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """u1^dag realign(x_m y_m^dag) v1 for every row m of xt and ych; a row per stacked pair.
 
     realign(x y^dag) is kron(X, Y) with X, Y the d_left x d_right reshapes of
-    x and conj(y), so each overlap is sum conj(U)_ik X_ij Y_kl W_jl with U, W
-    the reshapes of u1 and v1; the D^2-sized realignments are never formed.
-    Q_m = conj(U) Y_m W^T for every m comes from two plain matrix products
-    over the stacked Y_m, which beat a batch of m small ones.
+    x and conj(y) (``xs``, ``ys``), so each overlap is sum conj(U)_ik X_ij
+    Y_kl W_jl with U, W the reshapes of u1 and v1; the D^2-sized realignments
+    are never formed.  Q_m = conj(U) Y_m W^T for every m comes from two matrix
+    products over the side-by-side Y_m, which beat a batch of m small ones.
     """
-    m = xt.shape[0]
-    u = u1.conj().reshape(d_left, d_left)
-    w = v1.reshape(d_right, d_right)
-    ys = yh.reshape(m, d_left, d_right).transpose(1, 0, 2).reshape(d_left, m * d_right)
-    q = ((u @ ys).reshape(d_left * m, d_right) @ w.T).reshape(d_left, m, d_right)
-    return np.einsum("mij,imj->m", xt.reshape(m, d_left, d_right), q)
+    m, d_left, d_right = xs.shape
+    b = len(u1)
+    u = u1.conj().reshape(b, d_left, d_left)
+    wt = v1.reshape(b, d_right, d_right).transpose(0, 2, 1)
+    q = ((u @ ys).reshape(b, d_left * m, d_right) @ wt).reshape(b, d_left, m, d_right)
+    return np.einsum("mij,bimj->bm", xs, q)
 
 
 class CosetContext:
@@ -170,7 +177,8 @@ class CosetContext:
     and each block row-major, so V = sum_m a_m x_{row m} y_{col m}^dag.  With
     every block 1x1 (a non-degenerate spectrum) the point is e^{i theta}.
     It is a search context (search.py): ``identity``/``random_point`` give
-    starts, then ``decompose``, ``sweep`` (one pass) and ``project``.
+    starts, then ``decompose``, ``sweep`` (one pass) and ``project`` act on
+    a stack of B points, a (B, size) array, and return one result per row.
     """
 
     def __init__(self, x_basis, y_basis, profile: DimProfile, multiplicities):
@@ -196,6 +204,7 @@ class CosetContext:
         self.xt = np.ascontiguousarray(x[:, np.concatenate(rows)].T)
         self.ych = np.ascontiguousarray(y[:, np.concatenate(cols)].conj().T)
         self.splits = [profile.split(k) for k in range(1, profile.nsites)]
+        self.cut_stacks = [_cut_stacks(self.xt, self.ych, dl, dr) for dl, dr in self.splits]
 
     def identity(self) -> np.ndarray:
         return np.concatenate([np.eye(n, dtype=np.complex128).ravel() for n in self.sizes])
@@ -206,45 +215,48 @@ class CosetContext:
             return np.exp(2j * np.pi * rng.random(self.size))
         return np.concatenate([haar_unitary(n, rng).ravel() for n in self.sizes])
 
-    def build(self, point: np.ndarray) -> np.ndarray:
-        return self.xt.T @ (point[:, np.newaxis] * self.ych)
+    def build(self, points: np.ndarray) -> np.ndarray:
+        """V of a point, or the (B, D, D) stack of V of a stack of points."""
+        return self.xt.T @ (points[..., np.newaxis] * self.ych)
 
-    def decompose(self, point: np.ndarray, pairs=None) -> tuple[float, list]:
-        """Objective bound f at a point and each cut's leading pair (u, v).
+    def decompose(self, points: np.ndarray, pairs=None) -> tuple[np.ndarray, list]:
+        """Objective bound f of each point and each cut's leading pairs (U, W).
 
-        Each realignment R_k takes the pair given in ``pairs`` (those of the
-        point the search came from) through one alternating power step,
-        v <- R_k^dag u / |.| then u <- R_k v / |.|.  f is
-        sum_k ||R_k - s_k u v^dag||_F^2 / |s_k|^2 with s_k = u^dag R_k v, the
-        residual formed explicitly: ||R_k||^2 - |s_k|^2 would cancel far above
-        the polish target.  By Eckart-Young and |s_k| <= sigma1, f bounds the
-        surrogate sum (sigma2/sigma1)^2 from above, with the same zero set.
-        Without ``pairs`` (a start) a thin SVD per cut gives the exact pairs;
-        full factors of a lopsided cut (4 x 1024 on 2^6) would build a
-        1024 x 1024 unitary only to read one column of it.
+        f has one entry per row of ``points``; each cut's U and W stack the
+        rows' unit vectors u, v.  Each realignment R_k takes the pair given in
+        ``pairs`` (those of the points the search came from) through one
+        alternating power step, v <- R_k^dag u / |.| then u <- R_k v / |.|.
+        f is sum_k ||R_k - s_k u v^dag||_F^2 / |s_k|^2 with s_k = u^dag R_k v,
+        the residual formed explicitly: ||R_k||^2 - |s_k|^2 would cancel far
+        above the polish target.  By Eckart-Young and |s_k| <= sigma1, f
+        bounds the surrogate sum (sigma2/sigma1)^2 from above, with the same
+        zero set.  Without ``pairs`` (starts) a thin SVD of each cut's stack
+        gives the exact pairs; full factors of a lopsided cut (4 x 1024 on
+        2^6) would build a 1024 x 1024 unitary only to read one column of it.
         """
-        v = self.build(point)
-        f = 0.0
+        v = self.build(points)
+        f = np.zeros(len(points))
         out = []
         for k, (d_left, d_right) in enumerate(self.splits):
             r = _realign_matrix(v, d_left, d_right)
             if pairs is None:
                 uu, sv, vh = np.linalg.svd(r, full_matrices=False)
-                f += float(np.sum(sv[1:] ** 2) / sv[0] ** 2)
-                out.append((uu[:, 0], vh[0].conj()))
+                f += np.sum(sv[:, 1:] ** 2, axis=1) / sv[:, 0] ** 2
+                out.append((uu[:, :, 0], vh[:, 0].conj()))
                 continue
-            # vdot and broadcasting: norm and outer cost more on small cuts
-            vh = pairs[k][0].conj() @ r
-            vh /= np.sqrt(np.vdot(vh, vh).real)
-            rv = r @ vh.conj()
-            s2 = np.vdot(rv, rv).real
-            resid = r - rv[:, np.newaxis] * vh
-            f += float(np.vdot(resid, resid).real / s2)
-            out.append((rv / np.sqrt(s2), vh.conj()))
+            # u^dag, v as (B, 1, .) rows, (B, ., 1) columns: batched matmuls
+            # with no reshapes (einsum runs no BLAS and lags on 2^6 cuts)
+            vh = pairs[k][0].conj()[:, np.newaxis, :] @ r
+            vh /= np.sqrt(_sq_norms(vh))
+            v_col = vh.conj().transpose(0, 2, 1)
+            rv = r @ v_col
+            s2 = _sq_norms(rv)
+            f += (_sq_norms(r - rv * vh) / s2)[:, 0, 0]
+            out.append(((rv / np.sqrt(s2))[:, :, 0], v_col[:, :, 0]))
         return f, out
 
-    def sweep(self, point: np.ndarray, pairs) -> np.ndarray:
-        """One monotone round over every block against the point's leading pairs.
+    def sweep(self, points: np.ndarray, pairs) -> np.ndarray:
+        """One monotone round over every block of each point against its leading pairs.
 
         With the unit pairs (u_k, v_k) of each realignment held fixed,
         s_k = u_k^dag Vtilde_k v_k is linear in the point, and
@@ -253,60 +265,67 @@ class CosetContext:
         takes the exact phase maximizing J with the other blocks fixed; a
         larger block takes the polar step, the unitary maximizing J's
         linearization at the current point.  ``pairs`` are the ones
-        decompose returned for the point; the sweep and decompose's power
+        decompose returned for the points; the sweep and decompose's power
         step each raise J, so a pass never lowers it.
         """
-        g = np.stack(
-            [
-                _leading_overlaps(self.xt, self.ych, u1, v1, dl, dr)
-                for (dl, dr), (u1, v1) in zip(self.splits, pairs)
-            ]
-        )
-        # the sweep runs on Python scalars: s and each column of g have one
-        # entry per cut, too few for numpy calls to pay their overhead
-        a = point.tolist()
-        s = (g @ point).tolist()
-        cols = g.T.tolist()
-        cuts = range(len(s))
-        for sl, n in zip(self.slices, self.sizes):
-            if n == 1:
-                # maximize sum_k |w_k + g_k c|^2 over |c| = 1, w_k = s_k - g_k a_m
-                m = sl.start
-                gm = cols[m]
-                am = a[m]
-                z = 0j
-                for k in cuts:
-                    z += gm[k].conjugate() * (s[k] - gm[k] * am)
-                if z == 0:
-                    continue
-                new = z / abs(z)
-                d = new - am
-                for k in cuts:
-                    s[k] += gm[k] * d
-                a[m] = new
-            else:
-                # maximize Re sum_k conj(s_k) tr(G_kb^T A) over unitaries A
-                gb = g[:, sl]
-                sv = np.array(s)
-                uu, _, vh = np.linalg.svd((sv.conj() @ gb).reshape(n, n).conj())
-                new = (uu @ vh).ravel()
-                s = (sv + gb @ (new - np.array(a[sl]))).tolist()
-                a[sl] = new.tolist()
-        # pin the first block's determinant phase: a global phase never
-        # changes the realignment ratios
+        # g[b, k, m] = u_k^dag realign(x_m y_m^dag) v_k at row b, so s = g @ point
+        g = np.array(
+            [_leading_overlaps(*stacks, *pair) for stacks, pair in zip(self.cut_stacks, pairs)]
+        ).transpose(1, 0, 2)
+        s_rows = (g @ points[:, :, np.newaxis])[..., 0].tolist()
         n1 = self.sizes[0]
-        det = a[0] if n1 == 1 else np.linalg.det(np.array(a[self.slices[0]]).reshape(n1, n1))
-        return np.array(a) * np.exp(-1j * np.angle(det) / n1)
+        rows, pins = [], []
+        # the sweep runs on Python scalars, one point at a time: s and each
+        # column of g have one entry per cut, too few for numpy calls to pay
+        # their overhead
+        for a, s, gp, cols in zip(points.tolist(), s_rows, g, g.transpose(0, 2, 1).tolist()):
+            cuts = range(len(s))
+            for sl, n in zip(self.slices, self.sizes):
+                if n == 1:
+                    # maximize sum_k |w_k + g_k c|^2 over |c| = 1, w_k = s_k - g_k a_m
+                    m = sl.start
+                    gm = cols[m]
+                    am = a[m]
+                    z = 0j
+                    for k in cuts:
+                        z += gm[k].conjugate() * (s[k] - gm[k] * am)
+                    if z == 0:
+                        continue
+                    new = z / abs(z)
+                    d = new - am
+                    for k in cuts:
+                        s[k] += gm[k] * d
+                    a[m] = new
+                else:
+                    # maximize Re sum_k conj(s_k) tr(G_kb^T A) over unitaries A
+                    gb = gp[:, sl]
+                    sv = np.array(s)
+                    uu, _, vh = np.linalg.svd((sv.conj() @ gb).reshape(n, n).conj())
+                    new = (uu @ vh).ravel()
+                    s = (sv + gb @ (new - np.array(a[sl]))).tolist()
+                    a[sl] = new.tolist()
+            # pin the first block's determinant phase: a global phase never
+            # changes the realignment ratios
+            det = a[0] if n1 == 1 else np.linalg.det(np.array(a[self.slices[0]]).reshape(n1, n1))
+            pins.append(cmath.exp(-1j * cmath.phase(det) / n1))
+            rows.append(a)
+        return np.array(rows) * np.array(pins)[:, np.newaxis]
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        """The nearest coset point: a unit phase per 1x1 block, the polar factor of a larger one."""
-        out = point.copy()
-        out[self.phase_entries] /= np.abs(point[self.phase_entries])
+    def project(self, points: np.ndarray) -> np.ndarray:
+        """Nearest coset points: a unit phase per 1x1 block, the polar factor of a larger one."""
+        out = points.copy()
+        out[:, self.phase_entries] /= np.abs(points[:, self.phase_entries])
         for sl, n in zip(self.slices, self.sizes):
             if n > 1:
-                uu, _, vh = np.linalg.svd(point[sl].reshape(n, n))
-                out[sl] = (uu @ vh).ravel()
+                uu, _, vh = np.linalg.svd(points[:, sl].reshape(-1, n, n))
+                out[:, sl] = (uu @ vh).reshape(-1, n * n)
         return out
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each entry of a stack, shaped (B, 1, 1)."""
+    flat = a.reshape(len(a), 1, -1).view(np.float64)
+    return flat @ flat.transpose(0, 2, 1)
 
 
 def objective(point, ctx: CosetContext) -> float:

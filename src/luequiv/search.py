@@ -1,25 +1,28 @@
 """Multistart of monotone alignment passes over a coset context.
 
 The engine is generic over a context providing ``identity()`` and
-``random_point(rng)`` (start points), ``decompose(point, pairs=None) ->
-(f, pairs)`` (the objective and what a pass needs from the point, refined
-from the pairs of the point the search came from, or computed afresh at a
-start), ``sweep(point, pairs) -> point`` (one alignment pass, a monotone
-local refinement) and ``project(point) -> point`` (the nearest point of the
-coset).  Each start carries its (point, f, pairs), so every point is
-decomposed once, and each decomposition but a start's first is warm-started
-from the pairs of the point before it.
+``random_point(rng)`` (start points) and three methods on a stack of B
+points, a (B, size) array: ``decompose(points, pairs=None) -> (f, pairs)``
+(the objective of each point, shape (B,), and what a pass needs from it:
+per cut, a (U, W) pair of (B, .) arrays, refined from the pairs of the
+points the search came from, or computed afresh at a start),
+``sweep(points, pairs) -> points`` (one alignment pass, a monotone local
+refinement) and ``project(points) -> points`` (the nearest points of the
+coset).  Each race carries its starts' stacked (points, f, pairs), so every
+point is decomposed once, and each decomposition but a start's first is
+warm-started from the pairs of the point before it.
 
 Start r = 0 is the identity; start r >= 1 is a random point drawn from its
 own generator.  Most starts leave the bulk of the coset, where every cut's
 realignment still has sigma2 close to sigma1, within a few passes; the rest
 crawl there for tens of passes, whether or not they end at a solution.  So
-starts race STARTS_PER_ROUND at a time: each start still above the escape
-level takes a pass in turn, and a start that falls to it runs passes alone
-until the objective reaches the polish target, the passes stall, or the pass
-budget runs out.  A start still in the bulk after ESCAPE_PASSES passes is
-dropped.  A search then costs about one fast start per round, and a start
-that never escapes costs a fixed number of passes instead of a crawl.
+starts race STARTS_PER_ROUND at a time: the starts still above the escape
+level take a pass as one stacked evaluation, and a start that falls to it
+runs passes alone (a stack of one) until the objective reaches the polish
+target, the passes stall, or the pass budget runs out.  A start still in
+the bulk after ESCAPE_PASSES passes is dropped.  A search then costs about
+one fast start per round, and a start that never escapes costs a fixed
+number of passes instead of a crawl.
 
 Alone, a start converges linearly, so its passes are Anderson-mixed (Walker
 & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) over the last MIX_DEPTH outputs.
@@ -61,25 +64,26 @@ def _mixed_step(ctx, history: list, f: float, pairs):
         w = np.linalg.solve((r.conj() @ r.T).real, np.ones(len(history)))
     except np.linalg.LinAlgError:
         return None
-    mixed = ctx.project((w / w.sum()) @ g)
+    mixed = ctx.project(((w / w.sum()) @ g)[np.newaxis])
     f_mixed, mixed_pairs = ctx.decompose(mixed, pairs)
-    return (mixed, f_mixed, mixed_pairs) if f_mixed < f else None
+    return (mixed, f_mixed, mixed_pairs) if f_mixed[0] < f else None
 
 
 def _align_until_stall(
     ctx, point: np.ndarray, f: float, pairs, passes: int, f_target: float, trace: list[float]
 ) -> tuple[np.ndarray, float]:
-    """Run mixed passes until the target, a stall or ``passes``; returns (point, f)."""
+    """Run mixed passes from a stack of one point until the target, a stall or
+    ``passes``; returns (point, f)."""
     history: list = []
     stall = 0
     for _ in range(passes):
         out = ctx.sweep(point, pairs)
-        history = history[1 - MIX_DEPTH :] + [(point, out)]
+        history = history[1 - MIX_DEPTH :] + [(point[0], out[0])]
         step = None
         if len(history) > 1:
             step = _mixed_step(ctx, history, f, pairs)
             history = history if step else []
-        point, f_new, pairs = step or (out, *ctx.decompose(out, pairs))
+        point, (f_new,), pairs = step or (out, *ctx.decompose(out, pairs))
         trace.append(f_new)
         if f_new <= f_target:
             return point, f_new
@@ -95,43 +99,46 @@ def _align_until_stall(
 
 def _race(
     ctx,
-    starts: list[np.ndarray],
+    points: np.ndarray,
     passes: int,
     f_escape: float,
     f_target: float,
     f_success: float,
     trace: list[float],
 ) -> tuple[np.ndarray, float]:
-    """Race the starts until one reaches f_success; returns the best (point, f).
+    """Race the stacked starts until one reaches f_success; returns the best (point, f).
 
-    Each round, every start above f_escape takes a pass.  A start that falls
-    to it leaves the race and runs passes alone until the polish target, a
-    stall or the pass budget; the race ends when that start reaches
-    f_success, and goes on with the others when it does not.  A start still
-    above f_escape after ESCAPE_PASSES passes is dropped.
+    Each round, every start above f_escape takes a pass, all of them in one
+    ``sweep`` and one ``decompose`` call.  A start that falls to it leaves
+    the race and runs passes alone until the polish target, a stall or the
+    pass budget; the race ends when that start reaches f_success, and goes
+    on with the others when it does not.  A start still above f_escape after
+    ESCAPE_PASSES passes is dropped.
     """
-    live = [(p, *ctx.decompose(p)) for p in starts]
-    best = min(((p, f) for p, f, _ in live), key=lambda item: item[1])
+    f, pairs = ctx.decompose(points)
+    best = (points[np.argmin(f)], np.min(f))
     done = 0
     while True:
-        racing = []
-        for point, f, pairs in live:
-            if f <= f_escape:
-                point, f = _align_until_stall(ctx, point, f, pairs, passes - done, f_target, trace)
-                if f < best[1]:
-                    best = (point, f)
-                if f <= f_success:
-                    return best
-            else:
-                racing.append((point, pairs))
-        if not racing or done >= min(passes, ESCAPE_PASSES):
+        escaped = f <= f_escape
+        for i in np.flatnonzero(escaped):
+            alone = [(u[i : i + 1], w[i : i + 1]) for u, w in pairs]
+            point, f_alone = _align_until_stall(
+                ctx, points[i : i + 1], f[i], alone, passes - done, f_target, trace
+            )
+            if f_alone < best[1]:
+                best = (point[0], f_alone)
+            if f_alone <= f_success:
+                return best
+        racing = np.flatnonzero(~escaped)
+        if not racing.size or done >= min(passes, ESCAPE_PASSES):
             return best
-        live = []
-        for point, pairs in racing:
-            out = ctx.sweep(point, pairs)
-            live.append((out, *ctx.decompose(out, pairs)))
-        trace.extend(f for _, f, _ in live)
-        best = min([best, *((p, f) for p, f, _ in live)], key=lambda item: item[1])
+        pairs = [(u[racing], w[racing]) for u, w in pairs]
+        points = ctx.sweep(points[racing], pairs)
+        f, pairs = ctx.decompose(points, pairs)
+        trace.extend(f.tolist())
+        i = np.argmin(f)
+        if f[i] < best[1]:
+            best = (points[i], f[i])
         done += 1
 
 
@@ -167,7 +174,7 @@ def run_search(
             ctx.identity() if r == 0 else ctx.random_point(np.random.default_rng([seed, r]))
             for r in rs
         ]
-        point, f = _race(ctx, starts, passes, f_escape, f_target, f_success, trace)
+        point, f = _race(ctx, np.array(starts), passes, f_escape, f_target, f_success, trace)
         if f < best_f:
             best_point, best_f = point, f
         if best_f <= f_success:

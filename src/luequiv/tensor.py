@@ -113,11 +113,12 @@ def kron_all(mats) -> np.ndarray:
 
 
 def _realign_matrix(z: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
-    # (Z~)[(I,I'), (J,J')] = Z[(I,J), (I',J')]; all indices row-major.
+    # (Z~)[(I,I'), (J,J')] = Z[(I,J), (I',J')], row-major, for each Z of a stack
+    lead = z.shape[:-2]
     return np.ascontiguousarray(
-        z.reshape(d_left, d_right, d_left, d_right)
-        .transpose(0, 2, 1, 3)
-        .reshape(d_left * d_left, d_right * d_right)
+        z.reshape(*lead, d_left, d_right, d_left, d_right)
+        .swapaxes(-3, -2)
+        .reshape(*lead, d_left * d_left, d_right * d_right)
     )
 
 

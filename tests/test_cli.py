@@ -392,3 +392,43 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "sigma1" in proc.stdout
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys, monkeypatch):
+    # the parser is built once; each call still parses its own flags, and
+    # a flag of one call leaves no trace in the next
+    monkeypatch.delenv("LU_EQUIV_SEED", raising=False)
+    assert build_parser() is build_parser()
+    prefix = _gen(tmp_path, "paper-example")
+    capsys.readouterr()
+    files = [f"{prefix}_a.json", f"{prefix}_b.json"]
+    assert main(["check", *files, "--json", "--seed", "4", *FAST]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 4
+    assert main(["check", *files, "--json", *FAST]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    assert main(["check", *files, *FAST]) == 0
+    assert capsys.readouterr().out.startswith("verdict: EQUIVALENT")
+    assert main(["check", *files, "--bogus"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: luequiv" in capsys.readouterr().out
+
+
+def test_check_into_a_closed_pipe_exits_one_without_traceback(tmp_path):
+    prefix = _gen(tmp_path, "paper-example")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "luequiv.cli", "check", f"{prefix}_a.json", f"{prefix}_b.json",
+         "--json", *FAST],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    # the reader goes away before the child writes: its numpy import alone
+    # takes longer than this
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err

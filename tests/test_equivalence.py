@@ -26,6 +26,7 @@ from luequiv.equivalence import (
     ESCAPE_LEVEL_PER_CUT,
     OBJECTIVE_POLISH,
     CosetContext,
+    _cut_stacks,
     _leading_overlaps,
 )
 from luequiv.search import ESCAPE_PASSES, STARTS_PER_ROUND, _align_until_stall, run_search
@@ -141,7 +142,8 @@ def test_phase_search_identical_state_succeeds_from_zero_seed():
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 3)
     s = eig_hermitian(rho.matrix)
     ctx = CosetContext(s.basis, s.basis, rho.profile, (1,) * 8)
-    assert ctx.decompose(ctx.identity())[0] < 1e-14  # the identity start is already a solution
+    (f,), _ = ctx.decompose(ctx.identity()[np.newaxis])
+    assert f < 1e-14  # the identity start is already a solution
     outcome = coset_search(ctx, QUICK)
     assert outcome.success and outcome.objective < 1e-14
 
@@ -395,33 +397,33 @@ def _context_factories():
     return out
 
 
-def _reference_align_pass(ctx, point):
-    """An alignment pass with its block sweep on length-K numpy vectors."""
-    _, pairs = ctx.decompose(point)
+def _reference_align_pass(ctx, points):
+    """An alignment pass of each row of a (B, size) stack, with its block
+    sweep on length-K numpy vectors."""
+    _, pairs = ctx.decompose(points)
     g = np.stack(
-        [
-            _leading_overlaps(ctx.xt, ctx.ych, u1, v1, dl, dr)
-            for (dl, dr), (u1, v1) in zip(ctx.splits, pairs)
-        ]
+        [_leading_overlaps(xs, ys, u1, v1) for (xs, ys), (u1, v1) in zip(ctx.cut_stacks, pairs)],
+        axis=1,
     )
-    a = point.copy()
-    s = g @ a
-    for sl, n in zip(ctx.slices, ctx.sizes):
-        gb = g[:, sl]
-        if n == 1:
-            w = s - gb[:, 0] * a[sl.start]
-            z = gb[:, 0] @ w.conj()
-            if z == 0:
-                continue
-            new = np.conj(z) / abs(z)
-        else:
-            uu, _, vh = np.linalg.svd((s.conj() @ gb).reshape(n, n).conj())
-            new = (uu @ vh).ravel()
-        s += gb @ (new - a[sl])
-        a[sl] = new
-    n1 = ctx.sizes[0]
-    a *= np.exp(-1j * np.angle(np.linalg.det(a[ctx.slices[0]].reshape(n1, n1))) / n1)
-    return a
+    out = points.copy()
+    for a, gr in zip(out, g):
+        s = gr @ a
+        for sl, n in zip(ctx.slices, ctx.sizes):
+            gb = gr[:, sl]
+            if n == 1:
+                w = s - gb[:, 0] * a[sl.start]
+                z = gb[:, 0] @ w.conj()
+                if z == 0:
+                    continue
+                new = np.conj(z) / abs(z)
+            else:
+                uu, _, vh = np.linalg.svd((s.conj() @ gb).reshape(n, n).conj())
+                new = (uu @ vh).ravel()
+            s += gb @ (new - a[sl])
+            a[sl] = new
+        n1 = ctx.sizes[0]
+        a *= np.exp(-1j * np.angle(np.linalg.det(a[ctx.slices[0]].reshape(n1, n1))) / n1)
+    return out
 
 
 def test_leading_overlaps_match_the_explicit_realignments():
@@ -432,24 +434,26 @@ def test_leading_overlaps_match_the_explicit_realignments():
         xt, yh = haar_unitary(n, rng), haar_unitary(n, rng)
         for k in range(1, profile.nsites):
             dl, dr = profile.split(k)
-            u1 = haar_unitary(dl * dl, rng)[:, 0]
-            v1 = haar_unitary(dr * dr, rng)[:, 0]
-            expected = [
-                u1.conj() @ _realign_matrix(np.outer(xt[m], yh[m]), dl, dr) @ v1 for m in range(n)
-            ]
-            got = _leading_overlaps(xt, yh, u1, v1, dl, dr)
-            assert np.allclose(got, expected, rtol=0, atol=1e-13), (dims, k)
+            # two pairs stacked: each row of the result is one pair's overlaps
+            us = haar_unitary(dl * dl, rng)[:2]
+            vs = haar_unitary(dr * dr, rng)[:2]
+            stacked = _leading_overlaps(*_cut_stacks(xt, yh, dl, dr), us, vs)
+            for u1, v1, got in zip(us, vs, stacked):
+                expected = [
+                    u1.conj() @ _realign_matrix(np.outer(xt[m], yh[m]), dl, dr) @ v1
+                    for m in range(n)
+                ]
+                assert np.allclose(got, expected, rtol=0, atol=1e-13), (dims, k)
 
 
 def test_align_pass_matches_the_numpy_reference_sweep():
     rng = np.random.default_rng(79)
     for label, make in _context_factories():
         ctx = make()
-        for _ in range(3):
-            point = ctx.random_point(rng)
-            expected = _reference_align_pass(ctx, point)
-            got = ctx.sweep(point, ctx.decompose(point)[1])
-            assert np.max(np.abs(got - expected)) <= 1e-12, label
+        points = np.array([ctx.random_point(rng) for _ in range(3)])
+        expected = _reference_align_pass(ctx, points)
+        got = ctx.sweep(points, ctx.decompose(points)[1])
+        assert np.max(np.abs(got - expected)) <= 1e-12, label
 
 
 def _leading_mass(ctx, point):
@@ -468,11 +472,11 @@ def test_align_pass_never_lowers_the_leading_singular_mass():
         ctx = make()
         dim = ctx.xt.shape[1]
         for _ in range(20):
-            point = ctx.random_point(rng)
-            mass = _leading_mass(ctx, point)
+            point = ctx.random_point(rng)[np.newaxis]
+            mass = _leading_mass(ctx, point[0])
             for _ in range(10):
                 point = ctx.sweep(point, ctx.decompose(point)[1])
-                new_mass = _leading_mass(ctx, point)
+                new_mass = _leading_mass(ctx, point[0])
                 assert new_mass >= mass - 1e-12 * dim, label
                 mass = new_mass
 
@@ -481,13 +485,40 @@ def test_project_keeps_coset_points_and_returns_unitary_blocks():
     rng = np.random.default_rng(101)
     for label, make in _context_factories():
         ctx = make()
-        point = ctx.random_point(rng)
+        point = ctx.random_point(rng)[np.newaxis]
         assert np.max(np.abs(ctx.project(point) - point)) <= 1e-14, label
         noise = rng.standard_normal(ctx.size) + 1j * rng.standard_normal(ctx.size)
-        near = ctx.project(point + 0.1 * noise)
+        (near,) = ctx.project(point + 0.1 * noise)
         for sl, n in zip(ctx.slices, ctx.sizes):
             block = near[sl].reshape(n, n)
             assert np.allclose(block @ block.conj().T, np.eye(n), atol=1e-14), label
+
+
+def test_stacked_calls_match_the_calls_on_each_row_alone():
+    # decompose (cold and warm), sweep and project of a stack of three
+    # points give, row by row, what the same call gives that row alone
+    rng = np.random.default_rng(131)
+    for label, make in _context_factories():
+        ctx = make()
+        points = np.array([ctx.random_point(rng) for _ in range(3)])
+        f, pairs = ctx.decompose(points)
+        swept = ctx.sweep(points, pairs)
+        f_warm, warm = ctx.decompose(swept, pairs)
+        noise = rng.standard_normal(points.shape) + 1j * rng.standard_normal(points.shape)
+        near = ctx.project(points + 0.1 * noise)
+        for i in range(3):
+            row = points[i : i + 1]
+            row_f, row_pairs = ctx.decompose(row)
+            row_swept = ctx.sweep(row, row_pairs)
+            row_f_warm, row_warm = ctx.decompose(row_swept, row_pairs)
+            assert abs(f[i] - row_f[0]) <= 1e-12 and abs(f_warm[i] - row_f_warm[0]) <= 1e-12
+            for stacked, alone in [(pairs, row_pairs), (warm, row_warm)]:
+                for (u, w), (row_u, row_w) in zip(stacked, alone):
+                    assert np.max(np.abs(u[i] - row_u[0])) <= 1e-12, label
+                    assert np.max(np.abs(w[i] - row_w[0])) <= 1e-12, label
+            assert np.max(np.abs(swept[i] - row_swept[0])) <= 1e-12, label
+            row_near = ctx.project(row + 0.1 * noise[i])
+            assert np.max(np.abs(near[i] - row_near[0])) <= 1e-12, label
 
 
 def _planted_contexts():
@@ -507,19 +538,20 @@ def _planted_contexts():
 
 def _escaped_starts(ctx, count, seed):
     """The first ``count`` (point, f, pairs) below the escape level that plain
-    passes from random starts reach within ESCAPE_PASSES."""
+    passes from random starts reach within ESCAPE_PASSES; each point is a
+    stack of one."""
     rng = np.random.default_rng(seed)
     f_escape = ESCAPE_LEVEL_PER_CUT * len(ctx.splits)
     out = []
     while len(out) < count:
-        point = ctx.random_point(rng)
-        f, pairs = ctx.decompose(point)
+        point = ctx.random_point(rng)[np.newaxis]
+        (f,), pairs = ctx.decompose(point)
         for _ in range(ESCAPE_PASSES):
             if f <= f_escape:
                 out.append((point, f, pairs))
                 break
             point = ctx.sweep(point, pairs)
-            f, pairs = ctx.decompose(point)
+            (f,), pairs = ctx.decompose(point)
     return out
 
 
@@ -544,9 +576,9 @@ class _SpoiledMixContext:
     def __getattr__(self, name):
         return getattr(self.ctx, name)
 
-    def project(self, point):
+    def project(self, points):
         self.mixes += 1
-        return self.ctx.random_point(self.rng)
+        return self.ctx.random_point(self.rng)[np.newaxis]
 
 
 def test_solo_descent_drops_mixes_that_do_not_lower_the_objective():
@@ -561,7 +593,7 @@ def test_solo_descent_drops_mixes_that_do_not_lower_the_objective():
             plain = []
             for _ in trace:
                 point = ctx.sweep(point, pairs)
-                f, pairs = ctx.decompose(point, pairs)
+                (f,), pairs = ctx.decompose(point, pairs)
                 plain.append(f)
             assert trace == plain, label
 
@@ -576,7 +608,7 @@ def test_mixed_descent_reaches_the_target_in_fewer_passes_than_plain_passes():
             mixed += len(trace)
             for _ in range(1000):
                 point = ctx.sweep(point, pairs)
-                f, pairs = ctx.decompose(point)
+                (f,), pairs = ctx.decompose(point)
                 plain += 1
                 if f <= OBJECTIVE_POLISH:
                     break
@@ -586,7 +618,8 @@ def test_mixed_descent_reaches_the_target_in_fewer_passes_than_plain_passes():
 
 class _CheckedContext:
     """A coset context that records each point's decomposition and checks
-    that every sweep gets the pairs decompose returned for its point."""
+    that every sweep gets the pairs decompose returned for its point; a
+    decompose or sweep of B stacked points counts as B of them."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -597,19 +630,21 @@ class _CheckedContext:
     def __getattr__(self, name):
         return getattr(self.ctx, name)
 
-    def decompose(self, point, pairs=None):
-        self.cold += pairs is None
-        f, out = self.ctx.decompose(point, pairs)
-        self.decomposed[point.tobytes()] = (f, out)
+    def decompose(self, points, pairs=None):
+        self.cold += len(points) if pairs is None else 0
+        f, out = self.ctx.decompose(points, pairs)
+        for i, point in enumerate(points):
+            self.decomposed[point.tobytes()] = (f[i], [(u[i], w[i]) for u, w in out])
         return f, out
 
-    def sweep(self, point, pairs):
-        _, carried = self.decomposed[point.tobytes()]
-        assert len(pairs) == len(carried)
-        for (u1, v1), (carried_u1, carried_v1) in zip(pairs, carried):
-            assert np.array_equal(u1, carried_u1) and np.array_equal(v1, carried_v1)
-        self.sweeps += 1
-        return self.ctx.sweep(point, pairs)
+    def sweep(self, points, pairs):
+        for i, point in enumerate(points):
+            _, carried = self.decomposed[point.tobytes()]
+            assert len(pairs) == len(carried)
+            for (u1, v1), (carried_u1, carried_v1) in zip(pairs, carried):
+                assert np.array_equal(u1[i], carried_u1) and np.array_equal(v1[i], carried_v1)
+        self.sweeps += len(points)
+        return self.ctx.sweep(points, pairs)
 
 
 def test_race_carries_the_decomposition_of_its_points():
@@ -644,9 +679,9 @@ class _BoundContext:
     def __getattr__(self, name):
         return getattr(self.ctx, name)
 
-    def decompose(self, point, pairs=None):
-        f, out = self.ctx.decompose(point, pairs)
-        self.seen.append((f, objective(point, self.ctx)))
+    def decompose(self, points, pairs=None):
+        f, out = self.ctx.decompose(points, pairs)
+        self.seen.extend(zip(f, (objective(point, self.ctx) for point in points)))
         return f, out
 
 
@@ -675,10 +710,11 @@ def test_reported_objective_never_understates_the_surrogate():
 
 
 def _alignment(ctx, point, pairs):
-    """J = sum over cuts of |u^dag realign(V) v| ^ 2 for the given unit pairs."""
-    v = ctx.build(point)
+    """J = sum over cuts of |u^dag realign(V) v| ^ 2 for the given unit pairs,
+    at a stack of one point."""
+    v = ctx.build(point[0])
     return sum(
-        abs(u.conj() @ _realign_matrix(v, dl, dr) @ w) ** 2
+        abs(u[0].conj() @ _realign_matrix(v, dl, dr) @ w[0]) ** 2
         for (dl, dr), (u, w) in zip(ctx.splits, pairs)
     )
 
@@ -691,7 +727,7 @@ def test_warm_pass_never_lowers_the_alignment():
         ctx = make()
         tol = 1e-12 * ctx.xt.shape[1]
         for _ in range(10):
-            point = ctx.random_point(rng)
+            point = ctx.random_point(rng)[np.newaxis]
             _, pairs = ctx.decompose(point)
             j = _alignment(ctx, point, pairs)
             for _ in range(15):
@@ -704,7 +740,8 @@ def test_warm_pass_never_lowers_the_alignment():
 
 
 class _ScriptedContext:
-    """A point is (start, passes taken); its objective follows the start's script."""
+    """A point is (start, passes taken); its objective follows the start's
+    script.  It has no cuts, so its pairs are an empty list."""
 
     def __init__(self, scripts):
         self.scripts = scripts
@@ -721,14 +758,14 @@ class _ScriptedContext:
     def random_point(self, rng):
         return self._start()
 
-    def decompose(self, point, pairs=None):
-        return self.scripts[point[0]](point[1]), None
+    def decompose(self, points, pairs=None):
+        return np.array([self.scripts[start](taken) for start, taken in points]), []
 
-    def sweep(self, point, pairs):
-        return point + np.array([0, 1])
+    def sweep(self, points, pairs):
+        return points + np.array([0, 1])
 
-    def project(self, point):
-        return point
+    def project(self, points):
+        return points
 
 
 def _search(ctx, restarts, passes=1000):
@@ -763,6 +800,40 @@ def test_start_stuck_in_the_bulk_costs_a_fixed_number_of_passes():
     # a pass budget below ESCAPE_PASSES caps the race too
     outcome = _search(_ScriptedContext([lambda k: 1.0] * 6), restarts=6, passes=3)
     assert len(outcome.history) == 6 * 3
+
+
+class _CountingContext(_ScriptedContext):
+    """A scripted context that logs (method, number of stacked points) per call."""
+
+    def __init__(self, scripts):
+        super().__init__(scripts)
+        self.calls = []
+
+    def decompose(self, points, pairs=None):
+        self.calls.append(("decompose", len(points)))
+        return super().decompose(points, pairs)
+
+    def sweep(self, points, pairs):
+        self.calls.append(("sweep", len(points)))
+        return super().sweep(points, pairs)
+
+
+def test_racing_round_is_one_sweep_and_one_decompose():
+    # however many starts race, a round is one stacked sweep and one
+    # stacked decompose of all of them
+    for racing in range(1, STARTS_PER_ROUND + 1):
+        ctx = _CountingContext([lambda k: 1.0] * racing)
+        _search(ctx, restarts=racing)
+        rounds = [("sweep", racing), ("decompose", racing)] * ESCAPE_PASSES
+        assert ctx.calls == [("decompose", racing)] + rounds, racing
+    # start 0 escapes after two passes and stalls alone, in stacks of one;
+    # the rounds before it race three starts, the rounds after it two
+    ctx = _CountingContext(
+        [lambda k: 1.0 if k < 2 else 1e-2] + [lambda k: 1.0] * (STARTS_PER_ROUND - 1)
+    )
+    _search(ctx, restarts=STARTS_PER_ROUND)
+    racing_sweeps = [b for name, b in ctx.calls if name == "sweep" and b > 1]
+    assert racing_sweeps == [STARTS_PER_ROUND] * 2 + [STARTS_PER_ROUND - 1] * (ESCAPE_PASSES - 2)
 
 
 def test_planted_pair_on_six_qubits():
