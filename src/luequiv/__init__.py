@@ -10,7 +10,6 @@ from .decompose import (
     NotDecomposableError,
     cut_reports,
     factor_full,
-    factor_pair,
     is_decomposable,
 )
 from .equivalence import (
@@ -18,11 +17,8 @@ from .equivalence import (
     SearchConfig,
     Verdict,
     VerdictStatus,
-    build_V,
-    build_V0,
     check_equivalence,
     coset_search,
-    objective,
     verify_witness,
 )
 from .matfile import MatrixFile, MatrixFileError, load_matrix, save_matrix
@@ -54,7 +50,6 @@ from .tensor import (
     kron,
     kron_all,
     realign,
-    realign_all,
     unrealign,
     unvec,
     vec,
@@ -80,15 +75,12 @@ __all__ = [
     "Spectrum",
     "Verdict",
     "VerdictStatus",
-    "build_V",
-    "build_V0",
     "check_equivalence",
     "coset_search",
     "cut_reports",
     "degeneracy_profile",
     "eig_hermitian",
     "factor_full",
-    "factor_pair",
     "haar_unitary",
     "is_decomposable",
     "kron",
@@ -97,12 +89,10 @@ __all__ = [
     "make_degenerate_pair",
     "make_equivalent_pair",
     "make_spectrum_mismatch_pair",
-    "objective",
     "paper_example",
     "random_density",
     "rank_one_test",
     "realign",
-    "realign_all",
     "reduced_density",
     "save_matrix",
     "spectra_match",

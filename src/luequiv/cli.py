@@ -21,7 +21,7 @@ from .decompose import NotDecomposableError, factor_full, is_decomposable
 from .equivalence import SearchConfig, Verdict, VerdictStatus, check_equivalence
 from .matfile import MatrixFile, MatrixFileError, load_matrix, save_matrix
 from .oracle import make_equivalent_pair, make_spectrum_mismatch_pair, paper_example
-from .spectral import two_leading_singulars
+from .spectral import rank_one_test
 from .tensor import DimProfile, realign
 
 EXIT_CODES = {
@@ -184,12 +184,12 @@ def cmd_check(args) -> int:
 def cmd_realign(args) -> int:
     mf = _load_operator(args.file)
     cr = realign(mf.matrix, mf.profile, args.cut)
-    s1, s2 = two_leading_singulars(cr.matrix)
+    # the verdict is not printed, so any tolerance serves
+    r = rank_one_test(cr.matrix, SearchConfig.rank_tol)
     out_path = args.out or f"{args.file}.cut{args.cut}.realigned.json"
     _save(out_path, cr.matrix, dims=None, label=f"realigned cut {args.cut}")
-    ratio = s2 / s1 if s1 > 0 else 0.0
     print(f"cut {args.cut}: shape {cr.shape[0]}x{cr.shape[1]} -> {out_path}")
-    print(f"sigma1={s1:.12e} sigma2={s2:.12e} ratio={ratio:.3e}")
+    print(f"sigma1={r.sigma1:.12e} sigma2={r.sigma2:.12e} ratio={r.ratio:.3e}")
     return 0
 
 

@@ -109,16 +109,6 @@ def _peel(u: np.ndarray, d_left: int, tol: float, cut: int) -> tuple[np.ndarray,
     return _fix_leading_phase(s * a, (float(sv[0]) / s) * b)
 
 
-def factor_pair(u, dim_left: int, dim_right: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split a unitary on C^dimL x C^dimR into unitary factors (U_1, U_2).
-
-    The returned pair satisfies u ~ U_1 kron U_2 up to the usual opposite
-    global phases; the positive scale relating the raw factors is absorbed.
-    """
-    u = _checked_unitary(u, DimProfile((dim_left, dim_right)), "factor_pair input")
-    return _peel(u, dim_left, tol, cut=1)
-
-
 def factor_full(v, profile: DimProfile, tol: float) -> FactorSet:
     """Peel unitary factors left to right across the sequential cuts.
 

@@ -143,15 +143,6 @@ def spectra_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
     return bool(np.max(np.abs(s1.eigenvalues - s2.eigenvalues)) <= tol)
 
 
-def two_leading_singulars(m) -> tuple[float, float]:
-    """(sigma1, sigma2) of a matrix; sigma2 = 0 when min(shape) < 2."""
-    m = as_cmatrix(m)
-    sv = np.linalg.svd(m, compute_uv=False)
-    s1 = float(sv[0]) if sv.size else 0.0
-    s2 = float(sv[1]) if sv.size > 1 else 0.0
-    return s1, s2
-
-
 def rank_one_report(s1: float, s2: float, tol: float, cut: int | None = None) -> RankOneReport:
     """Rank-one verdict from the two leading singular values sigma1 >= sigma2.
 
@@ -171,5 +162,11 @@ def rank_one_report(s1: float, s2: float, tol: float, cut: int | None = None) ->
 
 
 def rank_one_test(m, tol: float, cut: int | None = None) -> RankOneReport:
-    """Rank-one verdict via the ratio of the two leading singular values of m."""
-    return rank_one_report(*two_leading_singulars(m), tol, cut=cut)
+    """Rank-one verdict via the ratio of the two leading singular values of m.
+
+    sigma2 is 0 when min(shape) < 2, so a nonzero single row or column is rank one.
+    """
+    sv = np.linalg.svd(as_cmatrix(m), compute_uv=False)
+    s1 = float(sv[0]) if sv.size else 0.0
+    s2 = float(sv[1]) if sv.size > 1 else 0.0
+    return rank_one_report(s1, s2, tol, cut=cut)

@@ -154,9 +154,3 @@ def unrealign(r: CutRealignment, profile: DimProfile) -> np.ndarray:
         .transpose(0, 2, 1, 3)
         .reshape(profile.total, profile.total)
     )
-
-
-def realign_all(z, profile: DimProfile) -> list[CutRealignment]:
-    """The M-1 sequential-cut realignments, cuts 1..M-1 in order."""
-    z = as_cmatrix(z)
-    return [realign(z, profile, k) for k in range(1, profile.nsites)]

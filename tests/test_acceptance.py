@@ -39,6 +39,11 @@ def _witness_phases() -> np.ndarray:
     return np.where(WITNESS_SIGNS > 0, 0.0, np.pi)
 
 
+def _build_v(x, y, phases) -> np.ndarray:
+    """V = X diag(e^{i theta}) Y^dag, built by the search's coset context."""
+    return lq.CosetContext(x, y, TRIPARTITE, (1,) * 8).build(np.exp(1j * phases))
+
+
 def _assert_gauge_equivalent_to_paper_signs(verdict: lq.Verdict, a, b, c) -> None:
     """Check the found witness lies on the gauge orbit of the reference signs.
 
@@ -81,7 +86,7 @@ def test_criterion_2_reference_matrix_regression():
         rng = np.random.default_rng(2)
         random_d = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
         for d in [WITNESS_SIGNS.astype(complex), random_d]:
-            v = lq.build_V(x_disp, y_disp, np.angle(d))
+            v = _build_v(x_disp, y_disp, np.angle(d))
             assert np.allclose(v, reference_v(d), atol=1e-12)
             assert np.allclose(
                 lq.realign(v, TRIPARTITE, 1).matrix, reference_cut1(d), atol=1e-12
@@ -90,7 +95,7 @@ def test_criterion_2_reference_matrix_regression():
                 lq.realign(v, TRIPARTITE, 2).matrix, reference_cut2(d), atol=1e-12
             )
         # witness phases: zero pattern matches and both realignments are rank one
-        v_w = lq.build_V(x_disp, y_disp, _witness_phases())
+        v_w = _build_v(x_disp, y_disp, _witness_phases())
         mask_got = np.abs(v_w) > 1e-12
         mask_want = np.abs(reference_v(WITNESS_SIGNS.astype(complex))) > 1e-12
         assert np.array_equal(mask_got, mask_want)
@@ -100,7 +105,7 @@ def test_criterion_2_reference_matrix_regression():
         # same rank-one claim for the eigenvalue-paired bases of the actual states
         for a, b, c in TRIPLES:
             x, y, _ = example_bases(a, b, c)
-            v_true = lq.build_V(x, y, _witness_phases())
+            v_true = _build_v(x, y, _witness_phases())
             for cut in (1, 2):
                 ratio = lq.rank_one_test(
                     lq.realign(v_true, TRIPARTITE, cut).matrix, 1e-7

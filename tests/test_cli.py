@@ -297,6 +297,25 @@ def test_realign_reference_witness_pattern(tmp_path):
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_realign_unit_site_prints_zero_sigma2(tmp_path, capsys):
+    # a (1, 4) operator realigns to a single row: there is no second singular value
+    save_matrix(tmp_path / "u.json", np.eye(4), dims=(1, 4))
+    rc = main(["realign", str(tmp_path / "u.json"), "--cut", "1", "-o", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert "sigma2=0.000000000000e+00" in capsys.readouterr().out
+
+
+def test_realign_of_realigned_output_exit_one(tmp_path, capsys):
+    # realign output carries a shape, not dims, so it has no cut to realign
+    save_matrix(tmp_path / "id.json", np.eye(4), dims=(2, 2))
+    out = str(tmp_path / "re.json")
+    assert main(["realign", str(tmp_path / "id.json"), "--cut", "1", "-o", out]) == 0
+    capsys.readouterr()
+    assert main(["realign", out, "--cut", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_realign_bad_cut_exit_one(tmp_path, capsys):
     save_matrix(tmp_path / "id.json", np.eye(4), dims=(2, 2))
     rc = main(["realign", str(tmp_path / "id.json"), "--cut", "2"])

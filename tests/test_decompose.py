@@ -5,7 +5,6 @@ from luequiv import (
     DimProfile,
     NotDecomposableError,
     factor_full,
-    factor_pair,
     is_decomposable,
     kron_all,
 )
@@ -61,7 +60,7 @@ def test_factor_pair_recovers_up_to_phase():
     # (2, 32) realigns to a lopsided 4 x 1024 matrix
     for d_left, d_right in [(2, 3), (2, 32)]:
         a, b = haar_unitary(d_left, rng), haar_unitary(d_right, rng)
-        left, right = factor_pair(np.kron(a, b), d_left, d_right, 1e-7)
+        left, right = factor_full(np.kron(a, b), DimProfile((d_left, d_right)), 1e-7).factors
         assert np.linalg.norm(np.kron(left, right) - np.kron(a, b)) < 1e-10
         # each recovered factor is the original up to one global phase
         phase = left[np.unravel_index(np.argmax(np.abs(a)), a.shape)] / a[
@@ -74,7 +73,7 @@ def test_factor_pair_absorbs_scale():
     rng = np.random.default_rng(59)
     a, b = haar_unitary(2, rng), haar_unitary(2, rng)
     u = np.kron(2.0 * a, b / 2.0)  # unitary overall, factors are not
-    left, right = factor_pair(u, 2, 2, 1e-7)
+    left, right = factor_full(u, DimProfile((2, 2)), 1e-7).factors
     assert unitarity_defect(left) < 1e-10
     assert unitarity_defect(right) < 1e-10
     assert np.linalg.norm(np.kron(left, right) - np.kron(a, b)) < 1e-10
@@ -82,7 +81,7 @@ def test_factor_pair_absorbs_scale():
 
 def test_factor_pair_not_decomposable():
     with pytest.raises(NotDecomposableError) as err:
-        factor_pair(np.diag([1.0, 1.0, 1.0, -1.0]), 2, 2, 1e-7)
+        factor_full(np.diag([1.0, 1.0, 1.0, -1.0]), DimProfile((2, 2)), 1e-7)
     assert err.value.report.cut == 1
     assert np.isclose(err.value.report.ratio, 1.0)
 

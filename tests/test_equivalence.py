@@ -9,15 +9,13 @@ from luequiv import (
     FactorSet,
     SearchConfig,
     VerdictStatus,
-    build_V,
-    build_V0,
     check_equivalence,
     coset_search,
+    cut_reports,
     degeneracy_profile,
     eig_hermitian,
     is_decomposable,
     kron_all,
-    objective,
     paper_example,
     validate_density,
     verify_witness,
@@ -48,26 +46,36 @@ def witness_phases() -> np.ndarray:
     return np.where(WITNESS_SIGNS > 0, 0.0, np.pi)
 
 
+def phase_v(x, y, theta, profile):
+    """V = X diag(e^{i theta}) Y^dag, built by the coset context."""
+    return CosetContext(x, y, profile, (1,) * profile.total).build(np.exp(1j * theta))
+
+
+def surrogate(ctx, point, profile):
+    """The paper's sum (sigma2/sigma1)^2 at a coset point, from the exact cut reports."""
+    return sum(r.ratio**2 for r in cut_reports(ctx.build(point), profile, 1e-7))
+
+
 def test_build_v_identity():
-    assert np.allclose(build_V(np.eye(3), np.eye(3), np.zeros(3)), np.eye(3))
+    assert np.allclose(phase_v(np.eye(4), np.eye(4), np.zeros(4), DimProfile((2, 2))), np.eye(4))
 
 
 def test_build_v_equal_bases():
     u = haar_unitary(4, 0)
-    assert np.allclose(build_V(u, u, np.zeros(4)), np.eye(4), atol=1e-14)
+    assert np.allclose(phase_v(u, u, np.zeros(4), DimProfile((2, 2))), np.eye(4), atol=1e-14)
 
 
 def test_build_v_is_unitary():
     rng = np.random.default_rng(5)
     x, y = haar_unitary(6, rng), haar_unitary(6, rng)
     theta = rng.uniform(0, 2 * np.pi, 6)
-    v = build_V(x, y, theta)
+    v = phase_v(x, y, theta, DimProfile((2, 3)))
     assert np.linalg.norm(v @ v.conj().T - np.eye(6)) < 1e-10
 
 
 def test_build_v_dimension_mismatch():
-    with pytest.raises(ValueError):
-        build_V(np.eye(3), np.eye(3), np.zeros(4))
+    with pytest.raises(ValueError, match="eigenbasis shapes"):
+        CosetContext(np.eye(3), np.eye(3), DimProfile((2, 2)), (1,) * 4)
 
 
 def test_build_v0_reduces_to_build_v():
@@ -75,16 +83,18 @@ def test_build_v0_reduces_to_build_v():
     x, y = haar_unitary(4, rng), haar_unitary(4, rng)
     theta = rng.uniform(0, 2 * np.pi, 4)
     prof = degeneracy_profile(eig_hermitian(np.diag([4.0, 3.0, 2.0, 1.0])), 1e-8)
+    ctx = CosetContext(x, y, DimProfile((2, 2)), prof.multiplicities)
     blocks = [np.array([[np.exp(1j * t)]]) for t in theta]
-    assert np.allclose(build_V0(x, y, prof, blocks), build_V(x, y, theta), atol=1e-14)
+    point = np.concatenate([b.ravel() for b in blocks])
+    assert np.allclose(ctx.build(point), x @ np.diag(np.exp(1j * theta)) @ y.conj().T, atol=1e-14)
 
 
 def test_build_v0_identity_blocks():
     rng = np.random.default_rng(9)
     x, y = haar_unitary(4, rng), haar_unitary(4, rng)
     prof = degeneracy_profile(eig_hermitian(np.diag([0.5, 0.5, 0.0, 0.0])), 1e-8)
-    blocks = [np.eye(2), np.eye(2)]
-    assert np.allclose(build_V0(x, y, prof, blocks), x @ y.conj().T, atol=1e-14)
+    ctx = CosetContext(x, y, DimProfile((2, 2)), prof.multiplicities)
+    assert np.allclose(ctx.build(ctx.identity()), x @ y.conj().T, atol=1e-14)
 
 
 def test_build_v0_degenerate_bell_pair():
@@ -104,38 +114,39 @@ def test_build_v0_degenerate_bell_pair():
     blocks = [b[:2, :2], b[2:, 2:]]
     for blk in blocks:
         assert np.linalg.norm(blk @ blk.conj().T - np.eye(2)) < 1e-12
-    v0 = build_V0(s1.basis, s2.basis, prof, blocks)
+    ctx = CosetContext(s1.basis, s2.basis, DimProfile((2, 2)), prof.multiplicities)
+    v0 = ctx.build(np.concatenate([blk.ravel() for blk in blocks]))
     assert np.allclose(v0, hh, atol=1e-12)
     ok, reports = is_decomposable(v0, DimProfile((2, 2)), 1e-7)
     assert ok and reports[0].ratio < 1e-12
 
 
 def test_build_v0_size_mismatch():
-    prof = degeneracy_profile(eig_hermitian(np.diag([0.5, 0.5, 0.0, 0.0])), 1e-8)
-    with pytest.raises(ValueError):
-        build_V0(np.eye(4), np.eye(4), prof, [np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError, match="multiplicities sum to 5, not 4"):
+        CosetContext(np.eye(4), np.eye(4), DimProfile((2, 2)), (2, 3))
 
 
 def test_objective_zero_at_solution():
     x, y, _ = example_bases(3, 5, 7)
     ctx = CosetContext(x, y, DimProfile((2, 2, 2)), (1,) * 8)
-    assert objective(np.exp(1j * witness_phases()), ctx) < 1e-20
+    assert surrogate(ctx, np.exp(1j * witness_phases()), DimProfile((2, 2, 2))) < 1e-20
 
 
 def test_objective_positive_at_zero_phases():
     x, y, _ = example_bases(3, 5, 7)
     ctx = CosetContext(x, y, DimProfile((2, 2, 2)), (1,) * 8)
-    assert objective(ctx.identity(), ctx) > 1e-4
+    assert surrogate(ctx, ctx.identity(), DimProfile((2, 2, 2))) > 1e-4
 
 
 def test_objective_invariant_under_global_shift():
     rng = np.random.default_rng(11)
     x, y = haar_unitary(8, rng), haar_unitary(8, rng)
-    ctx = CosetContext(x, y, DimProfile((2, 2, 2)), (1,) * 8)
+    profile = DimProfile((2, 2, 2))
+    ctx = CosetContext(x, y, profile, (1,) * 8)
     theta = rng.uniform(0, 2 * np.pi, 8)
-    f0 = objective(np.exp(1j * theta), ctx)
+    f0 = surrogate(ctx, np.exp(1j * theta), profile)
     for c in [0.7, np.pi, 5.1]:
-        assert np.isclose(objective(np.exp(1j * (theta + c)), ctx), f0, rtol=1e-9)
+        assert np.isclose(surrogate(ctx, np.exp(1j * (theta + c)), profile), f0, rtol=1e-9)
 
 
 def test_phase_search_identical_state_succeeds_from_zero_seed():
@@ -155,7 +166,7 @@ def test_phase_search_paper_pair_and_decompose_agreement():
     outcome = coset_search(ctx, QUICK)
     assert outcome.success
     theta = np.angle(outcome.point)
-    ok, _ = is_decomposable(build_V(s1.basis, s2.basis, theta), rho.profile, 1e-7)
+    ok, _ = is_decomposable(ctx.build(np.exp(1j * theta)), rho.profile, 1e-7)
     assert ok
 
 
@@ -165,13 +176,20 @@ def test_coset_build_matches_build_v_and_build_v0():
     x, y = haar_unitary(8, rng), haar_unitary(8, rng)
     theta = rng.uniform(0, 2 * np.pi, 8)
     ctx = CosetContext(x, y, profile, (1,) * 8)
-    assert np.allclose(ctx.build(np.exp(1j * theta)), build_V(x, y, theta), atol=1e-14)
+    want = x @ np.diag(np.exp(1j * theta)) @ y.conj().T
+    assert np.allclose(ctx.build(np.exp(1j * theta)), want, atol=1e-14)
     deg = degeneracy_profile(eig_hermitian(np.diag([6, 5, 5, 4, 3, 3, 2, 1.0])), 1e-8)
     assert deg.multiplicities == (1, 2, 1, 2, 1, 1)
     blocks = [haar_unitary(n, rng) for n in deg.multiplicities]
     ctx = CosetContext(x, y, profile, deg.multiplicities)
     point = np.concatenate([b.ravel() for b in blocks])
-    assert np.allclose(ctx.build(point), build_V0(x, y, deg, blocks), atol=1e-14)
+    blockdiag = np.zeros((8, 8), dtype=complex)
+    lo = 0
+    for b in blocks:
+        blockdiag[lo : lo + len(b), lo : lo + len(b)] = b
+        lo += len(b)
+    want = x @ blockdiag @ y.conj().T
+    assert np.allclose(ctx.build(point), want, atol=1e-14)
 
 
 def test_check_self_equivalence_identity_witness():
@@ -305,6 +323,21 @@ def test_best_objective_is_the_surrogate_of_the_reported_cuts():
     verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=5))
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cut_reports)
+
+
+def test_exact_cut_reports_gate_the_witness_when_the_search_bound_stalls():
+    # with noise of norm 1e-9 on rho', the search's bound f stalls just above
+    # rank_tol^2 while every exact cut ratio is below rank_tol: the best point
+    # still factors into a witness that verifies
+    sample = make_equivalent_pair(DimProfile((2,) * 6), 0)
+    rng = np.random.default_rng(100)
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    noise = g + g.conj().T
+    noise *= 1e-9 / np.linalg.norm(noise)
+    rho_prime = DensityMatrix(sample.rho_prime.matrix + noise, sample.rho_prime.profile)
+    verdict = check_equivalence(sample.rho, rho_prime, SearchConfig(seed=0))
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.witness_residual <= 1e-8
 
 
 def test_check_rejects_non_finite_entries():
@@ -668,12 +701,18 @@ def test_race_carries_the_decomposition_of_its_points():
         assert outcome.objective == checked.decomposed[outcome.point.tobytes()][0], label
 
 
+def _profile(label):
+    """The dimension profile of a context from _context_factories or _planted_contexts."""
+    return DimProfile((2, 2, 2) if label == "block" else label)
+
+
 class _BoundContext:
     """A coset context that records (reported f, sum (sigma2/sigma1)^2) at
     every point it decomposes."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, profile):
         self.ctx = ctx
+        self.profile = profile
         self.seen = []
 
     def __getattr__(self, name):
@@ -681,7 +720,7 @@ class _BoundContext:
 
     def decompose(self, points, pairs=None):
         f, out = self.ctx.decompose(points, pairs)
-        self.seen.extend(zip(f, (objective(point, self.ctx) for point in points)))
+        self.seen.extend(zip(f, (surrogate(self.ctx, p, self.profile) for p in points)))
         return f, out
 
 
@@ -690,7 +729,7 @@ def test_reported_objective_never_understates_the_surrogate():
     # pass of a lone descent and at every point the search returns
     for label, ctx in _planted_contexts():
         for point, f, pairs in _escaped_starts(ctx, 2, 109):
-            bounded = _BoundContext(ctx)
+            bounded = _BoundContext(ctx, _profile(label))
             trace = []
             _align_until_stall(bounded, point, f, pairs, 200, OBJECTIVE_POLISH, trace)
             assert len(bounded.seen) >= len(trace), label
@@ -706,7 +745,8 @@ def test_reported_objective_never_understates_the_surrogate():
             f_success=1e-14,
             seed=5,
         )
-        assert outcome.objective >= objective(outcome.point, ctx) - 1e-24, label
+        paper = surrogate(ctx, outcome.point, _profile(label))
+        assert outcome.objective >= paper - 1e-24, label
 
 
 def _alignment(ctx, point, pairs):

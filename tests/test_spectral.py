@@ -180,6 +180,11 @@ def test_rank_one_zero_matrix():
     assert not report.is_rank_one and report.sigma1 == 0.0 and report.ratio == 0.0
 
 
+def test_rank_one_single_row_has_no_second_singular_value():
+    report = rank_one_test(np.arange(1.0, 17.0).reshape(1, 16), 1e-7)
+    assert report.sigma2 == 0.0 and report.ratio == 0.0 and report.is_rank_one
+
+
 def test_rank_one_scale_invariant():
     rng = np.random.default_rng(41)
     m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))

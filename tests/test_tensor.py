@@ -7,7 +7,6 @@ from luequiv import (
     kron,
     kron_all,
     realign,
-    realign_all,
     unrealign,
     unvec,
     vec,
@@ -110,17 +109,20 @@ def test_realign_bad_cut():
 
 
 def test_realign_all_bipartite_length():
-    out = realign_all(np.eye(4), DimProfile((2, 2)))
+    profile = DimProfile((2, 2))
+    out = [realign(np.eye(4), profile, k) for k in range(1, profile.nsites)]
     assert len(out) == 1 and out[0].cut == 1
 
 
 def test_realign_all_tripartite_shapes():
-    out = realign_all(np.eye(8), DimProfile((2, 2, 2)))
+    profile = DimProfile((2, 2, 2))
+    out = [realign(np.eye(8), profile, k) for k in range(1, profile.nsites)]
     assert [o.shape for o in out] == [(4, 16), (16, 4)]
 
 
 def test_realign_all_four_qubit_shapes():
-    out = realign_all(np.eye(16), DimProfile((2, 2, 2, 2)))
+    profile = DimProfile((2, 2, 2, 2))
+    out = [realign(np.eye(16), profile, k) for k in range(1, profile.nsites)]
     assert [o.shape for o in out] == [(4, 64), (16, 16), (64, 4)]
 
 
@@ -130,7 +132,7 @@ def test_unrealign_inverts_exactly():
         profile = DimProfile(dims)
         n = profile.total
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for cr in realign_all(z, profile):
+        for cr in [realign(z, profile, k) for k in range(1, profile.nsites)]:
             assert np.array_equal(unrealign(cr, profile), z)
 
 
@@ -138,7 +140,7 @@ def test_realign_preserves_frobenius_norm():
     rng = np.random.default_rng(17)
     z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     profile = DimProfile((2, 3, 2))
-    for cr in realign_all(z, profile):
+    for cr in [realign(z, profile, k) for k in range(1, profile.nsites)]:
         assert np.isclose(np.linalg.norm(cr.matrix), np.linalg.norm(z), atol=0)
 
 
@@ -146,14 +148,15 @@ def test_realign_all_product_unitary_rank_one_everywhere():
     rng = np.random.default_rng(19)
     factors = [haar_unitary(2, rng), haar_unitary(2, rng), haar_unitary(2, rng)]
     v = kron_all(factors)
-    for cr in realign_all(v, DimProfile((2, 2, 2))):
+    profile = DimProfile((2, 2, 2))
+    for cr in [realign(v, profile, k) for k in range(1, profile.nsites)]:
         sv = np.linalg.svd(cr.matrix, compute_uv=False)
         assert sv[1] / sv[0] < 1e-12
 
 
 def test_realign_tolerates_unit_dimensions():
     profile = DimProfile((1, 4))
-    out = realign_all(np.eye(4), profile)
+    out = [realign(np.eye(4), profile, k) for k in range(1, profile.nsites)]
     assert [o.shape for o in out] == [(1, 16)]
     assert np.linalg.matrix_rank(out[0].matrix) == 1
 
