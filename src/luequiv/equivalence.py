@@ -20,13 +20,14 @@ conjugation residual is verified.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .decompose import FactorSet, NotDecomposableError, cut_reports, factor_full
-from .oracle import haar_unitary
+from .oracle import haar_unitary, reduced_density
 from .search import SearchOutcome, run_search
 from .spectral import RankOneReport, Spectrum, degeneracy_profile, spectra_match
 from .states import DensityMatrix, validate_density
@@ -287,11 +288,72 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return flat @ flat.transpose(0, 2, 1)
 
 
-def coset_search(ctx: CosetContext, config: SearchConfig) -> SearchOutcome:
+def _frame_point(
+    ctx: CosetContext,
+    rho: DensityMatrix,
+    rho_prime: DensityMatrix,
+    config: SearchConfig,
+    deg_tol: float,
+) -> np.ndarray | None:
+    """The coset point of the local-eigenframe witness guess, or None when
+    the one-site marginals do not fix it.
+
+    A one-site marginal is LU-covariant, rho'_i = U_i rho_i U_i^dag, so a
+    non-degenerate marginal fixes U_i = Q_i diag(e^{i phi_i}) P_i^dag, with
+    P_i and Q_i the eigenbases of the marginals of rho and rho' in the same
+    eigenvalue order: Kraus's local-Schmidt frame (PRL 104, 020504
+    (2010)).  In the product frames, A = P^dag rho P and B = Q^dag rho' Q of
+    an equivalent pair obey B_ab = e^{i(phi_a - phi_b)} A_ab, so
+    M_i = Tr_{other sites}(B o conj(A)) is D_i N_i D_i^dag with N_i
+    entrywise >= 0, and phi_i is the argument of M_i's leading (Perron)
+    eigenvector.  B o conj(A) is positive semidefinite (Schur), which is
+    why its partial traces are taken as a DensityMatrix's.  The point is
+    X^dag W^dag Y read on
+    the coset's blocks, W = kron_i Q_i diag(e^{i phi_i}) P_i^dag, projected
+    onto the coset.  None when a pair of marginal spectra differ by more
+    than spec_tol, a marginal has a gap <= deg_tol (the states' own
+    degeneracy threshold), or M_i's top gap is within degeneracy_tol of its
+    span.
+    """
+    profile = rho.profile
+    frames = []
+    for i in range(profile.nsites):
+        # eigh's column phases are a diagonal gauge, which M_i's phases absorb
+        w, v = np.linalg.eigh(np.array([reduced_density(r, i) for r in (rho, rho_prime)]))
+        if np.max(np.abs(w[0] - w[1])) > config.spec_tol or np.any(np.diff(w[0]) <= deg_tol):
+            return None
+        frames.append(v)
+    p, q = (kron_all([v[j] for v in frames]) for j in (0, 1))
+    a = p.conj().T @ rho.matrix @ p
+    b = q.conj().T @ rho_prime.matrix @ q
+    overlap = DensityMatrix(matrix=b * a.conj(), profile=profile)
+    w_dag = []
+    for i, (pi, qi) in enumerate(frames):
+        w, v = np.linalg.eigh(reduced_density(overlap, i))
+        if w.size > 1 and w[-1] - w[-2] <= config.degeneracy_tol * (w[-1] - w[0]):
+            return None
+        w_dag.append((pi * np.exp(-1j * np.angle(v[:, -1]))) @ qi.conj().T)
+    point = np.sum((ctx.xt.conj() @ kron_all(w_dag)) * ctx.ych.conj(), axis=1)
+    return ctx.project(point[np.newaxis])[0]
+
+
+def coset_search(
+    ctx: CosetContext,
+    config: SearchConfig,
+    start: np.ndarray | None = None,
+    accept: Callable[[np.ndarray], bool] | None = None,
+) -> SearchOutcome:
     """Find a coset point driving the objective below rank_tol^2, or report the best.
 
-    Start 0 is the identity and later starts are random points, raced a few
-    at a time; each runs up to ``config.sweeps`` alignment passes.
+    Start 0 is ``start``, or the identity when there is none, and later
+    starts are random points, raced a few at a time; each runs up to
+    ``config.sweeps`` alignment passes.  check_equivalence passes Kraus's
+    local-eigenframe point (PRL 104, 020504 (2010); _frame_point), or no
+    start when the one-site marginals do not fix it.  The start changes
+    where the search begins, not what restarts_used and the objective
+    history count.  ``accept(point)``, when given, is asked where a lone
+    descent stalls above rank_tol^2, and the search stops at a point it
+    takes (search.run_search).
     """
     return run_search(
         ctx,
@@ -301,6 +363,8 @@ def coset_search(ctx: CosetContext, config: SearchConfig) -> SearchOutcome:
         f_target=config.objective_target,
         f_success=config.objective_success,
         seed=config.seed,
+        start=start,
+        accept=accept,
     )
 
 
@@ -339,9 +403,12 @@ def check_equivalence(
     Pipeline: validate, compare spectra (a mismatch is a conclusive NO),
     then search the coset X blockdiag(A_1..A_r) Y^dag (diagonal phases when
     the spectrum is non-degenerate, multiplicities <= max_block otherwise)
-    for a tensor decomposable element.  Whenever the exact rank-one test
-    passes at every cut of the best point found, that V is factored and the
-    witness verified, even if the search's bound f stalled above its goal.
+    for a tensor decomposable element, from the local-eigenframe start when
+    the marginals fix it.  Whenever the exact rank-one test passes at every
+    cut of a point where a lone descent stalled, or of the best point found,
+    that V is factored and the witness verified, even if the search's bound
+    f stalled above its goal; the search stops at the first stalled point
+    whose witness verifies.
     """
     if config is None:
         config = SearchConfig()
@@ -363,9 +430,29 @@ def check_equivalence(
         return Verdict(status=VerdictStatus.DEGENERATE_UNSUPPORTED, seed=config.seed)
 
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, deg.multiplicities)
-    outcome = coset_search(ctx, config)
-    v_best = ctx.build(outcome.point)
-    reports = cut_reports(v_best, rho.profile, config.rank_tol)
+
+    def certify(point: np.ndarray):
+        """The exact cut reports of a point, and its verified witness or None."""
+        v = ctx.build(point)
+        reports = cut_reports(v, rho.profile, config.rank_tol)
+        # f bounds sum (sigma2/sigma1)^2, so a search success passes this too;
+        # soundness rests on the verified witness, not on this gate
+        if not all(r.is_rank_one for r in reports):
+            return reports, None
+        return reports, _witness_from_v(v, rho, rho_prime, config)
+
+    accepted = []
+
+    def accept(point: np.ndarray) -> bool:
+        reports, verified = certify(point)
+        if verified is not None:
+            accepted.append((reports, verified))
+        return verified is not None
+
+    start = _frame_point(ctx, rho, rho_prime, config, deg_tol)
+    outcome = coset_search(ctx, config, start, accept)
+    # the search stops at the first point accept takes, and returns it
+    reports, verified = accepted[0] if accepted else certify(outcome.point)
     found = dict(
         # measured from a_1, so theta_1 is exactly zero
         phases=None
@@ -379,16 +466,12 @@ def check_equivalence(
         seed=config.seed,
         restarts_used=outcome.restarts_used,
     )
-    # f bounds sum (sigma2/sigma1)^2, so a search success passes this too;
-    # soundness rests on the verified witness, not on this gate
-    if all(r.is_rank_one for r in reports):
-        verified = _witness_from_v(v_best, rho, rho_prime, config)
-        if verified is not None:
-            witness, residual = verified
-            return Verdict(
-                status=VerdictStatus.EQUIVALENT,
-                witness=witness,
-                witness_residual=residual,
-                **found,
-            )
+    if verified is not None:
+        witness, residual = verified
+        return Verdict(
+            status=VerdictStatus.EQUIVALENT,
+            witness=witness,
+            witness_residual=residual,
+            **found,
+        )
     return Verdict(status=VerdictStatus.NOT_FOUND, **found)

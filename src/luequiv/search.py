@@ -12,11 +12,16 @@ coset).  Each race carries its starts' stacked (points, f, pairs), so every
 point is decomposed once, and each decomposition but a start's first is
 warm-started from the pairs of the point before it.
 
-Start r = 0 is the identity; start r >= 1 is a random point drawn from its
-own generator.  Most starts leave the bulk of the coset, where every cut's
-realignment still has sigma2 close to sigma1, within a few passes; the rest
-crawl there for tens of passes, whether or not they end at a solution.  So
-starts race STARTS_PER_ROUND at a time: the starts still above the escape
+Start r = 0 is the caller's ``start`` point, or the identity without one:
+the coset search passes the local-eigenframe point (Kraus, PRL 104, 020504
+(2010); equivalence._frame_point), and none when the one-site marginals do
+not fix it.  Start r >= 1 is a random point drawn from its own generator.
+Where start 0 is a solution, the search ends after its first pass.
+
+Most starts leave the bulk of the coset, where every cut's realignment
+still has sigma2 close to sigma1, within a few passes; the rest crawl there
+for tens of passes, whether or not they end at a solution.  So starts race
+STARTS_PER_ROUND at a time: the starts still above the escape
 level take a pass as one stacked evaluation, and a start that falls to it
 runs passes alone (a stack of one) until the objective reaches the polish
 target, the passes stall, or the pass budget runs out.  A start still in
@@ -27,10 +32,16 @@ number of passes instead of a crawl.
 Alone, a start converges linearly, so its passes are Anderson-mixed (Walker
 & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) over the last MIX_DEPTH outputs.
 A mix is kept only when it lowers f; else the pass output is, with no history.
+
+A lone descent can stall just above f_success at a point the caller can
+still certify (f only bounds the caller's test from above).  The caller's
+``accept(point)`` is asked at every such point, and the search stops at the
+first it accepts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,15 +116,18 @@ def _race(
     f_target: float,
     f_success: float,
     trace: list[float],
-) -> tuple[np.ndarray, float]:
-    """Race the stacked starts until one reaches f_success; returns the best (point, f).
+    accept: Callable[[np.ndarray], bool] | None,
+) -> tuple[np.ndarray, float, bool]:
+    """Race the stacked starts until one reaches f_success or is accepted;
+    returns the best (point, f), or the accepted one, and whether it was accepted.
 
     Each round, every start above f_escape takes a pass, all of them in one
     ``sweep`` and one ``decompose`` call.  A start that falls to it leaves
     the race and runs passes alone until the polish target, a stall or the
-    pass budget; the race ends when that start reaches f_success, and goes
-    on with the others when it does not.  A start still above f_escape after
-    ESCAPE_PASSES passes is dropped.
+    pass budget; the race ends when that start reaches f_success, or stalls
+    above it at a point ``accept`` takes, and goes on with the others when
+    neither holds.  A start still above f_escape after ESCAPE_PASSES passes
+    is dropped.
     """
     f, pairs = ctx.decompose(points)
     best = (points[np.argmin(f)], np.min(f))
@@ -128,10 +142,12 @@ def _race(
             if f_alone < best[1]:
                 best = (point[0], f_alone)
             if f_alone <= f_success:
-                return best
+                return (*best, False)
+            if accept is not None and accept(point[0]):
+                return point[0], f_alone, True
         racing = np.flatnonzero(~escaped)
         if not racing.size or done >= min(passes, ESCAPE_PASSES):
-            return best
+            return (*best, False)
         pairs = [(u[racing], w[racing]) for u, w in pairs]
         points = ctx.sweep(points[racing], pairs)
         f, pairs = ctx.decompose(points, pairs)
@@ -151,6 +167,8 @@ def run_search(
     f_target: float,
     f_success: float,
     seed: int = 0,
+    start: np.ndarray | None = None,
+    accept: Callable[[np.ndarray], bool] | None = None,
 ) -> SearchOutcome:
     """Race starts, STARTS_PER_ROUND at a time, until the objective drops below f_success.
 
@@ -158,29 +176,34 @@ def run_search(
     each may run.  f_escape is the level below which a start has left the
     bulk, f_target the polish level an escaped start descends toward, and
     f_success (>= f_target) the level at which the search stops and declares
-    success.  The result is deterministic for a given seed:
-    start r draws from its own generator, and without a success the lowest
-    objective wins, the earliest start breaking ties.
+    success.  ``start`` replaces the identity as start 0.  ``accept`` is
+    asked at each point where a lone descent stalls above f_success; the
+    search stops at the first point it takes and reports it as a success.
+    The result is deterministic for a given seed: start r draws from its
+    own generator, and without a success the lowest objective wins, the
+    earliest start breaking ties.
     """
     f_success = max(f_success, f_target)
     n = max(1, restarts)
     trace: list[float] = []
-    best_point, best_f = None, np.inf
+    best_point, best_f, accepted = None, np.inf, False
+    start = ctx.identity() if start is None else start
     used = 0
     for first in range(0, n, STARTS_PER_ROUND):
         rs = range(first, min(first + STARTS_PER_ROUND, n))
         used += len(rs)
         starts = [
-            ctx.identity() if r == 0 else ctx.random_point(np.random.default_rng([seed, r]))
-            for r in rs
+            start if r == 0 else ctx.random_point(np.random.default_rng([seed, r])) for r in rs
         ]
-        point, f = _race(ctx, np.array(starts), passes, f_escape, f_target, f_success, trace)
-        if f < best_f:
+        point, f, accepted = _race(
+            ctx, np.array(starts), passes, f_escape, f_target, f_success, trace, accept
+        )
+        if accepted or f < best_f:
             best_point, best_f = point, f
-        if best_f <= f_success:
+        if accepted or best_f <= f_success:
             break
     return SearchOutcome(
-        success=bool(best_f <= f_success),
+        success=bool(accepted or best_f <= f_success),
         point=best_point,
         objective=float(best_f),
         history=[(i, float(f)) for i, f in enumerate(trace)],

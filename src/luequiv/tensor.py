@@ -108,7 +108,11 @@ def kron_all(mats) -> np.ndarray:
         raise ValueError("kron_all needs at least one matrix")
     out = as_cmatrix(mats[0])
     for m in mats[1:]:
-        out = np.kron(out, as_cmatrix(m))
+        m = as_cmatrix(m)
+        # np.kron's products, without its per-call axis bookkeeping
+        out = (out[:, np.newaxis, :, np.newaxis] * m[np.newaxis, :, np.newaxis, :]).reshape(
+            out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]
+        )
     return out
 
 

@@ -20,6 +20,7 @@ from luequiv import (
     validate_density,
     verify_witness,
 )
+from luequiv import equivalence
 from luequiv.equivalence import (
     ESCAPE_LEVEL_PER_CUT,
     OBJECTIVE_POLISH,
@@ -340,6 +341,108 @@ def test_exact_cut_reports_gate_the_witness_when_the_search_bound_stalls():
     assert verdict.witness_residual <= 1e-8
 
 
+def _noisy_six_qubit_pair(seed):
+    """A planted 2^6 pair with Hermitian noise of norm 1e-9 on rho'."""
+    sample = make_equivalent_pair(DimProfile((2,) * 6), seed)
+    rng = np.random.default_rng(100 + seed)
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    noise = g + g.conj().T
+    noise *= 1e-9 / np.linalg.norm(noise)
+    return sample.rho, DensityMatrix(sample.rho_prime.matrix + noise, sample.rho_prime.profile)
+
+
+def test_search_stops_at_a_verified_stalled_start():
+    # the lone descent from the frame start stalls above rank_tol^2; its
+    # point passes the exact cut test and verifies, so the first round's
+    # starts are the only ones used
+    rho, rho_prime = _noisy_six_qubit_pair(1)
+    config = SearchConfig(seed=1)
+    verdict = check_equivalence(rho, rho_prime, config)
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.witness_residual <= 1e-8
+    assert verdict.objective_history[-1][1] > config.objective_success
+    assert verdict.restarts_used == STARTS_PER_ROUND
+
+
+def _check_with_frame(monkeypatch, rho, rho_prime, config):
+    """check_equivalence's verdict, its coset context and its frame start point."""
+    seen = []
+
+    def spy(ctx, *args):
+        seen.append((ctx, real(ctx, *args)))
+        return seen[-1][1]
+
+    real = equivalence._frame_point
+    monkeypatch.setattr(equivalence, "_frame_point", spy)
+    verdict = check_equivalence(rho, rho_prime, config)
+    monkeypatch.undo()
+    ((ctx, point),) = seen
+    return verdict, ctx, point
+
+
+def test_frame_start_is_a_solution_and_the_check_ends_in_one_pass(monkeypatch):
+    config = SearchConfig(seed=4)
+    samples = [
+        make_equivalent_pair(DimProfile(dims), 31)
+        for dims in [(2, 3), (2, 2, 2), (3, 3, 3), (2,) * 6]
+    ]
+    samples.append(make_degenerate_pair(DimProfile((2, 2, 2)), 31))
+    for sample in samples:
+        verdict, ctx, point = _check_with_frame(
+            monkeypatch, sample.rho, sample.rho_prime, config
+        )
+        (f,), _ = ctx.decompose(point[np.newaxis])
+        assert f <= config.rank_tol**2, sample.rho.profile
+        assert verdict.status is VerdictStatus.EQUIVALENT
+        assert len(verdict.objective_history) == 1, sample.rho.profile
+
+
+def test_frame_falls_back_to_the_identity(monkeypatch):
+    config = SearchConfig(sweeps=20, seed=2)
+    # a Bell pair's marginals are I/2: degenerate
+    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    hh = np.kron(h, h)
+    profile = DimProfile((2, 2))
+    bell = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    rho = DensityMatrix(matrix=bell, profile=profile)
+    rho_p = DensityMatrix(matrix=hh @ bell @ hh.conj().T, profile=profile)
+    verdict, _, point = _check_with_frame(monkeypatch, rho, rho_p, config)
+    assert point is None
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    # an independent Haar rotation keeps the spectrum, not the marginal spectra
+    profile = DimProfile((2, 2, 2))
+    rho = random_density(profile, "generic-nondegenerate", 71)
+    rotated = random_density(profile, eig_hermitian(rho.matrix).eigenvalues, 72)
+    verdict, _, point = _check_with_frame(monkeypatch, rho, rotated, config)
+    assert point is None
+    assert verdict.status is VerdictStatus.NOT_FOUND
+
+
+def test_frame_start_on_the_conjugate_stays_not_found(monkeypatch):
+    # rho* has rho's marginal spectra, so the frame is built, and the
+    # search from it still finds no decomposable V
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
+    verdict, _, point = _check_with_frame(monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=2))
+    assert point is not None
+    assert verdict.status is VerdictStatus.NOT_FOUND
+    assert verdict.witness is None
+
+def test_frame_start_is_deterministic_given_seed(monkeypatch):
+    # the same seed gives the same frame start, phases and witness
+    sample = make_equivalent_pair(DimProfile((3, 3, 3)), 37)
+    runs = [
+        _check_with_frame(monkeypatch, sample.rho, sample.rho_prime, SearchConfig(seed=5))
+        for _ in "ab"
+    ]
+    (v1, _, start1), (v2, _, start2) = runs
+    assert start1 is not None and np.array_equal(start1, start2)
+    assert v1.status is v2.status is VerdictStatus.EQUIVALENT
+    assert np.array_equal(v1.phases, v2.phases)
+    for f1, f2 in zip(v1.witness.factors, v2.witness.factors):
+        assert np.array_equal(f1, f2)
+
+
 def test_check_rejects_non_finite_entries():
     m = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
     m[3, 3] = np.inf
@@ -376,16 +479,20 @@ def test_check_normalizes_trace_with_warning():
 
 
 def test_check_runs_one_eigensolve_per_state(monkeypatch):
+    # only D x D eigensolves count: the start point's frame solves d_i x d_i
+    # marginals and phase matrices
     calls = []
+    profile = DimProfile((2, 2, 2))
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         real = getattr(np.linalg, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            if np.shape(a)[-2:] == (profile.total, profile.total):
+                calls.append(_name)
+            return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    sample = make_equivalent_pair(DimProfile((2, 2, 2)), 113)
+    sample = make_equivalent_pair(profile, 113)
     verdict = check_equivalence(sample.rho, sample.rho_prime, QUICK)
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert calls == ["eigh", "eigh"]
@@ -828,6 +935,28 @@ def test_race_goes_on_after_an_escaped_start_stalls():
     # a racing pass per start, 3 stalled passes of start 0, a racing pass
     # per other start, then start 1 polishes from 1e-6 to 1e-21
     assert len(outcome.history) == STARTS_PER_ROUND + 3 + (STARTS_PER_ROUND - 1) + 5
+
+
+def test_search_stops_at_the_first_stall_accept_takes():
+    # start 0 stalls above f_success and is accepted: the race ends there;
+    # points still in the bulk are never offered
+    ctx = _ScriptedContext(
+        [lambda k: 1.0 if k == 0 else 1e-2] + [lambda k: 1.0] * (2 * STARTS_PER_ROUND - 1)
+    )
+    offered = []
+    outcome = run_search(
+        ctx,
+        passes=1000,
+        restarts=2 * STARTS_PER_ROUND,
+        f_escape=0.1,
+        f_target=1e-20,
+        f_success=1e-14,
+        accept=lambda point: offered.append(point.copy()) or True,
+    )
+    assert outcome.success
+    assert outcome.point[0] == 0 and outcome.objective == 1e-2
+    assert outcome.restarts_used == STARTS_PER_ROUND
+    assert [p[0] for p in offered] == [0]
 
 
 def test_start_stuck_in_the_bulk_costs_a_fixed_number_of_passes():
