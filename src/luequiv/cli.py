@@ -120,6 +120,7 @@ def _verdict_json(verdict: Verdict) -> dict:
         "degenerate_fallback": verdict.used_degenerate_fallback,
         "seed": verdict.seed,
         "restarts_used": verdict.restarts_used,
+        "path": verdict.path,
         "objective_history": [[i, f] for i, f in verdict.objective_history],
     }
     if verdict.witness is not None:
@@ -149,6 +150,8 @@ def _cut_line(r) -> str:
 
 def _report_check(verdict: Verdict, out, nsites: int = 2) -> None:
     print(f"verdict: {verdict.status.value}", file=out)
+    if verdict.path is not None:
+        print(f"path: {verdict.path}", file=out)
     if verdict.used_degenerate_fallback:
         note = "note: degenerate spectrum; used the block-unitary search"
         if nsites > 2:

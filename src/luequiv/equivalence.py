@@ -103,6 +103,9 @@ class Verdict:
     used_degenerate_fallback: bool = False
     seed: int | None = None
     restarts_used: int = 0
+    # "frame" (the local-eigenframe point certified, no search ran), "coset"
+    # or "coset-block" (the degenerate fallback's search); None before either
+    path: str | None = None
 
 
 def _cut_stacks(xt: np.ndarray, ych: np.ndarray, d_left: int, d_right: int):
@@ -150,19 +153,22 @@ class CosetContext:
         self.sizes = tuple(int(n) for n in multiplicities)
         if sum(self.sizes) != dim:
             raise ValueError(f"multiplicities sum to {sum(self.sizes)}, not {dim}")
-        self.slices: list[slice] = []
-        rows, cols = [], []
-        lo = m = 0
-        for n in self.sizes:
-            self.slices.append(slice(m, m + n * n))
-            rows.append(lo + np.repeat(np.arange(n), n))
-            cols.append(lo + np.tile(np.arange(n), n))
-            lo += n
-            m += n * n
-        self.size = m
-        self.phase_entries = [sl.start for sl, n in zip(self.slices, self.sizes) if n == 1]
-        self.xt = np.ascontiguousarray(x[:, np.concatenate(rows)].T)
-        self.ych = np.ascontiguousarray(y[:, np.concatenate(cols)].conj().T)
+        # entry m of the point is (row, col) = (lo + j // n, lo + j % n) of its
+        # block, with j its index in the block, lo the block's first row and
+        # n its size: one set of array calls, not one per block
+        n = np.array(self.sizes)
+        lo = np.cumsum(n) - n
+        ends = np.cumsum(n * n)
+        starts = ends - n * n
+        self.size = int(ends[-1])
+        self.slices = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+        self.phase_entries = starts[n == 1].tolist()
+        block = np.repeat(np.arange(len(n)), n * n)
+        j = np.arange(self.size) - starts[block]
+        rows = lo[block] + j // n[block]
+        cols = lo[block] + j % n[block]
+        self.xt = np.ascontiguousarray(x[:, rows].T)
+        self.ych = np.ascontiguousarray(y[:, cols].conj().T)
         self.splits = [profile.split(k) for k in range(1, profile.nsites)]
         self.cut_stacks = [_cut_stacks(self.xt, self.ych, dl, dr) for dl, dr in self.splits]
 
@@ -312,8 +318,8 @@ def _frame_point(
     the coset's blocks, W = kron_i Q_i diag(e^{i phi_i}) P_i^dag, projected
     onto the coset.  None when a pair of marginal spectra differ by more
     than spec_tol, a marginal has a gap <= deg_tol (the states' own
-    degeneracy threshold), or M_i's top gap is within degeneracy_tol of its
-    span.
+    degeneracy threshold), M_i's top gap is within degeneracy_tol of its
+    span, or the point is zero on a 1x1 block, which has no nearest phase.
     """
     profile = rho.profile
     frames = []
@@ -334,6 +340,8 @@ def _frame_point(
             return None
         w_dag.append((pi * np.exp(-1j * np.angle(v[:, -1]))) @ qi.conj().T)
     point = np.sum((ctx.xt.conj() @ kron_all(w_dag)) * ctx.ych.conj(), axis=1)
+    if np.any(point[ctx.phase_entries] == 0):
+        return None
     return ctx.project(point[np.newaxis])[0]
 
 
@@ -347,9 +355,10 @@ def coset_search(
 
     Start 0 is ``start``, or the identity when there is none, and later
     starts are random points, raced a few at a time; each runs up to
-    ``config.sweeps`` alignment passes.  check_equivalence passes Kraus's
-    local-eigenframe point (PRL 104, 020504 (2010); _frame_point), or no
-    start when the one-site marginals do not fix it.  The start changes
+    ``config.sweeps`` alignment passes.  check_equivalence calls it only
+    when Kraus's local-eigenframe point (PRL 104, 020504 (2010);
+    _frame_point) does not certify, and passes that point as the start, or
+    no start when the one-site marginals do not fix it.  The start changes
     where the search begins, not what restarts_used and the objective
     history count.  ``accept(point)``, when given, is asked where a lone
     descent stalls above rank_tol^2, and the search stops at a point it
@@ -401,14 +410,17 @@ def check_equivalence(
     """Decide LU equivalence and produce witness local unitaries when found.
 
     Pipeline: validate, compare spectra (a mismatch is a conclusive NO),
-    then search the coset X blockdiag(A_1..A_r) Y^dag (diagonal phases when
-    the spectrum is non-degenerate, multiplicities <= max_block otherwise)
-    for a tensor decomposable element, from the local-eigenframe start when
-    the marginals fix it.  Whenever the exact rank-one test passes at every
-    cut of a point where a lone descent stalled, or of the best point found,
-    that V is factored and the witness verified, even if the search's bound
-    f stalled above its goal; the search stops at the first stalled point
-    whose witness verifies.
+    then look for a tensor decomposable element of the coset
+    X blockdiag(A_1..A_r) Y^dag (diagonal phases when the spectrum is
+    non-degenerate, multiplicities <= max_block otherwise).  The
+    local-eigenframe point, when the marginals fix it, is tried first: when
+    it certifies, the check is EQUIVALENT with path "frame" and no search
+    runs.  Otherwise the coset search runs from it (or from the identity).
+    A point certifies when the exact rank-one test passes at every cut and
+    its V factors into a verified witness; that gate decides the frame
+    point, each point where a lone descent stalled, and the best point
+    found, even if the search's bound f stalled above its goal.  The search
+    stops at the first stalled point that certifies.
     """
     if config is None:
         config = SearchConfig()
@@ -450,21 +462,26 @@ def check_equivalence(
         return verified is not None
 
     start = _frame_point(ctx, rho, rho_prime, config, deg_tol)
-    outcome = coset_search(ctx, config, start, accept)
-    # the search stops at the first point accept takes, and returns it
-    reports, verified = accepted[0] if accepted else certify(outcome.point)
+    # a frame point that certifies decides the check: no search runs
+    reports, verified = certify(start) if start is not None else (None, None)
+    point, path, history, restarts_used = start, "frame", [], 0
+    if verified is None:
+        outcome = coset_search(ctx, config, start, accept)
+        point, history, restarts_used = outcome.point, outcome.history, outcome.restarts_used
+        path = "coset-block" if fallback else "coset"
+        # the search stops at the first point accept takes, and returns it
+        reports, verified = accepted[0] if accepted else certify(point)
     found = dict(
         # measured from a_1, so theta_1 is exactly zero
-        phases=None
-        if fallback
-        else (np.angle(outcome.point) - np.angle(outcome.point[0])) % (2.0 * np.pi),
+        phases=None if fallback else (np.angle(point) - np.angle(point[0])) % (2.0 * np.pi),
         cut_reports=reports,
-        objective_history=outcome.history,
+        objective_history=history,
         # the paper's surrogate; the search's f only bounds it from above
         best_objective=sum(r.ratio**2 for r in reports),
         used_degenerate_fallback=fallback,
         seed=config.seed,
-        restarts_used=outcome.restarts_used,
+        restarts_used=restarts_used,
+        path=path,
     )
     if verified is not None:
         witness, residual = verified

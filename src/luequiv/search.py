@@ -14,9 +14,9 @@ warm-started from the pairs of the point before it.
 
 Start r = 0 is the caller's ``start`` point, or the identity without one:
 the coset search passes the local-eigenframe point (Kraus, PRL 104, 020504
-(2010); equivalence._frame_point), and none when the one-site marginals do
-not fix it.  Start r >= 1 is a random point drawn from its own generator.
-Where start 0 is a solution, the search ends after its first pass.
+(2010); equivalence._frame_point) when that point did not certify on its
+own, and none when the one-site marginals do not fix it.  Start r >= 1 is
+a random point drawn from its own generator.
 
 Most starts leave the bulk of the coset, where every cut's realignment
 still has sigma2 close to sigma1, within a few passes; the rest crawl there

@@ -24,6 +24,7 @@ from luequiv import equivalence
 from luequiv.equivalence import (
     ESCAPE_LEVEL_PER_CUT,
     OBJECTIVE_POLISH,
+    WITNESS_TOL,
     CosetContext,
     _cut_stacks,
     _leading_overlaps,
@@ -221,6 +222,19 @@ def test_check_paper_example():
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.witness_residual < 1e-8
     assert not verdict.used_degenerate_fallback
+    # the marginals make the frame fall back, so the paper's search decides it
+    assert verdict.path == "coset"
+
+
+def test_frame_point_with_a_zero_phase_entry_falls_back():
+    # with a = 2 the spectrum has a multiplicity-2 block, and the frame point
+    # is zero on a 1x1 block, which has no nearest phase
+    with pytest.warns(UserWarning, match="degenerate spectrum"):
+        rho, rho_p = paper_example(2, 3, 4)
+    verdict = check_equivalence(rho, rho_p, SearchConfig(seed=1))
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.witness_residual < 1e-8
+    assert verdict.path == "coset-block"
 
 
 def test_verify_witness_identity():
@@ -351,10 +365,12 @@ def _noisy_six_qubit_pair(seed):
     return sample.rho, DensityMatrix(sample.rho_prime.matrix + noise, sample.rho_prime.profile)
 
 
-def test_search_stops_at_a_verified_stalled_start():
-    # the lone descent from the frame start stalls above rank_tol^2; its
-    # point passes the exact cut test and verifies, so the first round's
-    # starts are the only ones used
+def test_search_stops_at_a_verified_stalled_start(monkeypatch):
+    # without the frame point (which certifies this pair before any search)
+    # the search starts at the identity; the lone descent stalls above
+    # rank_tol^2 at a point that passes the exact cut test and verifies, so
+    # the first round's starts are the only ones used
+    monkeypatch.setattr(equivalence, "_frame_point", lambda *args: None)
     rho, rho_prime = _noisy_six_qubit_pair(1)
     config = SearchConfig(seed=1)
     verdict = check_equivalence(rho, rho_prime, config)
@@ -380,7 +396,7 @@ def _check_with_frame(monkeypatch, rho, rho_prime, config):
     return verdict, ctx, point
 
 
-def test_frame_start_is_a_solution_and_the_check_ends_in_one_pass(monkeypatch):
+def test_frame_point_decides_planted_pairs_without_a_search(monkeypatch):
     config = SearchConfig(seed=4)
     samples = [
         make_equivalent_pair(DimProfile(dims), 31)
@@ -388,13 +404,25 @@ def test_frame_start_is_a_solution_and_the_check_ends_in_one_pass(monkeypatch):
     ]
     samples.append(make_degenerate_pair(DimProfile((2, 2, 2)), 31))
     for sample in samples:
+        searches = []
+        monkeypatch.setattr(equivalence, "run_search", lambda *a, **k: searches.append(a))
         verdict, ctx, point = _check_with_frame(
             monkeypatch, sample.rho, sample.rho_prime, config
         )
+        label = sample.rho.profile
+        assert searches == [], label
         (f,), _ = ctx.decompose(point[np.newaxis])
-        assert f <= config.rank_tol**2, sample.rho.profile
-        assert verdict.status is VerdictStatus.EQUIVALENT
-        assert len(verdict.objective_history) == 1, sample.rho.profile
+        assert f <= config.rank_tol**2, label
+        assert verdict.status is VerdictStatus.EQUIVALENT, label
+        assert verdict.path == "frame", label
+        assert verdict.objective_history == [] and verdict.restarts_used == 0, label
+        # the frame verdict ships what a search verdict does: a verified
+        # witness, rank-one cuts and phases measured from theta_1 = 0
+        residual = verify_witness(sample.rho, sample.rho_prime, verdict.witness)
+        assert residual <= WITNESS_TOL, label
+        assert all(r.is_rank_one for r in verdict.cut_reports), label
+        if not verdict.used_degenerate_fallback:
+            assert verdict.phases[0] == 0.0, label
 
 
 def test_frame_falls_back_to_the_identity(monkeypatch):
@@ -1010,7 +1038,8 @@ def test_planted_pair_on_six_qubits():
     verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=7))
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.witness_residual <= 1e-8
-    assert verdict.restarts_used >= 1
+    assert verdict.path == "frame"
+    assert verdict.restarts_used == 0
 
 
 def test_planted_pairs_beyond_three_qubits():
