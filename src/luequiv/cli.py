@@ -2,7 +2,7 @@
 
 Exit codes for ``check`` are the machine contract:
 0 = EQUIVALENT, 2 = INEQUIVALENT_SPECTRUM, 3 = NOT_FOUND,
-4 = DEGENERATE_UNSUPPORTED, 1 = usage/parse/validation error.
+1 = usage/parse/validation error.
 ``factor`` exits 0 when factored, 2 when the input is not a tensor product.
 """
 
@@ -28,7 +28,6 @@ EXIT_CODES = {
     VerdictStatus.EQUIVALENT: 0,
     VerdictStatus.INEQUIVALENT_SPECTRUM: 2,
     VerdictStatus.NOT_FOUND: 3,
-    VerdictStatus.DEGENERATE_UNSUPPORTED: 4,
 }
 
 
@@ -67,7 +66,6 @@ def _config_from(args) -> SearchConfig:
         rank_tol=args.tol_rank,
         spec_tol=args.tol_spec,
         degeneracy_tol=args.tol_degeneracy,
-        max_block=args.max_block,
         seed=_resolve_seed(args),
     )
 
@@ -152,7 +150,7 @@ def _report_check(verdict: Verdict, out, nsites: int = 2) -> None:
     print(f"verdict: {verdict.status.value}", file=out)
     if verdict.path is not None:
         print(f"path: {verdict.path}", file=out)
-    if verdict.used_degenerate_fallback:
+    if verdict.path == "coset-block":
         note = "note: degenerate spectrum; used the block-unitary search"
         if nsites > 2:
             note += " (the multipartite extension of the bipartite criterion is unproven)"
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
          "degeneracy grouping tolerance, relative to spectral range"),
         ("--sweeps", int, d.sweeps, "alignment passes per start"),
         ("--restarts", int, d.restarts, "search starts, raced three at a time"),
-        ("--max-block", int, d.max_block, "largest degenerate block the fallback searches"),
     )
 
     def add_flags(p, flags):

@@ -8,9 +8,9 @@ coset element is found numerically by minimizing the smooth surrogate
     f = sum over cuts of (sigma2 / sigma1)^2 of realign(V),
 
 which is exactly zero at solutions; the search tracks an upper bound of f
-with the same zero set (CosetContext.decompose).  Spectra with small
-degenerate blocks widen the coset to V0 = X blockdiag(A_1..A_r) Y^dag with
-unitary blocks, and the same search runs over it; that extension of the
+with the same zero set (CosetContext.decompose).  A degenerate spectrum, with
+blocks of any size, widens the coset to V0 = X blockdiag(A_1..A_r) Y^dag
+with unitary blocks, and the same search runs over it; that extension of the
 bipartite criterion is unproven in the multipartite setting, so verdicts
 from it are flagged.
 Every EQUIVALENT verdict ships an explicit witness (U_1, ..., U_M) whose
@@ -44,7 +44,6 @@ class VerdictStatus(str, Enum):
     EQUIVALENT = "EQUIVALENT"
     INEQUIVALENT_SPECTRUM = "INEQUIVALENT_SPECTRUM"
     NOT_FOUND = "NOT_FOUND"
-    DEGENERATE_UNSUPPORTED = "DEGENERATE_UNSUPPORTED"
 
 
 @dataclass
@@ -60,7 +59,6 @@ class SearchConfig:
     rank_tol: float = 1e-7
     spec_tol: float = 1e-8
     degeneracy_tol: float = 1e-8
-    max_block: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -69,7 +67,7 @@ class SearchConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.rank_tol < 1:
             raise ValueError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
-        for name in ("sweeps", "restarts", "max_block"):
+        for name in ("sweeps", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -104,7 +102,8 @@ class Verdict:
     seed: int | None = None
     restarts_used: int = 0
     # "frame" (the local-eigenframe point certified, no search ran), "coset"
-    # or "coset-block" (the degenerate fallback's search); None before either
+    # or "coset-block" (the degenerate fallback's search); None when the
+    # spectra differ
     path: str | None = None
 
 
@@ -412,7 +411,7 @@ def check_equivalence(
     Pipeline: validate, compare spectra (a mismatch is a conclusive NO),
     then look for a tensor decomposable element of the coset
     X blockdiag(A_1..A_r) Y^dag (diagonal phases when the spectrum is
-    non-degenerate, multiplicities <= max_block otherwise).  The
+    non-degenerate, a unitary block per repeated eigenvalue otherwise).  The
     local-eigenframe point, when the marginals fix it, is tried first: when
     it certifies, the check is EQUIVALENT with path "frame" and no search
     runs.  Otherwise the coset search runs from it (or from the identity).
@@ -438,9 +437,6 @@ def check_equivalence(
     deg_tol = config.degeneracy_tol * max(span, 1e-300)
     deg = degeneracy_profile(Spectrum(eigenvalues=w_avg, basis=s1.basis), deg_tol)
     fallback = not deg.is_nondegenerate
-    if fallback and deg.max_multiplicity > config.max_block:
-        return Verdict(status=VerdictStatus.DEGENERATE_UNSUPPORTED, seed=config.seed)
-
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, deg.multiplicities)
 
     def certify(point: np.ndarray):

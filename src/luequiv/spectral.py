@@ -48,10 +48,6 @@ class DegeneracyProfile:
     def is_nondegenerate(self) -> bool:
         return all(n == 1 for n in self.multiplicities)
 
-    @property
-    def max_multiplicity(self) -> int:
-        return max(self.multiplicities)
-
 
 @dataclass(frozen=True)
 class RankOneReport:

@@ -6,8 +6,8 @@ so it can serve as a cross-check for the library's vectorized paths.
 
 import numpy as np
 
-from luequiv import DimProfile, kron_all
-from luequiv.oracle import haar_unitary
+from luequiv import DensityMatrix, DimProfile, kron_all
+from luequiv.oracle import haar_unitary, local_unitaries, random_density
 
 
 def realign_index_oracle(z: np.ndarray, dims: tuple[int, ...], cut: int) -> np.ndarray:
@@ -79,6 +79,38 @@ def near_product(dims: tuple[int, ...], eps: float, rng) -> np.ndarray:
     w, q = np.linalg.eigh((h + h.conj().T) / 2.0)
     product = kron_all([haar_unitary(d, rng) for d in dims])
     return (q * np.exp(1j * eps * w)) @ q.conj().T @ product
+
+
+def degenerate_plant(dims: tuple[int, ...], seed: int, tie: int = 1, rank: int | None = None):
+    """(rho, rho') with rho' a Haar local rotation of rho; rho has a Haar
+    eigenbasis and ``rank`` nonzero eigenvalues (all by default), gaps >= 0.5
+    before normalization, save that the 2nd to (tie+1)-th are tied.
+
+    rank < D leaves a zero block of multiplicity D - rank; rank 1 is pure.
+    """
+    profile = DimProfile(dims)
+    rng = np.random.default_rng([seed, 0xB10C])
+    r = profile.total if rank is None else rank
+    lam = np.zeros(profile.total)
+    lam[:r] = np.arange(r, 0, -1) + rng.uniform(0.0, 0.5, r)
+    lam[1 : 1 + tie] = lam[1 : 1 + tie].mean()
+    rho = random_density(profile, lam / lam.sum(), rng)
+    return rho, local_rotation(rho, rng)
+
+
+def local_rotation(rho: DensityMatrix, seed) -> DensityMatrix:
+    """(kron U_i) rho (kron U_i)^dag with Haar U_i."""
+    w = kron_all(local_unitaries(rho.profile, seed))
+    m = w @ rho.matrix @ w.conj().T
+    return DensityMatrix(matrix=(m + m.conj().T) / 2.0, profile=rho.profile)
+
+
+def werner(d: int, p: float) -> DensityMatrix:
+    """p of the normalized antisymmetric projector on d x d, 1 - p of the symmetric."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    anti, sym = (np.eye(d * d) - swap) / 2.0, (np.eye(d * d) + swap) / 2.0
+    m = p * anti / np.trace(anti) + (1.0 - p) * sym / np.trace(sym)
+    return DensityMatrix(matrix=m.astype(complex), profile=DimProfile((d, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import luequiv as lq
 
 from helpers import (
     WITNESS_SIGNS,
+    degenerate_plant,
     reference_basis_pair,
     reference_cut1,
     reference_cut2,
@@ -218,18 +219,30 @@ def test_criterion_7_soundness_of_equivalent_verdicts():
         assert equivalents >= 25  # the property must not hold vacuously
 
 
+def _multiplicity_two(dims, seed):
+    sample = lq.make_degenerate_pair(lq.DimProfile(dims), seed)
+    return sample.rho, sample.rho_prime
+
+
 def test_criterion_8_degenerate_fallback():
-    with criterion(8, ">= 80% verified EQUIVALENT on multiplicity-2 plants (unproven extension)"):
-        for dims in [(2, 2), (2, 2, 2)]:
-            profile = lq.DimProfile(dims)
+    label = (
+        ">= 80% verified EQUIVALENT on multiplicity-2, multiplicity-3 and rank-2 plants "
+        "(unproven extension)"
+    )
+    with criterion(8, label):
+        classes = [
+            ("multiplicity-2 (2,2)", lambda seed: _multiplicity_two((2, 2), seed)),
+            ("multiplicity-2 (2,2,2)", lambda seed: _multiplicity_two((2, 2, 2), seed)),
+            ("multiplicity-3 (2,2,2)", lambda seed: degenerate_plant((2, 2, 2), seed, tie=3)),
+            ("rank-2 (2,2,2)", lambda seed: degenerate_plant((2, 2, 2), seed, rank=2)),
+        ]
+        for name, make in classes:
             wins = 0
             for seed in range(50):
-                sample = lq.make_degenerate_pair(profile, seed)
-                verdict = lq.check_equivalence(
-                    sample.rho, sample.rho_prime, lq.SearchConfig(seed=seed)
-                )
+                rho, rho_prime = make(seed)
+                verdict = lq.check_equivalence(rho, rho_prime, lq.SearchConfig(seed=seed))
                 if verdict.status is lq.VerdictStatus.EQUIVALENT:
                     assert verdict.used_degenerate_fallback
                     assert verdict.witness_residual < 1e-8
                     wins += 1
-            assert wins >= 40, f"dims {dims}: {wins}/50"
+            assert wins >= 40, f"{name}: {wins}/50"

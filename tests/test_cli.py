@@ -56,23 +56,42 @@ def test_check_not_found_exit_three(tmp_path):
     assert rc == 3
 
 
-def test_check_degenerate_unsupported_exit_four(tmp_path, capsys):
+def test_check_maximally_mixed_state_exit_zero(tmp_path, capsys):
+    # one 4-fold block: any product unitary is a witness
     save_matrix(tmp_path / "mix.json", np.eye(4) / 4.0, dims=(2, 2))
-    rc = main(["check", str(tmp_path / "mix.json"), str(tmp_path / "mix.json"), *FAST])
-    assert rc == 4
-    assert "DEGENERATE_UNSUPPORTED" in capsys.readouterr().out
+    mix = str(tmp_path / "mix.json")
+    rc = main(["check", mix, mix, "--json", *FAST])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["status"] == "EQUIVALENT" and doc["path"] == "coset-block"
+    factors = [
+        np.array([complex(*z) for z in f["data"]]).reshape(f["shape"])
+        for f in doc["witness"]["factors"]
+    ]
+    rho = np.eye(4) / 4.0
+    w = kron_all(factors)
+    assert np.linalg.norm(w @ rho @ w.conj().T - rho) <= 1e-8
 
 
 def test_check_degenerate_fallback_notes_block_search(tmp_path, capsys):
     from luequiv.oracle import make_degenerate_pair
 
+    with pytest.warns(UserWarning, match="degenerate spectrum"):
+        prefix = _gen(tmp_path, "paper-example", "--a", "2", "--b", "3", "--c", "4")
+    capsys.readouterr()  # drop the gen report
+    rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "path: coset-block" in out
+    assert "block-unitary search" in out and "unproven" in out
+    # a degenerate pair the frame point decides ran no search: no note
     sample = make_degenerate_pair(DimProfile((2, 2, 2)), 5)
     save_matrix(tmp_path / "a.json", sample.rho.matrix, dims=(2, 2, 2))
     save_matrix(tmp_path / "b.json", sample.rho_prime.matrix, dims=(2, 2, 2))
     rc = main(["check", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "block-unitary search" in out and "unproven" in out
+    assert "path: frame" in out and "note:" not in out
 
 
 def test_check_dims_mismatch_exit_one(tmp_path, capsys):
@@ -134,7 +153,6 @@ def test_check_defaults_are_the_search_config_defaults(monkeypatch):
         ("--tol-degeneracy", "-1", "degeneracy_tol"),
         ("--sweeps", "-3", "sweeps"),
         ("--restarts", "-2", "restarts"),
-        ("--max-block", "0", "max_block"),
         ("--seed", "-1", "seed"),
         ("LU_EQUIV_SEED", "-4", "seed"),
     ],

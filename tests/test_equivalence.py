@@ -39,7 +39,7 @@ from luequiv.oracle import (
 )
 from luequiv.tensor import _realign_matrix
 
-from helpers import WITNESS_SIGNS, example_bases
+from helpers import WITNESS_SIGNS, degenerate_plant, example_bases, local_rotation, werner
 
 QUICK = SearchConfig(sweeps=40, restarts=6)
 
@@ -307,10 +307,41 @@ def test_check_degenerate_bell_pair_end_to_end():
     assert verdict.witness_residual < 1e-8
 
 
-def test_degenerate_unsupported_for_large_blocks():
+def _maximally_mixed_pair():
+    """I/4 twice: one 4-fold block, and any product unitary is a witness."""
     rho = DensityMatrix(matrix=np.eye(4, dtype=complex) / 4.0, profile=DimProfile((2, 2)))
-    verdict = check_equivalence(rho, rho, QUICK)
-    assert verdict.status is VerdictStatus.DEGENERATE_UNSUPPORTED
+    return rho, rho
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _maximally_mixed_pair,
+        lambda: degenerate_plant((2, 3), 0, rank=1),
+        lambda: degenerate_plant((2, 2), 0, tie=3),
+        lambda: (werner(3, 0.7), local_rotation(werner(3, 0.7), 0)),
+        lambda: degenerate_plant((2, 2, 2, 2), 0, rank=2),
+    ],
+    ids=["maximally-mixed-2x2", "pure-2x3", "multiplicity-3-2x2", "werner-3x3", "rank-2-2^4"],
+)
+def test_blocks_larger_than_two_are_searched(make):
+    rho, rho_prime = make()
+    deg = degeneracy_profile(eig_hermitian(rho.matrix), 1e-8)
+    assert max(deg.multiplicities) >= 3
+    verdict = check_equivalence(rho, rho_prime, QUICK)
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.used_degenerate_fallback
+    assert verdict.witness_residual <= WITNESS_TOL
+    assert verify_witness(rho, rho_prime, verdict.witness) <= WITNESS_TOL
+
+
+def test_rank_three_state_against_its_conjugate_is_not_conclusive():
+    rho, _ = degenerate_plant((2, 2, 2), 0, rank=3)
+    rho_conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
+    verdict = check_equivalence(rho, rho_conj, QUICK)
+    assert verdict.status is VerdictStatus.NOT_FOUND
+    assert verdict.path == "coset-block"
+    assert verdict.witness is None
 
 
 def test_check_rejects_non_hermitian():
@@ -556,7 +587,7 @@ def _context_factories():
     s1 = eig_hermitian(sample.rho.matrix)
     s2 = eig_hermitian(sample.rho_prime.matrix)
     deg = degeneracy_profile(s1, 1e-8)
-    assert deg.max_multiplicity == 2
+    assert max(deg.multiplicities) == 2
 
     def block():
         return CosetContext(s1.basis, s2.basis, sample.rho.profile, deg.multiplicities)

@@ -123,7 +123,7 @@ def test_degeneracy_profile_distinct():
 def test_degeneracy_profile_exact_ties():
     prof = degeneracy_profile(_spectrum_of([0.5, 0.5, 0.0, 0.0]), 1e-8)
     assert prof.blocks == ((0.5, 2), (0.0, 2))
-    assert prof.max_multiplicity == 2
+    assert max(prof.multiplicities) == 2
 
 
 def test_degeneracy_profile_paper_example():
