@@ -18,7 +18,6 @@ from .equivalence import (
     Verdict,
     VerdictStatus,
     check_equivalence,
-    coset_search,
     verify_witness,
 )
 from .matfile import MatrixFile, MatrixFileError, load_matrix, save_matrix
@@ -34,7 +33,6 @@ from .oracle import (
     reduced_density,
 )
 from .spectral import (
-    DegeneracyProfile,
     RankOneReport,
     Spectrum,
     degeneracy_profile,
@@ -43,24 +41,12 @@ from .spectral import (
     spectra_match,
 )
 from .states import DensityMatrix, validate_density
-from .tensor import (
-    CutRealignment,
-    DimProfile,
-    ShapeError,
-    kron,
-    kron_all,
-    realign,
-    unrealign,
-    unvec,
-    vec,
-)
+from .tensor import DimProfile, ShapeError, kron_all, realign
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CosetContext",
-    "CutRealignment",
-    "DegeneracyProfile",
     "DensityMatrix",
     "DimProfile",
     "FactorSet",
@@ -76,14 +62,12 @@ __all__ = [
     "Verdict",
     "VerdictStatus",
     "check_equivalence",
-    "coset_search",
     "cut_reports",
     "degeneracy_profile",
     "eig_hermitian",
     "factor_full",
     "haar_unitary",
     "is_decomposable",
-    "kron",
     "kron_all",
     "load_matrix",
     "make_degenerate_pair",
@@ -96,9 +80,6 @@ __all__ = [
     "reduced_density",
     "save_matrix",
     "spectra_match",
-    "unrealign",
-    "unvec",
     "validate_density",
-    "vec",
     "verify_witness",
 ]

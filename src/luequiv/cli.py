@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -184,12 +185,12 @@ def cmd_check(args) -> int:
 
 def cmd_realign(args) -> int:
     mf = _load_operator(args.file)
-    cr = realign(mf.matrix, mf.profile, args.cut)
+    realigned = realign(mf.matrix, mf.profile, args.cut)
     # the verdict is not printed, so any tolerance serves
-    r = rank_one_test(cr.matrix, SearchConfig.rank_tol)
+    r = rank_one_test(realigned, SearchConfig.rank_tol)
     out_path = args.out or f"{args.file}.cut{args.cut}.realigned.json"
-    _save(out_path, cr.matrix, dims=None, label=f"realigned cut {args.cut}")
-    print(f"cut {args.cut}: shape {cr.shape[0]}x{cr.shape[1]} -> {out_path}")
+    _save(out_path, realigned, dims=None, label=f"realigned cut {args.cut}")
+    print(f"cut {args.cut}: shape {realigned.shape[0]}x{realigned.shape[1]} -> {out_path}")
     print(f"sigma1={r.sigma1:.12e} sigma2={r.sigma2:.12e} ratio={r.ratio:.3e}")
     return 0
 
@@ -305,12 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning for the CLI: one ``warning:`` line, no source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     # the one place a failure becomes an exit code: CliError, or a ValueError
     # (MatrixFileError, ShapeError, LinAlgError, a SearchConfig range error)
     try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except (CliError, ValueError) as exc:

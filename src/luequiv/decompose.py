@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import RankOneReport, rank_one_report, rank_one_test
-from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all, leading_index, realign, unvec
+from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all, leading_index, realign
 
 UNITARY_TOL = 1e-8
 
@@ -64,8 +64,7 @@ def _checked_unitary(v, profile: DimProfile, what: str) -> np.ndarray:
 def cut_reports(v, profile: DimProfile, tol: float) -> list[RankOneReport]:
     """The rank-one test of every sequential-cut realignment of v, cuts 1..M-1."""
     return [
-        rank_one_test(realign(v, profile, k).matrix, tol, cut=k)
-        for k in range(1, profile.nsites)
+        rank_one_test(realign(v, profile, k), tol, cut=k) for k in range(1, profile.nsites)
     ]
 
 
@@ -93,16 +92,16 @@ def _peel(u: np.ndarray, d_left: int, tol: float, cut: int) -> tuple[np.ndarray,
     """Split u across its d_left | rest cut into (U_1, U_2), or raise naming ``cut``.
 
     From the leading singular triple sigma * x * y^t of the realignment,
-    U_1 = s * unvec(x) and U_2 = (sigma / s) * unvec(y), with s > 0 chosen to
-    minimize ||U_1 U_1^dag - I||_F.
+    U_1 = s * X and U_2 = (sigma / s) * Y, with X and Y the row-major square
+    reshapes of x and y and s > 0 chosen to minimize ||U_1 U_1^dag - I||_F.
     """
     d_right = u.shape[0] // d_left
     uu, sv, vh = np.linalg.svd(_realign_matrix(u, d_left, d_right), full_matrices=False)
     report = rank_one_report(float(sv[0]), float(sv[1]) if sv.size > 1 else 0.0, tol, cut=cut)
     if not report.is_rank_one:
         raise NotDecomposableError(report)
-    a = unvec(uu[:, 0], d_left, d_left)
-    b = unvec(vh[0, :], d_right, d_right)
+    a = uu[:, 0].reshape(d_left, d_left)
+    b = vh[0, :].reshape(d_right, d_right)
     # least-squares unitarization scale: s^2 = tr(AA^dag) / ||AA^dag||_F^2
     aa = a @ a.conj().T
     s = float(np.sqrt(np.trace(aa).real / np.linalg.norm(aa) ** 2))

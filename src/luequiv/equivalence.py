@@ -20,7 +20,6 @@ conjugation residual is verified.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,8 +27,8 @@ import numpy as np
 
 from .decompose import FactorSet, NotDecomposableError, cut_reports, factor_full
 from .oracle import haar_unitary, reduced_density
-from .search import SearchOutcome, run_search
-from .spectral import RankOneReport, Spectrum, degeneracy_profile, spectra_match
+from .search import run_search
+from .spectral import RankOneReport, degeneracy_profile, spectra_match
 from .states import DensityMatrix, validate_density
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
 
@@ -72,15 +71,6 @@ class SearchConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-    @property
-    def objective_success(self) -> float:
-        return self.rank_tol**2
-
-    @property
-    def objective_target(self) -> float:
-        # polish well below the success level so witnesses verify comfortably
-        return min(self.rank_tol**2, OBJECTIVE_POLISH)
 
 
 @dataclass
@@ -344,38 +334,6 @@ def _frame_point(
     return ctx.project(point[np.newaxis])[0]
 
 
-def coset_search(
-    ctx: CosetContext,
-    config: SearchConfig,
-    start: np.ndarray | None = None,
-    accept: Callable[[np.ndarray], bool] | None = None,
-) -> SearchOutcome:
-    """Find a coset point driving the objective below rank_tol^2, or report the best.
-
-    Start 0 is ``start``, or the identity when there is none, and later
-    starts are random points, raced a few at a time; each runs up to
-    ``config.sweeps`` alignment passes.  check_equivalence calls it only
-    when Kraus's local-eigenframe point (PRL 104, 020504 (2010);
-    _frame_point) does not certify, and passes that point as the start, or
-    no start when the one-site marginals do not fix it.  The start changes
-    where the search begins, not what restarts_used and the objective
-    history count.  ``accept(point)``, when given, is asked where a lone
-    descent stalls above rank_tol^2, and the search stops at a point it
-    takes (search.run_search).
-    """
-    return run_search(
-        ctx,
-        passes=config.sweeps,
-        restarts=config.restarts,
-        f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
-        f_target=config.objective_target,
-        f_success=config.objective_success,
-        seed=config.seed,
-        start=start,
-        accept=accept,
-    )
-
-
 def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: FactorSet) -> float:
     """Frobenius residual ||(kron U_i) rho (kron U_i)^dag - rho_prime||_F."""
     w = kron_all(factors.factors)
@@ -414,12 +372,14 @@ def check_equivalence(
     non-degenerate, a unitary block per repeated eigenvalue otherwise).  The
     local-eigenframe point, when the marginals fix it, is tried first: when
     it certifies, the check is EQUIVALENT with path "frame" and no search
-    runs.  Otherwise the coset search runs from it (or from the identity).
-    A point certifies when the exact rank-one test passes at every cut and
-    its V factors into a verified witness; that gate decides the frame
-    point, each point where a lone descent stalled, and the best point
-    found, even if the search's bound f stalled above its goal.  The search
-    stops at the first stalled point that certifies.
+    runs.  Otherwise search.run_search runs from it (or from the identity)
+    toward f <= rank_tol^2, with ``config.restarts`` starts of up to
+    ``config.sweeps`` alignment passes each.  A point certifies when the
+    exact rank-one test passes at every cut and its V factors into a
+    verified witness; that gate decides the frame point, each point where a
+    lone descent stalled, and the best point found, even if the search's
+    bound f stalled above its goal.  The search stops at the first stalled
+    point that certifies.
     """
     if config is None:
         config = SearchConfig()
@@ -435,9 +395,9 @@ def check_equivalence(
     w_avg = (s1.eigenvalues + s2.eigenvalues) / 2.0
     span = float(w_avg[0] - w_avg[-1])
     deg_tol = config.degeneracy_tol * max(span, 1e-300)
-    deg = degeneracy_profile(Spectrum(eigenvalues=w_avg, basis=s1.basis), deg_tol)
-    fallback = not deg.is_nondegenerate
-    ctx = CosetContext(s1.basis, s2.basis, rho.profile, deg.multiplicities)
+    sizes = degeneracy_profile(w_avg, deg_tol)
+    fallback = max(sizes) > 1
+    ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
 
     def certify(point: np.ndarray):
         """The exact cut reports of a point, and its verified witness or None."""
@@ -462,7 +422,18 @@ def check_equivalence(
     reports, verified = certify(start) if start is not None else (None, None)
     point, path, history, restarts_used = start, "frame", [], 0
     if verified is None:
-        outcome = coset_search(ctx, config, start, accept)
+        outcome = run_search(
+            ctx,
+            passes=config.sweeps,
+            restarts=config.restarts,
+            f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
+            # polish well below the success level so witnesses verify comfortably
+            f_target=min(config.rank_tol**2, OBJECTIVE_POLISH),
+            f_success=config.rank_tol**2,
+            seed=config.seed,
+            start=start,
+            accept=accept,
+        )
         point, history, restarts_used = outcome.point, outcome.history, outcome.restarts_used
         path = "coset-block" if fallback else "coset"
         # the search stops at the first point accept takes, and returns it

@@ -54,6 +54,8 @@ def dump_matrix(
 ) -> str:
     """Serialize a matrix; square operators should pass their dims."""
     m = as_cmatrix(m)
+    if not np.isfinite(m).all():  # json would write NaN or Infinity
+        raise MatrixFileError("matrix entries must be finite")
     doc: dict = {}
     if dims is not None:
         dims = tuple(int(d) for d in dims)
@@ -72,8 +74,10 @@ def dump_matrix(
 
 
 def save_matrix(path, m, dims=None, label=None, seed=None) -> None:
+    """Write dump_matrix's text to path; a matrix it rejects leaves no file."""
+    text = dump_matrix(m, dims=dims, label=label, seed=seed)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_matrix(m, dims=dims, label=label, seed=seed))
+        fh.write(text)
 
 
 def _int_list(doc: dict, key: str) -> tuple[int, ...]:

@@ -167,8 +167,8 @@ def paper_example(a: float, b: float, c: float) -> tuple[DensityMatrix, DensityM
     {2, 0, 1/a, a, 1/b, b, 1/c, c}; the spectrum is non-degenerate whenever
     those eight values are pairwise distinct.  A warning is issued otherwise.
     """
-    if min(a, b, c) <= 0:
-        raise ValueError(f"parameters must be positive, got {(a, b, c)}")
+    if not all(0 < p < np.inf for p in (a, b, c)):  # NaN fails both
+        raise ValueError(f"parameters must be positive and finite, got {(a, b, c)}")
     vals = np.array([2.0, 0.0, 1 / a, a, 1 / b, b, 1 / c, c])
     gaps = np.min(np.diff(np.sort(vals)))
     if gaps < 1e-9:

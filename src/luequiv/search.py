@@ -13,7 +13,7 @@ point is decomposed once, and each decomposition but a start's first is
 warm-started from the pairs of the point before it.
 
 Start r = 0 is the caller's ``start`` point, or the identity without one:
-the coset search passes the local-eigenframe point (Kraus, PRL 104, 020504
+check_equivalence passes the local-eigenframe point (Kraus, PRL 104, 020504
 (2010); equivalence._frame_point) when that point did not certify on its
 own, and none when the one-site marginals do not fix it.  Start r >= 1 is
 a random point drawn from its own generator.
@@ -55,7 +55,6 @@ MIX_DEPTH = 3
 
 @dataclass
 class SearchOutcome:
-    success: bool
     point: np.ndarray
     objective: float
     history: list[tuple[int, float]] = field(default_factory=list)
@@ -175,13 +174,12 @@ def run_search(
     ``restarts`` is the number of starts and ``passes`` the alignment passes
     each may run.  f_escape is the level below which a start has left the
     bulk, f_target the polish level an escaped start descends toward, and
-    f_success (>= f_target) the level at which the search stops and declares
-    success.  ``start`` replaces the identity as start 0.  ``accept`` is
-    asked at each point where a lone descent stalls above f_success; the
-    search stops at the first point it takes and reports it as a success.
-    The result is deterministic for a given seed: start r draws from its
-    own generator, and without a success the lowest objective wins, the
-    earliest start breaking ties.
+    f_success (>= f_target) the level at which the search stops.  ``start``
+    replaces the identity as start 0.  ``accept`` is asked at each point
+    where a lone descent stalls above f_success; the search stops at the
+    first point it takes and returns it.  The result is deterministic for a
+    given seed: start r draws from its own generator, and when neither stop
+    is reached the lowest objective wins, the earliest start breaking ties.
     """
     f_success = max(f_success, f_target)
     n = max(1, restarts)
@@ -203,7 +201,6 @@ def run_search(
         if accepted or best_f <= f_success:
             break
     return SearchOutcome(
-        success=bool(accepted or best_f <= f_success),
         point=best_point,
         objective=float(best_f),
         history=[(i, float(f)) for i, f in enumerate(trace)],

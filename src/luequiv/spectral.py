@@ -31,25 +31,6 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class DegeneracyProfile:
-    """Distinct eigenvalues with multiplicities, in descending order."""
-
-    blocks: tuple[tuple[float, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(n for _, n in self.blocks)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(n for _, n in self.blocks)
-
-    @property
-    def is_nondegenerate(self) -> bool:
-        return all(n == 1 for n in self.multiplicities)
-
-
-@dataclass(frozen=True)
 class RankOneReport:
     """Two leading singular values and the rank-one verdict at a tolerance."""
 
@@ -116,20 +97,21 @@ def _eig_checked(h: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=w, basis=v)
 
 
-def degeneracy_profile(s: Spectrum, tol: float) -> DegeneracyProfile:
-    """Group consecutive sorted eigenvalues with gap <= tol into blocks."""
+def degeneracy_profile(eigenvalues: np.ndarray, tol: float) -> tuple[int, ...]:
+    """Multiplicities, in order, of the blocks of consecutive sorted
+    eigenvalues (descending or ascending) whose gaps are <= tol."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    w = s.eigenvalues
-    blocks: list[tuple[float, int]] = []
+    w = eigenvalues
+    sizes: list[int] = []
     j = 0
     while j < w.size:
         k = j + 1
-        while k < w.size and w[k - 1] - w[k] <= tol:
+        while k < w.size and abs(w[k - 1] - w[k]) <= tol:
             k += 1
-        blocks.append((float(np.mean(w[j:k])), k - j))
+        sizes.append(k - j)
         j = k
-    return DegeneracyProfile(blocks=tuple(blocks))
+    return tuple(sizes)
 
 
 def spectra_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:

@@ -1,4 +1,4 @@
-"""Dense complex matrices with multipartite structure: vec, kron, realignment.
+"""Dense complex matrices with multipartite structure: kron and realignment.
 
 Matrices are plain ``numpy.ndarray`` of dtype complex128.  The realignment
 of a square operator across a sequential cut 1..k | k+1..M is a pure entry
@@ -10,7 +10,7 @@ blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,18 +53,6 @@ class DimProfile:
         return d_left, self.total // d_left
 
 
-@dataclass(frozen=True)
-class CutRealignment:
-    """Realigned matrix for one sequential cut, shape (d_L^2, d_R^2)."""
-
-    cut: int
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
 def as_cmatrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array (no copy when already conforming)."""
     m = np.asarray(a, dtype=np.complex128)
@@ -81,24 +69,6 @@ def leading_index(a, rtol: float = LEAD_RTOL) -> int:
     """
     mags = np.abs(np.asarray(a)).reshape(-1)
     return int(np.argmax(mags >= mags.max() * (1.0 - rtol)))
-
-
-def vec(a) -> np.ndarray:
-    """Row-major flattening [a_11, ..., a_1N, a_21, ..., a_MN]."""
-    return as_cmatrix(a).reshape(-1)
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a known target shape."""
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.size != rows * cols:
-        raise ShapeError(f"cannot unvec length {v.size} into {rows}x{cols}")
-    return v.reshape(rows, cols)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; (a kron b)[i*rb+r, j*cb+c] = a[i,j] * b[r,c]."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
 
 
 def kron_all(mats) -> np.ndarray:
@@ -126,12 +96,13 @@ def _realign_matrix(z: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
     )
 
 
-def realign(z, profile: DimProfile, cut: int) -> CutRealignment:
-    """Realign a square operator across the sequential cut 1..cut | cut+1..M.
+def realign(z, profile: DimProfile, cut: int) -> np.ndarray:
+    """The (d_L^2, d_R^2) realignment of a square operator across the
+    sequential cut 1..cut | cut+1..M.
 
     Row (I, I') of the result is vec of the d_R x d_R block at block-row I,
     block-column I' of ``z``, so a tensor product A kron B realigns to the
-    rank-one outer product vec(A) vec(B)^t.
+    rank-one outer product vec(A) vec(B)^t; vec is the row-major flattening.
     """
     z = as_cmatrix(z)
     d_left, d_right = profile.split(cut)
@@ -141,20 +112,4 @@ def realign(z, profile: DimProfile, cut: int) -> CutRealignment:
             f"realign at cut {cut}: operator shape {z.shape} does not match "
             f"profile {profile.dims} (expected {(n, n)})"
         )
-    return CutRealignment(cut=cut, matrix=_realign_matrix(z, d_left, d_right))
-
-
-def unrealign(r: CutRealignment, profile: DimProfile) -> np.ndarray:
-    """Invert :func:`realign`, recovering the original operator exactly."""
-    d_left, d_right = profile.split(r.cut)
-    m = as_cmatrix(r.matrix)
-    if m.shape != (d_left * d_left, d_right * d_right):
-        raise ShapeError(
-            f"unrealign at cut {r.cut}: shape {m.shape} does not match "
-            f"profile {profile.dims}"
-        )
-    return np.ascontiguousarray(
-        m.reshape(d_left, d_left, d_right, d_right)
-        .transpose(0, 2, 1, 3)
-        .reshape(profile.total, profile.total)
-    )
+    return _realign_matrix(z, d_left, d_right)

@@ -90,10 +90,10 @@ def test_criterion_2_reference_matrix_regression():
             v = _build_v(x_disp, y_disp, np.angle(d))
             assert np.allclose(v, reference_v(d), atol=1e-12)
             assert np.allclose(
-                lq.realign(v, TRIPARTITE, 1).matrix, reference_cut1(d), atol=1e-12
+                lq.realign(v, TRIPARTITE, 1), reference_cut1(d), atol=1e-12
             )
             assert np.allclose(
-                lq.realign(v, TRIPARTITE, 2).matrix, reference_cut2(d), atol=1e-12
+                lq.realign(v, TRIPARTITE, 2), reference_cut2(d), atol=1e-12
             )
         # witness phases: zero pattern matches and both realignments are rank one
         v_w = _build_v(x_disp, y_disp, _witness_phases())
@@ -101,7 +101,7 @@ def test_criterion_2_reference_matrix_regression():
         mask_want = np.abs(reference_v(WITNESS_SIGNS.astype(complex))) > 1e-12
         assert np.array_equal(mask_got, mask_want)
         for cut in (1, 2):
-            report = lq.rank_one_test(lq.realign(v_w, TRIPARTITE, cut).matrix, 1e-7, cut=cut)
+            report = lq.rank_one_test(lq.realign(v_w, TRIPARTITE, cut), 1e-7, cut=cut)
             assert report.is_rank_one and report.ratio < 1e-10
         # same rank-one claim for the eigenvalue-paired bases of the actual states
         for a, b, c in TRIPLES:
@@ -109,7 +109,7 @@ def test_criterion_2_reference_matrix_regression():
             v_true = _build_v(x, y, _witness_phases())
             for cut in (1, 2):
                 ratio = lq.rank_one_test(
-                    lq.realign(v_true, TRIPARTITE, cut).matrix, 1e-7
+                    lq.realign(v_true, TRIPARTITE, cut), 1e-7
                 ).ratio
                 assert ratio < 1e-10
             rho, rho_prime = lq.paper_example(a, b, c)
@@ -187,7 +187,7 @@ def test_criterion_6_realignment_index_oracle():
             n = profile.total
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for cut in range(1, profile.nsites):
-                got = lq.realign(z, profile, cut).matrix
+                got = lq.realign(z, profile, cut)
                 want = realign_index_oracle(z, dims, cut)
                 assert np.array_equal(got, want), (dims, cut)
 

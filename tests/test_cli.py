@@ -7,7 +7,7 @@ import pytest
 
 from luequiv import DimProfile, SearchConfig, kron_all, load_matrix, save_matrix
 from luequiv.cli import _config_from, build_parser, main
-from luequiv.oracle import haar_unitary, local_unitaries
+from luequiv.oracle import haar_unitary, local_unitaries, random_density
 
 from helpers import near_product
 
@@ -76,9 +76,11 @@ def test_check_maximally_mixed_state_exit_zero(tmp_path, capsys):
 def test_check_degenerate_fallback_notes_block_search(tmp_path, capsys):
     from luequiv.oracle import make_degenerate_pair
 
-    with pytest.warns(UserWarning, match="degenerate spectrum"):
-        prefix = _gen(tmp_path, "paper-example", "--a", "2", "--b", "3", "--c", "4")
-    capsys.readouterr()  # drop the gen report
+    prefix = _gen(tmp_path, "paper-example", "--a", "2", "--b", "3", "--c", "4")
+    # the gen report is dropped; its warning is one stderr line
+    assert "warning: parameters (2.0, 3.0, 4.0) give a degenerate spectrum" in (
+        capsys.readouterr().err
+    )
     rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -237,6 +239,24 @@ def test_gen_generator_error_exit_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_paper_example_non_finite_exit_one(tmp_path, capsys, value):
+    rc = main(["gen", "paper-example", "--a", value, "-o", str(tmp_path / "g")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_check_trace_warning_is_one_line(tmp_path, capsys):
+    rho = random_density(DimProfile((2, 2)), "generic-nondegenerate", 3).matrix
+    save_matrix(tmp_path / "a.json", 3.0 * rho, dims=(2, 2))
+    save_matrix(tmp_path / "b.json", rho, dims=(2, 2))
+    rc = main(["check", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+    assert rc == 0
+    assert capsys.readouterr().err == "warning: density matrix trace 3 != 1; renormalizing\n"
 
 
 def test_gen_spectrum_mismatch_pair_of_128_levels_checks_inequivalent(tmp_path, capsys):

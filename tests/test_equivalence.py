@@ -10,7 +10,6 @@ from luequiv import (
     SearchConfig,
     VerdictStatus,
     check_equivalence,
-    coset_search,
     cut_reports,
     degeneracy_profile,
     eig_hermitian,
@@ -58,6 +57,19 @@ def surrogate(ctx, point, profile):
     return sum(r.ratio**2 for r in cut_reports(ctx.build(point), profile, 1e-7))
 
 
+def _coset_search(ctx, config):
+    """run_search with the levels and budgets check_equivalence gives it."""
+    return run_search(
+        ctx,
+        passes=config.sweeps,
+        restarts=config.restarts,
+        f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
+        f_target=min(config.rank_tol**2, OBJECTIVE_POLISH),
+        f_success=config.rank_tol**2,
+        seed=config.seed,
+    )
+
+
 def test_build_v_identity():
     assert np.allclose(phase_v(np.eye(4), np.eye(4), np.zeros(4), DimProfile((2, 2))), np.eye(4))
 
@@ -84,8 +96,8 @@ def test_build_v0_reduces_to_build_v():
     rng = np.random.default_rng(7)
     x, y = haar_unitary(4, rng), haar_unitary(4, rng)
     theta = rng.uniform(0, 2 * np.pi, 4)
-    prof = degeneracy_profile(eig_hermitian(np.diag([4.0, 3.0, 2.0, 1.0])), 1e-8)
-    ctx = CosetContext(x, y, DimProfile((2, 2)), prof.multiplicities)
+    sizes = degeneracy_profile(eig_hermitian(np.diag([4.0, 3.0, 2.0, 1.0])).eigenvalues, 1e-8)
+    ctx = CosetContext(x, y, DimProfile((2, 2)), sizes)
     blocks = [np.array([[np.exp(1j * t)]]) for t in theta]
     point = np.concatenate([b.ravel() for b in blocks])
     assert np.allclose(ctx.build(point), x @ np.diag(np.exp(1j * theta)) @ y.conj().T, atol=1e-14)
@@ -94,8 +106,8 @@ def test_build_v0_reduces_to_build_v():
 def test_build_v0_identity_blocks():
     rng = np.random.default_rng(9)
     x, y = haar_unitary(4, rng), haar_unitary(4, rng)
-    prof = degeneracy_profile(eig_hermitian(np.diag([0.5, 0.5, 0.0, 0.0])), 1e-8)
-    ctx = CosetContext(x, y, DimProfile((2, 2)), prof.multiplicities)
+    sizes = degeneracy_profile(eig_hermitian(np.diag([0.5, 0.5, 0.0, 0.0])).eigenvalues, 1e-8)
+    ctx = CosetContext(x, y, DimProfile((2, 2)), sizes)
     assert np.allclose(ctx.build(ctx.identity()), x @ y.conj().T, atol=1e-14)
 
 
@@ -108,15 +120,15 @@ def test_build_v0_degenerate_bell_pair():
     rho_p = hh @ rho @ hh.conj().T
     assert np.linalg.norm(hh @ rho @ hh.conj().T - rho_p) == 0.0  # construction
     s1, s2 = eig_hermitian(rho), eig_hermitian(rho_p)
-    prof = degeneracy_profile(s1, 1e-8)
-    assert prof.multiplicities == (2, 2)
+    sizes = degeneracy_profile(s1.eigenvalues, 1e-8)
+    assert sizes == (2, 2)
     b = s1.basis.conj().T @ hh @ s2.basis
     # the change of basis is block diagonal over the degenerate blocks
     assert np.linalg.norm(b[:2, 2:]) < 1e-12 and np.linalg.norm(b[2:, :2]) < 1e-12
     blocks = [b[:2, :2], b[2:, 2:]]
     for blk in blocks:
         assert np.linalg.norm(blk @ blk.conj().T - np.eye(2)) < 1e-12
-    ctx = CosetContext(s1.basis, s2.basis, DimProfile((2, 2)), prof.multiplicities)
+    ctx = CosetContext(s1.basis, s2.basis, DimProfile((2, 2)), sizes)
     v0 = ctx.build(np.concatenate([blk.ravel() for blk in blocks]))
     assert np.allclose(v0, hh, atol=1e-12)
     ok, reports = is_decomposable(v0, DimProfile((2, 2)), 1e-7)
@@ -157,16 +169,16 @@ def test_phase_search_identical_state_succeeds_from_zero_seed():
     ctx = CosetContext(s.basis, s.basis, rho.profile, (1,) * 8)
     (f,), _ = ctx.decompose(ctx.identity()[np.newaxis])
     assert f < 1e-14  # the identity start is already a solution
-    outcome = coset_search(ctx, QUICK)
-    assert outcome.success and outcome.objective < 1e-14
+    outcome = _coset_search(ctx, QUICK)
+    assert outcome.objective < 1e-14
 
 
 def test_phase_search_paper_pair_and_decompose_agreement():
     rho, rho_p = paper_example(3, 5, 7)
     s1, s2 = eig_hermitian(rho.matrix), eig_hermitian(rho_p.matrix)
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, (1,) * 8)
-    outcome = coset_search(ctx, QUICK)
-    assert outcome.success
+    outcome = _coset_search(ctx, QUICK)
+    assert outcome.objective <= QUICK.rank_tol**2
     theta = np.angle(outcome.point)
     ok, _ = is_decomposable(ctx.build(np.exp(1j * theta)), rho.profile, 1e-7)
     assert ok
@@ -180,10 +192,11 @@ def test_coset_build_matches_build_v_and_build_v0():
     ctx = CosetContext(x, y, profile, (1,) * 8)
     want = x @ np.diag(np.exp(1j * theta)) @ y.conj().T
     assert np.allclose(ctx.build(np.exp(1j * theta)), want, atol=1e-14)
-    deg = degeneracy_profile(eig_hermitian(np.diag([6, 5, 5, 4, 3, 3, 2, 1.0])), 1e-8)
-    assert deg.multiplicities == (1, 2, 1, 2, 1, 1)
-    blocks = [haar_unitary(n, rng) for n in deg.multiplicities]
-    ctx = CosetContext(x, y, profile, deg.multiplicities)
+    spectrum = eig_hermitian(np.diag([6, 5, 5, 4, 3, 3, 2, 1.0]))
+    sizes = degeneracy_profile(spectrum.eigenvalues, 1e-8)
+    assert sizes == (1, 2, 1, 2, 1, 1)
+    blocks = [haar_unitary(n, rng) for n in sizes]
+    ctx = CosetContext(x, y, profile, sizes)
     point = np.concatenate([b.ravel() for b in blocks])
     blockdiag = np.zeros((8, 8), dtype=complex)
     lo = 0
@@ -326,8 +339,7 @@ def _maximally_mixed_pair():
 )
 def test_blocks_larger_than_two_are_searched(make):
     rho, rho_prime = make()
-    deg = degeneracy_profile(eig_hermitian(rho.matrix), 1e-8)
-    assert max(deg.multiplicities) >= 3
+    assert max(degeneracy_profile(eig_hermitian(rho.matrix).eigenvalues, 1e-8)) >= 3
     verdict = check_equivalence(rho, rho_prime, QUICK)
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.used_degenerate_fallback
@@ -407,7 +419,7 @@ def test_search_stops_at_a_verified_stalled_start(monkeypatch):
     verdict = check_equivalence(rho, rho_prime, config)
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.witness_residual <= 1e-8
-    assert verdict.objective_history[-1][1] > config.objective_success
+    assert verdict.objective_history[-1][1] > config.rank_tol**2
     assert verdict.restarts_used == STARTS_PER_ROUND
 
 
@@ -586,11 +598,11 @@ def _context_factories():
     sample = make_degenerate_pair(DimProfile((2, 2, 2)), 23)
     s1 = eig_hermitian(sample.rho.matrix)
     s2 = eig_hermitian(sample.rho_prime.matrix)
-    deg = degeneracy_profile(s1, 1e-8)
-    assert max(deg.multiplicities) == 2
+    sizes = degeneracy_profile(s1.eigenvalues, 1e-8)
+    assert max(sizes) == 2
 
     def block():
-        return CosetContext(s1.basis, s2.basis, sample.rho.profile, deg.multiplicities)
+        return CosetContext(s1.basis, s2.basis, sample.rho.profile, sizes)
 
     out.append(("block", block))
     return out
@@ -730,7 +742,7 @@ def _planted_contexts():
     ]:
         s1 = eig_hermitian(sample.rho.matrix)
         s2 = eig_hermitian(sample.rho_prime.matrix)
-        sizes = degeneracy_profile(s1, 1e-8).multiplicities
+        sizes = degeneracy_profile(s1.eigenvalues, 1e-8)
         out.append((label, CosetContext(s1.basis, s2.basis, sample.rho.profile, sizes)))
     return out
 
@@ -988,7 +1000,7 @@ def test_race_goes_on_after_an_escaped_start_stalls():
         + [lambda k: 1.0] * (STARTS_PER_ROUND - 2)
     )
     outcome = _search(ctx, restarts=STARTS_PER_ROUND)
-    assert outcome.success
+    assert outcome.objective <= 1e-14
     assert outcome.point[0] == 1
     assert outcome.restarts_used == STARTS_PER_ROUND
     # a racing pass per start, 3 stalled passes of start 0, a racing pass
@@ -1012,7 +1024,6 @@ def test_search_stops_at_the_first_stall_accept_takes():
         f_success=1e-14,
         accept=lambda point: offered.append(point.copy()) or True,
     )
-    assert outcome.success
     assert outcome.point[0] == 0 and outcome.objective == 1e-2
     assert outcome.restarts_used == STARTS_PER_ROUND
     assert [p[0] for p in offered] == [0]
@@ -1021,7 +1032,6 @@ def test_search_stops_at_the_first_stall_accept_takes():
 def test_start_stuck_in_the_bulk_costs_a_fixed_number_of_passes():
     ctx = _ScriptedContext([lambda k: 1.0 - 1e-3 * k] * 6)
     outcome = _search(ctx, restarts=6)
-    assert not outcome.success
     assert outcome.restarts_used == 6
     assert len(outcome.history) == 6 * ESCAPE_PASSES
     assert outcome.objective == pytest.approx(1.0 - 1e-3 * ESCAPE_PASSES)

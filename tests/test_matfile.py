@@ -93,3 +93,13 @@ def test_dump_checks_dims():
 def test_dump_deterministic_bytes():
     u = haar_unitary(4, 11)
     assert dump_matrix(u, dims=(2, 2)) == dump_matrix(u.copy(), dims=(2, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_save_rejects_non_finite_and_writes_no_file(tmp_path, bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = bad
+    path = tmp_path / "m.json"
+    with pytest.raises(MatrixFileError, match="finite"):
+        save_matrix(path, m, dims=(2, 2))
+    assert not path.exists()
