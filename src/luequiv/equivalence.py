@@ -13,8 +13,9 @@ blocks of any size, widens the coset to V0 = X blockdiag(A_1..A_r) Y^dag
 with unitary blocks, and the same search runs over it; that extension of the
 bipartite criterion is unproven in the multipartite setting, so verdicts
 from it are flagged.
-Every EQUIVALENT verdict ships an explicit witness (U_1, ..., U_M) whose
-conjugation residual is verified.
+A local-eigenframe witness guess that verifies decides the check before any
+coset is built.  Every EQUIVALENT verdict ships an explicit witness
+(U_1, ..., U_M) whose conjugation residual is verified.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .decompose import FactorSet, NotDecomposableError, cut_reports, factor_full
+from .decompose import UNITARY_TOL, FactorSet, NotDecomposableError, cut_reports, factor_full
+from .decompose import unitarity_defect
 from .oracle import haar_unitary, reduced_density
 from .search import run_search
 from .spectral import RankOneReport, degeneracy_profile, spectra_match
@@ -91,9 +93,9 @@ class Verdict:
     used_degenerate_fallback: bool = False
     seed: int | None = None
     restarts_used: int = 0
-    # "frame" (the local-eigenframe point certified, no search ran), "coset"
-    # or "coset-block" (the degenerate fallback's search); None when the
-    # spectra differ
+    # "frame" (the local-eigenframe guess verified, no search ran; no cut
+    # reports or best objective), "coset" or "coset-block" (the degenerate
+    # fallback's search); None when the spectra differ
     path: str | None = None
 
 
@@ -283,15 +285,11 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return flat @ flat.transpose(0, 2, 1)
 
 
-def _frame_point(
-    ctx: CosetContext,
-    rho: DensityMatrix,
-    rho_prime: DensityMatrix,
-    config: SearchConfig,
-    deg_tol: float,
-) -> np.ndarray | None:
-    """The coset point of the local-eigenframe witness guess, or None when
-    the one-site marginals do not fix it.
+def _frame_factors(
+    rho: DensityMatrix, rho_prime: DensityMatrix, config: SearchConfig, deg_tol: float
+) -> list[np.ndarray] | None:
+    """The local-eigenframe witness guess (U_1, ..., U_M), or None when the
+    one-site marginals do not fix it.
 
     A one-site marginal is LU-covariant, rho'_i = U_i rho_i U_i^dag, so a
     non-degenerate marginal fixes U_i = Q_i diag(e^{i phi_i}) P_i^dag, with
@@ -302,13 +300,10 @@ def _frame_point(
     M_i = Tr_{other sites}(B o conj(A)) is D_i N_i D_i^dag with N_i
     entrywise >= 0, and phi_i is the argument of M_i's leading (Perron)
     eigenvector.  B o conj(A) is positive semidefinite (Schur), which is
-    why its partial traces are taken as a DensityMatrix's.  The point is
-    X^dag W^dag Y read on
-    the coset's blocks, W = kron_i Q_i diag(e^{i phi_i}) P_i^dag, projected
-    onto the coset.  None when a pair of marginal spectra differ by more
-    than spec_tol, a marginal has a gap <= deg_tol (the states' own
-    degeneracy threshold), M_i's top gap is within degeneracy_tol of its
-    span, or the point is zero on a 1x1 block, which has no nearest phase.
+    why its partial traces are taken as a DensityMatrix's.  None when a
+    pair of marginal spectra differ by more than spec_tol, a marginal has a
+    gap <= deg_tol (the states' own degeneracy threshold), or M_i's top gap
+    is within degeneracy_tol of its span.
     """
     profile = rho.profile
     frames = []
@@ -322,13 +317,26 @@ def _frame_point(
     a = p.conj().T @ rho.matrix @ p
     b = q.conj().T @ rho_prime.matrix @ q
     overlap = DensityMatrix(matrix=b * a.conj(), profile=profile)
-    w_dag = []
+    factors = []
     for i, (pi, qi) in enumerate(frames):
         w, v = np.linalg.eigh(reduced_density(overlap, i))
         if w.size > 1 and w[-1] - w[-2] <= config.degeneracy_tol * (w[-1] - w[0]):
             return None
-        w_dag.append((pi * np.exp(-1j * np.angle(v[:, -1]))) @ qi.conj().T)
-    point = np.sum((ctx.xt.conj() @ kron_all(w_dag)) * ctx.ych.conj(), axis=1)
+        # U_i as the adjoint of U_i^dag = P_i diag(e^{-i phi_i}) Q_i^dag
+        factors.append(((pi * np.exp(-1j * np.angle(v[:, -1]))) @ qi.conj().T).conj().T)
+    return factors
+
+
+def _frame_overlaps(xt: np.ndarray, ych: np.ndarray, factors) -> np.ndarray:
+    """x_m^dag W^dag y_m for each row m of xt and ych, W = kron_i U_i."""
+    w_dag = kron_all([u.conj().T for u in factors])
+    return np.sum((xt.conj() @ w_dag) * ych.conj(), axis=1)
+
+
+def _frame_point(ctx: CosetContext, factors) -> np.ndarray | None:
+    """X^dag W^dag Y read on the coset's blocks and projected onto the coset,
+    or None when it is zero on a 1x1 block, which has no nearest phase."""
+    point = _frame_overlaps(ctx.xt, ctx.ych, factors)
     if np.any(point[ctx.phase_entries] == 0):
         return None
     return ctx.project(point[np.newaxis])[0]
@@ -343,18 +351,8 @@ def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: Factor
     return float(np.linalg.norm(w @ rho.matrix @ w.conj().T - rho_prime.matrix))
 
 
-def _witness_from_v(
-    v: np.ndarray,
-    rho: DensityMatrix,
-    rho_prime: DensityMatrix,
-    config: SearchConfig,
-) -> tuple[FactorSet, float] | None:
-    """Factor V and verify the adjoint factors as a conjugation witness."""
-    try:
-        fs = factor_full(v, rho.profile, config.rank_tol)
-    except NotDecomposableError:
-        return None
-    witness = fs.adjoints()
+def _verified(rho: DensityMatrix, rho_prime: DensityMatrix, witness: FactorSet):
+    """(witness, residual), or None when the residual exceeds WITNESS_TOL * max(1, ||rho||_F)."""
     residual = verify_witness(rho, rho_prime, witness)
     if residual > WITNESS_TOL * max(1.0, float(np.linalg.norm(rho.matrix))):
         return None
@@ -370,16 +368,18 @@ def check_equivalence(
     then look for a tensor decomposable element of the coset
     X blockdiag(A_1..A_r) Y^dag (diagonal phases when the spectrum is
     non-degenerate, a unitary block per repeated eigenvalue otherwise).  The
-    local-eigenframe point, when the marginals fix it, is tried first: when
-    it certifies, the check is EQUIVALENT with path "frame" and no search
-    runs.  Otherwise search.run_search runs from it (or from the identity)
+    local-eigenframe guess W = kron_i U_i, when the marginals fix it, comes
+    first: when its factors are unitary and it verifies as a witness, the
+    check is EQUIVALENT with path "frame", built with no coset and no
+    search.  Its phases are those of x_m^dag W^dag y_m, and it has no cut
+    reports or best objective: W is a product by construction.  Otherwise
+    search.run_search runs from W's coset point (or from the identity)
     toward f <= rank_tol^2, with ``config.restarts`` starts of up to
-    ``config.sweeps`` alignment passes each.  A point certifies when the
-    exact rank-one test passes at every cut and its V factors into a
-    verified witness; that gate decides the frame point, each point where a
-    lone descent stalled, and the best point found, even if the search's
-    bound f stalled above its goal.  The search stops at the first stalled
-    point that certifies.
+    ``config.sweeps`` alignment passes each.  A search point certifies when
+    the exact rank-one test passes at every cut and its V factors into a
+    verified witness; that gate decides each point where a lone descent
+    stalled, and the best point found, even if f stalled above its goal.
+    The search stops at the first stalled point that certifies.
     """
     if config is None:
         config = SearchConfig()
@@ -397,31 +397,39 @@ def check_equivalence(
     deg_tol = config.degeneracy_tol * max(span, 1e-300)
     sizes = degeneracy_profile(w_avg, deg_tol)
     fallback = max(sizes) > 1
-    ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
+    factors = _frame_factors(rho, rho_prime, config, deg_tol)
+    verified = None
+    if factors is not None and all(unitarity_defect(u) <= UNITARY_TOL for u in factors):
+        verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
+    if verified is not None:
+        # a frame guess that verifies decides the check: no coset, no search
+        point = None if fallback else _frame_overlaps(s1.basis.T, s2.basis.conj().T, factors)
+        found = dict(path="frame")
+    else:
+        ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
 
-    def certify(point: np.ndarray):
-        """The exact cut reports of a point, and its verified witness or None."""
-        v = ctx.build(point)
-        reports = cut_reports(v, rho.profile, config.rank_tol)
-        # f bounds sum (sigma2/sigma1)^2, so a search success passes this too;
-        # soundness rests on the verified witness, not on this gate
-        if not all(r.is_rank_one for r in reports):
-            return reports, None
-        return reports, _witness_from_v(v, rho, rho_prime, config)
+        def certify(point: np.ndarray):
+            """The exact cut reports of a point, and its verified witness or None."""
+            v = ctx.build(point)
+            reports = cut_reports(v, rho.profile, config.rank_tol)
+            # f bounds sum (sigma2/sigma1)^2, so a search success passes this too;
+            # soundness rests on the verified witness, not on this gate
+            if not all(r.is_rank_one for r in reports):
+                return reports, None
+            try:
+                fs = factor_full(v, rho.profile, config.rank_tol)
+            except NotDecomposableError:
+                return reports, None
+            return reports, _verified(rho, rho_prime, fs.adjoints())
 
-    accepted = []
+        accepted = []
 
-    def accept(point: np.ndarray) -> bool:
-        reports, verified = certify(point)
-        if verified is not None:
-            accepted.append((reports, verified))
-        return verified is not None
+        def accept(point: np.ndarray) -> bool:
+            reports, verified = certify(point)
+            if verified is not None:
+                accepted.append((reports, verified))
+            return verified is not None
 
-    start = _frame_point(ctx, rho, rho_prime, config, deg_tol)
-    # a frame point that certifies decides the check: no search runs
-    reports, verified = certify(start) if start is not None else (None, None)
-    point, path, history, restarts_used = start, "frame", [], 0
-    if verified is None:
         outcome = run_search(
             ctx,
             passes=config.sweeps,
@@ -431,24 +439,25 @@ def check_equivalence(
             f_target=min(config.rank_tol**2, OBJECTIVE_POLISH),
             f_success=config.rank_tol**2,
             seed=config.seed,
-            start=start,
+            start=None if factors is None else _frame_point(ctx, factors),
             accept=accept,
         )
-        point, history, restarts_used = outcome.point, outcome.history, outcome.restarts_used
-        path = "coset-block" if fallback else "coset"
+        point = outcome.point
         # the search stops at the first point accept takes, and returns it
         reports, verified = accepted[0] if accepted else certify(point)
-    found = dict(
+        found = dict(
+            cut_reports=reports,
+            objective_history=outcome.history,
+            # the paper's surrogate; the search's f only bounds it from above
+            best_objective=sum(r.ratio**2 for r in reports),
+            restarts_used=outcome.restarts_used,
+            path="coset-block" if fallback else "coset",
+        )
+    found.update(
         # measured from a_1, so theta_1 is exactly zero
         phases=None if fallback else (np.angle(point) - np.angle(point[0])) % (2.0 * np.pi),
-        cut_reports=reports,
-        objective_history=history,
-        # the paper's surrogate; the search's f only bounds it from above
-        best_objective=sum(r.ratio**2 for r in reports),
         used_degenerate_fallback=fallback,
         seed=config.seed,
-        restarts_used=restarts_used,
-        path=path,
     )
     if verified is not None:
         witness, residual = verified

@@ -14,8 +14,8 @@ warm-started from the pairs of the point before it.
 
 Start r = 0 is the caller's ``start`` point, or the identity without one:
 check_equivalence passes the local-eigenframe point (Kraus, PRL 104, 020504
-(2010); equivalence._frame_point) when that point did not certify on its
-own, and none when the one-site marginals do not fix it.  Start r >= 1 is
+(2010); equivalence._frame_point) when the frame witness did not verify on
+its own, and none when the one-site marginals do not fix it.  Start r >= 1 is
 a random point drawn from its own generator.
 
 Most starts leave the bulk of the coset, where every cut's realignment

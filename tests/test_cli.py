@@ -181,16 +181,29 @@ def test_check_json_contract(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "EQUIVALENT"
-    assert len(doc["phases"]) == 8
-    assert [c["cut"] for c in doc["cuts"]] == [1, 2]
-    assert all({"sigma1", "sigma2", "ratio", "rank_one"} <= set(c) for c in doc["cuts"])
+    assert len(doc["phases"]) == 8 and doc["phases"][0] == 0.0
     assert doc["witness_residual"] < 1e-8
-    assert doc["witness"] is not None
     assert doc["degenerate_fallback"] is False
-    # the local-eigenframe point certifies a planted pair: no search runs
+    # the local-eigenframe guess verifies on a planted pair: no search runs,
+    # and a product by construction has no cut reports or surrogate
     assert doc["path"] == "frame"
     assert doc["restarts_used"] == 0
     assert doc["objective_history"] == []
+    assert doc["cuts"] is None and doc["best_objective"] is None
+    assert doc["witness"]["factorization_residual"] == 0.0
+    assert [f["shape"] for f in doc["witness"]["factors"]] == [[2, 2]] * 3
+    # the paper's pair falls back to the search, whose verdict reports its cuts
+    prefix = _gen(tmp_path, "paper-example", "--a", "3", "--b", "5", "--c", "7")
+    capsys.readouterr()
+    rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json", "--json", *FAST])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "EQUIVALENT" and doc["path"] == "coset"
+    assert [c["cut"] for c in doc["cuts"]] == [1, 2]
+    assert all({"sigma1", "sigma2", "ratio", "rank_one"} <= set(c) for c in doc["cuts"])
+    assert doc["best_objective"] == sum(c["ratio"] ** 2 for c in doc["cuts"])
+    assert doc["witness"] is not None and doc["witness_residual"] < 1e-8
+    assert doc["restarts_used"] >= 1 and doc["objective_history"] != []
 
 
 def test_gen_paper_example_files_match_literal_matrices(tmp_path):

@@ -20,6 +20,7 @@ from luequiv import (
     verify_witness,
 )
 from luequiv import equivalence
+from luequiv.decompose import UNITARY_TOL, unitarity_defect
 from luequiv.equivalence import (
     ESCAPE_LEVEL_PER_CUT,
     OBJECTIVE_POLISH,
@@ -377,9 +378,12 @@ def test_check_decides_a_state_within_the_hermiticity_tolerance():
 
 
 def test_best_objective_is_the_surrogate_of_the_reported_cuts():
-    sample = make_equivalent_pair(DimProfile((2, 2, 2)), 5)
-    verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=5))
+    # the paper's pair is decided by the search, whose verdict reports its cuts
+    rho, rho_p = paper_example(3, 5, 7)
+    verdict = check_equivalence(rho, rho_p, SearchConfig(seed=5))
     assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.path == "coset"
+    assert [r.cut for r in verdict.cut_reports] == [1, 2]
     assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cut_reports)
 
 
@@ -398,22 +402,28 @@ def test_exact_cut_reports_gate_the_witness_when_the_search_bound_stalls():
     assert verdict.witness_residual <= 1e-8
 
 
-def _noisy_six_qubit_pair(seed):
-    """A planted 2^6 pair with Hermitian noise of norm 1e-9 on rho'."""
-    sample = make_equivalent_pair(DimProfile((2,) * 6), seed)
+def _noisy_pair(dims, seed, eta=1e-9):
+    """A planted pair with Hermitian noise of norm eta on rho'."""
+    sample = make_equivalent_pair(DimProfile(dims), seed)
+    n = sample.rho.dim
     rng = np.random.default_rng(100 + seed)
-    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     noise = g + g.conj().T
-    noise *= 1e-9 / np.linalg.norm(noise)
+    noise *= eta / np.linalg.norm(noise)
     return sample.rho, DensityMatrix(sample.rho_prime.matrix + noise, sample.rho_prime.profile)
 
 
+def _noisy_six_qubit_pair(seed):
+    """A planted 2^6 pair with Hermitian noise of norm 1e-9 on rho'."""
+    return _noisy_pair((2,) * 6, seed)
+
+
 def test_search_stops_at_a_verified_stalled_start(monkeypatch):
-    # without the frame point (which certifies this pair before any search)
+    # without the frame guess (which verifies on this pair before any search)
     # the search starts at the identity; the lone descent stalls above
     # rank_tol^2 at a point that passes the exact cut test and verifies, so
     # the first round's starts are the only ones used
-    monkeypatch.setattr(equivalence, "_frame_point", lambda *args: None)
+    monkeypatch.setattr(equivalence, "_frame_factors", lambda *args: None)
     rho, rho_prime = _noisy_six_qubit_pair(1)
     config = SearchConfig(seed=1)
     verdict = check_equivalence(rho, rho_prime, config)
@@ -424,48 +434,115 @@ def test_search_stops_at_a_verified_stalled_start(monkeypatch):
 
 
 def _check_with_frame(monkeypatch, rho, rho_prime, config):
-    """check_equivalence's verdict, its coset context and its frame start point."""
-    seen = []
+    """check_equivalence's verdict, its frame factors and the search's frame
+    start point (None when the frame gave none or no coset was built)."""
+    seen = {}
 
-    def spy(ctx, *args):
-        seen.append((ctx, real(ctx, *args)))
-        return seen[-1][1]
+    def spy(name):
+        real = getattr(equivalence, name)
 
-    real = equivalence._frame_point
-    monkeypatch.setattr(equivalence, "_frame_point", spy)
+        def wrapped(*args):
+            seen[name] = real(*args)
+            return seen[name]
+
+        monkeypatch.setattr(equivalence, name, wrapped)
+
+    spy("_frame_factors")
+    spy("_frame_point")
     verdict = check_equivalence(rho, rho_prime, config)
     monkeypatch.undo()
-    ((ctx, point),) = seen
-    return verdict, ctx, point
+    return verdict, seen["_frame_factors"], seen.get("_frame_point")
 
 
-def test_frame_point_decides_planted_pairs_without_a_search(monkeypatch):
-    config = SearchConfig(seed=4)
+def _coset_point(rho, rho_prime, factors):
+    """A pair's coset context and the search's start point from the frame factors."""
+    s1, s2 = eig_hermitian(rho.matrix), eig_hermitian(rho_prime.matrix)
+    sizes = degeneracy_profile(s1.eigenvalues, 1e-8)
+    ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
+    return ctx, equivalence._frame_point(ctx, factors)
+
+
+def _frame_samples():
     samples = [
         make_equivalent_pair(DimProfile(dims), 31)
         for dims in [(2, 3), (2, 2, 2), (3, 3, 3), (2,) * 6]
     ]
     samples.append(make_degenerate_pair(DimProfile((2, 2, 2)), 31))
-    for sample in samples:
+    return samples
+
+
+def test_frame_point_decides_planted_pairs_without_a_search(monkeypatch):
+    # the guess the frame rung verifies is a coset solution: its coset point,
+    # the search's start when the rung does not decide, is already at f <= rank_tol^2
+    config = SearchConfig(seed=4)
+    for sample in _frame_samples():
         searches = []
         monkeypatch.setattr(equivalence, "run_search", lambda *a, **k: searches.append(a))
-        verdict, ctx, point = _check_with_frame(
+        verdict, factors, start = _check_with_frame(
             monkeypatch, sample.rho, sample.rho_prime, config
         )
         label = sample.rho.profile
-        assert searches == [], label
+        assert searches == [] and start is None, label
+        ctx, point = _coset_point(sample.rho, sample.rho_prime, factors)
         (f,), _ = ctx.decompose(point[np.newaxis])
         assert f <= config.rank_tol**2, label
         assert verdict.status is VerdictStatus.EQUIVALENT, label
         assert verdict.path == "frame", label
         assert verdict.objective_history == [] and verdict.restarts_used == 0, label
-        # the frame verdict ships what a search verdict does: a verified
-        # witness, rank-one cuts and phases measured from theta_1 = 0
-        residual = verify_witness(sample.rho, sample.rho_prime, verdict.witness)
-        assert residual <= WITNESS_TOL, label
-        assert all(r.is_rank_one for r in verdict.cut_reports), label
-        if not verdict.used_degenerate_fallback:
-            assert verdict.phases[0] == 0.0, label
+        for got, want in zip(verdict.witness.factors, factors):
+            assert np.array_equal(got, want), label
+
+
+def test_frame_rung_skips_the_coset(monkeypatch):
+    # a frame guess that verifies decides the check with no coset machinery:
+    # no CosetContext, no cut reports, no factoring, no search
+    config = SearchConfig(seed=4)
+    for sample in _frame_samples():
+        label = sample.rho.profile
+        calls = []
+        real_init = CosetContext.__init__
+
+        def init(self, *args, **kwargs):
+            calls.append("CosetContext")
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CosetContext, "__init__", init)
+        for name in ("cut_reports", "factor_full", "run_search"):
+            monkeypatch.setattr(equivalence, name, lambda *a, _n=name, **k: calls.append(_n))
+        verdict, factors, _ = _check_with_frame(monkeypatch, sample.rho, sample.rho_prime, config)
+        assert calls == [], (label, calls)
+        assert verdict.status is VerdictStatus.EQUIVALENT, label
+        assert verdict.path == "frame", label
+        assert verdict.cut_reports is None and verdict.best_objective is None, label
+        assert verdict.witness.residual == 0.0, label
+        assert all(unitarity_defect(u) <= UNITARY_TOL for u in verdict.witness.factors), label
+        assert verdict.witness_residual <= WITNESS_TOL, label
+        assert verify_witness(sample.rho, sample.rho_prime, verdict.witness) <= WITNESS_TOL
+        if verdict.used_degenerate_fallback:
+            assert verdict.phases is None, label
+            continue
+        # the phases of the projected frame point the search would start from,
+        # angle(x_m^dag W^dag y_m) measured from theta_1
+        _, point = _coset_point(sample.rho, sample.rho_prime, factors)
+        want = np.angle(point) - np.angle(point[0])
+        assert verdict.phases[0] == 0.0, label
+        assert np.max(np.abs(np.exp(1j * verdict.phases) - np.exp(1j * want))) <= 1e-12, label
+
+
+@pytest.mark.parametrize(
+    "dims, seeds", [((2, 2, 2), range(10)), ((2,) * 6, range(4))], ids=["2x2x2", "2^6"]
+)
+def test_frame_rung_decides_pairs_with_noise_near_the_witness_tolerance(dims, seeds):
+    # at noise 3e-9 on rho' the frame guess's residual is within 1e-8 while
+    # its coset point can fail the rank-one test (sigma2/sigma1 > rank_tol):
+    # the frame rung verifies the guess itself, so none of these ends NOT_FOUND
+    for seed in seeds:
+        rho, rho_prime = _noisy_pair(dims, seed, eta=3e-9)
+        verdict = check_equivalence(rho, rho_prime, SearchConfig(seed=0))
+        assert verdict.status is VerdictStatus.EQUIVALENT, seed
+        assert verdict.path == "frame", seed
+        assert verdict.witness_residual <= 1e-8, seed
+        assert verify_witness(rho, rho_prime, verdict.witness) <= 1e-8, seed
 
 
 def test_frame_falls_back_to_the_identity(monkeypatch):
@@ -477,41 +554,57 @@ def test_frame_falls_back_to_the_identity(monkeypatch):
     bell = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     rho = DensityMatrix(matrix=bell, profile=profile)
     rho_p = DensityMatrix(matrix=hh @ bell @ hh.conj().T, profile=profile)
-    verdict, _, point = _check_with_frame(monkeypatch, rho, rho_p, config)
-    assert point is None
+    verdict, factors, start = _check_with_frame(monkeypatch, rho, rho_p, config)
+    assert factors is None and start is None
     assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.path == "coset-block"
     # an independent Haar rotation keeps the spectrum, not the marginal spectra
     profile = DimProfile((2, 2, 2))
     rho = random_density(profile, "generic-nondegenerate", 71)
     rotated = random_density(profile, eig_hermitian(rho.matrix).eigenvalues, 72)
-    verdict, _, point = _check_with_frame(monkeypatch, rho, rotated, config)
-    assert point is None
+    verdict, factors, start = _check_with_frame(monkeypatch, rho, rotated, config)
+    assert factors is None and start is None
     assert verdict.status is VerdictStatus.NOT_FOUND
 
 
 def test_frame_start_on_the_conjugate_stays_not_found(monkeypatch):
-    # rho* has rho's marginal spectra, so the frame is built, and the
-    # search from it still finds no decomposable V
+    # rho* has rho's marginal spectra, so the frame is built, fails to
+    # verify, and the search from its coset point still finds no decomposable V
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
-    verdict, _, point = _check_with_frame(monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=2))
-    assert point is not None
+    verdict, factors, start = _check_with_frame(
+        monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=2)
+    )
+    assert factors is not None and start is not None
     assert verdict.status is VerdictStatus.NOT_FOUND
     assert verdict.witness is None
 
+
 def test_frame_start_is_deterministic_given_seed(monkeypatch):
-    # the same seed gives the same frame start, phases and witness
+    # the same seed gives the same frame factors, phases and witness
     sample = make_equivalent_pair(DimProfile((3, 3, 3)), 37)
     runs = [
         _check_with_frame(monkeypatch, sample.rho, sample.rho_prime, SearchConfig(seed=5))
         for _ in "ab"
     ]
+    (v1, factors1, _), (v2, factors2, _) = runs
+    assert factors1 is not None
+    assert v1.status is v2.status is VerdictStatus.EQUIVALENT
+    assert v1.path == v2.path == "frame"
+    assert np.array_equal(v1.phases, v2.phases)
+    for f1, f2, w1, w2 in zip(factors1, factors2, v1.witness.factors, v2.witness.factors):
+        assert np.array_equal(f1, f2) and np.array_equal(w1, w2)
+    # and, where the frame does not verify, the same search start and outcome
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
+    runs = [
+        _check_with_frame(monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=5))
+        for _ in "ab"
+    ]
     (v1, _, start1), (v2, _, start2) = runs
     assert start1 is not None and np.array_equal(start1, start2)
-    assert v1.status is v2.status is VerdictStatus.EQUIVALENT
     assert np.array_equal(v1.phases, v2.phases)
-    for f1, f2 in zip(v1.witness.factors, v2.witness.factors):
-        assert np.array_equal(f1, f2)
+    assert v1.objective_history == v2.objective_history
 
 
 def test_check_rejects_non_finite_entries():
