@@ -44,22 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        seed, source = int(args.seed), "--seed"
-    else:
-        env = os.environ.get("LU_EQUIV_SEED")
-        if env is None:
-            return 0
-        try:
-            seed, source = int(env), "LU_EQUIV_SEED"
-        except ValueError:
-            raise CliError(f"LU_EQUIV_SEED={env!r} is not an integer") from None
-    if seed < 0:
-        raise CliError(f"seed must be non-negative, got {seed} from {source}")
-    return seed
-
-
 def _config_from(args) -> SearchConfig:
     return SearchConfig(
         sweeps=args.sweeps,
@@ -67,7 +51,7 @@ def _config_from(args) -> SearchConfig:
         rank_tol=args.tol_rank,
         spec_tol=args.tol_spec,
         degeneracy_tol=args.tol_degeneracy,
-        seed=_resolve_seed(args),
+        seed=args.seed,
     )
 
 
@@ -220,7 +204,9 @@ def cmd_factor(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = _resolve_seed(args)
+    seed = args.seed
+    if seed < 0:
+        raise CliError(f"seed must be non-negative, got {seed}")
     prefix = args.out_prefix
     if args.kind == "paper-example":
         rho, rho_prime = paper_example(args.a, args.b, args.c)
@@ -276,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file_b")
     p_check.add_argument("--json", action="store_true", help="emit the verdict as JSON")
     add_flags(p_check, search_flags)
-    p_check.add_argument("--seed", type=int, default=None,
-                         help="search seed (default: $LU_EQUIV_SEED or 0)")
+    p_check.add_argument("--seed", type=int, default=d.seed, help="search seed (default 0)")
     p_check.set_defaults(func=cmd_check)
 
     p_re = sub.add_parser("realign", help="realign an operator across one cut")
@@ -300,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--a", type=float, default=3.0)
     p_gen.add_argument("--b", type=float, default=5.0)
     p_gen.add_argument("--c", type=float, default=7.0)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--out-prefix", default="luequiv_gen")
     p_gen.set_defaults(func=cmd_gen)
     return parser

@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import RankOneReport, rank_one_report, rank_one_test
+from .spectral import TOL, RankOneReport, rank_one_report, rank_one_test
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all, leading_index, realign
-
-UNITARY_TOL = 1e-8
 
 
 class NotDecomposableError(ValueError):
@@ -56,7 +54,7 @@ def _checked_unitary(v, profile: DimProfile, what: str) -> np.ndarray:
     if v.shape != (n, n):
         raise ValueError(f"{what}: operator shape {v.shape} does not match profile {profile.dims}")
     defect = unitarity_defect(v)
-    if defect > UNITARY_TOL:
+    if defect > TOL:
         raise ValueError(f"{what} is not unitary: ||UU^dag - I||_F = {defect:.3e}")
     return v
 

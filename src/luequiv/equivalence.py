@@ -15,7 +15,8 @@ bipartite criterion is unproven in the multipartite setting, so verdicts
 from it are flagged.
 A local-eigenframe witness guess that verifies decides the check before any
 coset is built.  Every EQUIVALENT verdict ships an explicit witness
-(U_1, ..., U_M) whose conjugation residual is verified.
+(U_1, ..., U_M) that passed the one witness gate, _verified: each factor
+unitary, and the conjugation residual verified.
 """
 
 from __future__ import annotations
@@ -26,19 +27,12 @@ from enum import Enum
 
 import numpy as np
 
-from .decompose import UNITARY_TOL, FactorSet, NotDecomposableError, cut_reports, factor_full
-from .decompose import unitarity_defect
+from .decompose import FactorSet, NotDecomposableError, cut_reports, factor_full, unitarity_defect
 from .oracle import haar_unitary, reduced_density
 from .search import run_search
-from .spectral import RankOneReport, degeneracy_profile, spectra_match
+from .spectral import TOL, RankOneReport, degeneracy_profile, spectra_match
 from .states import DensityMatrix, validate_density
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
-
-OBJECTIVE_POLISH = 1e-20
-# a witness must conjugate rho onto rho' within this, relative to max(1, ||rho||_F)
-WITNESS_TOL = 1e-8
-# a start whose objective is above this per cut is still in the bulk of the coset
-ESCAPE_LEVEL_PER_CUT = 0.1
 
 
 class VerdictStatus(str, Enum):
@@ -52,14 +46,15 @@ class SearchConfig:
     """Tolerances and budgets for the equivalence pipeline.
 
     ``sweeps`` is the number of alignment passes each restart may run.  A
-    value out of range is a ValueError naming the field.
+    value out of range is a ValueError naming the field.  spec_tol and
+    degeneracy_tol start at spectral.TOL, whose table gives their scales.
     """
 
     sweeps: int = 1000
     restarts: int = 20
     rank_tol: float = 1e-7
-    spec_tol: float = 1e-8
-    degeneracy_tol: float = 1e-8
+    spec_tol: float = TOL
+    degeneracy_tol: float = TOL
     seed: int = 0
 
     def __post_init__(self):
@@ -343,20 +338,31 @@ def _frame_point(ctx: CosetContext, factors) -> np.ndarray | None:
 
 
 def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: FactorSet) -> float:
-    """Frobenius residual ||(kron U_i) rho (kron U_i)^dag - rho_prime||_F."""
+    """Frobenius residual ||(kron U_i) rho (kron U_i)^dag - rho_prime||_F.
+
+    ValueError unless the witness has exactly one d_i x d_i factor per site.
+    """
+    shapes = [np.shape(u) for u in factors.factors]
+    if shapes != [(d, d) for d in rho.profile.dims]:
+        raise ValueError(f"witness factor shapes {shapes} do not match sites {rho.profile.dims}")
     w = kron_all(factors.factors)
-    n = rho.dim
-    if w.shape != (n, n):
-        raise ValueError(f"witness dimension {w.shape} does not match states ({n})")
     return float(np.linalg.norm(w @ rho.matrix @ w.conj().T - rho_prime.matrix))
 
 
 def _verified(rho: DensityMatrix, rho_prime: DensityMatrix, witness: FactorSet):
-    """(witness, residual), or None when the residual exceeds WITNESS_TOL * max(1, ||rho||_F)."""
+    """(witness, residual), or None unless every factor is unitary within TOL
+    and the residual is within TOL * max(1, ||rho||_F): the one witness gate."""
+    if any(unitarity_defect(u) > TOL for u in witness.factors):
+        return None
     residual = verify_witness(rho, rho_prime, witness)
-    if residual > WITNESS_TOL * max(1.0, float(np.linalg.norm(rho.matrix))):
+    if residual > TOL * max(1.0, float(np.linalg.norm(rho.matrix))):
         return None
     return witness, residual
+
+
+def _phases(point: np.ndarray) -> np.ndarray:
+    """The angles of a non-degenerate coset point, measured from a_1 (theta_1 = 0)."""
+    return (np.angle(point) - np.angle(point[0])) % (2.0 * np.pi)
 
 
 def check_equivalence(
@@ -364,22 +370,21 @@ def check_equivalence(
 ) -> Verdict:
     """Decide LU equivalence and produce witness local unitaries when found.
 
-    Pipeline: validate, compare spectra (a mismatch is a conclusive NO),
-    then look for a tensor decomposable element of the coset
-    X blockdiag(A_1..A_r) Y^dag (diagonal phases when the spectrum is
-    non-degenerate, a unitary block per repeated eigenvalue otherwise).  The
-    local-eigenframe guess W = kron_i U_i, when the marginals fix it, comes
-    first: when its factors are unitary and it verifies as a witness, the
-    check is EQUIVALENT with path "frame", built with no coset and no
-    search.  Its phases are those of x_m^dag W^dag y_m, and it has no cut
-    reports or best objective: W is a product by construction.  Otherwise
-    search.run_search runs from W's coset point (or from the identity)
-    toward f <= rank_tol^2, with ``config.restarts`` starts of up to
-    ``config.sweeps`` alignment passes each.  A search point certifies when
-    the exact rank-one test passes at every cut and its V factors into a
-    verified witness; that gate decides each point where a lone descent
-    stalled, and the best point found, even if f stalled above its goal.
-    The search stops at the first stalled point that certifies.
+    Validate, then compare spectra: a mismatch is a conclusive NO.  Then two
+    rungs, each ending in the one witness gate (_verified: unitary factors,
+    verified residual).  The frame rung: the local-eigenframe guess
+    W = kron_i U_i, when the marginals fix it and it passes the gate, is
+    EQUIVALENT on path "frame", with no coset and no search; its phases are
+    those of x_m^dag W^dag y_m, and it has no cut reports or best objective,
+    W being a product by construction.  The search rung: search.run_search
+    over the coset X blockdiag(A_1..A_r) Y^dag (diagonal phases when the
+    spectrum is non-degenerate, a unitary block per repeated eigenvalue
+    otherwise) from W's coset point, or the identity, with
+    ``config.restarts`` starts of up to ``config.sweeps`` passes each.  A
+    point certifies when the exact rank-one test passes at every cut and its
+    V factors into a witness that passes the gate.  The search stops at the
+    first stalled point that certifies, and the point it returns is
+    certified once more for the verdict.
     """
     if config is None:
         config = SearchConfig()
@@ -398,73 +403,58 @@ def check_equivalence(
     sizes = degeneracy_profile(w_avg, deg_tol)
     fallback = max(sizes) > 1
     factors = _frame_factors(rho, rho_prime, config, deg_tol)
-    verified = None
-    if factors is not None and all(unitarity_defect(u) <= UNITARY_TOL for u in factors):
+    if factors is not None:
         verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
-    if verified is not None:
-        # a frame guess that verifies decides the check: no coset, no search
-        point = None if fallback else _frame_overlaps(s1.basis.T, s2.basis.conj().T, factors)
-        found = dict(path="frame")
-    else:
-        ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
+        if verified is not None:
+            point = None if fallback else _frame_overlaps(s1.basis.T, s2.basis.conj().T, factors)
+            return Verdict(
+                status=VerdictStatus.EQUIVALENT,
+                witness=verified[0],
+                witness_residual=verified[1],
+                phases=None if fallback else _phases(point),
+                used_degenerate_fallback=fallback,
+                seed=config.seed,
+                path="frame",
+            )
 
-        def certify(point: np.ndarray):
-            """The exact cut reports of a point, and its verified witness or None."""
-            v = ctx.build(point)
-            reports = cut_reports(v, rho.profile, config.rank_tol)
-            # f bounds sum (sigma2/sigma1)^2, so a search success passes this too;
-            # soundness rests on the verified witness, not on this gate
-            if not all(r.is_rank_one for r in reports):
-                return reports, None
-            try:
-                fs = factor_full(v, rho.profile, config.rank_tol)
-            except NotDecomposableError:
-                return reports, None
-            return reports, _verified(rho, rho_prime, fs.adjoints())
+    ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
 
-        accepted = []
+    def certify(point: np.ndarray):
+        """The exact cut reports of a point, and its verified witness or None."""
+        v = ctx.build(point)
+        reports = cut_reports(v, rho.profile, config.rank_tol)
+        # f bounds sum (sigma2/sigma1)^2, so a search success passes this too;
+        # soundness rests on the verified witness, not on this gate
+        if not all(r.is_rank_one for r in reports):
+            return reports, None
+        try:
+            fs = factor_full(v, rho.profile, config.rank_tol)
+        except NotDecomposableError:
+            return reports, None
+        return reports, _verified(rho, rho_prime, fs.adjoints())
 
-        def accept(point: np.ndarray) -> bool:
-            reports, verified = certify(point)
-            if verified is not None:
-                accepted.append((reports, verified))
-            return verified is not None
-
-        outcome = run_search(
-            ctx,
-            passes=config.sweeps,
-            restarts=config.restarts,
-            f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
-            # polish well below the success level so witnesses verify comfortably
-            f_target=min(config.rank_tol**2, OBJECTIVE_POLISH),
-            f_success=config.rank_tol**2,
-            seed=config.seed,
-            start=None if factors is None else _frame_point(ctx, factors),
-            accept=accept,
-        )
-        point = outcome.point
-        # the search stops at the first point accept takes, and returns it
-        reports, verified = accepted[0] if accepted else certify(point)
-        found = dict(
-            cut_reports=reports,
-            objective_history=outcome.history,
-            # the paper's surrogate; the search's f only bounds it from above
-            best_objective=sum(r.ratio**2 for r in reports),
-            restarts_used=outcome.restarts_used,
-            path="coset-block" if fallback else "coset",
-        )
-    found.update(
-        # measured from a_1, so theta_1 is exactly zero
-        phases=None if fallback else (np.angle(point) - np.angle(point[0])) % (2.0 * np.pi),
+    outcome = run_search(
+        ctx,
+        passes=config.sweeps,
+        restarts=config.restarts,
+        rank_tol=config.rank_tol,
+        seed=config.seed,
+        start=None if factors is None else _frame_point(ctx, factors),
+        accept=lambda p: certify(p)[1] is not None,
+    )
+    reports, verified = certify(outcome.point)
+    witness, residual = verified or (None, None)
+    return Verdict(
+        status=VerdictStatus.NOT_FOUND if verified is None else VerdictStatus.EQUIVALENT,
+        witness=witness,
+        witness_residual=residual,
+        phases=None if fallback else _phases(outcome.point),
+        cut_reports=reports,
+        objective_history=outcome.history,
+        # the paper's surrogate; the search's f only bounds it from above
+        best_objective=sum(r.ratio**2 for r in reports),
         used_degenerate_fallback=fallback,
         seed=config.seed,
+        restarts_used=outcome.restarts_used,
+        path="coset-block" if fallback else "coset",
     )
-    if verified is not None:
-        witness, residual = verified
-        return Verdict(
-            status=VerdictStatus.EQUIVALENT,
-            witness=witness,
-            witness_residual=residual,
-            **found,
-        )
-    return Verdict(status=VerdictStatus.NOT_FOUND, **found)

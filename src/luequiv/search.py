@@ -1,16 +1,17 @@
 """Multistart of monotone alignment passes over a coset context.
 
-The engine is generic over a context providing ``identity()`` and
-``random_point(rng)`` (start points) and three methods on a stack of B
-points, a (B, size) array: ``decompose(points, pairs=None) -> (f, pairs)``
-(the objective of each point, shape (B,), and what a pass needs from it:
-per cut, a (U, W) pair of (B, .) arrays, refined from the pairs of the
-points the search came from, or computed afresh at a start),
-``sweep(points, pairs) -> points`` (one alignment pass, a monotone local
-refinement) and ``project(points) -> points`` (the nearest points of the
-coset).  Each race carries its starts' stacked (points, f, pairs), so every
-point is decomposed once, and each decomposition but a start's first is
-warm-started from the pairs of the point before it.
+The engine is generic over a context providing ``splits`` (one entry per
+cut of the objective), ``identity()`` and ``random_point(rng)`` (start
+points) and three methods on a stack of B points, a (B, size) array:
+``decompose(points, pairs=None) -> (f, pairs)`` (the objective of each
+point, shape (B,), and what a pass needs from it: per cut, a (U, W) pair of
+(B, .) arrays, refined from the pairs of the points the search came from,
+or computed afresh at a start), ``sweep(points, pairs) -> points`` (one
+alignment pass, a monotone local refinement) and ``project(points) ->
+points`` (the nearest points of the coset).  Each race carries its starts'
+stacked (points, f, pairs), so every point is decomposed once, and each
+decomposition but a start's first is warm-started from the pairs of the
+point before it.
 
 Start r = 0 is the caller's ``start`` point, or the identity without one:
 check_equivalence passes the local-eigenframe point (Kraus, PRL 104, 020504
@@ -18,16 +19,22 @@ check_equivalence passes the local-eigenframe point (Kraus, PRL 104, 020504
 its own, and none when the one-site marginals do not fix it.  Start r >= 1 is
 a random point drawn from its own generator.
 
-Most starts leave the bulk of the coset, where every cut's realignment
-still has sigma2 close to sigma1, within a few passes; the rest crawl there
-for tens of passes, whether or not they end at a solution.  So starts race
-STARTS_PER_ROUND at a time: the starts still above the escape
-level take a pass as one stacked evaluation, and a start that falls to it
-runs passes alone (a stack of one) until the objective reaches the polish
-target, the passes stall, or the pass budget runs out.  A start still in
-the bulk after ESCAPE_PASSES passes is dropped.  A search then costs about
-one fast start per round, and a start that never escapes costs a fixed
-number of passes instead of a crawl.
+The search owns its levels, all derived from the caller's rank tolerance
+and the number of cuts: it succeeds at f_success = rank_tol^2 (f bounds
+the sum of (sigma2/sigma1)^2 over the cuts from above), an escaped start
+polishes toward f_target = min(f_success, OBJECTIVE_POLISH), and a start
+has escaped the bulk of the coset once f <= ESCAPE_LEVEL_PER_CUT per cut.
+
+Most starts leave the bulk, where every cut's realignment still has sigma2
+close to sigma1, within a few passes; the rest crawl there for tens of
+passes, whether or not they end at a solution.  So starts race
+STARTS_PER_ROUND at a time: the starts still above the escape level take a
+pass as one stacked evaluation, and a start that falls to it runs passes
+alone (a stack of one) until the objective reaches the polish target, the
+passes stall, or the pass budget runs out.  A start still in the bulk after
+ESCAPE_PASSES passes is dropped.  A search then costs about one fast start
+per round, and a start that never escapes costs a fixed number of passes
+instead of a crawl.
 
 Alone, a start converges linearly, so its passes are Anderson-mixed (Walker
 & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) over the last MIX_DEPTH outputs.
@@ -36,7 +43,8 @@ A mix is kept only when it lowers f; else the pass output is, with no history.
 A lone descent can stall just above f_success at a point the caller can
 still certify (f only bounds the caller's test from above).  The caller's
 ``accept(point)`` is asked at every such point, and the search stops at the
-first it accepts.
+first it accepts.  A start that reaches f_success ends the search without
+a call to ``accept``.
 """
 
 from __future__ import annotations
@@ -46,6 +54,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# a start whose objective is above this per cut is still in the bulk of the coset
+ESCAPE_LEVEL_PER_CUT = 0.1
+# an escaped start polishes toward this, far below any success level, so
+# witnesses verify comfortably
+OBJECTIVE_POLISH = 1e-20
 ALIGN_STALL_REL = 1e-3
 ALIGN_STALL_PATIENCE = 3
 ESCAPE_PASSES = 20
@@ -162,33 +175,31 @@ def run_search(
     *,
     passes: int,
     restarts: int,
-    f_escape: float,
-    f_target: float,
-    f_success: float,
+    rank_tol: float,
     seed: int = 0,
     start: np.ndarray | None = None,
     accept: Callable[[np.ndarray], bool] | None = None,
 ) -> SearchOutcome:
-    """Race starts, STARTS_PER_ROUND at a time, until the objective drops below f_success.
+    """Race ``restarts`` starts, STARTS_PER_ROUND at a time, until the
+    objective drops to rank_tol^2.
 
-    ``restarts`` is the number of starts and ``passes`` the alignment passes
-    each may run.  f_escape is the level below which a start has left the
-    bulk, f_target the polish level an escaped start descends toward, and
-    f_success (>= f_target) the level at which the search stops.  ``start``
-    replaces the identity as start 0.  ``accept`` is asked at each point
-    where a lone descent stalls above f_success; the search stops at the
-    first point it takes and returns it.  The result is deterministic for a
-    given seed: start r draws from its own generator, and when neither stop
-    is reached the lowest objective wins, the earliest start breaking ties.
+    ``passes`` is the number of alignment passes each start may run.
+    ``start`` replaces the identity as start 0.  ``accept`` is asked at each
+    point where a lone descent stalls above rank_tol^2; the search stops at
+    the first point it takes and returns it.  The result is deterministic
+    for a given seed: start r draws from its own generator, and when neither
+    stop is reached the lowest objective wins, the earliest start breaking
+    ties.
     """
-    f_success = max(f_success, f_target)
-    n = max(1, restarts)
+    f_success = rank_tol**2
+    f_target = min(f_success, OBJECTIVE_POLISH)
+    f_escape = ESCAPE_LEVEL_PER_CUT * len(ctx.splits)
     trace: list[float] = []
     best_point, best_f, accepted = None, np.inf, False
     start = ctx.identity() if start is None else start
     used = 0
-    for first in range(0, n, STARTS_PER_ROUND):
-        rs = range(first, min(first + STARTS_PER_ROUND, n))
+    for first in range(0, restarts, STARTS_PER_ROUND):
+        rs = range(first, min(first + STARTS_PER_ROUND, restarts))
         used += len(rs)
         starts = [
             start if r == 0 else ctx.random_point(np.random.default_rng([seed, r])) for r in rs

@@ -8,9 +8,20 @@ import numpy as np
 
 from .tensor import LEAD_RTOL, as_cmatrix
 
-# ||H - H^dag||_F allowed, relative to max(1, ||H||_F); the one Hermiticity
-# tolerance of the package, for states and bare matrices alike
-HERMITIAN_TOL = 1e-8
+# The one tolerance scale of the package.  Each check below compares its
+# quantity with TOL times its scale; spec_tol and degeneracy_tol are
+# SearchConfig fields (--tol-spec, --tol-degeneracy) that default to TOL.
+#
+#   check                                quantity                   scale
+#   Hermiticity (require_hermitian)      ||H - H^dag||_F            max(1, ||H||_F)
+#   trace warning (validate_density)     |tr rho - 1|               1
+#   PSD (validate_density)               -lambda_min                1
+#   unitarity (factor_full input,        ||U U^dag - I||_F          1
+#     every witness factor)
+#   witness residual                     ||W rho W^dag - rho'||_F   max(1, ||rho||_F)
+#   spectra match (spec_tol)             max |lambda - lambda'|     1
+#   degeneracy grouping (degeneracy_tol) adjacent eigenvalue gap    spectral span
+TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,9 +65,9 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
-    """ValueError unless ||H - H^dag||_F <= HERMITIAN_TOL * max(1, ||H||_F)."""
+    """ValueError unless ||H - H^dag||_F <= TOL * max(1, ||H||_F)."""
     dev = float(np.linalg.norm(h - h.conj().T))
-    if dev > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(h))):
+    if dev > TOL * max(1.0, float(np.linalg.norm(h))):
         raise ValueError(f"{what} is not Hermitian: ||H - H^dag||_F = {dev:.3e}")
 
 

@@ -7,11 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Spectrum, _eig_checked, require_hermitian
+from .spectral import TOL, Spectrum, _eig_checked, require_hermitian
 from .tensor import DimProfile, as_cmatrix
-
-TRACE_TOL = 1e-8
-PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,8 +34,8 @@ class DensityMatrix:
 
 def validate_density(rho: DensityMatrix) -> tuple[DensityMatrix, Spectrum]:
     """The checked state and its spectrum, from one eigensolve.  Entries must
-    be finite, the matrix Hermitian and its eigenvalues at least -PSD_TOL; a
-    trace off by more than TRACE_TOL is repaired with a warning."""
+    be finite, the matrix Hermitian and its eigenvalues at least -TOL; a
+    trace off by more than TOL is repaired with a warning (spectral.TOL)."""
     m = rho.matrix
     if not np.isfinite(m).all():
         raise ValueError("density matrix entries are not finite")
@@ -46,13 +43,13 @@ def validate_density(rho: DensityMatrix) -> tuple[DensityMatrix, Spectrum]:
     tr = float(np.trace(m).real)
     if tr <= 0:
         raise ValueError(f"density matrix has non-positive trace {tr:.3e}")
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > TOL:
         warnings.warn(
             f"density matrix trace {tr:.12g} != 1; renormalizing", stacklevel=3
         )
         m = m / tr
     spectrum = _eig_checked(m)
     lam_min = float(spectrum.eigenvalues[-1])
-    if lam_min < -PSD_TOL:
+    if lam_min < -TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lam_min:.3e}")
     return DensityMatrix(matrix=m, profile=rho.profile), spectrum

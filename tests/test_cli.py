@@ -142,8 +142,7 @@ def test_check_usage_error_exit_one(capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_check_defaults_are_the_search_config_defaults(monkeypatch):
-    monkeypatch.delenv("LU_EQUIV_SEED", raising=False)
+def test_check_defaults_are_the_search_config_defaults():
     assert _config_from(build_parser().parse_args(["check", "a", "b"])) == SearchConfig()
 
 
@@ -156,19 +155,13 @@ def test_check_defaults_are_the_search_config_defaults(monkeypatch):
         ("--sweeps", "-3", "sweeps"),
         ("--restarts", "-2", "restarts"),
         ("--seed", "-1", "seed"),
-        ("LU_EQUIV_SEED", "-4", "seed"),
     ],
 )
-def test_check_invalid_search_setting_exit_one(tmp_path, capsys, monkeypatch, flag, value, field):
+def test_check_invalid_search_setting_exit_one(tmp_path, capsys, flag, value, field):
     # none may reach a verdict: --tol-spec 0 would make any spectrum mismatch conclusive
     prefix = _gen(tmp_path, "pair-equivalent", "--dims", "2,2,2", "--seed", "7")
     capsys.readouterr()  # drop the gen report
-    args = []
-    if flag.startswith("--"):
-        args = [flag, value]
-    else:
-        monkeypatch.setenv(flag, value)
-    rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json", *args])
+    rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json", flag, value])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} ") and err.count("\n") == 1
@@ -288,26 +281,21 @@ def test_gen_unwritable_output_exit_one(tmp_path, capsys):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("source", ["--seed", "LU_EQUIV_SEED"])
-def test_gen_negative_seed_exit_one(tmp_path, capsys, monkeypatch, source):
-    args = ["gen", "pair-equivalent", "--dims", "2,2", "-o", str(tmp_path / "g")]
-    if source == "--seed":
-        args += ["--seed", "-1"]
-    else:
-        monkeypatch.setenv(source, "-1")
+def test_gen_negative_seed_exit_one(tmp_path, capsys):
+    args = ["gen", "pair-equivalent", "--dims", "2,2", "-o", str(tmp_path / "g"), "--seed", "-1"]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err == f"error: seed must be non-negative, got -1 from {source}\n"
+    assert err == "error: seed must be non-negative, got -1\n"
     assert not list(tmp_path.iterdir())
 
 
 def test_gen_seed_env_var(tmp_path, monkeypatch):
+    # LU_EQUIV_SEED is not read: without --seed, gen draws from seed 0
     p1 = str(tmp_path / "env")
     p2 = str(tmp_path / "flag")
     monkeypatch.setenv("LU_EQUIV_SEED", "21")
     assert main(["gen", "pair-equivalent", "--dims", "2,2", "-o", p1]) == 0
-    monkeypatch.delenv("LU_EQUIV_SEED")
-    assert main(["gen", "pair-equivalent", "--dims", "2,2", "--seed", "21", "-o", p2]) == 0
+    assert main(["gen", "pair-equivalent", "--dims", "2,2", "--seed", "0", "-o", p2]) == 0
     with open(p1 + "_a.json", "rb") as fa, open(p2 + "_a.json", "rb") as fb:
         assert fa.read() == fb.read()
 
@@ -466,10 +454,9 @@ def test_console_entry_point_smoke(tmp_path):
     assert "sigma1" in proc.stdout
 
 
-def test_main_reuses_one_parser_across_calls(tmp_path, capsys, monkeypatch):
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
     # the parser is built once; each call still parses its own flags, and
     # a flag of one call leaves no trace in the next
-    monkeypatch.delenv("LU_EQUIV_SEED", raising=False)
     assert build_parser() is build_parser()
     prefix = _gen(tmp_path, "paper-example")
     capsys.readouterr()

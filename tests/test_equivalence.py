@@ -20,16 +20,17 @@ from luequiv import (
     verify_witness,
 )
 from luequiv import equivalence
-from luequiv.decompose import UNITARY_TOL, unitarity_defect
-from luequiv.equivalence import (
+from luequiv.decompose import unitarity_defect
+from luequiv.equivalence import CosetContext, _cut_stacks, _leading_overlaps
+from luequiv.search import (
     ESCAPE_LEVEL_PER_CUT,
+    ESCAPE_PASSES,
     OBJECTIVE_POLISH,
-    WITNESS_TOL,
-    CosetContext,
-    _cut_stacks,
-    _leading_overlaps,
+    STARTS_PER_ROUND,
+    _align_until_stall,
+    run_search,
 )
-from luequiv.search import ESCAPE_PASSES, STARTS_PER_ROUND, _align_until_stall, run_search
+from luequiv.spectral import TOL
 from luequiv.oracle import (
     haar_unitary,
     local_unitaries,
@@ -59,14 +60,12 @@ def surrogate(ctx, point, profile):
 
 
 def _coset_search(ctx, config):
-    """run_search with the levels and budgets check_equivalence gives it."""
+    """run_search with the budgets and rank tolerance check_equivalence gives it."""
     return run_search(
         ctx,
         passes=config.sweeps,
         restarts=config.restarts,
-        f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
-        f_target=min(config.rank_tol**2, OBJECTIVE_POLISH),
-        f_success=config.rank_tol**2,
+        rank_tol=config.rank_tol,
         seed=config.seed,
     )
 
@@ -273,6 +272,41 @@ def test_verify_witness_dimension_mismatch():
         verify_witness(rho, rho, fs)
 
 
+def test_verify_witness_needs_one_factor_per_site():
+    # a global unitary conjugates rho onto rho' exactly, yet it is no local witness
+    profile = DimProfile((2, 2))
+    rho = random_density(profile, "generic-nondegenerate", 37)
+    g = haar_unitary(4, 41)
+    rho_p = DensityMatrix(matrix=g @ rho.matrix @ g.conj().T, profile=profile)
+    with pytest.raises(ValueError, match="do not match sites"):
+        verify_witness(rho, rho_p, FactorSet(factors=(g,)))
+    # the right sizes in the wrong order make a D x D product too
+    rho = random_density(DimProfile((2, 3)), "generic-nondegenerate", 43)
+    fs = FactorSet(factors=(np.eye(3, dtype=complex), np.eye(2, dtype=complex)))
+    with pytest.raises(ValueError, match="do not match sites"):
+        verify_witness(rho, rho, fs)
+
+
+def test_witness_gate_rejects_non_unitary_search_factors(monkeypatch):
+    # (s U_1, U_2 / s, U_3) has the product of (U_1, U_2, U_3), so its residual
+    # stays within tolerance: only the gate's unitarity test can reject it
+    rho, rho_prime = paper_example(3, 5, 7)
+    s = 1 + 1e-6
+
+    def scaled(factors):
+        return FactorSet(factors=(s * factors[0], factors[1] / s, *factors[2:]))
+
+    verdict = check_equivalence(rho, rho_prime, QUICK)
+    assert verdict.status is VerdictStatus.EQUIVALENT and verdict.path == "coset"
+    assert verify_witness(rho, rho_prime, scaled(verdict.witness.factors)) <= TOL
+    real = equivalence.factor_full
+    monkeypatch.setattr(
+        equivalence, "factor_full", lambda *args: scaled(real(*args).factors)
+    )
+    verdict = check_equivalence(rho, rho_prime, QUICK)
+    assert verdict.status is VerdictStatus.NOT_FOUND and verdict.witness is None
+
+
 def test_verdict_gauge_invariant_under_local_conjugation():
     profile = DimProfile((2, 2, 2))
     sample = make_equivalent_pair(profile, 41)
@@ -344,8 +378,8 @@ def test_blocks_larger_than_two_are_searched(make):
     verdict = check_equivalence(rho, rho_prime, QUICK)
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.used_degenerate_fallback
-    assert verdict.witness_residual <= WITNESS_TOL
-    assert verify_witness(rho, rho_prime, verdict.witness) <= WITNESS_TOL
+    assert verdict.witness_residual <= TOL
+    assert verify_witness(rho, rho_prime, verdict.witness) <= TOL
 
 
 def test_rank_three_state_against_its_conjugate_is_not_conclusive():
@@ -515,9 +549,9 @@ def test_frame_rung_skips_the_coset(monkeypatch):
         assert verdict.path == "frame", label
         assert verdict.cut_reports is None and verdict.best_objective is None, label
         assert verdict.witness.residual == 0.0, label
-        assert all(unitarity_defect(u) <= UNITARY_TOL for u in verdict.witness.factors), label
-        assert verdict.witness_residual <= WITNESS_TOL, label
-        assert verify_witness(sample.rho, sample.rho_prime, verdict.witness) <= WITNESS_TOL
+        assert all(unitarity_defect(u) <= TOL for u in verdict.witness.factors), label
+        assert verdict.witness_residual <= TOL, label
+        assert verify_witness(sample.rho, sample.rho_prime, verdict.witness) <= TOL
         if verdict.used_degenerate_fallback:
             assert verdict.phases is None, label
             continue
@@ -962,9 +996,7 @@ def test_race_carries_the_decomposition_of_its_points():
             checked,
             passes=60,
             restarts=4,
-            f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
-            f_target=OBJECTIVE_POLISH,
-            f_success=1e-14,
+            rank_tol=1e-7,
             seed=3,
         )
         assert checked.sweeps == len(outcome.history), label
@@ -1011,9 +1043,7 @@ def test_reported_objective_never_understates_the_surrogate():
             ctx,
             passes=60,
             restarts=4,
-            f_escape=ESCAPE_LEVEL_PER_CUT * len(ctx.splits),
-            f_target=OBJECTIVE_POLISH,
-            f_success=1e-14,
+            rank_tol=1e-7,
             seed=5,
         )
         paper = surrogate(ctx, outcome.point, _profile(label))
@@ -1052,7 +1082,10 @@ def test_warm_pass_never_lowers_the_alignment():
 
 class _ScriptedContext:
     """A point is (start, passes taken); its objective follows the start's
-    script.  It has no cuts, so its pairs are an empty list."""
+    script.  Its pairs are an empty list, and its one split puts the escape
+    level at ESCAPE_LEVEL_PER_CUT."""
+
+    splits = [None]
 
     def __init__(self, scripts):
         self.scripts = scripts
@@ -1080,9 +1113,7 @@ class _ScriptedContext:
 
 
 def _search(ctx, restarts, passes=1000):
-    return run_search(
-        ctx, passes=passes, restarts=restarts, f_escape=0.1, f_target=1e-20, f_success=1e-14
-    )
+    return run_search(ctx, passes=passes, restarts=restarts, rank_tol=1e-7)
 
 
 def test_race_goes_on_after_an_escaped_start_stalls():
@@ -1112,9 +1143,7 @@ def test_search_stops_at_the_first_stall_accept_takes():
         ctx,
         passes=1000,
         restarts=2 * STARTS_PER_ROUND,
-        f_escape=0.1,
-        f_target=1e-20,
-        f_success=1e-14,
+        rank_tol=1e-7,
         accept=lambda point: offered.append(point.copy()) or True,
     )
     assert outcome.point[0] == 0 and outcome.objective == 1e-2

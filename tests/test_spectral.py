@@ -1,15 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from luequiv import (
+    DensityMatrix,
+    DimProfile,
+    FactorSet,
+    SearchConfig,
     degeneracy_profile,
     eig_hermitian,
+    factor_full,
     paper_example,
     rank_one_test,
     spectra_match,
+    validate_density,
 )
+from luequiv.equivalence import _verified
 from luequiv.oracle import haar_unitary
-from luequiv.spectral import _fix_column_phases
+from luequiv.spectral import TOL, Spectrum, _fix_column_phases, require_hermitian
 from luequiv.tensor import kron_all, leading_index
 
 from helpers import WITNESS_SIGNS, reference_cut1, operator_norm_power_iteration
@@ -203,3 +212,92 @@ def test_sigma1_matches_power_iteration():
     m = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
     report = rank_one_test(m, 1e-7)
     assert abs(report.sigma1 - operator_norm_power_iteration(m)) < 1e-10
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def _state(*diagonal) -> DensityMatrix:
+    return DensityMatrix(matrix=np.diag(diagonal).astype(complex), profile=DimProfile((2, 2)))
+
+
+def _hermitian_within(eps):
+    h = np.diag([1.0, 0.0]).astype(complex)
+    h[0, 1] = eps / np.sqrt(2)  # ||H - H^dag||_F = eps, ||H||_F ~ 1
+    return _accepts(require_hermitian, h)
+
+
+def _trace_within(eps):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        validate_density(_state(0.4 + eps, 0.3, 0.2, 0.1))
+    return not caught
+
+
+def _psd_within(eps):
+    return _accepts(validate_density, _state(0.5 + eps, 0.5, 0.0, -eps))
+
+
+def _factor_full_input_within(eps):
+    # ||c^2 I_4 - I_4||_F = eps
+    return _accepts(factor_full, np.sqrt(1 + eps / 2) * np.eye(4), DimProfile((2, 2)), 1e-7)
+
+
+def _witness_factor_within(eps):
+    # ||c^2 I_2 - I_2||_F = eps for U_1 = c I_2; (c I_2) kron (I_2 / c) = I_4
+    c = np.sqrt(1 + eps / np.sqrt(2))
+    rho = _state(0.4, 0.3, 0.2, 0.1)
+    return _verified(rho, rho, FactorSet(factors=(c * np.eye(2), np.eye(2) / c))) is not None
+
+
+def _witness_residual_within(eps):
+    rho = _state(0.4, 0.3, 0.2, 0.1)
+    rho_prime = _state(0.4 + eps / np.sqrt(2), 0.3 - eps / np.sqrt(2), 0.2, 0.1)
+    return _verified(rho, rho_prime, FactorSet(factors=(np.eye(2), np.eye(2)))) is not None
+
+
+def _spectra_within(eps):
+    def spectrum(*w):
+        return Spectrum(eigenvalues=np.array(w), basis=np.eye(len(w)))
+
+    return spectra_match(spectrum(0.6, 0.4), spectrum(0.6 + eps, 0.4), SearchConfig().spec_tol)
+
+
+def _degeneracy_within(eps):
+    w = np.array([1.0, 1.0 - eps, 0.0])  # span 1
+    return degeneracy_profile(w, SearchConfig().degeneracy_tol * (w[0] - w[-1])) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "within",
+    [
+        _hermitian_within,
+        _trace_within,
+        _psd_within,
+        _factor_full_input_within,
+        _witness_factor_within,
+        _witness_residual_within,
+        _spectra_within,
+        _degeneracy_within,
+    ],
+    ids=[
+        "hermiticity",
+        "trace-warning",
+        "psd",
+        "factor-full-input-unitarity",
+        "witness-factor-unitarity",
+        "witness-residual",
+        "spectra-match",
+        "degeneracy-grouping",
+    ],
+)
+def test_tolerance_table_boundary(within):
+    # each row of spectral.TOL's table at its own scale: TOL / 2 is within
+    # tolerance and 2 TOL is not
+    assert within(TOL / 2)
+    assert not within(2 * TOL)
