@@ -104,6 +104,7 @@ def _verdict_json(verdict: Verdict) -> dict:
         "seed": verdict.seed,
         "restarts_used": verdict.restarts_used,
         "path": verdict.path,
+        "distance_lower": verdict.distance_lower,
         "objective_history": [[i, f] for i, f in verdict.objective_history],
     }
     if verdict.witness is not None:
@@ -140,6 +141,13 @@ def _report_check(verdict: Verdict, out, nsites: int = 2) -> None:
         if nsites > 2:
             note += " (the multipartite extension of the bipartite criterion is unproven)"
         print(note, file=out)
+    if verdict.path == "bound":
+        print(f"distance_lower: {verdict.distance_lower:.3e}", file=out)
+        print(
+            "note: no search ran; the marginal spectra put every product unitary "
+            "farther than the witness gate allows",
+            file=out,
+        )
     if verdict.cut_reports:
         for r in verdict.cut_reports:
             print(_cut_line(r), file=out)

@@ -16,12 +16,18 @@ from it are flagged.
 A local-eigenframe witness guess that verifies decides the check before any
 coset is built.  Every EQUIVALENT verdict ships an explicit witness
 (U_1, ..., U_M) that passed the one witness gate, _verified: each factor
-unitary, and the conjugation residual verified.
+unitary, and the conjugation residual verified.  Before either, the
+one-site marginal spectra bound the distance from every product unitary
+image of rho to rho' from below; when that bound exceeds what the gate
+could let through, no search runs and the verdict is NOT_FOUND on path
+"bound", which, like every NOT_FOUND, claims no inequivalence.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -75,7 +81,8 @@ class Verdict:
     """Outcome of a check, with enough detail to reproduce and report it.
 
     NOT_FOUND never asserts inequivalence: the coset search is one-sided and
-    only reports that no decomposable element was found within budget.
+    only reports that no decomposable element was found within budget, and
+    the bound rung only that no witness could pass the gate.
     """
 
     status: VerdictStatus
@@ -89,9 +96,15 @@ class Verdict:
     seed: int | None = None
     restarts_used: int = 0
     # "frame" (the local-eigenframe guess verified, no search ran; no cut
-    # reports or best objective), "coset" or "coset-block" (the degenerate
-    # fallback's search); None when the spectra differ
+    # reports or best objective), "bound" (NOT_FOUND with no search: the
+    # marginal spectra put every product unitary beyond the witness gate),
+    # "coset" or "coset-block" (the degenerate fallback's search); None when
+    # the spectra differ
     path: str | None = None
+    # a lower bound on min over product unitaries W of ||W rho W^dag - rho'||_F:
+    # the larger of ||lambda - lambda'||_2 and the marginal-spectrum bound L
+    # (_marginal_distance); the first alone when the spectra differ
+    distance_lower: float | None = None
 
 
 def _cut_stacks(xt: np.ndarray, ych: np.ndarray, d_left: int, d_right: int):
@@ -280,8 +293,44 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return flat @ flat.transpose(0, 2, 1)
 
 
+def _marginal_eighs(rho: DensityMatrix, rho_prime: DensityMatrix) -> list:
+    """Per site, eigh of the stacked one-site marginals of rho and rho': an
+    (eigenvalues, eigenvectors) pair whose row 0 is rho's and row 1 is rho''s,
+    eigenvalues ascending.  The one marginal eigensolve of a check: it feeds
+    both _marginal_distance and _frame_factors."""
+    return [
+        np.linalg.eigh(np.array([reduced_density(r, i) for r in (rho, rho_prime)]))
+        for i in range(rho.profile.nsites)
+    ]
+
+
+def _marginal_distance(profile: DimProfile, marginals) -> float:
+    """L = max_i ||lambda(rho_i) - lambda(rho'_i)||_2 / sqrt(D / d_i), a lower
+    bound on min over product unitaries W of ||W rho W^dag - rho'||_F.
+
+    For a product W the marginal of W rho W^dag - rho' at site i is
+    U_i rho_i U_i^dag - rho'_i, at least the eigenvalue distance in Frobenius
+    norm (Hoffman-Wielandt), and ||Tr_{other sites} X||_F <= sqrt(D / d_i) ||X||_F.
+    """
+    gaps = [w[0] - w[1] for w, _ in marginals]
+    return max(math.sqrt(float(g @ g) * d / profile.total) for g, d in zip(gaps, profile.dims))
+
+
+def _gate_distance(rho: DensityMatrix) -> float:
+    """G = TOL * max(1, ||rho||_F) + delta (2 + delta) ||rho||_F, with
+    delta = (1 + TOL)^M - 1: no witness passes _verified on a pair whose
+    distance under product unitaries exceeds G (check_equivalence has the
+    proof).  2 D eps ||rho||_F more covers the rounding of the computed L
+    and residual.
+    """
+    norm = float(np.linalg.norm(rho.matrix))
+    delta = (1.0 + TOL) ** rho.profile.nsites - 1.0
+    rounding = 2.0 * rho.profile.total * sys.float_info.epsilon
+    return TOL * max(1.0, norm) + (delta * (2.0 + delta) + rounding) * norm
+
+
 def _frame_factors(
-    rho: DensityMatrix, rho_prime: DensityMatrix, config: SearchConfig, deg_tol: float
+    rho: DensityMatrix, rho_prime: DensityMatrix, marginals, config: SearchConfig, deg_tol: float
 ) -> list[np.ndarray] | None:
     """The local-eigenframe witness guess (U_1, ..., U_M), or None when the
     one-site marginals do not fix it.
@@ -289,25 +338,24 @@ def _frame_factors(
     A one-site marginal is LU-covariant, rho'_i = U_i rho_i U_i^dag, so a
     non-degenerate marginal fixes U_i = Q_i diag(e^{i phi_i}) P_i^dag, with
     P_i and Q_i the eigenbases of the marginals of rho and rho' in the same
-    eigenvalue order: Kraus's local-Schmidt frame (PRL 104, 020504
-    (2010)).  In the product frames, A = P^dag rho P and B = Q^dag rho' Q of
-    an equivalent pair obey B_ab = e^{i(phi_a - phi_b)} A_ab, so
-    M_i = Tr_{other sites}(B o conj(A)) is D_i N_i D_i^dag with N_i
-    entrywise >= 0, and phi_i is the argument of M_i's leading (Perron)
-    eigenvector.  B o conj(A) is positive semidefinite (Schur), which is
-    why its partial traces are taken as a DensityMatrix's.  None when a
-    pair of marginal spectra differ by more than spec_tol, a marginal has a
-    gap <= deg_tol (the states' own degeneracy threshold), or M_i's top gap
-    is within degeneracy_tol of its span.
+    eigenvalue order (``marginals``, from _marginal_eighs): Kraus's
+    local-Schmidt frame (PRL 104, 020504 (2010)).  In the product frames,
+    A = P^dag rho P and B = Q^dag rho' Q of an equivalent pair obey
+    B_ab = e^{i(phi_a - phi_b)} A_ab, so M_i = Tr_{other sites}(B o conj(A))
+    is D_i N_i D_i^dag with N_i entrywise >= 0, and phi_i is the argument of
+    M_i's leading (Perron) eigenvector.  B o conj(A) is positive
+    semidefinite (Schur), which is why its partial traces are taken as a
+    DensityMatrix's.  None when a pair of marginal spectra differ by more
+    than spec_tol, a marginal has a gap <= deg_tol (the states' own
+    degeneracy threshold), or M_i's top gap is within degeneracy_tol of its
+    span.
     """
     profile = rho.profile
-    frames = []
-    for i in range(profile.nsites):
-        # eigh's column phases are a diagonal gauge, which M_i's phases absorb
-        w, v = np.linalg.eigh(np.array([reduced_density(r, i) for r in (rho, rho_prime)]))
+    for w, _ in marginals:
         if np.max(np.abs(w[0] - w[1])) > config.spec_tol or np.any(np.diff(w[0]) <= deg_tol):
             return None
-        frames.append(v)
+    # eigh's column phases are a diagonal gauge, which M_i's phases absorb
+    frames = [v for _, v in marginals]
     p, q = (kron_all([v[j] for v in frames]) for j in (0, 1))
     a = p.conj().T @ rho.matrix @ p
     b = q.conj().T @ rho_prime.matrix @ q
@@ -370,9 +418,23 @@ def check_equivalence(
 ) -> Verdict:
     """Decide LU equivalence and produce witness local unitaries when found.
 
-    Validate, then compare spectra: a mismatch is a conclusive NO.  Then two
-    rungs, each ending in the one witness gate (_verified: unitary factors,
-    verified residual).  The frame rung: the local-eigenframe guess
+    Validate, then compare spectra: a mismatch is a conclusive NO.  Then the
+    bound rung: one eigensolve of each site's pair of marginals
+    (_marginal_eighs) gives L, the largest ||lambda(rho_i) - lambda(rho'_i)||_2
+    / sqrt(D / d_i), a lower bound on min over product unitaries W of
+    ||W rho W^dag - rho'||_F (Hoffman-Wielandt on the marginals, and
+    ||Tr_{other sites} X||_F <= sqrt(D / d_i) ||X||_F).  The gate accepts
+    factors with ||U_i U_i^dag - I||_F <= TOL; the polar split U_i = V_i P_i
+    puts kron_i P_i within delta = (1 + TOL)^M - 1 of I in operator norm, so
+    such a witness has residual >= L - delta (2 + delta) ||rho||_F.  When L
+    exceeds G = TOL * max(1, ||rho||_F) + delta (2 + delta) ||rho||_F (plus
+    a rounding term, _gate_distance), no point of any search can pass the
+    gate, and the verdict is NOT_FOUND on path "bound" with no search: the
+    status the search would have returned, and no claim of inequivalence.
+    Every verdict past validation reports distance_lower, the larger of L
+    and ||lambda - lambda'||_2.  Then two rungs, each ending in the one
+    witness gate (_verified: unitary factors, verified residual).  The frame
+    rung, from the same marginal eigenbases: the local-eigenframe guess
     W = kron_i U_i, when the marginals fix it and it passes the gate, is
     EQUIVALENT on path "frame", with no coset and no search; its phases are
     those of x_m^dag W^dag y_m, and it has no cut reports or best objective,
@@ -394,15 +456,34 @@ def check_equivalence(
         )
     rho, s1 = validate_density(rho)
     rho_prime, s2 = validate_density(rho_prime)
+    # Hoffman-Wielandt: no unitary, local or not, maps rho nearer to rho'
+    spectral_distance = float(np.linalg.norm(s1.eigenvalues - s2.eigenvalues))
     if not spectra_match(s1, s2, config.spec_tol):
-        return Verdict(status=VerdictStatus.INEQUIVALENT_SPECTRUM, seed=config.seed)
+        return Verdict(
+            status=VerdictStatus.INEQUIVALENT_SPECTRUM,
+            seed=config.seed,
+            distance_lower=spectral_distance,
+        )
 
     w_avg = (s1.eigenvalues + s2.eigenvalues) / 2.0
     span = float(w_avg[0] - w_avg[-1])
     deg_tol = config.degeneracy_tol * max(span, 1e-300)
     sizes = degeneracy_profile(w_avg, deg_tol)
     fallback = max(sizes) > 1
-    factors = _frame_factors(rho, rho_prime, config, deg_tol)
+    marginals = _marginal_eighs(rho, rho_prime)
+    marginal_distance = _marginal_distance(rho.profile, marginals)
+    distance_lower = max(spectral_distance, marginal_distance)
+    if marginal_distance > _gate_distance(rho):
+        # every product unitary is farther than the witness gate allows, so no
+        # search point could certify: NOT_FOUND, still no claim of inequivalence
+        return Verdict(
+            status=VerdictStatus.NOT_FOUND,
+            used_degenerate_fallback=fallback,
+            seed=config.seed,
+            path="bound",
+            distance_lower=distance_lower,
+        )
+    factors = _frame_factors(rho, rho_prime, marginals, config, deg_tol)
     if factors is not None:
         verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
         if verified is not None:
@@ -415,6 +496,7 @@ def check_equivalence(
                 used_degenerate_fallback=fallback,
                 seed=config.seed,
                 path="frame",
+                distance_lower=distance_lower,
             )
 
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
@@ -457,4 +539,5 @@ def check_equivalence(
         seed=config.seed,
         restarts_used=outcome.restarts_used,
         path="coset-block" if fallback else "coset",
+        distance_lower=distance_lower,
     )

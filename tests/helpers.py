@@ -4,6 +4,8 @@ Everything here is deliberately naive (explicit index loops, power iteration)
 so it can serve as a cross-check for the library's vectorized paths.
 """
 
+import itertools
+
 import numpy as np
 
 from luequiv import DensityMatrix, DimProfile, kron_all
@@ -103,6 +105,27 @@ def local_rotation(rho: DensityMatrix, seed) -> DensityMatrix:
     w = kron_all(local_unitaries(rho.profile, seed))
     m = w @ rho.matrix @ w.conj().T
     return DensityMatrix(matrix=(m + m.conj().T) / 2.0, profile=rho.profile)
+
+
+def conjugate(rho: DensityMatrix) -> DensityMatrix:
+    """rho*: the same spectrum and the same marginal spectra as rho."""
+    return DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
+
+
+def locally_mixed_qubits(nsites: int, seed: int) -> DensityMatrix:
+    """I/D plus random Pauli strings of weight >= 2: every one-site marginal is I/2."""
+    rng = np.random.default_rng(seed)
+    paulis = [
+        np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+    ]
+    dim = 2**nsites
+    t = np.zeros((dim, dim), dtype=complex)
+    for idx in itertools.product(range(4), repeat=nsites):
+        if np.count_nonzero(idx) >= 2:
+            t += rng.standard_normal() * kron_all([paulis[i] for i in idx])
+    # scaled so the least eigenvalue of rho is a tenth of 1/D
+    t *= 0.9 / (dim * abs(np.linalg.eigvalsh(t)[0]))
+    return DensityMatrix(matrix=np.eye(dim) / dim + t, profile=DimProfile((2,) * nsites))
 
 
 def werner(d: int, p: float) -> DensityMatrix:

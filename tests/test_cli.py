@@ -7,6 +7,7 @@ import pytest
 
 from luequiv import DimProfile, SearchConfig, kron_all, load_matrix, save_matrix
 from luequiv.cli import _config_from, build_parser, main
+from luequiv.equivalence import _gate_distance
 from luequiv.oracle import haar_unitary, local_unitaries, random_density
 
 from helpers import near_product
@@ -44,16 +45,71 @@ def test_check_spectrum_mismatch_exit_two(tmp_path, capsys):
     assert "INEQUIVALENT_SPECTRUM" in capsys.readouterr().out
 
 
-def test_check_not_found_exit_three(tmp_path):
+def _check_json(capsys, a, b, *extra):
+    rc = main(["check", str(a), str(b), "--json", *extra])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def test_check_not_found_exit_three(tmp_path, capsys):
+    # Bell-diagonal vs diagonal: equal spectra, marginal spectra too far
+    # apart for any witness, so no search runs; still exit 3, not 2
     lam = np.array([0.7, 0.15, 0.1, 0.05])
     bell = np.array(
         [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]
     ) / np.sqrt(2.0)
     save_matrix(tmp_path / "a.json", (bell * lam) @ bell.conj().T, dims=(2, 2))
     save_matrix(tmp_path / "b.json", np.diag(lam), dims=(2, 2))
-    rc = main(["check", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
-               "--sweeps", "15", "--restarts", "3"])
+    budget = ["--sweeps", "15", "--restarts", "3"]
+    rc, doc = _check_json(capsys, tmp_path / "a.json", tmp_path / "b.json", *budget)
     assert rc == 3
+    assert doc["status"] == "NOT_FOUND" and doc["path"] == "bound"
+    assert doc["restarts_used"] == 0 and doc["witness"] is None
+    rho = load_matrix(tmp_path / "a.json").density()
+    assert doc["distance_lower"] > _gate_distance(rho)
+    # rho against rho*: equal marginal spectra, so the search runs and fails
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    save_matrix(tmp_path / "c.json", rho.matrix, dims=(2, 2, 2))
+    save_matrix(tmp_path / "d.json", rho.matrix.conj(), dims=(2, 2, 2))
+    rc, doc = _check_json(capsys, tmp_path / "c.json", tmp_path / "d.json", *budget)
+    assert rc == 3
+    assert doc["status"] == "NOT_FOUND" and doc["path"] == "coset"
+    assert doc["restarts_used"] >= 1 and doc["best_objective"] > 1e-6
+
+
+def test_check_bound_verdict_text_and_json(tmp_path, capsys):
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 71)
+    lam = np.linalg.eigvalsh(rho.matrix)[::-1]
+    rotated = random_density(rho.profile, lam, 72)
+    save_matrix(tmp_path / "a.json", rho.matrix, dims=(2, 2, 2))
+    save_matrix(tmp_path / "b.json", rotated.matrix, dims=(2, 2, 2))
+    rc, doc = _check_json(capsys, tmp_path / "a.json", tmp_path / "b.json")
+    assert rc == 3
+    assert doc["path"] == "bound" and doc["restarts_used"] == 0
+    assert doc["objective_history"] == []
+    assert doc["cuts"] is None and doc["best_objective"] is None and doc["phases"] is None
+    assert doc["distance_lower"] > _gate_distance(rho)
+    rc = main(["check", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    assert lines[:2] == ["verdict: NOT_FOUND", "path: bound"]
+    assert lines[2] == f"distance_lower: {doc['distance_lower']:.3e}"
+    assert lines[3].startswith("note: no search ran; the marginal spectra")
+    assert len(lines) == 4
+
+
+def test_check_json_reports_distance_lower_on_every_path(tmp_path, capsys):
+    prefix = _gen(tmp_path, "pair-equivalent", "--dims", "2,2,2", "--seed", "7")
+    capsys.readouterr()
+    rc, doc = _check_json(capsys, f"{prefix}_a.json", f"{prefix}_b.json")
+    assert rc == 0 and doc["path"] == "frame"
+    assert 0.0 <= doc["distance_lower"] <= 1e-12
+    prefix = _gen(tmp_path, "pair-spectrum-mismatch", "--dims", "2,2,2", "--seed", "3")
+    capsys.readouterr()
+    rc, doc = _check_json(capsys, f"{prefix}_a.json", f"{prefix}_b.json")
+    assert rc == 2 and doc["path"] is None
+    a, b = (load_matrix(f"{prefix}_{s}.json").matrix for s in "ab")
+    want = np.linalg.norm(np.linalg.eigvalsh(a) - np.linalg.eigvalsh(b))
+    assert doc["distance_lower"] == pytest.approx(want, rel=1e-9)
 
 
 def test_check_maximally_mixed_state_exit_zero(tmp_path, capsys):

@@ -40,7 +40,15 @@ from luequiv.oracle import (
 )
 from luequiv.tensor import _realign_matrix
 
-from helpers import WITNESS_SIGNS, degenerate_plant, example_bases, local_rotation, werner
+from helpers import (
+    WITNESS_SIGNS,
+    conjugate,
+    degenerate_plant,
+    example_bases,
+    local_rotation,
+    locally_mixed_qubits,
+    werner,
+)
 
 QUICK = SearchConfig(sweeps=40, restarts=6)
 
@@ -322,8 +330,10 @@ def test_verdict_gauge_invariant_under_local_conjugation():
 
 def test_not_found_for_equal_spectrum_inequivalent_pair():
     # Bell-diagonal entangled state vs a separable diagonal state with the
-    # same spectrum: no local-unitary map exists, so the one-sided search
-    # must come back NOT_FOUND (never a claim of inequivalence)
+    # same spectrum: no local-unitary map exists, and the marginal spectra
+    # (I/2 against diag(0.85, 0.15)) already put every product unitary
+    # beyond the witness gate, so no search runs; the verdict is still
+    # NOT_FOUND, never a claim of inequivalence
     lam = np.array([0.7, 0.15, 0.1, 0.05])
     bell = np.array(
         [
@@ -337,9 +347,18 @@ def test_not_found_for_equal_spectrum_inequivalent_pair():
         matrix=(bell * lam[np.newaxis, :]) @ bell.conj().T, profile=DimProfile((2, 2))
     )
     rho_p = DensityMatrix(matrix=np.diag(lam).astype(complex), profile=DimProfile((2, 2)))
-    verdict = check_equivalence(rho, rho_p, SearchConfig(sweeps=20, restarts=4))
+    config = SearchConfig(sweeps=20, restarts=4)
+    verdict = check_equivalence(rho, rho_p, config)
     assert verdict.status is VerdictStatus.NOT_FOUND
     assert verdict.witness is None
+    assert verdict.path == "bound" and verdict.restarts_used == 0
+    assert verdict.distance_lower > equivalence._gate_distance(rho)
+    # rho* has rho's marginal spectra, so the one-sided search runs and fails
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    verdict = check_equivalence(rho, conjugate(rho), config)
+    assert verdict.status is VerdictStatus.NOT_FOUND
+    assert verdict.witness is None
+    assert verdict.path == "coset" and verdict.restarts_used >= 1
     assert verdict.best_objective > 1e-6
 
 
@@ -469,7 +488,8 @@ def test_search_stops_at_a_verified_stalled_start(monkeypatch):
 
 def _check_with_frame(monkeypatch, rho, rho_prime, config):
     """check_equivalence's verdict, its frame factors and the search's frame
-    start point (None when the frame gave none or no coset was built)."""
+    start point (None when the frame gave none or no coset was built; the
+    factors also None when the bound rung ended the check first)."""
     seen = {}
 
     def spy(name):
@@ -485,7 +505,7 @@ def _check_with_frame(monkeypatch, rho, rho_prime, config):
     spy("_frame_point")
     verdict = check_equivalence(rho, rho_prime, config)
     monkeypatch.undo()
-    return verdict, seen["_frame_factors"], seen.get("_frame_point")
+    return verdict, seen.get("_frame_factors"), seen.get("_frame_point")
 
 
 def _coset_point(rho, rho_prime, factors):
@@ -592,13 +612,24 @@ def test_frame_falls_back_to_the_identity(monkeypatch):
     assert factors is None and start is None
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.path == "coset-block"
-    # an independent Haar rotation keeps the spectrum, not the marginal spectra
+    # a locally-mixed state against its conjugate: every marginal is I/2, so
+    # the frame gives no guess and the search starts at the identity and fails
+    rho = locally_mixed_qubits(3, 5)
+    verdict, factors, start = _check_with_frame(monkeypatch, rho, conjugate(rho), config)
+    assert factors is None and start is None
+    assert verdict.status is VerdictStatus.NOT_FOUND
+    assert verdict.path == "coset" and verdict.restarts_used >= 1
+    assert verdict.best_objective > 1e-6
+    # an independent Haar rotation keeps the spectrum, not the marginal
+    # spectra: the bound rung ends the check before the frame is built
     profile = DimProfile((2, 2, 2))
     rho = random_density(profile, "generic-nondegenerate", 71)
     rotated = random_density(profile, eig_hermitian(rho.matrix).eigenvalues, 72)
     verdict, factors, start = _check_with_frame(monkeypatch, rho, rotated, config)
     assert factors is None and start is None
     assert verdict.status is VerdictStatus.NOT_FOUND
+    assert verdict.path == "bound" and verdict.restarts_used == 0
+    assert verdict.distance_lower > equivalence._gate_distance(rho)
 
 
 def test_frame_start_on_the_conjugate_stays_not_found(monkeypatch):
@@ -639,6 +670,95 @@ def test_frame_start_is_deterministic_given_seed(monkeypatch):
     assert start1 is not None and np.array_equal(start1, start2)
     assert np.array_equal(v1.phases, v2.phases)
     assert v1.objective_history == v2.objective_history
+
+
+def _nonlocal_rotation(rho: DensityMatrix, eps: float) -> DensityMatrix:
+    """exp(i eps K) rho exp(-i eps K) for a fixed random Hermitian K: rho's
+    spectrum, with marginal spectra that move linearly in eps."""
+    rng = np.random.default_rng(5)
+    n = rho.dim
+    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh(k + k.conj().T)
+    u = (v * np.exp(1j * eps * w)) @ v.conj().T
+    return DensityMatrix(matrix=u @ rho.matrix @ u.conj().T, profile=rho.profile)
+
+
+def _marginal_bound(rho, rho_prime) -> float:
+    return equivalence._marginal_distance(
+        rho.profile, equivalence._marginal_eighs(rho, rho_prime)
+    )
+
+
+def _gate_slack(rho) -> float:
+    """delta (2 + delta) ||rho||_F: how far a witness whose factors pass the
+    unitarity gate can bring rho nearer to rho' than any product unitary."""
+    delta = (1.0 + TOL) ** rho.profile.nsites - 1.0
+    return delta * (2.0 + delta) * float(np.linalg.norm(rho.matrix))
+
+
+def test_bound_rung_fires_only_above_the_gate_distance():
+    # L aimed at 0.99 G and 1.01 G: the first pair still runs the search, the
+    # second ends on "bound"; both are NOT_FOUND
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 71)
+    gate = equivalence._gate_distance(rho)
+    slope = _marginal_bound(rho, _nonlocal_rotation(rho, 1e-6)) / 1e-6
+    for ratio, path in ((0.99, "coset"), (1.01, "bound")):
+        rho_p = _nonlocal_rotation(rho, ratio * gate / slope)
+        bound = _marginal_bound(rho, rho_p)
+        assert abs(bound / gate - ratio) < 1e-3, ratio
+        verdict = check_equivalence(rho, rho_p, SearchConfig(sweeps=20, restarts=3))
+        assert verdict.status is VerdictStatus.NOT_FOUND, ratio
+        assert verdict.path == path, ratio
+        assert (verdict.restarts_used > 0) == (path == "coset"), ratio
+        assert verdict.distance_lower == pytest.approx(bound, rel=1e-6), ratio
+
+
+def test_distance_lower_is_below_every_verified_residual():
+    # distance_lower bounds min over product unitaries of ||W rho W^dag - rho'||_F,
+    # and a witness that passes the gate is within _gate_slack of a product unitary
+    samples = [(s.rho, s.rho_prime) for s in _frame_samples()]
+    samples += [_noisy_six_qubit_pair(seed) for seed in range(4)]
+    for rho, rho_prime in samples:
+        label = rho.profile
+        verdict = check_equivalence(rho, rho_prime, SearchConfig(seed=0))
+        assert verdict.status is VerdictStatus.EQUIVALENT, label
+        assert verdict.distance_lower >= 0.0, label
+        assert verdict.distance_lower <= verdict.witness_residual + _gate_slack(rho), label
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3)], ids=["2x2x2", "2x3"])
+def test_noisy_planted_pairs_never_end_on_bound(dims):
+    # Hermitian noise of norm eta moves every product-unitary distance by at
+    # most eta, so at and below the witness tolerance the gate is never crossed
+    for eta in (1e-9, 3e-9, 1e-8):
+        for seed in range(5):
+            rho, rho_prime = _noisy_pair(dims, seed, eta=eta)
+            verdict = check_equivalence(rho, rho_prime, SearchConfig(sweeps=20, restarts=3))
+            assert verdict.path != "bound", (eta, seed)
+            assert verdict.distance_lower <= eta, (eta, seed)
+
+
+def test_bound_rung_adds_no_eigensolve(monkeypatch):
+    # a planted (2,2,2) check: one eigh per state for the spectra, one stacked
+    # eigh per site shared by the bound and frame rungs, one per site of the
+    # frame's overlap; two marginals per site and one overlap marginal per site
+    counts = {"eigh": 0, "reduced_density": 0}
+
+    def counted(name, real):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(
+        equivalence, "reduced_density", counted("reduced_density", equivalence.reduced_density)
+    )
+    sample = make_equivalent_pair(DimProfile((2, 2, 2)), 7)
+    verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=0))
+    assert verdict.path == "frame"
+    assert counts == {"eigh": 8, "reduced_density": 9}
 
 
 def test_check_rejects_non_finite_entries():
