@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--tol-degeneracy", float, d.degeneracy_tol,
          "degeneracy grouping tolerance, relative to spectral range"),
         ("--sweeps", int, d.sweeps, "alignment passes per start"),
-        ("--restarts", int, d.restarts, "search starts, raced three at a time"),
+        ("--restarts", int, d.restarts, "search starts: three race, then all the others at once"),
     )
 
     def add_flags(p, flags):

@@ -136,18 +136,25 @@ class CosetContext:
     """The coset X blockdiag(A_1..A_r) Y^dag and its realignment objective.
 
     A point is the complex vector of the blocks' entries, block after block
-    and each block row-major, so V = sum_m a_m x_{row m} y_{col m}^dag.  With
-    every block 1x1 (a non-degenerate spectrum) the point is e^{i theta}.
-    It is a search context (search.py): ``identity``/``random_point`` give
-    starts, then ``decompose``, ``sweep`` (one pass) and ``project`` act on
-    a stack of B points, a (B, size) array, and return one result per row.
+    and each block row-major, so V = sum_m a_m x_{rows[m]} y_{cols[m]}^dag,
+    with x_j, y_j the columns of ``x`` and ``y``.  With every block 1x1 (a
+    non-degenerate spectrum) the point is e^{i theta}.  The 1x1 entries are
+    contracted one by one (``xt``, ``ych``).  The blocks larger than 1x1 act
+    through bilinear forms on their eigenvector columns X_S and Y_S: they add
+    X_S A Y_S^dag to V, with A those blocks on its diagonal, and a cut's
+    overlaps with them are X_S^T M Ybar_S, with M the D x D un-realignment
+    of conj(u) v^T; so the working memory of a point is O(D^2), not
+    O(size D).  It is a search context (search.py): ``identity``/
+    ``random_point`` give starts, then ``decompose``, ``sweep`` (one pass)
+    and ``project`` act on a stack of B points, a (B, size) array, and return
+    one result per row.
     """
 
     def __init__(self, x_basis, y_basis, profile: DimProfile, multiplicities):
-        x = as_cmatrix(x_basis)
-        y = as_cmatrix(y_basis)
+        self.x = as_cmatrix(x_basis)
+        self.y = as_cmatrix(y_basis)
         dim = profile.total
-        if x.shape != (dim, dim) or y.shape != (dim, dim):
+        if self.x.shape != (dim, dim) or self.y.shape != (dim, dim):
             raise ValueError("eigenbasis shapes do not match the dimension profile")
         self.sizes = tuple(int(n) for n in multiplicities)
         if sum(self.sizes) != dim:
@@ -161,15 +168,27 @@ class CosetContext:
         starts = ends - n * n
         self.size = int(ends[-1])
         self.slices = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
-        self.phase_entries = starts[n == 1].tolist()
         block = np.repeat(np.arange(len(n)), n * n)
         j = np.arange(self.size) - starts[block]
-        rows = lo[block] + j // n[block]
-        cols = lo[block] + j % n[block]
-        self.xt = np.ascontiguousarray(x[:, rows].T)
-        self.ych = np.ascontiguousarray(y[:, cols].conj().T)
+        self.rows = lo[block] + j // n[block]
+        self.cols = lo[block] + j % n[block]
         self.splits = [profile.split(k) for k in range(1, profile.nsites)]
+        self.phase_entries = starts[n == 1].tolist()
+        phase_rows = self.rows[self.phase_entries]
+        self.xt = np.ascontiguousarray(self.x[:, phase_rows].T)
+        self.ych = np.ascontiguousarray(self.y[:, phase_rows].conj().T)
         self.cut_stacks = [_cut_stacks(self.xt, self.ych, dl, dr) for dl, dr in self.splits]
+        # the entries of the blocks larger than 1x1, and where each sits in
+        # A, the |S| x |S| matrix of those blocks on the columns S they span
+        wide = n > 1
+        self.block_entries = np.flatnonzero(np.repeat(wide, n * n))
+        span = np.flatnonzero(np.repeat(wide, n))
+        self.block_at = (
+            np.searchsorted(span, self.rows[self.block_entries]),
+            np.searchsorted(span, self.cols[self.block_entries]),
+        )
+        self.xs = np.ascontiguousarray(self.x[:, span])
+        self.ysc = np.ascontiguousarray(self.y[:, span].conj())
 
     def identity(self) -> np.ndarray:
         return np.concatenate([np.eye(n, dtype=np.complex128).ravel() for n in self.sizes])
@@ -182,7 +201,14 @@ class CosetContext:
 
     def build(self, points: np.ndarray) -> np.ndarray:
         """V of a point, or the (B, D, D) stack of V of a stack of points."""
-        return self.xt.T @ (points[..., np.newaxis] * self.ych)
+        v = 0
+        if self.phase_entries:
+            v = self.xt.T @ (points[..., self.phase_entries, np.newaxis] * self.ych)
+        if self.block_entries.size:
+            a = np.zeros(points.shape[:-1] + (self.xs.shape[1],) * 2, dtype=np.complex128)
+            a[(..., *self.block_at)] = points[..., self.block_entries]
+            v = v + self.xs @ a @ self.ysc.T
+        return v
 
     def decompose(self, points: np.ndarray, pairs=None) -> tuple[np.ndarray, list]:
         """Objective bound f of each point and each cut's leading pairs (U, W).
@@ -220,6 +246,24 @@ class CosetContext:
             out.append(((rv / np.sqrt(s2))[:, :, 0], v_col[:, :, 0]))
         return f, out
 
+    def _overlaps(self, pairs) -> np.ndarray:
+        """g[b, k, m] = u_k^dag realign(x_{rows[m]} y_{cols[m]}^dag) v_k for the
+        pairs (u_k, v_k) of row b, so that s_k = g[b, k] @ point."""
+        g = np.empty((len(pairs[0][0]), len(pairs), self.size), dtype=np.complex128)
+        for k, ((d_left, d_right), (u1, v1)) in enumerate(zip(self.splits, pairs)):
+            if self.phase_entries:
+                g[:, k, self.phase_entries] = _leading_overlaps(*self.cut_stacks[k], u1, v1)
+            if self.block_entries.size:
+                # u^dag realign(Z) v = sum_pq Z_pq M_pq with M the un-realignment
+                # of conj(u) v^T, M[(i, j), (i', j')] = conj(u)[(i, i')] v[(j, j')]
+                b = len(u1)
+                m = u1.conj().reshape(b, d_left, 1, d_left, 1) * v1.reshape(
+                    b, 1, d_right, 1, d_right
+                )
+                m = m.reshape(b, d_left * d_right, d_left * d_right)
+                g[:, k, self.block_entries] = (self.xs.T @ m @ self.ysc)[(..., *self.block_at)]
+        return g
+
     def sweep(self, points: np.ndarray, pairs) -> np.ndarray:
         """One monotone round over every block of each point against its leading pairs.
 
@@ -233,24 +277,26 @@ class CosetContext:
         decompose returned for the points; the sweep and decompose's power
         step each raise J, so a pass never lowers it.
         """
-        # g[b, k, m] = u_k^dag realign(x_m y_m^dag) v_k at row b, so s = g @ point
-        g = np.array(
-            [_leading_overlaps(*stacks, *pair) for stacks, pair in zip(self.cut_stacks, pairs)]
-        ).transpose(1, 0, 2)
+        g = self._overlaps(pairs)
         s_rows = (g @ points[:, :, np.newaxis])[..., 0].tolist()
+        phase = self.phase_entries
         n1 = self.sizes[0]
-        rows, pins = [], []
-        # the sweep runs on Python scalars, one point at a time: s and each
+        out = points.copy()
+        pins = []
+        # the 1x1 blocks run on Python scalars, one point at a time: s and each
         # column of g have one entry per cut, too few for numpy calls to pay
         # their overhead
-        for a, s, gp, cols in zip(points.tolist(), s_rows, g, g.transpose(0, 2, 1).tolist()):
+        for a, s, gp, ap, cols in zip(
+            out, s_rows, g, points[:, phase].tolist(), g[:, :, phase].transpose(0, 2, 1).tolist()
+        ):
             cuts = range(len(s))
+            j = -1
             for sl, n in zip(self.slices, self.sizes):
                 if n == 1:
                     # maximize sum_k |w_k + g_k c|^2 over |c| = 1, w_k = s_k - g_k a_m
-                    m = sl.start
-                    gm = cols[m]
-                    am = a[m]
+                    j += 1
+                    gm = cols[j]
+                    am = ap[j]
                     z = 0j
                     for k in cuts:
                         z += gm[k].conjugate() * (s[k] - gm[k] * am)
@@ -260,21 +306,21 @@ class CosetContext:
                     d = new - am
                     for k in cuts:
                         s[k] += gm[k] * d
-                    a[m] = new
+                    ap[j] = new
                 else:
                     # maximize Re sum_k conj(s_k) tr(G_kb^T A) over unitaries A
                     gb = gp[:, sl]
                     sv = np.array(s)
                     uu, _, vh = np.linalg.svd((sv.conj() @ gb).reshape(n, n).conj())
                     new = (uu @ vh).ravel()
-                    s = (sv + gb @ (new - np.array(a[sl]))).tolist()
-                    a[sl] = new.tolist()
+                    s = (sv + gb @ (new - a[sl])).tolist()
+                    a[sl] = new
+            a[phase] = ap
             # pin the first block's determinant phase: a global phase never
             # changes the realignment ratios
-            det = a[0] if n1 == 1 else np.linalg.det(np.array(a[self.slices[0]]).reshape(n1, n1))
+            det = ap[0] if n1 == 1 else np.linalg.det(a[self.slices[0]].reshape(n1, n1))
             pins.append(cmath.exp(-1j * cmath.phase(det) / n1))
-            rows.append(a)
-        return np.array(rows) * np.array(pins)[:, np.newaxis]
+        return out * np.array(pins)[:, np.newaxis]
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Nearest coset points: a unit phase per 1x1 block, the polar factor of a larger one."""
@@ -378,10 +424,18 @@ def _frame_overlaps(xt: np.ndarray, ych: np.ndarray, factors) -> np.ndarray:
 
 def _frame_point(ctx: CosetContext, factors) -> np.ndarray | None:
     """X^dag W^dag Y read on the coset's blocks and projected onto the coset,
-    or None when it is zero on a 1x1 block, which has no nearest phase."""
-    point = _frame_overlaps(ctx.xt, ctx.ych, factors)
+    or None when it is zero on a 1x1 block, which has no nearest phase.
+
+    A 1x1 block reads its entry x_m^dag W^dag y_m; the larger blocks read
+    theirs off X_S^dag W^dag Y_S, on the layout of CosetContext.build.
+    """
+    point = np.empty(ctx.size, dtype=np.complex128)
+    point[ctx.phase_entries] = _frame_overlaps(ctx.xt, ctx.ych, factors)
     if np.any(point[ctx.phase_entries] == 0):
         return None
+    if ctx.block_entries.size:
+        w_dag = kron_all([u.conj().T for u in factors])
+        point[ctx.block_entries] = (ctx.xs.conj().T @ w_dag @ ctx.ysc.conj())[ctx.block_at]
     return ctx.project(point[np.newaxis])[0]
 
 

@@ -27,14 +27,19 @@ has escaped the bulk of the coset once f <= ESCAPE_LEVEL_PER_CUT per cut.
 
 Most starts leave the bulk, where every cut's realignment still has sigma2
 close to sigma1, within a few passes; the rest crawl there for tens of
-passes, whether or not they end at a solution.  So starts race
-STARTS_PER_ROUND at a time: the starts still above the escape level take a
-pass as one stacked evaluation, and a start that falls to it runs passes
-alone (a stack of one) until the objective reaches the polish target, the
-passes stall, or the pass budget runs out.  A start still in the bulk after
-ESCAPE_PASSES passes is dropped.  A search then costs about one fast start
-per round, and a start that never escapes costs a fixed number of passes
-instead of a crawl.
+passes, whether or not they end at a solution.  So starts race: the starts
+still above the escape level take a pass as one stacked evaluation, and a
+start that falls to it runs passes alone (a stack of one) until the
+objective reaches the polish target, the passes stall, or the pass budget
+runs out.  A start still in the bulk after ESCAPE_PASSES passes is dropped,
+so a start that never escapes costs a fixed number of passes instead of a
+crawl.  There are two rounds.  The first races STARTS_PER_ROUND starts, so
+an input one of them decides pays for no more; when none of them succeeds
+or is accepted, the second races every remaining start in one stack.  A
+start's passes do not depend on its stack-mates (``sweep`` and
+``decompose`` act row by row, and a lone descent's budget is its own), so
+the stack changes no start's outcome beyond rounding; it pays the fixed
+cost of each numpy call once for all of them.
 
 Alone, a start converges linearly, so its passes are Anderson-mixed (Walker
 & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) over the last MIX_DEPTH outputs.
@@ -180,15 +185,16 @@ def run_search(
     start: np.ndarray | None = None,
     accept: Callable[[np.ndarray], bool] | None = None,
 ) -> SearchOutcome:
-    """Race ``restarts`` starts, STARTS_PER_ROUND at a time, until the
-    objective drops to rank_tol^2.
+    """Race ``restarts`` starts until the objective drops to rank_tol^2:
+    the first STARTS_PER_ROUND, then, unless one of them succeeded or was
+    accepted, all the others as one stack.
 
     ``passes`` is the number of alignment passes each start may run.
     ``start`` replaces the identity as start 0.  ``accept`` is asked at each
     point where a lone descent stalls above rank_tol^2; the search stops at
     the first point it takes and returns it.  The result is deterministic
     for a given seed: start r draws from its own generator, and when neither
-    stop is reached the lowest objective wins, the earliest start breaking
+    stop is reached the lowest objective wins, the first reached breaking
     ties.
     """
     f_success = rank_tol**2
@@ -198,9 +204,10 @@ def run_search(
     best_point, best_f, accepted = None, np.inf, False
     start = ctx.identity() if start is None else start
     used = 0
-    for first in range(0, restarts, STARTS_PER_ROUND):
-        rs = range(first, min(first + STARTS_PER_ROUND, restarts))
-        used += len(rs)
+    for rs in (range(min(STARTS_PER_ROUND, restarts)), range(STARTS_PER_ROUND, restarts)):
+        if not rs:
+            break
+        used = rs.stop
         starts = [
             start if r == 0 else ctx.random_point(np.random.default_rng([seed, r])) for r in rs
         ]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from luequiv import (
     validate_density,
     verify_witness,
 )
-from luequiv import equivalence
+from luequiv import equivalence, search
 from luequiv.decompose import unitarity_defect
 from luequiv.equivalence import CosetContext, _cut_stacks, _leading_overlaps
 from luequiv.search import (
@@ -47,6 +48,7 @@ from helpers import (
     example_bases,
     local_rotation,
     locally_mixed_qubits,
+    realign_index_oracle,
     werner,
 )
 
@@ -833,8 +835,17 @@ def test_check_deterministic_given_seed():
         assert np.array_equal(f1, f2)
 
 
+def _coset_of(rho, rho_prime):
+    """The coset context of a pair, on the degeneracy profile check_equivalence uses."""
+    s1, s2 = eig_hermitian(rho.matrix), eig_hermitian(rho_prime.matrix)
+    sizes = degeneracy_profile(s1.eigenvalues, 1e-8)
+    return CosetContext(s1.basis, s2.basis, rho.profile, sizes)
+
+
 def _context_factories():
-    """(label, make_context): two all-1x1 contexts and one multiplicity-2 context."""
+    """(label, make_context): two all-1x1 contexts, one multiplicity-2
+    context, and the rank-2 six-qubit state against its conjugate, whose
+    zero eigenvalue is one 62-fold block."""
     rng = np.random.default_rng(61)
     out = []
     for dims in [(2, 2, 2), (2,) * 6]:
@@ -843,26 +854,43 @@ def _context_factories():
         ones = (1,) * profile.total
         out.append((dims, lambda p=profile, x=x, y=y, m=ones: CosetContext(x, y, p, m)))
     sample = make_degenerate_pair(DimProfile((2, 2, 2)), 23)
-    s1 = eig_hermitian(sample.rho.matrix)
-    s2 = eig_hermitian(sample.rho_prime.matrix)
-    sizes = degeneracy_profile(s1.eigenvalues, 1e-8)
-    assert max(sizes) == 2
-
-    def block():
-        return CosetContext(s1.basis, s2.basis, sample.rho.profile, sizes)
-
-    out.append(("block", block))
+    assert max(_coset_of(sample.rho, sample.rho_prime).sizes) == 2
+    out.append(("block", lambda: _coset_of(sample.rho, sample.rho_prime)))
+    rank_two, _ = degenerate_plant((2,) * 6, 0, rank=2)
+    assert _coset_of(rank_two, conjugate(rank_two)).sizes == (1, 1, 62)
+    out.append(("block-62", lambda: _coset_of(rank_two, conjugate(rank_two))))
     return out
+
+
+def _oracle_overlaps(ctx, pairs):
+    """g[b, k, m] = u_k^dag realign(x_{rows m} y_{cols m}^dag) v_k, each
+    realignment taken from realign_index_oracle.
+
+    The oracle is a fixed map of entries, realign(Z) = Z.flat[index]: it is
+    run once per cut on the matrix of entry numbers, and checked against a
+    direct call on one x_m y_m^dag.  Then u^dag realign(Z) v = sum_pq Z_pq K_pq
+    with K.flat[index] = conj(u) v^T, so g_m = x_m^T K conj(y_m).
+    """
+    x, y = ctx.x[:, ctx.rows], ctx.y[:, ctx.cols].conj()
+    dim = len(ctx.x)
+    g = np.empty((len(pairs[0][0]), len(pairs), ctx.size), dtype=complex)
+    for k, ((dl, dr), (us, vs)) in enumerate(zip(ctx.splits, pairs)):
+        numbers = np.arange(dim * dim).reshape(dim, dim)
+        index = realign_index_oracle(numbers, (dl, dr), 1).real.astype(int)
+        z = np.outer(x[:, -1], y[:, -1])
+        assert np.array_equal(z.ravel()[index], realign_index_oracle(z, (dl, dr), 1))
+        for b, (u1, v1) in enumerate(zip(us, vs)):
+            kernel = np.empty(dim * dim, dtype=complex)
+            kernel[index] = np.outer(u1.conj(), v1)
+            g[b, k] = np.sum(x * (kernel.reshape(dim, dim) @ y), axis=0)
+    return g
 
 
 def _reference_align_pass(ctx, points):
     """An alignment pass of each row of a (B, size) stack, with its block
     sweep on length-K numpy vectors."""
     _, pairs = ctx.decompose(points)
-    g = np.stack(
-        [_leading_overlaps(xs, ys, u1, v1) for (xs, ys), (u1, v1) in zip(ctx.cut_stacks, pairs)],
-        axis=1,
-    )
+    g = _oracle_overlaps(ctx, pairs)
     out = points.copy()
     for a, gr in zip(out, g):
         s = gr @ a
@@ -882,6 +910,21 @@ def _reference_align_pass(ctx, points):
         n1 = ctx.sizes[0]
         a *= np.exp(-1j * np.angle(np.linalg.det(a[ctx.slices[0]].reshape(n1, n1))) / n1)
     return out
+
+
+def test_build_and_overlaps_match_the_explicit_realignments():
+    # V = sum_m a_m x_{rows m} y_{cols m}^dag, and each overlap is u^dag R v
+    # of the oracle's realignment of x_m y_m^dag, on every context
+    rng = np.random.default_rng(137)
+    for label, make in _context_factories():
+        ctx = make()
+        points = np.array([ctx.random_point(rng) for _ in range(3)])
+        for point, v in zip(points, ctx.build(points)):
+            want = (ctx.x[:, ctx.rows] * point) @ ctx.y[:, ctx.cols].conj().T
+            assert np.max(np.abs(v - want)) <= 1e-14, label
+        _, pairs = ctx.decompose(points)
+        got = ctx._overlaps(pairs)
+        assert np.max(np.abs(got - _oracle_overlaps(ctx, pairs))) <= 1e-14, label
 
 
 def test_leading_overlaps_match_the_explicit_realignments():
@@ -1126,7 +1169,7 @@ def test_race_carries_the_decomposition_of_its_points():
 
 def _profile(label):
     """The dimension profile of a context from _context_factories or _planted_contexts."""
-    return DimProfile((2, 2, 2) if label == "block" else label)
+    return DimProfile({"block": (2, 2, 2), "block-62": (2,) * 6}.get(label, label))
 
 
 class _BoundContext:
@@ -1314,6 +1357,70 @@ def test_racing_round_is_one_sweep_and_one_decompose():
     _search(ctx, restarts=STARTS_PER_ROUND)
     racing_sweeps = [b for name, b in ctx.calls if name == "sweep" and b > 1]
     assert racing_sweeps == [STARTS_PER_ROUND] * 2 + [STARTS_PER_ROUND - 1] * (ESCAPE_PASSES - 2)
+
+
+def test_second_round_races_every_remaining_start_in_one_stack():
+    # round 1 races STARTS_PER_ROUND starts; when none succeeds, round 2
+    # races all the others as one stack
+    restarts = 10
+    later = restarts - STARTS_PER_ROUND
+    ctx = _CountingContext([lambda k: 1.0] * restarts)
+    outcome = _search(ctx, restarts=restarts)
+    assert outcome.restarts_used == restarts
+    first = [("sweep", STARTS_PER_ROUND), ("decompose", STARTS_PER_ROUND)] * ESCAPE_PASSES
+    second = [("sweep", later), ("decompose", later)] * ESCAPE_PASSES
+    assert ctx.calls == (
+        [("decompose", STARTS_PER_ROUND)] + first + [("decompose", later)] + second
+    )
+    # a success in round 1 launches no other start
+    ctx = _CountingContext(
+        [lambda k: 1.0, lambda k: 1.0 if k < 2 else 10.0 ** (-3 * k)]
+        + [lambda k: 1.0] * (restarts - 2)
+    )
+    outcome = _search(ctx, restarts=restarts)
+    assert outcome.objective <= 1e-14 and outcome.point[0] == 1
+    assert outcome.restarts_used == STARTS_PER_ROUND
+    assert max(b for _, b in ctx.calls) == STARTS_PER_ROUND
+
+
+def test_stacked_starts_end_as_each_start_raced_alone(monkeypatch):
+    # a start's passes do not depend on its stack-mates, so racing each start
+    # alone gives the same verdict, surrogate and history values in some
+    # order; to rounding only, as einsum sums a stack of one in another order
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 71)
+    config = SearchConfig(seed=3)
+    stacked = check_equivalence(rho, conjugate(rho), config)
+    real_race = search._race
+
+    def race_alone(ctx, points, *args):
+        outcomes = [real_race(ctx, points[i : i + 1], *args) for i in range(len(points))]
+        return min(outcomes, key=lambda outcome: outcome[1])
+
+    monkeypatch.setattr(search, "_race", race_alone)
+    alone = check_equivalence(rho, conjugate(rho), config)
+    assert stacked.status is alone.status is VerdictStatus.NOT_FOUND
+    assert stacked.path == "coset" and stacked.restarts_used == alone.restarts_used == 20
+    assert stacked.best_objective == pytest.approx(alone.best_objective, rel=1e-12)
+    history = [sorted(f for _, f in v.objective_history) for v in (stacked, alone)]
+    assert len(history[0]) == len(history[1])
+    assert np.allclose(*history, rtol=1e-9, atol=0)
+
+
+def test_block_pass_memory_is_quadratic_in_the_dimension():
+    # one stacked pass at B = 17 on the 62-fold block, 3,846 entries a point:
+    # V and the overlaps cost O(D^2) a point, where (B, size, D)
+    # intermediates would take over 130 MB
+    ctx = dict(_context_factories())["block-62"]()
+    rng = np.random.default_rng(139)
+    points = np.array([ctx.random_point(rng) for _ in range(17)])
+    _, pairs = ctx.decompose(points)
+    tracemalloc.start()
+    try:
+        ctx.decompose(ctx.sweep(points, pairs), pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
 
 
 def test_planted_pair_on_six_qubits():
