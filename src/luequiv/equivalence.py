@@ -173,10 +173,12 @@ class CosetContext:
         self.rows = lo[block] + j // n[block]
         self.cols = lo[block] + j % n[block]
         self.splits = [profile.split(k) for k in range(1, profile.nsites)]
-        self.phase_entries = starts[n == 1].tolist()
-        phase_rows = self.rows[self.phase_entries]
-        self.xt = np.ascontiguousarray(self.x[:, phase_rows].T)
-        self.ych = np.ascontiguousarray(self.y[:, phase_rows].conj().T)
+        # the 1x1 entries of a point: a slice when they are all of it, so that
+        # a non-degenerate coset reads its points as views, not gathered copies
+        phase = starts[n == 1].tolist()
+        self.phase_entries = slice(None) if len(phase) == self.size else phase
+        self.xt = np.ascontiguousarray(self.x[:, self.rows[phase]].T)
+        self.ych = np.ascontiguousarray(self.y[:, self.rows[phase]].conj().T)
         self.cut_stacks = [_cut_stacks(self.xt, self.ych, dl, dr) for dl, dr in self.splits]
         # the entries of the blocks larger than 1x1, and where each sits in
         # A, the |S| x |S| matrix of those blocks on the columns S they span
@@ -202,7 +204,7 @@ class CosetContext:
     def build(self, points: np.ndarray) -> np.ndarray:
         """V of a point, or the (B, D, D) stack of V of a stack of points."""
         v = 0
-        if self.phase_entries:
+        if len(self.xt):
             v = self.xt.T @ (points[..., self.phase_entries, np.newaxis] * self.ych)
         if self.block_entries.size:
             a = np.zeros(points.shape[:-1] + (self.xs.shape[1],) * 2, dtype=np.complex128)
@@ -251,7 +253,7 @@ class CosetContext:
         pairs (u_k, v_k) of row b, so that s_k = g[b, k] @ point."""
         g = np.empty((len(pairs[0][0]), len(pairs), self.size), dtype=np.complex128)
         for k, ((d_left, d_right), (u1, v1)) in enumerate(zip(self.splits, pairs)):
-            if self.phase_entries:
+            if len(self.xt):
                 g[:, k, self.phase_entries] = _leading_overlaps(*self.cut_stacks[k], u1, v1)
             if self.block_entries.size:
                 # u^dag realign(Z) v = sum_pq Z_pq M_pq with M the un-realignment
@@ -282,10 +284,10 @@ class CosetContext:
         phase = self.phase_entries
         n1 = self.sizes[0]
         out = points.copy()
-        pins = []
+        phase_rows, pins = [], []
         # the 1x1 blocks run on Python scalars, one point at a time: s and each
         # column of g have one entry per cut, too few for numpy calls to pay
-        # their overhead
+        # their overhead; they go back into the points in one call at the end
         for a, s, gp, ap, cols in zip(
             out, s_rows, g, points[:, phase].tolist(), g[:, :, phase].transpose(0, 2, 1).tolist()
         ):
@@ -315,11 +317,12 @@ class CosetContext:
                     new = (uu @ vh).ravel()
                     s = (sv + gb @ (new - a[sl])).tolist()
                     a[sl] = new
-            a[phase] = ap
+            phase_rows.append(ap)
             # pin the first block's determinant phase: a global phase never
             # changes the realignment ratios
             det = ap[0] if n1 == 1 else np.linalg.det(a[self.slices[0]].reshape(n1, n1))
             pins.append(cmath.exp(-1j * cmath.phase(det) / n1))
+        out[:, phase] = phase_rows
         return out * np.array(pins)[:, np.newaxis]
 
     def project(self, points: np.ndarray) -> np.ndarray:
@@ -416,9 +419,8 @@ def _frame_factors(
     return factors
 
 
-def _frame_overlaps(xt: np.ndarray, ych: np.ndarray, factors) -> np.ndarray:
-    """x_m^dag W^dag y_m for each row m of xt and ych, W = kron_i U_i."""
-    w_dag = kron_all([u.conj().T for u in factors])
+def _frame_overlaps(xt: np.ndarray, ych: np.ndarray, w_dag: np.ndarray) -> np.ndarray:
+    """x_m^dag W^dag y_m for each row m of xt and ych."""
     return np.sum((xt.conj() @ w_dag) * ych.conj(), axis=1)
 
 
@@ -429,12 +431,12 @@ def _frame_point(ctx: CosetContext, factors) -> np.ndarray | None:
     A 1x1 block reads its entry x_m^dag W^dag y_m; the larger blocks read
     theirs off X_S^dag W^dag Y_S, on the layout of CosetContext.build.
     """
+    w_dag = kron_all([u.conj().T for u in factors])
     point = np.empty(ctx.size, dtype=np.complex128)
-    point[ctx.phase_entries] = _frame_overlaps(ctx.xt, ctx.ych, factors)
+    point[ctx.phase_entries] = _frame_overlaps(ctx.xt, ctx.ych, w_dag)
     if np.any(point[ctx.phase_entries] == 0):
         return None
     if ctx.block_entries.size:
-        w_dag = kron_all([u.conj().T for u in factors])
         point[ctx.block_entries] = (ctx.xs.conj().T @ w_dag @ ctx.ysc.conj())[ctx.block_at]
     return ctx.project(point[np.newaxis])[0]
 
@@ -541,7 +543,9 @@ def check_equivalence(
     if factors is not None:
         verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
         if verified is not None:
-            point = None if fallback else _frame_overlaps(s1.basis.T, s2.basis.conj().T, factors)
+            point = None if fallback else _frame_overlaps(
+                s1.basis.T, s2.basis.conj().T, kron_all([u.conj().T for u in factors])
+            )
             return Verdict(
                 status=VerdictStatus.EQUIVALENT,
                 witness=verified[0],

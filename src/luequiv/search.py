@@ -39,7 +39,10 @@ or is accepted, the second races every remaining start in one stack.  A
 start's passes do not depend on its stack-mates (``sweep`` and
 ``decompose`` act row by row, and a lone descent's budget is its own), so
 the stack changes no start's outcome beyond rounding; it pays the fixed
-cost of each numpy call once for all of them.
+cost of each numpy call once for all of them.  An input first decided by a
+start of the second round pays for the whole stack until a start escapes,
+more than a second round of STARTS_PER_ROUND would cost; one decided
+later, or not at all, pays less.
 
 Alone, a start converges linearly, so its passes are Anderson-mixed (Walker
 & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) over the last MIX_DEPTH outputs.

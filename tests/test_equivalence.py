@@ -1383,6 +1383,16 @@ def test_second_round_races_every_remaining_start_in_one_stack():
     assert max(b for _, b in ctx.calls) == STARTS_PER_ROUND
 
 
+def test_a_second_round_start_decides_a_locally_mixed_plant():
+    # every round-1 start of this plant stays in the bulk; a start of the
+    # stacked second round escapes and its success ends the search
+    rho = locally_mixed_qubits(3, 9)
+    verdict = check_equivalence(rho, local_rotation(rho, 109), SearchConfig(seed=9))
+    assert verdict.status is VerdictStatus.EQUIVALENT and verdict.path == "coset"
+    assert verdict.restarts_used == SearchConfig().restarts
+    assert verdict.witness_residual <= 1e-8
+
+
 def test_stacked_starts_end_as_each_start_raced_alone(monkeypatch):
     # a start's passes do not depend on its stack-mates, so racing each start
     # alone gives the same verdict, surrogate and history values in some
