@@ -25,7 +25,6 @@ could let through, no search runs and the verdict is NOT_FOUND on path
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -129,7 +128,9 @@ def _leading_overlaps(xs: np.ndarray, ys: np.ndarray, u1: np.ndarray, v1: np.nda
     u = u1.conj().reshape(b, d_left, d_left)
     wt = v1.reshape(b, d_right, d_right).transpose(0, 2, 1)
     q = ((u @ ys).reshape(b, d_left * m, d_right) @ wt).reshape(b, d_left, m, d_right)
-    return np.einsum("mij,bimj->bm", xs, q)
+    # an elementwise product summed over its last axis: each row sums in the
+    # same order whatever the stack's size, so a row alone gives the same bits
+    return (q.transpose(0, 2, 1, 3).reshape(b, m, d_left * d_right) * xs.reshape(m, -1)).sum(-1)
 
 
 class CosetContext:
@@ -267,63 +268,32 @@ class CosetContext:
         return g
 
     def sweep(self, points: np.ndarray, pairs) -> np.ndarray:
-        """One monotone round over every block of each point against its leading pairs.
+        """One monotone step of every block of each point against its leading pairs.
 
         With the unit pairs (u_k, v_k) of each realignment held fixed,
-        s_k = u_k^dag Vtilde_k v_k is linear in the point, and
+        s_k = u_k^dag Vtilde_k v_k = g_k . a is linear in the point a, and
         J = sum_k |s_k|^2 is a lower bound of sum_k sigma1^2; raising it
-        squeezes the subdominant singular mass toward zero.  A 1x1 block
-        takes the exact phase maximizing J with the other blocks fixed; a
-        larger block takes the polar step, the unitary maximizing J's
-        linearization at the current point.  ``pairs`` are the ones
-        decompose returned for the points; the sweep and decompose's power
-        step each raise J, so a pass never lowers it.
+        squeezes the subdominant singular mass toward zero.  J is a convex
+        Hermitian quadratic, so it lies above its linearization at a, and the
+        coset point maximizing Re <grad, a'> with grad = g^dag s never lowers
+        it: project(grad), the phase of each 1x1 entry and the polar factor
+        of each larger block, all blocks at once.  A 1x1 entry whose gradient
+        is exactly zero keeps its value.  ``pairs`` are the ones decompose
+        returned for the points; the step and decompose's power step each
+        raise J, so a pass never lowers it.
         """
         g = self._overlaps(pairs)
-        s_rows = (g @ points[:, :, np.newaxis])[..., 0].tolist()
+        s = g @ points[:, :, np.newaxis]
+        grad = (g.conj().transpose(0, 2, 1) @ s)[..., 0]
         phase = self.phase_entries
+        grad[:, phase] = np.where(grad[:, phase] == 0, points[:, phase], grad[:, phase])
+        out = self.project(grad)
+        # pin the first block's determinant phase: a global phase never
+        # changes the realignment ratios
         n1 = self.sizes[0]
-        out = points.copy()
-        phase_rows, pins = [], []
-        # the 1x1 blocks run on Python scalars, one point at a time: s and each
-        # column of g have one entry per cut, too few for numpy calls to pay
-        # their overhead; they go back into the points in one call at the end
-        for a, s, gp, ap, cols in zip(
-            out, s_rows, g, points[:, phase].tolist(), g[:, :, phase].transpose(0, 2, 1).tolist()
-        ):
-            cuts = range(len(s))
-            j = -1
-            for sl, n in zip(self.slices, self.sizes):
-                if n == 1:
-                    # maximize sum_k |w_k + g_k c|^2 over |c| = 1, w_k = s_k - g_k a_m
-                    j += 1
-                    gm = cols[j]
-                    am = ap[j]
-                    z = 0j
-                    for k in cuts:
-                        z += gm[k].conjugate() * (s[k] - gm[k] * am)
-                    if z == 0:
-                        continue
-                    new = z / abs(z)
-                    d = new - am
-                    for k in cuts:
-                        s[k] += gm[k] * d
-                    ap[j] = new
-                else:
-                    # maximize Re sum_k conj(s_k) tr(G_kb^T A) over unitaries A
-                    gb = gp[:, sl]
-                    sv = np.array(s)
-                    uu, _, vh = np.linalg.svd((sv.conj() @ gb).reshape(n, n).conj())
-                    new = (uu @ vh).ravel()
-                    s = (sv + gb @ (new - a[sl])).tolist()
-                    a[sl] = new
-            phase_rows.append(ap)
-            # pin the first block's determinant phase: a global phase never
-            # changes the realignment ratios
-            det = ap[0] if n1 == 1 else np.linalg.det(a[self.slices[0]].reshape(n1, n1))
-            pins.append(cmath.exp(-1j * cmath.phase(det) / n1))
-        out[:, phase] = phase_rows
-        return out * np.array(pins)[:, np.newaxis]
+        first = out[:, self.slices[0]]
+        det = first[:, 0] if n1 == 1 else np.linalg.det(first.reshape(-1, n1, n1))
+        return out * np.exp(-1j * np.angle(det) / n1)[:, np.newaxis]
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Nearest coset points: a unit phase per 1x1 block, the polar factor of a larger one."""
