@@ -132,15 +132,19 @@ def _cut_line(r) -> str:
     )
 
 
-def _report_check(verdict: Verdict, out, nsites: int = 2) -> None:
+def _report_check(verdict: Verdict, out) -> None:
     print(f"verdict: {verdict.status.value}", file=out)
     if verdict.path is not None:
         print(f"path: {verdict.path}", file=out)
     if verdict.path == "coset-block":
-        note = "note: degenerate spectrum; used the block-unitary search"
-        if nsites > 2:
-            note += " (the multipartite extension of the bipartite criterion is unproven)"
-        print(note, file=out)
+        print("note: degenerate spectrum; used the block-unitary search", file=out)
+    if verdict.path == "lift":
+        why = (
+            "the coset point read off the lifted rank-one system verified"
+            if verdict.status is VerdictStatus.EQUIVALENT
+            else "the lifted rank-one system shows no coset point can pass the rank-one test"
+        )
+        print(f"note: no search ran; {why}", file=out)
     if verdict.path == "bound":
         print(f"distance_lower: {verdict.distance_lower:.3e}", file=out)
         print(
@@ -171,7 +175,7 @@ def cmd_check(args) -> int:
     if args.json:
         print(json.dumps(_verdict_json(verdict)))
     else:
-        _report_check(verdict, sys.stdout, nsites=rho.profile.nsites)
+        _report_check(verdict, sys.stdout)
     return EXIT_CODES[verdict.status]
 
 

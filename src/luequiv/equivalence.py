@@ -1,26 +1,32 @@
 """Local-unitary equivalence decision for multipartite density matrices.
 
-Two states with matching non-degenerate spectra are equivalent exactly when
-some diagonal phase matrix D makes V = X D Y^dag tensor decomposable, which
-the realignment rank-one criterion detects at every sequential cut.  The
-coset element is found numerically by minimizing the smooth surrogate
+Two states rho = X Lambda X^dag and rho' = Y Lambda Y^dag with matching
+spectra are equivalent exactly when some point of the coset
+V = X blockdiag(A_1..A_r) Y^dag, with a unitary block per eigenvalue (a
+diagonal phase matrix when the spectrum is non-degenerate), is tensor
+decomposable, which the realignment rank-one criterion detects at every
+sequential cut.  This holds for blocks of any size and any number of
+parties: if rho' = W rho W^dag, then Y^dag W X commutes with Lambda, so
+W^dag = X A Y^dag with A block-unitary; conversely, W = Y A^dag X^dag maps
+rho to Y A^dag Lambda A Y^dag = rho'.
+
+The rungs of a check, in order: the spectra (a mismatch is the one
+conclusive negative); the bound rung, where the one-site marginal spectra
+put every product unitary image of rho farther from rho' than the witness
+gate lets through, and the verdict is NOT_FOUND on path "bound"; the frame
+rung, a local-eigenframe witness guess that verifies before any coset is
+built; the lift rung, where one eigensolve of the lifted rank-one system
+(_lifted_gram) either proves that no coset point passes the rank-one test
+(NOT_FOUND on path "lift") or yields the one solution, which must then
+verify; and the coset search, which minimizes the smooth surrogate
 
     f = sum over cuts of (sigma2 / sigma1)^2 of realign(V),
 
-which is exactly zero at solutions; the search tracks an upper bound of f
-with the same zero set (CosetContext.decompose).  A degenerate spectrum, with
-blocks of any size, widens the coset to V0 = X blockdiag(A_1..A_r) Y^dag
-with unitary blocks, and the same search runs over it; that extension of the
-bipartite criterion is unproven in the multipartite setting, so verdicts
-from it are flagged.
-A local-eigenframe witness guess that verifies decides the check before any
-coset is built.  Every EQUIVALENT verdict ships an explicit witness
-(U_1, ..., U_M) that passed the one witness gate, _verified: each factor
-unitary, and the conjugation residual verified.  Before either, the
-one-site marginal spectra bound the distance from every product unitary
-image of rho to rho' from below; when that bound exceeds what the gate
-could let through, no search runs and the verdict is NOT_FOUND on path
-"bound", which, like every NOT_FOUND, claims no inequivalence.
+exactly zero at solutions, through an upper bound of f with the same zero
+set (CosetContext.decompose).  Every EQUIVALENT verdict ships an explicit
+witness (U_1, ..., U_M) that passed the one witness gate, _verified: each
+factor unitary, and the conjugation residual verified.  No NOT_FOUND
+claims inequivalence.
 """
 
 from __future__ import annotations
@@ -38,6 +44,28 @@ from .search import run_search
 from .spectral import TOL, RankOneReport, degeneracy_profile, spectra_match
 from .states import DensityMatrix, validate_density
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
+
+
+# The lift rung runs on cosets of at most this many entries S (the sum of
+# the squared block sizes).  H costs O(S^4 D^2 / min(d_L, d_R)^2) to build
+# and O(S^6) to diagonalize, far more than a search's growth.  Measured on
+# 2 cores, numpy 2.4 / OpenBLAS on one thread; "lift" is H and eigvalsh, and
+# a check of rho against rho* or of a locally-mixed plant is timed whole,
+# searched (rung off) -> lifted:
+#   S = 6  (2,3):      lift 0.16 ms; rho*  7.4 -> 0.7 ms
+#   S = 8  (2,2,2):    lift 0.34 ms; rho* 11.8 -> 1.1 ms; plant 4.5 -> 1.3 ms
+#   S = 9  (3,3):      lift 0.38 ms; rho*  8.6 -> 1.1 ms
+#   S = 12 (2,2,3):    lift 2.0 ms;  rho* 13.5 -> 3.0 ms
+#   S = 16 (2,2,2,2):  lift 5.5-9.3 ms; rho* 19.4 -> 10.1 ms; plant 4.3 -> 11.1 ms
+#   S = 18 (2,3,3):    lift 13 ms; rho* searched in 15.6 ms
+#   S = 27 (3,3,3):    lift 65 ms; rho* searched in 26-45 ms
+# At S = 16 the rung halves a rho* check and makes a searched plant 2.6x
+# slower; it is kept there because it decides both without a random start.
+LIFT_MAX_SIZE = 16
+# a least eigenvector is read only when the second eigenvalue of H is at
+# least this fraction of the largest: eigvalsh's rounding, about eps ||H||,
+# then moves the eigenvector by far less than the rank tolerance
+LIFT_GAP = 1e-6
 
 
 class VerdictStatus(str, Enum):
@@ -80,8 +108,9 @@ class Verdict:
     """Outcome of a check, with enough detail to reproduce and report it.
 
     NOT_FOUND never asserts inequivalence: the coset search is one-sided and
-    only reports that no decomposable element was found within budget, and
-    the bound rung only that no witness could pass the gate.
+    only reports that no decomposable element was found within budget, the
+    bound rung only that no witness could pass the gate, and the lift rung
+    only that no coset point passes the rank-one test.
     """
 
     status: VerdictStatus
@@ -97,8 +126,11 @@ class Verdict:
     # "frame" (the local-eigenframe guess verified, no search ran; no cut
     # reports or best objective), "bound" (NOT_FOUND with no search: the
     # marginal spectra put every product unitary beyond the witness gate),
-    # "coset" or "coset-block" (the degenerate fallback's search); None when
-    # the spectra differ
+    # "lift" (no search ran: NOT_FOUND when the lifted system's least
+    # eigenvalue shows that no coset point passes the rank-one test, with no
+    # cut reports or best objective; EQUIVALENT when the point read off its
+    # one-dimensional kernel verified), "coset" or "coset-block" (the search,
+    # over a diagonal or a block-unitary coset); None when the spectra differ
     path: str | None = None
     # a lower bound on min over product unitaries W of ||W rho W^dag - rho'||_F:
     # the larger of ||lambda - lambda'||_2 and the marginal-spectrum bound L
@@ -306,6 +338,118 @@ class CosetContext:
         return out
 
 
+def _lifted_gram(ctx: CosetContext) -> np.ndarray:
+    """H = sum_k K_k^H K_k, with K_k the map from the orthonormal coordinates c
+    of a complex symmetric S x S matrix E to the 2x2 minors of R_k(E).
+
+    The minors of R_k(a) = sum_m a_m R_km are quadratic in the point a, so
+    they are linear in e = a a^T: R_k(E) minors are sum_mn E_mn P(R_km, R_kn)
+    with P(A, B)_ijkl = A_ik B_jl - A_il B_jk, the polarized minor.  c holds
+    E_mm and sqrt(2) E_mn (m < n), so ||E||_F = ||c||; its entries run over
+    np.triu_indices(S).  Summed over every index quadruple (each minor of
+    rows i < j and columns k < l appears four times),
+    <P(A, B), P(C, E)> = 2 <A, C><B, E> - 2 tr(A^dag C B^dag E), and
+    <R_km, R_kp> = delta_mp (realignment permutes the entries of the
+    orthonormal x_r y_c^dag), so no minor is formed.  With R_km = X_m kron
+    Ybar_m, the d_L x d_R reshapes of x_{rows[m]} and conj(y_{cols[m]}),
+    tr(R_a^dag R_c R_b^dag R_d) = tr(X_a^dag X_c X_b^dag X_d)
+    tr(Ybar_a^dag Ybar_c Ybar_b^dag Ybar_d), each factor one product of an
+    (S^2, q^2) array with its adjoint, q the shorter side of the cut.
+    """
+    s = ctx.size
+    # u[a, c, d, b] = sum_k tr(R_ka^dag R_kc R_kb^dag R_kd)
+    u = np.zeros((s * s, s * s), dtype=np.complex128)
+    vectors = (ctx.x[:, ctx.rows].T, ctx.y[:, ctx.cols].T.conj())
+    for d_left, d_right in ctx.splits:
+        traces = []
+        for z in vectors:
+            z = z.reshape(s, d_left, d_right)
+            # transposed reshapes give the same traces with c and d swapped,
+            # which a symmetric E cannot tell apart: q is the shorter side
+            z = z if d_right <= d_left else z.transpose(0, 2, 1)
+            p, q = z.shape[1:]
+            zs = z.transpose(1, 0, 2).reshape(p, s * q)
+            # f[(a, c), (i, j)] = (Z_a^dag Z_c)_ij; tr(F_ac F_bd) is row (a, c)
+            # of f against row (d, b), conjugated, since F_bd^T = conj(F_db)
+            f = (zs.conj().T @ zs).reshape(s, q, s, q).transpose(0, 2, 1, 3).reshape(s * s, -1)
+            traces.append(f @ f.conj().T)
+        traces[0] *= traces[1]
+        u += traces[0]
+    # entry (mn, pq) of H sums the orderings (m, n), (n, m) times (p, q),
+    # (q, p) of the lifted Gram; a trace is cyclic, so u is unchanged by
+    # (a, c) <-> (b, d), and the four are two, each twice
+    m, n = np.triu_indices(s)
+    cols = (m * s * s + n * s)[np.newaxis, :]
+    u = u.reshape(-1)
+    twice = u[(m * s**3 + n)[:, np.newaxis] + cols] + u[(n * s**3 + m)[:, np.newaxis] + cols]
+    # each off-diagonal coordinate weighs sqrt(1/2) per ordering, and the
+    # 2x2 minors (rows i < j, columns k < l) are a quarter of the quadruples
+    w = np.where(m == n, 0.5, math.sqrt(0.5))
+    return 0.5 * len(ctx.splits) * np.eye(len(m)) - twice * np.outer(w, w)
+
+
+def _lift_floor(ctx: CosetContext, rank_tol: float, h_norm: float) -> float:
+    """Lambda = sum_k (r_k - 1) tau^2 (1 + (r_k - 1) tau^2 / 2), r_k = min(d_L^2,
+    d_R^2), plus rounding: the least eigenvalue of _lifted_gram above it
+    proves that no coset point passes the rank-one test (check_equivalence
+    has the proof).
+
+    The rounding covers four errors, with n = S (S + 1) / 2 the order of H
+    and eps the unit roundoff.  The rank-one test reads sigma2 / sigma1 off
+    a computed V and SVD, within eta = 2 (S sqrt(S) + D) eps of the point's
+    own ratio, so tau is rank_tol + eta; and the computed eigenvectors are
+    orthonormal to O(D eps), which moves ||R_k||_F^2 = ||a||^2 by a factor
+    1 + 4 D eps.  Forming H from the Gram identity errs by at most 4 D eps
+    an entry a cut (inner products of length <= D of unit-norm reshapes, and
+    the same non-orthonormality in <R_m, R_p> = delta_mp), so by
+    4 (M - 1) n D eps in norm.  eigvalsh's backward error moves an
+    eigenvalue by at most n eps ||H||_2 (``h_norm``).
+    """
+    eps = sys.float_info.epsilon
+    dim = len(ctx.x)
+    n = ctx.size * (ctx.size + 1) // 2
+    tau = rank_tol + 2.0 * (ctx.size * math.sqrt(ctx.size) + dim) * eps
+    lam = sum(
+        (r - 1) * tau**2 * (1.0 + (r - 1) * tau**2 / 2.0)
+        for r in (min(d_left, d_right) ** 2 for d_left, d_right in ctx.splits)
+    )
+    return lam * (1.0 + 4.0 * dim * eps) + n * eps * (h_norm + 4.0 * len(ctx.splits) * dim)
+
+
+def _lift(ctx: CosetContext, rank_tol: float) -> tuple[bool, np.ndarray | None]:
+    """(excluded, point): whether no coset point can pass the rank-one test,
+    and else the coset point read off a one-dimensional lifted kernel, or None.
+
+    The kernel is taken as one-dimensional when the second eigenvalue of H
+    is at least LIFT_GAP times its largest.  Then the least eigenvector is
+    E = mu a a^T up to rounding, and a_i = E_ij / sqrt(E_jj), with j the
+    largest |E_jj|, is a up to a sign and a scale, which ``project`` removes.
+    The eigenvalues come from eigvalsh, and the one eigenvector from two
+    steps of inverse iteration, shifted so that w_1 sits at the floor: each
+    step shrinks every other component against it by about floor / w_2, and
+    costs a linear solve, where eigh would double the eigensolve's cost.
+    """
+    h = _lifted_gram(ctx)
+    w = np.linalg.eigvalsh(h)
+    floor = _lift_floor(ctx, rank_tol, float(np.max(np.abs(w))))
+    if w[0] > floor:
+        return True, None
+    if w[1] < LIFT_GAP * w[-1]:
+        return False, None
+    shifted = h + (floor - w[0]) * np.eye(len(h))
+    c = np.linalg.solve(shifted, np.linalg.solve(shifted, np.ones(len(h), dtype=np.complex128)))
+    m, n = np.triu_indices(ctx.size)
+    e = np.empty((ctx.size, ctx.size), dtype=np.complex128)
+    e[m, n] = e[n, m] = c * np.where(m == n, 1.0, math.sqrt(0.5))
+    j = np.argmax(np.abs(np.diagonal(e)))
+    if e[j, j] == 0:
+        return False, None
+    point = e[:, j] / np.sqrt(e[j, j])
+    if np.any(point[ctx.phase_entries] == 0):
+        return False, None
+    return False, ctx.project(point[np.newaxis])[0]
+
+
 def _sq_norms(a: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each entry of a stack, shaped (B, 1, 1)."""
     flat = a.reshape(len(a), 1, -1).view(np.float64)
@@ -458,21 +602,46 @@ def check_equivalence(
     gate, and the verdict is NOT_FOUND on path "bound" with no search: the
     status the search would have returned, and no claim of inequivalence.
     Every verdict past validation reports distance_lower, the larger of L
-    and ||lambda - lambda'||_2.  Then two rungs, each ending in the one
+    and ||lambda - lambda'||_2.  Then three rungs, each ending in the one
     witness gate (_verified: unitary factors, verified residual).  The frame
     rung, from the same marginal eigenbases: the local-eigenframe guess
     W = kron_i U_i, when the marginals fix it and it passes the gate, is
     EQUIVALENT on path "frame", with no coset and no search; its phases are
     those of x_m^dag W^dag y_m, and it has no cut reports or best objective,
-    W being a product by construction.  The search rung: search.run_search
-    over the coset X blockdiag(A_1..A_r) Y^dag (diagonal phases when the
-    spectrum is non-degenerate, a unitary block per repeated eigenvalue
-    otherwise) from W's coset point, or the identity, with
-    ``config.restarts`` starts of up to ``config.sweeps`` passes each.  A
-    point certifies when the exact rank-one test passes at every cut and its
-    V factors into a witness that passes the gate.  The search stops at the
-    first stalled point that certifies, and the point it returns is
-    certified once more for the verdict.
+    W being a product by construction.  The other two work on the coset
+    X blockdiag(A_1..A_r) Y^dag (diagonal phases when the spectrum is
+    non-degenerate, a unitary block per repeated eigenvalue otherwise), whose
+    point a gives V(a) = sum_m a_m x_{r_m} y_{c_m}^dag.  A point certifies
+    when the exact rank-one test sigma2 <= tau sigma1 (tau = rank_tol)
+    passes at every cut and its V factors into a witness that passes the
+    gate.
+
+    The lift rung, on cosets of at most LIFT_MAX_SIZE entries: every 2x2
+    minor of R_k(a) = realign_k(V(a)) is linear in E = a a^T, and H =
+    sum_k K_k^H K_k (_lifted_gram) is the Gram matrix of that linear map on
+    the orthonormal coordinates of a complex symmetric E.  If the least
+    eigenvalue of H exceeds Lambda = sum_k (r_k - 1) tau^2 (1 + (r_k - 1)
+    tau^2 / 2), r_k = min(d_L^2, d_R^2), plus a rounding term (_lift_floor),
+    no coset point certifies.  Proof: a coset point has ||a||^2 = D, so
+    ||E||_F = D, and sigma1(R_k)^2 <= ||R_k||_F^2 = ||V||_F^2 = D.  A point
+    with sigma_i <= tau sigma1 for every i >= 2 at a cut of rank at most r
+    has sum over minors (i < j, k < l) of |minor|^2 = e_2(sigma^2) <=
+    (r - 1) tau^2 sigma1^4 (1 + (r - 1) tau^2 / 2) <= (r - 1) tau^2 D^2
+    (1 + (r - 1) tau^2 / 2) by Cauchy-Binet; summed over the cuts that is
+    at most Lambda D^2, while it is ||K E||^2 >= lambda_min ||E||_F^2 =
+    lambda_min D^2.  So lambda_min <= Lambda.  When it fires, the verdict
+    is NOT_FOUND on path "lift" with no search, the status the search would
+    have returned (as on "bound"), with no cut reports.  Otherwise, when the
+    kernel is one-dimensional (_lift), the point read off the least
+    eigenvector is certified; if it passes, the verdict is EQUIVALENT on
+    path "lift" with restarts_used 0.  Soundness rests on the gate, whatever
+    the kernel says.  Else the check hands on, unchanged.
+
+    The search rung: search.run_search over the coset from W's coset point,
+    or the identity, with ``config.restarts`` starts of up to
+    ``config.sweeps`` passes each.  The search stops at the first stalled
+    point that certifies, and the point it returns is certified once more
+    for the verdict.
     """
     if config is None:
         config = SearchConfig()
@@ -543,6 +712,42 @@ def check_equivalence(
             return reports, None
         return reports, _verified(rho, rho_prime, fs.adjoints())
 
+    def coset_verdict(point: np.ndarray, path: str, outcome=None) -> Verdict:
+        reports, verified = certify(point)
+        witness, residual = verified or (None, None)
+        return Verdict(
+            status=VerdictStatus.NOT_FOUND if verified is None else VerdictStatus.EQUIVALENT,
+            witness=witness,
+            witness_residual=residual,
+            phases=None if fallback else _phases(point),
+            cut_reports=reports,
+            objective_history=[] if outcome is None else outcome.history,
+            # the paper's surrogate; the search's f only bounds it from above
+            best_objective=sum(r.ratio**2 for r in reports),
+            used_degenerate_fallback=fallback,
+            seed=config.seed,
+            restarts_used=0 if outcome is None else outcome.restarts_used,
+            path=path,
+            distance_lower=distance_lower,
+        )
+
+    if ctx.size <= LIFT_MAX_SIZE:
+        excluded, point = _lift(ctx, config.rank_tol)
+        if excluded:
+            # no coset point passes the rank-one test, so no search point
+            # could certify: NOT_FOUND, as on "bound", with no search
+            return Verdict(
+                status=VerdictStatus.NOT_FOUND,
+                used_degenerate_fallback=fallback,
+                seed=config.seed,
+                path="lift",
+                distance_lower=distance_lower,
+            )
+        if point is not None:
+            verdict = coset_verdict(point, "lift")
+            if verdict.status is VerdictStatus.EQUIVALENT:
+                return verdict
+
     outcome = run_search(
         ctx,
         passes=config.sweeps,
@@ -552,20 +757,4 @@ def check_equivalence(
         start=None if factors is None else _frame_point(ctx, factors),
         accept=lambda p: certify(p)[1] is not None,
     )
-    reports, verified = certify(outcome.point)
-    witness, residual = verified or (None, None)
-    return Verdict(
-        status=VerdictStatus.NOT_FOUND if verified is None else VerdictStatus.EQUIVALENT,
-        witness=witness,
-        witness_residual=residual,
-        phases=None if fallback else _phases(outcome.point),
-        cut_reports=reports,
-        objective_history=outcome.history,
-        # the paper's surrogate; the search's f only bounds it from above
-        best_objective=sum(r.ratio**2 for r in reports),
-        used_degenerate_fallback=fallback,
-        seed=config.seed,
-        restarts_used=outcome.restarts_used,
-        path="coset-block" if fallback else "coset",
-        distance_lower=distance_lower,
-    )
+    return coset_verdict(outcome.point, "coset-block" if fallback else "coset", outcome)

@@ -57,6 +57,38 @@ def partial_trace_oracle(rho: np.ndarray, dims: tuple[int, ...], site: int) -> n
     return out
 
 
+def lifted_gram_oracle(ctx) -> np.ndarray:
+    """H = K^H K of the lifted rank-one system of a coset context, from the
+    explicit 2x2 minors.
+
+    Each cut realigns every x_{rows[m]} y_{cols[m]}^dag with
+    realign_index_oracle.  Row (i, j, k, l), i < j and k < l, of K holds the
+    coefficients of that minor of R(a) = sum_m a_m R_m in the orthonormal
+    coordinates of E = a a^T: Q_mm for E_mm and (Q_mn + Q_nm) / sqrt(2) for
+    sqrt(2) E_mn, m < n, with Q_mn = R_m[i, k] R_n[j, l] - R_m[i, l] R_n[j, k].
+    """
+    s = ctx.size
+    x, y = ctx.x[:, ctx.rows], ctx.y[:, ctx.cols]
+    rows = []
+    for d_left, d_right in ctx.splits:
+        r = [
+            realign_index_oracle(np.outer(x[:, m], y[:, m].conj()), (d_left, d_right), 1)
+            for m in range(s)
+        ]
+        nr, nc = r[0].shape
+        for i, j in itertools.combinations(range(nr), 2):
+            for k, l in itertools.combinations(range(nc), 2):
+                row = []
+                for m in range(s):
+                    for n in range(m, s):
+                        q_mn = r[m][i, k] * r[n][j, l] - r[m][i, l] * r[n][j, k]
+                        q_nm = r[n][i, k] * r[m][j, l] - r[n][i, l] * r[m][j, k]
+                        row.append(q_mn if m == n else (q_mn + q_nm) / np.sqrt(2.0))
+                rows.append(row)
+    k_mat = np.array(rows)
+    return k_mat.conj().T @ k_mat
+
+
 def operator_norm_power_iteration(m: np.ndarray, iters: int = 2000) -> float:
     """Largest singular value via power iteration on m^dag m from a fixed start."""
     g = m.conj().T @ m

@@ -227,7 +227,7 @@ def _multiplicity_two(dims, seed):
 def test_criterion_8_degenerate_fallback():
     label = (
         ">= 80% verified EQUIVALENT on multiplicity-2, multiplicity-3 and rank-2 plants "
-        "(unproven extension)"
+        "(block-unitary coset)"
     )
     with criterion(8, label):
         classes = [

@@ -10,7 +10,7 @@ from luequiv.cli import _config_from, build_parser, main
 from luequiv.equivalence import _gate_distance
 from luequiv.oracle import haar_unitary, local_unitaries, random_density
 
-from helpers import near_product
+from helpers import local_rotation, locally_mixed_qubits, near_product
 
 FAST = ["--sweeps", "40", "--restarts", "6"]
 
@@ -66,14 +66,16 @@ def test_check_not_found_exit_three(tmp_path, capsys):
     assert doc["restarts_used"] == 0 and doc["witness"] is None
     rho = load_matrix(tmp_path / "a.json").density()
     assert doc["distance_lower"] > _gate_distance(rho)
-    # rho against rho*: equal marginal spectra, so the search runs and fails
+    # rho against rho*: equal marginal spectra, so the bound rung passes it
+    # on, and the lift rung shows that no coset point passes the rank-one test
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     save_matrix(tmp_path / "c.json", rho.matrix, dims=(2, 2, 2))
     save_matrix(tmp_path / "d.json", rho.matrix.conj(), dims=(2, 2, 2))
     rc, doc = _check_json(capsys, tmp_path / "c.json", tmp_path / "d.json", *budget)
     assert rc == 3
-    assert doc["status"] == "NOT_FOUND" and doc["path"] == "coset"
-    assert doc["restarts_used"] >= 1 and doc["best_objective"] > 1e-6
+    assert doc["status"] == "NOT_FOUND" and doc["path"] == "lift"
+    assert doc["restarts_used"] == 0 and doc["objective_history"] == []
+    assert doc["cuts"] is None and doc["best_objective"] is None
 
 
 def test_check_bound_verdict_text_and_json(tmp_path, capsys):
@@ -95,6 +97,30 @@ def test_check_bound_verdict_text_and_json(tmp_path, capsys):
     assert lines[2] == f"distance_lower: {doc['distance_lower']:.3e}"
     assert lines[3].startswith("note: no search ran; the marginal spectra")
     assert len(lines) == 4
+
+
+def test_check_lift_verdicts_text(tmp_path, capsys):
+    # rho against rho*: the lift rung ends the check, and the report says no
+    # search ran and prints no cut
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    save_matrix(tmp_path / "a.json", rho.matrix, dims=(2, 2, 2))
+    save_matrix(tmp_path / "b.json", rho.matrix.conj(), dims=(2, 2, 2))
+    rc = main(["check", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    assert lines[:2] == ["verdict: NOT_FOUND", "path: lift"]
+    assert lines[2].startswith("note: no search ran; the lifted rank-one system shows")
+    assert len(lines) == 3
+    # a locally-mixed plant: the point read off the lifted kernel verifies
+    rho = locally_mixed_qubits(3, 0)
+    save_matrix(tmp_path / "c.json", rho.matrix, dims=(2, 2, 2))
+    save_matrix(tmp_path / "d.json", local_rotation(rho, 100).matrix, dims=(2, 2, 2))
+    rc = main(["check", str(tmp_path / "c.json"), str(tmp_path / "d.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[:2] == ["verdict: EQUIVALENT", "path: lift"]
+    assert lines[2].startswith("note: no search ran; the coset point read off")
+    assert [line.split(":")[0] for line in lines[3:5]] == ["cut 1", "cut 2"]
 
 
 def test_check_json_reports_distance_lower_on_every_path(tmp_path, capsys):
@@ -141,7 +167,8 @@ def test_check_degenerate_fallback_notes_block_search(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "path: coset-block" in out
-    assert "block-unitary search" in out and "unproven" in out
+    # the block criterion is exact for any number of parties: no caveat
+    assert "block-unitary search" in out and "unproven" not in out
     # a degenerate pair the frame point decides ran no search: no note
     sample = make_degenerate_pair(DimProfile((2, 2, 2)), 5)
     save_matrix(tmp_path / "a.json", sample.rho.matrix, dims=(2, 2, 2))

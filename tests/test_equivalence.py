@@ -46,6 +46,7 @@ from helpers import (
     conjugate,
     degenerate_plant,
     example_bases,
+    lifted_gram_oracle,
     local_rotation,
     locally_mixed_qubits,
     realign_index_oracle,
@@ -355,13 +356,15 @@ def test_not_found_for_equal_spectrum_inequivalent_pair():
     assert verdict.witness is None
     assert verdict.path == "bound" and verdict.restarts_used == 0
     assert verdict.distance_lower > equivalence._gate_distance(rho)
-    # rho* has rho's marginal spectra, so the one-sided search runs and fails
+    # rho* has rho's marginal spectra, so the bound rung passes it on; the
+    # lifted system's least eigenvalue then shows that no coset point passes
+    # the rank-one test, and again no search runs
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     verdict = check_equivalence(rho, conjugate(rho), config)
     assert verdict.status is VerdictStatus.NOT_FOUND
     assert verdict.witness is None
-    assert verdict.path == "coset" and verdict.restarts_used >= 1
-    assert verdict.best_objective > 1e-6
+    assert verdict.path == "lift" and verdict.restarts_used == 0
+    assert verdict.best_objective is None and verdict.cut_reports is None
 
 
 def test_check_degenerate_bell_pair_end_to_end():
@@ -457,15 +460,20 @@ def test_exact_cut_reports_gate_the_witness_when_the_search_bound_stalls():
     assert verdict.witness_residual <= 1e-8
 
 
-def _noisy_pair(dims, seed, eta=1e-9):
-    """A planted pair with Hermitian noise of norm eta on rho'."""
-    sample = make_equivalent_pair(DimProfile(dims), seed)
-    n = sample.rho.dim
+def _with_noise(state: DensityMatrix, eta: float, seed: int) -> DensityMatrix:
+    """A state plus Hermitian noise of Frobenius norm eta, drawn from seed."""
+    n = state.dim
     rng = np.random.default_rng(100 + seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     noise = g + g.conj().T
     noise *= eta / np.linalg.norm(noise)
-    return sample.rho, DensityMatrix(sample.rho_prime.matrix + noise, sample.rho_prime.profile)
+    return DensityMatrix(state.matrix + noise, state.profile)
+
+
+def _noisy_pair(dims, seed, eta=1e-9):
+    """A planted pair with Hermitian noise of norm eta on rho'."""
+    sample = make_equivalent_pair(DimProfile(dims), seed)
+    return sample.rho, _with_noise(sample.rho_prime, eta, seed)
 
 
 def _noisy_six_qubit_pair(seed):
@@ -488,11 +496,19 @@ def test_search_stops_at_a_verified_stalled_start(monkeypatch):
     assert verdict.restarts_used == STARTS_PER_ROUND
 
 
-def _check_with_frame(monkeypatch, rho, rho_prime, config):
+def _hand_on_from_the_lift(monkeypatch):
+    """Make the lift rung hand every input on, so that the search decides it."""
+    monkeypatch.setattr(equivalence, "_lift", lambda ctx, rank_tol: (False, None))
+
+
+def _check_with_frame(monkeypatch, rho, rho_prime, config, lift=True):
     """check_equivalence's verdict, its frame factors and the search's frame
     start point (None when the frame gave none or no coset was built; the
-    factors also None when the bound rung ended the check first)."""
+    factors also None when the bound rung ended the check first).  With
+    ``lift`` False the lift rung hands on, so a coset check reaches the search."""
     seen = {}
+    if not lift:
+        _hand_on_from_the_lift(monkeypatch)
 
     def spy(name):
         real = getattr(equivalence, name)
@@ -615,9 +631,12 @@ def test_frame_falls_back_to_the_identity(monkeypatch):
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.path == "coset-block"
     # a locally-mixed state against its conjugate: every marginal is I/2, so
-    # the frame gives no guess and the search starts at the identity and fails
+    # the frame gives no guess and the search starts at the identity and
+    # fails (the lift rung, which ends this check on its own, hands on)
     rho = locally_mixed_qubits(3, 5)
-    verdict, factors, start = _check_with_frame(monkeypatch, rho, conjugate(rho), config)
+    verdict, factors, start = _check_with_frame(
+        monkeypatch, rho, conjugate(rho), config, lift=False
+    )
     assert factors is None and start is None
     assert verdict.status is VerdictStatus.NOT_FOUND
     assert verdict.path == "coset" and verdict.restarts_used >= 1
@@ -636,11 +655,12 @@ def test_frame_falls_back_to_the_identity(monkeypatch):
 
 def test_frame_start_on_the_conjugate_stays_not_found(monkeypatch):
     # rho* has rho's marginal spectra, so the frame is built, fails to
-    # verify, and the search from its coset point still finds no decomposable V
+    # verify, and the search from its coset point (the lift rung handing on)
+    # still finds no decomposable V
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
     verdict, factors, start = _check_with_frame(
-        monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=2)
+        monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=2), lift=False
     )
     assert factors is not None and start is not None
     assert verdict.status is VerdictStatus.NOT_FOUND
@@ -662,10 +682,11 @@ def test_frame_start_is_deterministic_given_seed(monkeypatch):
     for f1, f2, w1, w2 in zip(factors1, factors2, v1.witness.factors, v2.witness.factors):
         assert np.array_equal(f1, f2) and np.array_equal(w1, w2)
     # and, where the frame does not verify, the same search start and outcome
+    # (the lift rung handing on)
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
     runs = [
-        _check_with_frame(monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=5))
+        _check_with_frame(monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=5), lift=False)
         for _ in "ab"
     ]
     (v1, _, start1), (v2, _, start2) = runs
@@ -1407,9 +1428,11 @@ def test_second_round_races_every_remaining_start_in_one_stack():
     assert max(b for _, b in ctx.calls) == STARTS_PER_ROUND
 
 
-def test_a_second_round_start_decides_a_locally_mixed_plant():
+def test_a_second_round_start_decides_a_locally_mixed_plant(monkeypatch):
     # every round-1 start of this plant stays in the bulk; a start of the
-    # stacked second round escapes and its success ends the search
+    # stacked second round escapes and its success ends the search (the lift
+    # rung, which decides this plant on its own, hands on)
+    _hand_on_from_the_lift(monkeypatch)
     rho = locally_mixed_qubits(3, 9)
     verdict = check_equivalence(rho, local_rotation(rho, 109), SearchConfig(seed=9))
     assert verdict.status is VerdictStatus.EQUIVALENT and verdict.path == "coset"
@@ -1420,6 +1443,8 @@ def test_a_second_round_start_decides_a_locally_mixed_plant():
 def test_stacked_starts_end_as_each_start_raced_alone(monkeypatch):
     # a start's passes do not depend on its stack-mates, so racing each start
     # alone gives the same verdict, surrogate and history values in some order
+    # (the lift rung, which ends this check on its own, hands on)
+    _hand_on_from_the_lift(monkeypatch)
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 71)
     config = SearchConfig(seed=3)
     stacked = check_equivalence(rho, conjugate(rho), config)
@@ -1453,6 +1478,131 @@ def test_block_pass_memory_is_quadratic_in_the_dimension():
     finally:
         tracemalloc.stop()
     assert peak < 40e6, peak
+
+
+def test_lifted_gram_matches_the_explicit_minors():
+    # the Gram form, which forms no minor, against K^H K from index loops on
+    # every context within the lift rung's size rule
+    checked = []
+    for label, make in _context_factories():
+        ctx = make()
+        if ctx.size > equivalence.LIFT_MAX_SIZE:
+            continue
+        h = equivalence._lifted_gram(ctx)
+        assert np.max(np.abs(h - lifted_gram_oracle(ctx))) <= 1e-12, label
+        checked.append(label)
+    assert checked == [(2, 2, 2), "block"]
+
+
+def _without_search(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(equivalence, "run_search", search)
+
+
+def test_lift_rung_ends_a_state_against_its_conjugate_without_a_search(monkeypatch):
+    # rho* has rho's spectrum and marginal spectra, so neither the spectra nor
+    # the bound rung end the check; the lifted system's least eigenvalue is
+    # far above its floor, so no coset point passes the rank-one test
+    _without_search(monkeypatch)
+    states = [random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", s) for s in (73, 79)]
+    states += [locally_mixed_qubits(3, 5), locally_mixed_qubits(4, 5)]
+    for rho in states:
+        verdict = check_equivalence(rho, conjugate(rho), SearchConfig(seed=1))
+        label = rho.profile
+        assert verdict.status is VerdictStatus.NOT_FOUND, label
+        assert verdict.path == "lift" and verdict.restarts_used == 0, label
+        assert verdict.witness is None and verdict.phases is None, label
+        assert verdict.cut_reports is None and verdict.best_objective is None, label
+        assert verdict.objective_history == [], label
+        assert verdict.distance_lower is not None, label
+
+
+def test_lift_rung_decides_locally_mixed_plants_without_a_search(monkeypatch):
+    # every one-site marginal is I/2, so the frame gives no guess; the lifted
+    # kernel is one-dimensional, and the point read off it verifies
+    _without_search(monkeypatch)
+    for nsites, seed in [(3, 0), (3, 1), (3, 9), (4, 2)]:
+        rho = locally_mixed_qubits(nsites, seed)
+        rho_prime = local_rotation(rho, 100 + seed)
+        verdict = check_equivalence(rho, rho_prime, SearchConfig(seed=seed))
+        assert verdict.status is VerdictStatus.EQUIVALENT, seed
+        assert verdict.path == "lift" and verdict.restarts_used == 0, seed
+        assert verdict.objective_history == [], seed
+        assert all(unitarity_defect(u) <= TOL for u in verdict.witness.factors), seed
+        assert verdict.witness_residual <= TOL, seed
+        assert verify_witness(rho, rho_prime, verdict.witness) <= TOL, seed
+        assert [r.cut for r in verdict.cut_reports] == list(range(1, nsites)), seed
+        assert all(r.is_rank_one for r in verdict.cut_reports), seed
+        assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cut_reports)
+
+
+def test_lift_rung_hands_larger_kernels_and_cosets_on_to_the_search(monkeypatch):
+    calls = []
+    real_lift = equivalence._lift
+
+    def lift(ctx, rank_tol):
+        calls.append(real_lift(ctx, rank_tol))
+        return calls[-1]
+
+    monkeypatch.setattr(equivalence, "_lift", lift)
+    # the paper's pair has a 19-dimensional lifted kernel: no point is read
+    rho, rho_p = paper_example(3, 5, 7)
+    ctx = _coset_of(rho, rho_p)
+    w = np.linalg.eigvalsh(equivalence._lifted_gram(ctx))
+    assert np.sum(w <= 1e-12) == 19
+    verdict = check_equivalence(rho, rho_p, SearchConfig(seed=5))
+    assert calls == [(False, None)]
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.path == "coset" and verdict.restarts_used >= 1
+    # a rank-3 (2,2,2) state's coset has 3 + 5^2 = 28 entries, over the size rule
+    calls.clear()
+    rho, _ = degenerate_plant((2, 2, 2), 0, rank=3)
+    assert _coset_of(rho, conjugate(rho)).size > equivalence.LIFT_MAX_SIZE
+    verdict = check_equivalence(rho, conjugate(rho), QUICK)
+    assert calls == []
+    assert verdict.status is VerdictStatus.NOT_FOUND and verdict.path == "coset-block"
+
+
+def test_lift_rung_fires_only_above_its_floor(monkeypatch):
+    # the least eigenvalue set just above Lambda plus rounding ends the check
+    # on "lift"; just below, the rung reads a point that does not certify and
+    # hands on to the search, which fails
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    config = SearchConfig(sweeps=20, restarts=4, seed=2)
+    ctx = _coset_of(rho, conjugate(rho))
+    w = np.linalg.eigvalsh(equivalence._lifted_gram(ctx))
+    floor = equivalence._lift_floor(ctx, config.rank_tol, float(np.max(np.abs(w))))
+    assert 0 < floor < 1e-11 < w[0]
+    real_eigvalsh = np.linalg.eigvalsh
+    for scale, path in ((1.0 + 1e-6, "lift"), (1.0 - 1e-6, "coset")):
+
+        def eigvalsh(a, *args, _scale=scale, **kwargs):
+            out = real_eigvalsh(a, *args, **kwargs)
+            if np.shape(a) == (len(w), len(w)):
+                out = out.copy()
+                out[0] = _scale * floor
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        verdict = check_equivalence(rho, conjugate(rho), config)
+        assert verdict.status is VerdictStatus.NOT_FOUND, scale
+        assert verdict.path == path, scale
+        assert (verdict.restarts_used == 0) == (path == "lift"), scale
+
+
+@pytest.mark.parametrize("eta", [1e-9, 3e-9])
+def test_lift_rung_decides_noisy_locally_mixed_plants(eta):
+    # Hermitian noise of norm eta on rho' lifts the least eigenvalue off zero
+    # by far less than its floor, and the point read off it still verifies
+    for seed in range(3):
+        rho = locally_mixed_qubits(3, 500 + seed)
+        rho_prime = _with_noise(local_rotation(rho, 600 + seed), eta, seed)
+        verdict = check_equivalence(rho, rho_prime, SearchConfig(seed=seed))
+        assert verdict.status is VerdictStatus.EQUIVALENT, seed
+        assert verdict.path == "lift", seed
+        assert verify_witness(rho, rho_prime, verdict.witness) <= 1e-8, seed
 
 
 def test_planted_pair_on_six_qubits():
