@@ -48,24 +48,21 @@ from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
 
 # The lift rung runs on cosets of at most this many entries S (the sum of
 # the squared block sizes).  H costs O(S^4 D^2 / min(d_L, d_R)^2) to build
-# and O(S^6) to diagonalize, far more than a search's growth.  Measured on
-# 2 cores, numpy 2.4 / OpenBLAS on one thread; "lift" is H and eigvalsh, and
-# a check of rho against rho* or of a locally-mixed plant is timed whole,
-# searched (rung off) -> lifted:
-#   S = 6  (2,3):      lift 0.16 ms; rho*  7.4 -> 0.7 ms
-#   S = 8  (2,2,2):    lift 0.34 ms; rho* 11.8 -> 1.1 ms; plant 4.5 -> 1.3 ms
-#   S = 9  (3,3):      lift 0.38 ms; rho*  8.6 -> 1.1 ms
-#   S = 12 (2,2,3):    lift 2.0 ms;  rho* 13.5 -> 3.0 ms
-#   S = 16 (2,2,2,2):  lift 5.5-9.3 ms; rho* 19.4 -> 10.1 ms; plant 4.3 -> 11.1 ms
-#   S = 18 (2,3,3):    lift 13 ms; rho* searched in 15.6 ms
-#   S = 27 (3,3,3):    lift 65 ms; rho* searched in 26-45 ms
-# At S = 16 the rung halves a rho* check and makes a searched plant 2.6x
-# slower; it is kept there because it decides both without a random start.
-LIFT_MAX_SIZE = 16
-# a least eigenvector is read only when the second eigenvalue of H is at
-# least this fraction of the largest: eigvalsh's rounding, about eps ||H||,
-# then moves the eigenvector by far less than the rank tolerance
-LIFT_GAP = 1e-6
+# and O(S^6) to diagonalize, far more than a search's growth.  Whole checks,
+# searched (rung off) -> with the rung, median of six inputs, 2 cores, numpy
+# 2.4 / OpenBLAS on one thread; "lift" is H and eigh alone:
+#   S = 6  (2,3):      lift 0.2 ms; rho*  5.9 -> 0.8 ms
+#   S = 8  (2,2,2):    lift 0.4 ms; rho*  9.6 -> 1.2 ms; plant 3.6 -> 1.5 ms
+#   S = 9  (3,3):      lift 0.5 ms; rho*  7.4 -> 1.3 ms
+#   S = 12 (2,2,3):    lift 2-3 ms; rho* 12.0 -> 3.8 ms
+#   S = 16 (2,2,2,2):  lift 5-12 ms; rho* searched in 20-30 ms, a
+#                      locally-mixed plant in 4.3-8.5 ms
+# An input the rung hands on pays for H, eigh and one failed certify:
+# paper_example (S = 8) about 0.6 ms on 3-4 ms, Werner (2,.) (S = 10)
+# about 1.4 ms on 1.7 ms.  The cap is the largest S where the lift costs
+# less than every searched class measured; at S = 16 it is slower than a
+# searched plant.
+LIFT_MAX_SIZE = 12
 
 
 class VerdictStatus(str, Enum):
@@ -129,8 +126,8 @@ class Verdict:
     # "lift" (no search ran: NOT_FOUND when the lifted system's least
     # eigenvalue shows that no coset point passes the rank-one test, with no
     # cut reports or best objective; EQUIVALENT when the point read off its
-    # one-dimensional kernel verified), "coset" or "coset-block" (the search,
-    # over a diagonal or a block-unitary coset); None when the spectra differ
+    # least eigenvector verified), "coset" or "coset-block" (the search, over
+    # a diagonal or a block-unitary coset); None when the spectra differ
     path: str | None = None
     # a lower bound on min over product unitaries W of ||W rho W^dag - rho'||_F:
     # the larger of ||lambda - lambda'||_2 and the marginal-spectrum bound L
@@ -402,7 +399,7 @@ def _lift_floor(ctx: CosetContext, rank_tol: float, h_norm: float) -> float:
     1 + 4 D eps.  Forming H from the Gram identity errs by at most 4 D eps
     an entry a cut (inner products of length <= D of unit-norm reshapes, and
     the same non-orthonormality in <R_m, R_p> = delta_mp), so by
-    4 (M - 1) n D eps in norm.  eigvalsh's backward error moves an
+    4 (M - 1) n D eps in norm.  eigh's backward error moves an
     eigenvalue by at most n eps ||H||_2 (``h_norm``).
     """
     eps = sys.float_info.epsilon
@@ -418,26 +415,18 @@ def _lift_floor(ctx: CosetContext, rank_tol: float, h_norm: float) -> float:
 
 def _lift(ctx: CosetContext, rank_tol: float) -> tuple[bool, np.ndarray | None]:
     """(excluded, point): whether no coset point can pass the rank-one test,
-    and else the coset point read off a one-dimensional lifted kernel, or None.
+    and else the coset point read off the least eigenvector of H, or None.
 
-    The kernel is taken as one-dimensional when the second eigenvalue of H
-    is at least LIFT_GAP times its largest.  Then the least eigenvector is
-    E = mu a a^T up to rounding, and a_i = E_ij / sqrt(E_jj), with j the
-    largest |E_jj|, is a up to a sign and a scale, which ``project`` removes.
-    The eigenvalues come from eigvalsh, and the one eigenvector from two
-    steps of inverse iteration, shifted so that w_1 sits at the floor: each
-    step shrinks every other component against it by about floor / w_2, and
-    costs a linear solve, where eigh would double the eigensolve's cost.
+    When the kernel is one-dimensional, the least eigenvector is E = mu a a^T
+    up to rounding, and a_i = E_ij / sqrt(E_jj), with j the largest |E_jj|,
+    is a up to a sign and a scale, which ``project`` removes.  From a larger
+    kernel the point is some mix of solutions, which the caller's certify
+    rejects.
     """
-    h = _lifted_gram(ctx)
-    w = np.linalg.eigvalsh(h)
-    floor = _lift_floor(ctx, rank_tol, float(np.max(np.abs(w))))
-    if w[0] > floor:
+    w, v = np.linalg.eigh(_lifted_gram(ctx))
+    if w[0] > _lift_floor(ctx, rank_tol, float(np.max(np.abs(w)))):
         return True, None
-    if w[1] < LIFT_GAP * w[-1]:
-        return False, None
-    shifted = h + (floor - w[0]) * np.eye(len(h))
-    c = np.linalg.solve(shifted, np.linalg.solve(shifted, np.ones(len(h), dtype=np.complex128)))
+    c = v[:, 0]
     m, n = np.triu_indices(ctx.size)
     e = np.empty((ctx.size, ctx.size), dtype=np.complex128)
     e[m, n] = e[n, m] = c * np.where(m == n, 1.0, math.sqrt(0.5))
@@ -631,11 +620,11 @@ def check_equivalence(
     at most Lambda D^2, while it is ||K E||^2 >= lambda_min ||E||_F^2 =
     lambda_min D^2.  So lambda_min <= Lambda.  When it fires, the verdict
     is NOT_FOUND on path "lift" with no search, the status the search would
-    have returned (as on "bound"), with no cut reports.  Otherwise, when the
-    kernel is one-dimensional (_lift), the point read off the least
-    eigenvector is certified; if it passes, the verdict is EQUIVALENT on
-    path "lift" with restarts_used 0.  Soundness rests on the gate, whatever
-    the kernel says.  Else the check hands on, unchanged.
+    have returned (as on "bound"), with no cut reports.  Otherwise the
+    point read off the least eigenvector (_lift) is certified: it is the
+    solution when the kernel is one-dimensional.  If it passes, the verdict
+    is EQUIVALENT on path "lift" with restarts_used 0; soundness rests on
+    the gate, whatever the kernel says.  Else the check hands on, unchanged.
 
     The search rung: search.run_search over the coset from W's coset point,
     or the identity, with ``config.restarts`` starts of up to

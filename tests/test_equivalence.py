@@ -1507,7 +1507,8 @@ def test_lift_rung_ends_a_state_against_its_conjugate_without_a_search(monkeypat
     # far above its floor, so no coset point passes the rank-one test
     _without_search(monkeypatch)
     states = [random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", s) for s in (73, 79)]
-    states += [locally_mixed_qubits(3, 5), locally_mixed_qubits(4, 5)]
+    # (2,2,3) has 12 coset entries, the largest the size rule lets through
+    states += [locally_mixed_qubits(3, 5), random_density(DimProfile((2, 2, 3)), "generic-nondegenerate", 5)]
     for rho in states:
         verdict = check_equivalence(rho, conjugate(rho), SearchConfig(seed=1))
         label = rho.profile
@@ -1523,8 +1524,8 @@ def test_lift_rung_decides_locally_mixed_plants_without_a_search(monkeypatch):
     # every one-site marginal is I/2, so the frame gives no guess; the lifted
     # kernel is one-dimensional, and the point read off it verifies
     _without_search(monkeypatch)
-    for nsites, seed in [(3, 0), (3, 1), (3, 9), (4, 2)]:
-        rho = locally_mixed_qubits(nsites, seed)
+    for seed in (0, 1, 9):
+        rho = locally_mixed_qubits(3, seed)
         rho_prime = local_rotation(rho, 100 + seed)
         verdict = check_equivalence(rho, rho_prime, SearchConfig(seed=seed))
         assert verdict.status is VerdictStatus.EQUIVALENT, seed
@@ -1533,36 +1534,34 @@ def test_lift_rung_decides_locally_mixed_plants_without_a_search(monkeypatch):
         assert all(unitarity_defect(u) <= TOL for u in verdict.witness.factors), seed
         assert verdict.witness_residual <= TOL, seed
         assert verify_witness(rho, rho_prime, verdict.witness) <= TOL, seed
-        assert [r.cut for r in verdict.cut_reports] == list(range(1, nsites)), seed
+        assert [r.cut for r in verdict.cut_reports] == [1, 2], seed
         assert all(r.is_rank_one for r in verdict.cut_reports), seed
         assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cut_reports)
 
 
 def test_lift_rung_hands_larger_kernels_and_cosets_on_to_the_search(monkeypatch):
-    calls = []
-    real_lift = equivalence._lift
-
-    def lift(ctx, rank_tol):
-        calls.append(real_lift(ctx, rank_tol))
-        return calls[-1]
-
-    monkeypatch.setattr(equivalence, "_lift", lift)
-    # the paper's pair has a 19-dimensional lifted kernel: no point is read
+    # the paper's pair has a 19-dimensional lifted kernel: the point read off
+    # its least eigenvector mixes solutions, fails certify, and the search
+    # decides the pair
     rho, rho_p = paper_example(3, 5, 7)
     ctx = _coset_of(rho, rho_p)
+    assert ctx.size <= equivalence.LIFT_MAX_SIZE
     w = np.linalg.eigvalsh(equivalence._lifted_gram(ctx))
     assert np.sum(w <= 1e-12) == 19
     verdict = check_equivalence(rho, rho_p, SearchConfig(seed=5))
-    assert calls == [(False, None)]
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.path == "coset" and verdict.restarts_used >= 1
-    # a rank-3 (2,2,2) state's coset has 3 + 5^2 = 28 entries, over the size rule
-    calls.clear()
-    rho, _ = degenerate_plant((2, 2, 2), 0, rank=3)
-    assert _coset_of(rho, conjugate(rho)).size > equivalence.LIFT_MAX_SIZE
-    verdict = check_equivalence(rho, conjugate(rho), QUICK)
+    # a 4-qubit coset has 16 entries, over the size rule: the rung does not
+    # run, and the search decides a locally-mixed plant
+    calls = []
+    monkeypatch.setattr(equivalence, "_lift", lambda *args: calls.append(args))
+    rho = locally_mixed_qubits(4, 2)
+    rho_p = local_rotation(rho, 102)
+    assert _coset_of(rho, rho_p).size > equivalence.LIFT_MAX_SIZE
+    verdict = check_equivalence(rho, rho_p, SearchConfig(seed=2))
     assert calls == []
-    assert verdict.status is VerdictStatus.NOT_FOUND and verdict.path == "coset-block"
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.path == "coset" and verdict.restarts_used >= 1
 
 
 def test_lift_rung_fires_only_above_its_floor(monkeypatch):
@@ -1575,17 +1574,17 @@ def test_lift_rung_fires_only_above_its_floor(monkeypatch):
     w = np.linalg.eigvalsh(equivalence._lifted_gram(ctx))
     floor = equivalence._lift_floor(ctx, config.rank_tol, float(np.max(np.abs(w))))
     assert 0 < floor < 1e-11 < w[0]
-    real_eigvalsh = np.linalg.eigvalsh
+    real_eigh = np.linalg.eigh
     for scale, path in ((1.0 + 1e-6, "lift"), (1.0 - 1e-6, "coset")):
 
-        def eigvalsh(a, *args, _scale=scale, **kwargs):
-            out = real_eigvalsh(a, *args, **kwargs)
+        def eigh(a, *args, _scale=scale, **kwargs):
+            out_w, out_v = real_eigh(a, *args, **kwargs)
             if np.shape(a) == (len(w), len(w)):
-                out = out.copy()
-                out[0] = _scale * floor
-            return out
+                out_w = out_w.copy()
+                out_w[0] = _scale * floor
+            return out_w, out_v
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         verdict = check_equivalence(rho, conjugate(rho), config)
         assert verdict.status is VerdictStatus.NOT_FOUND, scale
         assert verdict.path == path, scale
