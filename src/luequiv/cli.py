@@ -50,7 +50,6 @@ def _config_from(args) -> SearchConfig:
         restarts=args.restarts,
         rank_tol=args.tol_rank,
         spec_tol=args.tol_spec,
-        degeneracy_tol=args.tol_degeneracy,
         seed=args.seed,
     )
 
@@ -258,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     d = SearchConfig()  # the one source of the search defaults
     search_flags = (
         ("--tol-rank", float, d.rank_tol, "rank-one threshold on sigma2/sigma1"),
-        ("--tol-spec", float, d.spec_tol, "eigenvalue matching tolerance"),
-        ("--tol-degeneracy", float, d.degeneracy_tol,
-         "degeneracy grouping tolerance, relative to spectral range"),
+        ("--tol-spec", float, d.spec_tol,
+         "absolute eigenvalue tolerance: spectra match and degeneracy grouping"),
         ("--sweeps", int, d.sweeps, "alignment passes per start"),
         ("--restarts", int, d.restarts, "search starts: three race, then all the others at once"),
     )

@@ -76,23 +76,22 @@ class SearchConfig:
     """Tolerances and budgets for the equivalence pipeline.
 
     ``sweeps`` is the number of alignment passes each restart may run.  A
-    value out of range is a ValueError naming the field.  spec_tol and
-    degeneracy_tol start at spectral.TOL, whose table gives their scales.
+    value out of range is a ValueError naming the field.  spec_tol starts
+    at spectral.TOL, on the absolute eigenvalue scale of its table: it
+    decides both whether the spectra match and which eigenvalues share a
+    coset block.
     """
 
     sweeps: int = 1000
     restarts: int = 20
     rank_tol: float = 1e-7
     spec_tol: float = TOL
-    degeneracy_tol: float = TOL
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("spec_tol", "degeneracy_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0 < self.rank_tol < 1:
-            raise ValueError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
+        for name in ("rank_tol", "spec_tol"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         for name in ("sweeps", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -482,7 +481,7 @@ def _gate_distance(rho: DensityMatrix) -> float:
 
 
 def _frame_factors(
-    rho: DensityMatrix, rho_prime: DensityMatrix, marginals, config: SearchConfig, deg_tol: float
+    rho: DensityMatrix, rho_prime: DensityMatrix, marginals, tol: float
 ) -> list[np.ndarray] | None:
     """The local-eigenframe witness guess (U_1, ..., U_M), or None when the
     one-site marginals do not fix it.
@@ -498,13 +497,12 @@ def _frame_factors(
     M_i's leading (Perron) eigenvector.  B o conj(A) is positive
     semidefinite (Schur), which is why its partial traces are taken as a
     DensityMatrix's.  None when a pair of marginal spectra differ by more
-    than spec_tol, a marginal has a gap <= deg_tol (the states' own
-    degeneracy threshold), or M_i's top gap is within degeneracy_tol of its
-    span.
+    than tol (spec_tol), a marginal has a gap <= tol, or M_i's top gap is
+    within TOL of its span.
     """
     profile = rho.profile
     for w, _ in marginals:
-        if np.max(np.abs(w[0] - w[1])) > config.spec_tol or np.any(np.diff(w[0]) <= deg_tol):
+        if np.max(np.abs(w[0] - w[1])) > tol or np.any(np.diff(w[0]) <= tol):
             return None
     # eigh's column phases are a diagonal gauge, which M_i's phases absorb
     frames = [v for _, v in marginals]
@@ -515,7 +513,7 @@ def _frame_factors(
     factors = []
     for i, (pi, qi) in enumerate(frames):
         w, v = np.linalg.eigh(reduced_density(overlap, i))
-        if w.size > 1 and w[-1] - w[-2] <= config.degeneracy_tol * (w[-1] - w[0]):
+        if w.size > 1 and w[-1] - w[-2] <= TOL * (w[-1] - w[0]):
             return None
         # U_i as the adjoint of U_i^dag = P_i diag(e^{-i phi_i}) Q_i^dag
         factors.append(((pi * np.exp(-1j * np.angle(v[:, -1]))) @ qi.conj().T).conj().T)
@@ -649,10 +647,9 @@ def check_equivalence(
             distance_lower=spectral_distance,
         )
 
-    w_avg = (s1.eigenvalues + s2.eigenvalues) / 2.0
-    span = float(w_avg[0] - w_avg[-1])
-    deg_tol = config.degeneracy_tol * max(span, 1e-300)
-    sizes = degeneracy_profile(w_avg, deg_tol)
+    # eigenvalues closer than spec_tol cannot be paired one to one across
+    # spectra that matched within it; a coarser grouping only enlarges the coset
+    sizes = degeneracy_profile((s1.eigenvalues + s2.eigenvalues) / 2.0, config.spec_tol)
     fallback = max(sizes) > 1
     marginals = _marginal_eighs(rho, rho_prime)
     marginal_distance = _marginal_distance(rho.profile, marginals)
@@ -667,7 +664,7 @@ def check_equivalence(
             path="bound",
             distance_lower=distance_lower,
         )
-    factors = _frame_factors(rho, rho_prime, marginals, config, deg_tol)
+    factors = _frame_factors(rho, rho_prime, marginals, config.spec_tol)
     if factors is not None:
         verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
         if verified is not None:

@@ -9,8 +9,8 @@ import numpy as np
 from .tensor import LEAD_RTOL, as_cmatrix
 
 # The one tolerance scale of the package.  Each check below compares its
-# quantity with TOL times its scale; spec_tol and degeneracy_tol are
-# SearchConfig fields (--tol-spec, --tol-degeneracy) that default to TOL.
+# quantity with TOL times its scale; spec_tol (SearchConfig, --tol-spec,
+# default TOL) sets its two rows, for the states' and the marginals' spectra.
 #
 #   check                                quantity                   scale
 #   Hermiticity (require_hermitian)      ||H - H^dag||_F            max(1, ||H||_F)
@@ -20,7 +20,8 @@ from .tensor import LEAD_RTOL, as_cmatrix
 #     every witness factor)
 #   witness residual                     ||W rho W^dag - rho'||_F   max(1, ||rho||_F)
 #   spectra match (spec_tol)             max |lambda - lambda'|     1
-#   degeneracy grouping (degeneracy_tol) adjacent eigenvalue gap    spectral span
+#   degeneracy grouping (spec_tol)       adjacent eigenvalue gap    1
+#   frame phase gap (M_i, equivalence)   top eigenvalue gap         span of M_i
 TOL = 1e-8
 
 

@@ -234,7 +234,9 @@ def test_check_defaults_are_the_search_config_defaults():
     [
         ("--tol-rank", "1", "rank_tol"),
         ("--tol-spec", "0", "spec_tol"),
-        ("--tol-degeneracy", "-1", "degeneracy_tol"),
+        # spec_tol also groups eigenvalues: at 2 or inf every one joins one block
+        ("--tol-spec", "2", "spec_tol"),
+        ("--tol-spec", "inf", "spec_tol"),
         ("--sweeps", "-3", "sweeps"),
         ("--restarts", "-2", "restarts"),
         ("--seed", "-1", "seed"),

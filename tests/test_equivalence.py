@@ -406,6 +406,31 @@ def test_blocks_larger_than_two_are_searched(make):
     assert verify_witness(rho, rho_prime, verdict.witness) <= TOL
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2, 2)], ids=["I/4", "I/9", "I/16"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_maximally_mixed_against_a_local_rotation_is_one_block(dims, seed):
+    # the rotation moves the eigenvalues of I/D by rounding, a gap far below
+    # spec_tol: they stay one D-fold block, whose coset holds every witness
+    d = int(np.prod(dims))
+    rho = DensityMatrix(matrix=np.eye(d, dtype=complex) / d, profile=DimProfile(dims))
+    verdict = check_equivalence(rho, local_rotation(rho, seed), SearchConfig(seed=seed))
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.path == "coset-block"
+    assert verdict.witness_residual <= TOL
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_noisy_werner_against_a_local_rotation_is_equivalent(seed):
+    # eigenvalues 1/10 (x3) and 7/60 (x6), span 1/60: noise of norm 3e-9 on
+    # rho' splits each block by less than spec_tol, so the blocks stay whole
+    rho = werner(3, 0.3)
+    rho_prime = _with_noise(local_rotation(rho, seed), 3e-9, seed)
+    verdict = check_equivalence(rho, rho_prime, SearchConfig(seed=seed))
+    assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.path == "coset-block"
+    assert verdict.witness_residual <= TOL
+
+
 def test_rank_three_state_against_its_conjugate_is_not_conclusive():
     rho, _ = degenerate_plant((2, 2, 2), 0, rank=3)
     rho_conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)

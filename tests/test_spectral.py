@@ -8,6 +8,7 @@ from luequiv import (
     DimProfile,
     FactorSet,
     SearchConfig,
+    check_equivalence,
     degeneracy_profile,
     eig_hermitian,
     factor_full,
@@ -16,7 +17,7 @@ from luequiv import (
     spectra_match,
     validate_density,
 )
-from luequiv.equivalence import _verified
+from luequiv.equivalence import _frame_factors, _marginal_eighs, _verified
 from luequiv.oracle import haar_unitary
 from luequiv.spectral import TOL, Spectrum, _fix_column_phases, require_hermitian
 from luequiv.tensor import kron_all, leading_index
@@ -269,8 +270,22 @@ def _spectra_within(eps):
 
 
 def _degeneracy_within(eps):
-    w = np.array([1.0, 1.0 - eps, 0.0])  # span 1
-    return degeneracy_profile(w, SearchConfig().degeneracy_tol * (w[0] - w[-1])) == (2, 1)
+    # span 0.25, so a gap relative to the span would group at TOL / 4
+    rho = _state(0.32, 0.32 - eps, 0.29 + eps, 0.07)
+    return check_equivalence(rho, rho).used_degenerate_fallback
+
+
+def _frame_phase_gap_within(eps):
+    # a diagonal (3, 2) state against itself: M_1 = diag(sum_j rho_aj^2),
+    # whose two largest entries differ by eps times its span; every marginal
+    # gap is far above spec_tol.  Row 0 is (s, 0.4 - s), s^2 + (0.4 - s)^2 = top.
+    rows = np.array([[0.0, 0.0], [0.28, 0.15], [0.1, 0.07]])
+    m = rows[1:] ** 2 @ np.ones(2)
+    top = m[0] + eps * (m[0] - m[1]) / (1.0 - eps)
+    rows[0, 0] = (0.8 + np.sqrt(0.64 - 8.0 * (0.16 - top))) / 4.0
+    rows[0, 1] = 0.4 - rows[0, 0]
+    rho = DensityMatrix(matrix=np.diag(rows.ravel()).astype(complex), profile=DimProfile((3, 2)))
+    return _frame_factors(rho, rho, _marginal_eighs(rho, rho), TOL) is None
 
 
 @pytest.mark.parametrize(
@@ -284,6 +299,7 @@ def _degeneracy_within(eps):
         _witness_residual_within,
         _spectra_within,
         _degeneracy_within,
+        _frame_phase_gap_within,
     ],
     ids=[
         "hermiticity",
@@ -294,6 +310,7 @@ def _degeneracy_within(eps):
         "witness-residual",
         "spectra-match",
         "degeneracy-grouping",
+        "frame-phase-gap",
     ],
 )
 def test_tolerance_table_boundary(within):
