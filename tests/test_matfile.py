@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,16 @@ def test_roundtrip_value_exact(tmp_path):
     assert np.array_equal(back.matrix, m)
     assert back.dims == (2, 2)
     assert back.label == "x" and back.seed == 9
+    # random finite bit patterns, subnormals, +-0.0 and the largest double,
+    # compared bit for bit
+    bits = rng.integers(0, 2**64, size=2 * 64 * 64, dtype=np.uint64).view(np.float64)
+    parts = np.where(np.isfinite(bits), bits, 1.0)
+    parts[:8] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308, 1e-310]
+    m = parts.view(np.complex128).reshape(64, 64)
+    save_matrix(path, m, dims=(4, 4, 4))
+    back = load_matrix(path)
+    assert np.array_equal(back.matrix.view(np.uint64), m.view(np.uint64))
 
 
 def test_roundtrip_rectangular_shape(tmp_path):
@@ -60,8 +72,11 @@ def test_parse_rejects_bad_pairs():
         ('{"shape": [1, 1], "data": [["1", "0"]]}', "numbers"),
         ('{"shape": [1, 1], "data": [[null, 0]]}', "numbers"),
         ('{"shape": [1, 1], "data": [[true, false]]}', "numbers"),
+        ('{"shape": [1, 1], "data": [[true, 0.5]]}', "numbers"),
+        ('{"shape": [1, 1], "data": [[0, false]]}', "numbers"),
         ('{"shape": [1, 1], "data": [[NaN, 0]]}', "finite"),
         ('{"shape": [1, 1], "data": [[0, -Infinity]]}', "finite"),
+        ('{"shape": [1, 1], "data": [[1e400, 0]]}', "finite"),
     ]
     for text, match in cases:
         with pytest.raises(MatrixFileError, match=match):
@@ -80,6 +95,23 @@ def test_parse_rejects_bad_headers():
             parse_matrix(text)
 
 
+def test_integers_beyond_64_bits_read_as_doubles():
+    mf = parse_matrix(
+        '{"shape": [1, 1], "seed": 18446744073709551615,'
+        ' "data": [[1000000000000000000000000000000, -9223372036854775808]]}'
+    )
+    assert mf.matrix[0, 0] == complex(1e30, -(2.0**63))
+    assert mf.seed == 2**64 - 1
+    # the same rule when a lone surrogate sends the text to stdlib json
+    for label in ('"x"', '"\\ud800"'):
+        text = (
+            f'{{"shape": [1, 1], "label": {label},'
+            ' "seed": 18446744073709551616, "data": [[1, 0]]}'
+        )
+        with pytest.raises(MatrixFileError, match="'seed' must be an integer"):
+            parse_matrix(text)
+
+
 def test_parse_requires_header():
     with pytest.raises(MatrixFileError, match="header"):
         parse_matrix('{"data": [[1, 0]]}')
@@ -88,6 +120,14 @@ def test_parse_requires_header():
 def test_dump_checks_dims():
     with pytest.raises(MatrixFileError):
         dump_matrix(np.eye(3), dims=(2, 2))
+
+
+def test_dump_matches_per_entry_encoding():
+    m = np.array([[-0.0, 5e-324 - 1e-310j], [1.7976931348623157e308j, complex(0.1, -0.0)]])
+    doc = {"shape": [2, 2], "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+    expected = json.dumps(doc, separators=(",", ":")) + "\n"
+    assert dump_matrix(m) == expected
+    assert dump_matrix(m.T.copy().T) == expected  # column-major storage
 
 
 def test_dump_deterministic_bytes():
