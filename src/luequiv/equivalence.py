@@ -134,49 +134,21 @@ class Verdict:
     distance_lower: float | None = None
 
 
-def _cut_stacks(xt: np.ndarray, ych: np.ndarray, d_left: int, d_right: int):
-    """_leading_overlaps' (X, Y) at a cut: the d_left x d_right reshapes of the
-    rows of xt, and those of the rows of ych side by side."""
-    m = xt.shape[0]
-    ys = ych.reshape(m, d_left, d_right).transpose(1, 0, 2).reshape(d_left, m * d_right)
-    return xt.reshape(m, d_left, d_right), ys
-
-
-def _leading_overlaps(xs: np.ndarray, ys: np.ndarray, u1: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """u1^dag realign(x_m y_m^dag) v1 for every row m of xt and ych; a row per stacked pair.
-
-    realign(x y^dag) is kron(X, Y) with X, Y the d_left x d_right reshapes of
-    x and conj(y) (``xs``, ``ys``), so each overlap is sum conj(U)_ik X_ij
-    Y_kl W_jl with U, W the reshapes of u1 and v1; the D^2-sized realignments
-    are never formed.  Q_m = conj(U) Y_m W^T for every m comes from two matrix
-    products over the side-by-side Y_m, which beat a batch of m small ones.
-    """
-    m, d_left, d_right = xs.shape
-    b = len(u1)
-    u = u1.conj().reshape(b, d_left, d_left)
-    wt = v1.reshape(b, d_right, d_right).transpose(0, 2, 1)
-    q = ((u @ ys).reshape(b, d_left * m, d_right) @ wt).reshape(b, d_left, m, d_right)
-    # an elementwise product summed over its last axis: each row sums in the
-    # same order whatever the stack's size, so a row alone gives the same bits
-    return (q.transpose(0, 2, 1, 3).reshape(b, m, d_left * d_right) * xs.reshape(m, -1)).sum(-1)
-
-
 class CosetContext:
     """The coset X blockdiag(A_1..A_r) Y^dag and its realignment objective.
 
     A point is the complex vector of the blocks' entries, block after block
     and each block row-major, so V = sum_m a_m x_{rows[m]} y_{cols[m]}^dag,
     with x_j, y_j the columns of ``x`` and ``y``.  With every block 1x1 (a
-    non-degenerate spectrum) the point is e^{i theta}.  The 1x1 entries are
-    contracted one by one (``xt``, ``ych``).  The blocks larger than 1x1 act
-    through bilinear forms on their eigenvector columns X_S and Y_S: they add
-    X_S A Y_S^dag to V, with A those blocks on its diagonal, and a cut's
-    overlaps with them are X_S^T M Ybar_S, with M the D x D un-realignment
-    of conj(u) v^T; so the working memory of a point is O(D^2), not
-    O(size D).  It is a search context (search.py): ``identity``/
-    ``random_point`` give starts, then ``decompose``, ``sweep`` (one pass)
-    and ``project`` act on a stack of B points, a (B, size) array, and return
-    one result per row.
+    non-degenerate spectrum) the point is e^{i theta}.  ``build`` adds the
+    1x1 entries one by one (``xt``, ``ych``) and the larger blocks as
+    X_S A Y_S^dag, with A those blocks on the eigenvector columns S they
+    span, so the working memory of a point is O(D^2), not O(size D).  A
+    cut's leading pair meets every entry through one D x D kernel
+    (``_overlaps``), whatever the block sizes.  It is a search context
+    (search.py): ``identity``/``random_point`` give starts, then
+    ``decompose``, ``sweep`` (one pass) and ``project`` act on a stack of B
+    points, a (B, size) array, and return one result per row.
     """
 
     def __init__(self, x_basis, y_basis, profile: DimProfile, multiplicities):
@@ -206,20 +178,20 @@ class CosetContext:
         # a non-degenerate coset reads its points as views, not gathered copies
         phase = starts[n == 1].tolist()
         self.phase_entries = slice(None) if len(phase) == self.size else phase
+        self.yh = np.ascontiguousarray(self.y.conj().T)
+        # where _overlaps finds entry m in its flattened D x D kernel
+        self.at = self.cols * dim + self.rows
         self.xt = np.ascontiguousarray(self.x[:, self.rows[phase]].T)
-        self.ych = np.ascontiguousarray(self.y[:, self.rows[phase]].conj().T)
-        self.cut_stacks = [_cut_stacks(self.xt, self.ych, dl, dr) for dl, dr in self.splits]
+        self.ych = self.yh[self.rows[phase]]
         # the entries of the blocks larger than 1x1, and where each sits in
-        # A, the |S| x |S| matrix of those blocks on the columns S they span
+        # the flattened A, the |S| x |S| matrix of those blocks on the columns
+        # S they span
         wide = n > 1
         self.block_entries = np.flatnonzero(np.repeat(wide, n * n))
-        span = np.flatnonzero(np.repeat(wide, n))
-        self.block_at = (
-            np.searchsorted(span, self.rows[self.block_entries]),
-            np.searchsorted(span, self.cols[self.block_entries]),
-        )
-        self.xs = np.ascontiguousarray(self.x[:, span])
-        self.ysc = np.ascontiguousarray(self.y[:, span].conj())
+        self.span = np.flatnonzero(np.repeat(wide, n))
+        i, k = (np.searchsorted(self.span, z[self.block_entries]) for z in (self.rows, self.cols))
+        self.block_at = i * len(self.span) + k
+        self.xs = np.ascontiguousarray(self.x[:, self.span])
 
     def identity(self) -> np.ndarray:
         return np.concatenate([np.eye(n, dtype=np.complex128).ravel() for n in self.sizes])
@@ -236,9 +208,11 @@ class CosetContext:
         if len(self.xt):
             v = self.xt.T @ (points[..., self.phase_entries, np.newaxis] * self.ych)
         if self.block_entries.size:
-            a = np.zeros(points.shape[:-1] + (self.xs.shape[1],) * 2, dtype=np.complex128)
-            a[(..., *self.block_at)] = points[..., self.block_entries]
-            v = v + self.xs @ a @ self.ysc.T
+            k = len(self.span)
+            a = np.zeros(points.shape[:-1] + (k * k,), dtype=np.complex128)
+            a[..., self.block_at] = points[..., self.block_entries]
+            # Y_S^dag is gathered per call rather than kept beside yh
+            v = v + self.xs @ a.reshape(points.shape[:-1] + (k, k)) @ self.yh[self.span]
         return v
 
     def decompose(self, points: np.ndarray, pairs=None) -> tuple[np.ndarray, list]:
@@ -279,20 +253,28 @@ class CosetContext:
 
     def _overlaps(self, pairs) -> np.ndarray:
         """g[b, k, m] = u_k^dag realign(x_{rows[m]} y_{cols[m]}^dag) v_k for the
-        pairs (u_k, v_k) of row b, so that s_k = g[b, k] @ point."""
+        pairs (u_k, v_k) of row b, so that s_k = g[b, k] @ point.
+
+        realign(x y^dag) is X kron Ybar, with X and Ybar the d_L x d_R reshapes
+        of x and conj(y), so its overlap is sum_ij X_ij (Ubar Ybar W^T)_ij =
+        <Ubar^T X, Ybar W^T>, with Ubar and W the reshapes of conj(u) and v and
+        <.,.> the sum of the entrywise product.  Ubar^T X_r for every column r
+        of x and Ybar_c W^T for every column c of conj(y) are one product each,
+        and g is (Q P)[cols, rows] with P and Q those two stacks as D x D
+        matrices: one kernel for every entry, whatever its block's size, and
+        no D^2-sized realignment is formed.  The D x D product costs O(D^3) a
+        cut even where only its diagonal is read (a non-degenerate coset).
+        """
+        dim = len(self.x)
         g = np.empty((len(pairs[0][0]), len(pairs), self.size), dtype=np.complex128)
         for k, ((d_left, d_right), (u1, v1)) in enumerate(zip(self.splits, pairs)):
-            if len(self.xt):
-                g[:, k, self.phase_entries] = _leading_overlaps(*self.cut_stacks[k], u1, v1)
-            if self.block_entries.size:
-                # u^dag realign(Z) v = sum_pq Z_pq M_pq with M the un-realignment
-                # of conj(u) v^T, M[(i, j), (i', j')] = conj(u)[(i, i')] v[(j, j')]
-                b = len(u1)
-                m = u1.conj().reshape(b, d_left, 1, d_left, 1) * v1.reshape(
-                    b, 1, d_right, 1, d_right
-                )
-                m = m.reshape(b, d_left * d_right, d_left * d_right)
-                g[:, k, self.block_entries] = (self.xs.T @ m @ self.ysc)[(..., *self.block_at)]
+            b = len(u1)
+            ubar_t = u1.conj().reshape(b, d_left, d_left).transpose(0, 2, 1)
+            w_t = v1.reshape(b, d_right, d_right).transpose(0, 2, 1)
+            # p[b, (i', j), r] = (Ubar^T X_r)_i'j and q[b, c, (i', j)] = (Ybar_c W^T)_i'j
+            p = (ubar_t @ self.x.reshape(d_left, -1)).reshape(b, dim, dim)
+            q = (self.yh.reshape(-1, d_right) @ w_t).reshape(b, dim, dim)
+            g[:, k] = (q @ p).reshape(b, -1)[:, self.at]
         return g
 
     def sweep(self, points: np.ndarray, pairs) -> np.ndarray:
@@ -355,7 +337,7 @@ def _lifted_gram(ctx: CosetContext) -> np.ndarray:
     s = ctx.size
     # u[a, c, d, b] = sum_k tr(R_ka^dag R_kc R_kb^dag R_kd)
     u = np.zeros((s * s, s * s), dtype=np.complex128)
-    vectors = (ctx.x[:, ctx.rows].T, ctx.y[:, ctx.cols].T.conj())
+    vectors = (ctx.x[:, ctx.rows].T, ctx.yh[ctx.cols])
     for d_left, d_right in ctx.splits:
         traces = []
         for z in vectors:
@@ -520,25 +502,13 @@ def _frame_factors(
     return factors
 
 
-def _frame_overlaps(xt: np.ndarray, ych: np.ndarray, w_dag: np.ndarray) -> np.ndarray:
-    """x_m^dag W^dag y_m for each row m of xt and ych."""
-    return np.sum((xt.conj() @ w_dag) * ych.conj(), axis=1)
-
-
 def _frame_point(ctx: CosetContext, factors) -> np.ndarray | None:
-    """X^dag W^dag Y read on the coset's blocks and projected onto the coset,
-    or None when it is zero on a 1x1 block, which has no nearest phase.
-
-    A 1x1 block reads its entry x_m^dag W^dag y_m; the larger blocks read
-    theirs off X_S^dag W^dag Y_S, on the layout of CosetContext.build.
-    """
+    """X^dag W^dag Y read on the coset's entries and projected onto the coset,
+    or None when it is zero on a 1x1 block, which has no nearest phase."""
     w_dag = kron_all([u.conj().T for u in factors])
-    point = np.empty(ctx.size, dtype=np.complex128)
-    point[ctx.phase_entries] = _frame_overlaps(ctx.xt, ctx.ych, w_dag)
+    point = (ctx.x.conj().T @ w_dag @ ctx.y)[ctx.rows, ctx.cols]
     if np.any(point[ctx.phase_entries] == 0):
         return None
-    if ctx.block_entries.size:
-        point[ctx.block_entries] = (ctx.xs.conj().T @ w_dag @ ctx.ysc.conj())[ctx.block_at]
     return ctx.project(point[np.newaxis])[0]
 
 
@@ -668,8 +638,9 @@ def check_equivalence(
     if factors is not None:
         verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
         if verified is not None:
-            point = None if fallback else _frame_overlaps(
-                s1.basis.T, s2.basis.conj().T, kron_all([u.conj().T for u in factors])
+            # x_m^dag W^dag y_m for each m, from one D x D product
+            point = None if fallback else np.sum(
+                (s1.basis.conj().T @ kron_all([u.conj().T for u in factors])) * s2.basis.T, axis=1
             )
             return Verdict(
                 status=VerdictStatus.EQUIVALENT,

@@ -139,10 +139,13 @@ def make_spectrum_mismatch_pair(
     """Same eigenvectors, one eigenvalue pair shifted by +/- delta.
 
     The shift is capped at lambda_2 / 2 of the drawn spectrum, which keeps the
-    shifted eigenvalue non-negative at any dimension.
+    shifted eigenvalue non-negative at any dimension.  ValueError when D < 2:
+    the one unit-trace spectrum of D = 1 has no mismatched partner.
     """
-    rng = np.random.default_rng([int(seed), 0x5B])
     n = profile.total
+    if n < 2:
+        raise ValueError(f"a spectrum mismatch needs total dimension >= 2, got {n}")
+    rng = np.random.default_rng([int(seed), 0x5B])
     lam = _generic_spectrum(n, rng)
     delta = min(delta, lam[1] / 2.0)
     u = haar_unitary(n, rng)

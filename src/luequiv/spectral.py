@@ -22,6 +22,14 @@ from .tensor import LEAD_RTOL, as_cmatrix
 #   spectra match (spec_tol)             max |lambda - lambda'|     1
 #   degeneracy grouping (spec_tol)       adjacent eigenvalue gap    1
 #   frame phase gap (M_i, equivalence)   top eigenvalue gap         span of M_i
+#
+# Four thresholds are not rows: none is TOL times a scale, and none decides
+# soundness, which rests on the witness gate (the unitarity and witness
+# residual rows) alone.  rank_tol (SearchConfig, --tol-rank) bounds a
+# singular-value ratio, sigma2 / sigma1.  search.OBJECTIVE_POLISH and
+# search.ESCAPE_LEVEL_PER_CUT set only the search's cost and reach; a point
+# it returns must still pass the gate.  tensor.LEAD_RTOL only breaks ties
+# between equal magnitudes when a phase convention picks a leading entry.
 TOL = 1e-8
 
 

@@ -431,6 +431,17 @@ def test_realign_unit_site_prints_zero_sigma2(tmp_path, capsys):
     assert "sigma2=0.000000000000e+00" in capsys.readouterr().out
 
 
+def test_gen_spectrum_mismatch_of_one_dimension_exit_one(tmp_path, capsys):
+    # a unit-trace state with D = 1 has no mismatched partner: one error line,
+    # no traceback and no files
+    rc = main(["gen", "pair-spectrum-mismatch", "--dims", "1,1", "-o", str(tmp_path / "g")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dimension" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_realign_of_realigned_output_exit_one(tmp_path, capsys):
     # realign output carries a shape, not dims, so it has no cut to realign
     save_matrix(tmp_path / "id.json", np.eye(4), dims=(2, 2))

@@ -22,7 +22,7 @@ from luequiv import (
 )
 from luequiv import equivalence, search
 from luequiv.decompose import unitarity_defect
-from luequiv.equivalence import CosetContext, _cut_stacks, _leading_overlaps
+from luequiv.equivalence import CosetContext
 from luequiv.search import (
     ESCAPE_LEVEL_PER_CUT,
     ESCAPE_PASSES,
@@ -889,12 +889,13 @@ def _coset_of(rho, rho_prime):
 
 
 def _context_factories():
-    """(label, make_context): two all-1x1 contexts, one multiplicity-2
-    context, and the rank-2 six-qubit state against its conjugate, whose
-    zero eigenvalue is one 62-fold block."""
+    """(label, make_context): all-1x1 contexts, with odd-sized cuts and cuts
+    where d_L != d_R among them, one multiplicity-2 context, and the rank-2
+    six-qubit state against its conjugate, whose zero eigenvalue is one
+    62-fold block."""
     rng = np.random.default_rng(61)
     out = []
-    for dims in [(2, 2, 2), (2,) * 6]:
+    for dims in [(2, 2, 2), (2,) * 6, (2, 3), (3, 2, 2)]:
         profile = DimProfile(dims)
         x, y = haar_unitary(profile.total, rng), haar_unitary(profile.total, rng)
         ones = (1,) * profile.total
@@ -967,26 +968,6 @@ def test_build_and_overlaps_match_the_explicit_realignments():
         _, pairs = ctx.decompose(points)
         got = ctx._overlaps(pairs)
         assert np.max(np.abs(got - _oracle_overlaps(ctx, pairs))) <= 1e-14, label
-
-
-def test_leading_overlaps_match_the_explicit_realignments():
-    rng = np.random.default_rng(127)
-    for dims in [(2, 3), (2, 2, 2), (3, 2, 2)]:
-        profile = DimProfile(dims)
-        n = profile.total
-        xt, yh = haar_unitary(n, rng), haar_unitary(n, rng)
-        for k in range(1, profile.nsites):
-            dl, dr = profile.split(k)
-            # two pairs stacked: each row of the result is one pair's overlaps
-            us = haar_unitary(dl * dl, rng)[:2]
-            vs = haar_unitary(dr * dr, rng)[:2]
-            stacked = _leading_overlaps(*_cut_stacks(xt, yh, dl, dr), us, vs)
-            for u1, v1, got in zip(us, vs, stacked):
-                expected = [
-                    u1.conj() @ _realign_matrix(np.outer(xt[m], yh[m]), dl, dr) @ v1
-                    for m in range(n)
-                ]
-                assert np.allclose(got, expected, rtol=0, atol=1e-13), (dims, k)
 
 
 def test_align_pass_matches_the_numpy_reference_sweep():
@@ -1516,7 +1497,7 @@ def test_lifted_gram_matches_the_explicit_minors():
         h = equivalence._lifted_gram(ctx)
         assert np.max(np.abs(h - lifted_gram_oracle(ctx))) <= 1e-12, label
         checked.append(label)
-    assert checked == [(2, 2, 2), "block"]
+    assert checked == [(2, 2, 2), (2, 3), (3, 2, 2), "block"]
 
 
 def _without_search(monkeypatch):
