@@ -520,16 +520,24 @@ def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: Factor
     shapes = [np.shape(u) for u in factors.factors]
     if shapes != [(d, d) for d in rho.profile.dims]:
         raise ValueError(f"witness factor shapes {shapes} do not match sites {rho.profile.dims}")
-    w = kron_all(factors.factors)
+    return _residual(rho, rho_prime, kron_all(factors.factors))
+
+
+def _residual(rho: DensityMatrix, rho_prime: DensityMatrix, w: np.ndarray) -> float:
+    """||W rho W^dag - rho'||_F for an operator W on the whole space."""
     return float(np.linalg.norm(w @ rho.matrix @ w.conj().T - rho_prime.matrix))
 
 
-def _verified(rho: DensityMatrix, rho_prime: DensityMatrix, witness: FactorSet):
+def _verified(rho: DensityMatrix, rho_prime: DensityMatrix, witness: FactorSet, w=None):
     """(witness, residual), or None unless every factor is unitary within TOL
-    and the residual is within TOL * max(1, ||rho||_F): the one witness gate."""
+    and the residual is within TOL * max(1, ||rho||_F): the one witness gate.
+    ``w`` is kron_all(witness.factors), passed by a caller that reads it again."""
     if any(unitarity_defect(u) > TOL for u in witness.factors):
         return None
-    residual = verify_witness(rho, rho_prime, witness)
+    if w is None:
+        residual = verify_witness(rho, rho_prime, witness)
+    else:
+        residual = _residual(rho, rho_prime, w)
     if residual > TOL * max(1.0, float(np.linalg.norm(rho.matrix))):
         return None
     return witness, residual
@@ -636,12 +644,11 @@ def check_equivalence(
         )
     factors = _frame_factors(rho, rho_prime, marginals, config.spec_tol)
     if factors is not None:
-        verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
+        w = kron_all(factors)
+        verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)), w)
         if verified is not None:
-            # x_m^dag W^dag y_m for each m, from one D x D product
-            point = None if fallback else np.sum(
-                (s1.basis.conj().T @ kron_all([u.conj().T for u in factors])) * s2.basis.T, axis=1
-            )
+            # x_m^dag W^dag y_m for each m, from the gate's W and one D x D product
+            point = None if fallback else np.sum(s1.basis.conj() * (w.conj().T @ s2.basis), axis=0)
             return Verdict(
                 status=VerdictStatus.EQUIVALENT,
                 witness=verified[0],

@@ -11,10 +11,17 @@ on repr-precision floats; stdlib ``json`` reads only a text orjson rejects
 escape), so that such a text keeps json's outcome.  Both read an integer
 beyond 64 bits as a double.  Files are written with stdlib ``json``, whose
 float spelling (``1e+60``) fixes the bytes of a file.
+
+parse_matrix pauses the cyclic garbage collector while the decoded document
+is alive.  orjson builds one list per entry pair (4,097 lists for a 64x64
+file), and every 700 new containers would start a collection that walks the
+still-live tree and frees nothing: a decoded JSON tree holds no reference
+cycles.  The caller's collector state is restored on every exit.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -139,9 +146,22 @@ def _decode(text: str):
         return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"not valid JSON: {exc}") from None
+    except RecursionError:  # json's recursive decoder, on a text orjson rejected
+        raise MatrixFileError("not valid JSON: nested too deeply") from None
 
 
 def parse_matrix(text: str) -> MatrixFile:
+    """The matrix file of a text, decoded with the cyclic collector paused."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:  # on a return, _parse's frame and its decoded tree are freed already
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str) -> MatrixFile:
     doc = _decode(text)
     if not isinstance(doc, dict) or "data" not in doc:
         raise MatrixFileError("matrix file must be a JSON object with a 'data' field")

@@ -175,6 +175,12 @@ def werner(d: int, p: float) -> DensityMatrix:
 WITNESS_SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float)
 
 
+def nested_nan_text(depth: int = 5000) -> str:
+    """A matrix file text that orjson rejects (its NaN) and that is nested
+    deeper than stdlib json's recursive decoder can follow."""
+    return '{"dims":[2,2],"data":[[NaN,0],' + "[" * depth + "]" * depth + "]}"
+
+
 def example_bases(a: float, b: float, c: float):
     """Analytic eigenbases X, Y of the example pair, eigenvalue order
     (2, 0, 1/a, a, 1/b, b, 1/c, c) shared between the two states."""

@@ -10,7 +10,7 @@ from luequiv.cli import _config_from, build_parser, main
 from luequiv.equivalence import _gate_distance
 from luequiv.oracle import haar_unitary, local_unitaries, random_density
 
-from helpers import local_rotation, locally_mixed_qubits, near_product
+from helpers import local_rotation, locally_mixed_qubits, near_product, nested_nan_text
 
 FAST = ["--sweeps", "40", "--restarts", "6"]
 
@@ -205,6 +205,11 @@ def test_check_parse_error_exit_one(tmp_path, capsys):
         b'{"dims":[1,2],"data":[[Infinity,0],[0,0],[0,0],[1,0]]}',
     ):
         _check_bad_file_exit_one(tmp_path, capsys, content)
+
+
+def test_check_deeply_nested_file_exit_one(tmp_path, capsys):
+    # a RecursionError from stdlib json's decoder is an error line, no traceback
+    _check_bad_file_exit_one(tmp_path, capsys, nested_nan_text().encode())
 
 
 def test_check_non_ascii_file_exit_one(tmp_path, capsys):

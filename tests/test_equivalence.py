@@ -626,6 +626,22 @@ def test_frame_rung_skips_the_coset(monkeypatch):
         assert np.max(np.abs(np.exp(1j * verdict.phases) - np.exp(1j * want))) <= 1e-12, label
 
 
+def test_frame_verdict_builds_its_witness_operator_once(monkeypatch):
+    # kron_all runs for the two marginal frames and for W = kron_i U_i, whose
+    # one copy gives both the gate's residual and the phases
+    real = equivalence.kron_all
+    for sample in _frame_samples():
+        label = sample.rho.profile
+        calls = []
+        monkeypatch.setattr(equivalence, "kron_all", lambda mats: calls.append(1) or real(mats))
+        verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=4))
+        monkeypatch.undo()
+        assert verdict.path == "frame", label
+        assert len(calls) == 3, label
+        residual = verify_witness(sample.rho, sample.rho_prime, verdict.witness)
+        assert verdict.witness_residual == residual, label
+
+
 @pytest.mark.parametrize(
     "dims, seeds", [((2, 2, 2), range(10)), ((2,) * 6, range(4))], ids=["2x2x2", "2^6"]
 )

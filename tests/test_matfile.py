@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from luequiv import DimProfile, MatrixFileError, load_matrix, save_matrix
 from luequiv.matfile import dump_matrix, parse_matrix
 from luequiv.oracle import haar_unitary, random_density
+
+from helpers import nested_nan_text
 
 
 def test_roundtrip_value_exact(tmp_path):
@@ -57,6 +60,62 @@ def test_density_requires_dims():
 def test_parse_rejects_bad_json():
     with pytest.raises(MatrixFileError, match="JSON"):
         parse_matrix("{not json")
+
+
+def test_parse_rejects_deep_nesting_on_the_json_fallback():
+    with pytest.raises(MatrixFileError, match="^not valid JSON: nested too deeply$"):
+        parse_matrix(nested_nan_text())
+
+
+def test_parse_starts_no_garbage_collection():
+    # orjson builds 4,097 lists for a 64x64 file; with the collector running,
+    # five parses start 25 collections that free nothing
+    rho = random_density(DimProfile((4, 4, 4)), "generic-nondegenerate", 1)
+    text = dump_matrix(rho.matrix, dims=(4, 4, 4))
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        for _ in range(5):
+            parse_matrix(text)
+    finally:
+        gc.callbacks.remove(hook)
+    assert starts == []
+
+
+def _parse_outcome(text: str):
+    try:
+        parse_matrix(text)
+    except MatrixFileError as exc:
+        return str(exc)
+    return "parsed"
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ('{"shape": [1, 1], "data": [[1, 0.5]]}', "parsed"),
+        ('{"shape": [1, 1], "data": [[true, 0.5]]}', "'data' entries must be JSON numbers"),
+        ('{"shape": [1, 1], "data": [[NaN, 0.5]]}', "'data' entries must be finite"),
+        ("{not json", "not valid JSON"),
+        (nested_nan_text(), "not valid JSON: nested too deeply"),
+    ],
+    ids=["parsed", "entries-error", "fallback-entries-error", "fallback-json-error", "nested"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_parse_restores_the_collector_state(text, outcome, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _parse_outcome(text).startswith(outcome)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_parse_rejects_length_mismatch():
