@@ -517,30 +517,28 @@ def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: Factor
 
     ValueError unless the witness has exactly one d_i x d_i factor per site.
     """
+    return _witness_residual(rho, rho_prime, factors)[0]
+
+
+def _witness_residual(rho: DensityMatrix, rho_prime: DensityMatrix, factors: FactorSet):
+    """(||W rho W^dag - rho'||_F, W) for W = kron_i U_i, as verify_witness."""
     shapes = [np.shape(u) for u in factors.factors]
     if shapes != [(d, d) for d in rho.profile.dims]:
         raise ValueError(f"witness factor shapes {shapes} do not match sites {rho.profile.dims}")
-    return _residual(rho, rho_prime, kron_all(factors.factors))
+    w = kron_all(factors.factors)
+    return float(np.linalg.norm(w @ rho.matrix @ w.conj().T - rho_prime.matrix)), w
 
 
-def _residual(rho: DensityMatrix, rho_prime: DensityMatrix, w: np.ndarray) -> float:
-    """||W rho W^dag - rho'||_F for an operator W on the whole space."""
-    return float(np.linalg.norm(w @ rho.matrix @ w.conj().T - rho_prime.matrix))
-
-
-def _verified(rho: DensityMatrix, rho_prime: DensityMatrix, witness: FactorSet, w=None):
-    """(witness, residual), or None unless every factor is unitary within TOL
-    and the residual is within TOL * max(1, ||rho||_F): the one witness gate.
-    ``w`` is kron_all(witness.factors), passed by a caller that reads it again."""
+def _verified(rho: DensityMatrix, rho_prime: DensityMatrix, witness: FactorSet):
+    """(witness, residual, W = kron_i U_i), or None unless every factor is
+    unitary within TOL and the residual is within TOL * max(1, ||rho||_F):
+    the one witness gate."""
     if any(unitarity_defect(u) > TOL for u in witness.factors):
         return None
-    if w is None:
-        residual = verify_witness(rho, rho_prime, witness)
-    else:
-        residual = _residual(rho, rho_prime, w)
+    residual, w = _witness_residual(rho, rho_prime, witness)
     if residual > TOL * max(1.0, float(np.linalg.norm(rho.matrix))):
         return None
-    return witness, residual
+    return witness, residual, w
 
 
 def _phases(point: np.ndarray) -> np.ndarray:
@@ -644,15 +642,15 @@ def check_equivalence(
         )
     factors = _frame_factors(rho, rho_prime, marginals, config.spec_tol)
     if factors is not None:
-        w = kron_all(factors)
-        verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)), w)
+        verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
         if verified is not None:
+            witness, residual, w = verified
             # x_m^dag W^dag y_m for each m, from the gate's W and one D x D product
             point = None if fallback else np.sum(s1.basis.conj() * (w.conj().T @ s2.basis), axis=0)
             return Verdict(
                 status=VerdictStatus.EQUIVALENT,
-                witness=verified[0],
-                witness_residual=verified[1],
+                witness=witness,
+                witness_residual=residual,
                 phases=None if fallback else _phases(point),
                 used_degenerate_fallback=fallback,
                 seed=config.seed,
@@ -678,7 +676,7 @@ def check_equivalence(
 
     def coset_verdict(point: np.ndarray, path: str, outcome=None) -> Verdict:
         reports, verified = certify(point)
-        witness, residual = verified or (None, None)
+        witness, residual, _ = verified or (None, None, None)
         return Verdict(
             status=VerdictStatus.NOT_FOUND if verified is None else VerdictStatus.EQUIVALENT,
             witness=witness,

@@ -175,9 +175,10 @@ def werner(d: int, p: float) -> DensityMatrix:
 WITNESS_SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float)
 
 
-def nested_nan_text(depth: int = 5000) -> str:
-    """A matrix file text that orjson rejects (its NaN) and that is nested
-    deeper than stdlib json's recursive decoder can follow."""
+def nested_nan_text(depth: int = 100_000) -> str:
+    """A matrix file text that orjson rejects at its NaN, before the brackets,
+    and that is nested far deeper than the recursion limit stdlib json's
+    recursive decoder meets on any supported Python."""
     return '{"dims":[2,2],"data":[[NaN,0],' + "[" * depth + "]" * depth + "]}"
 
 
