@@ -15,10 +15,11 @@ conclusive negative); the bound rung, where the one-site marginal spectra
 put every product unitary image of rho farther from rho' than the witness
 gate lets through, and the verdict is NOT_FOUND on path "bound"; the frame
 rung, a local-eigenframe witness guess that verifies before any coset is
-built; the lift rung, where one eigensolve of the lifted rank-one system
-(_lifted_gram) either proves that no coset point passes the rank-one test
-(NOT_FOUND on path "lift") or yields the one solution, which must then
-verify; and the coset search, which minimizes the smooth surrogate
+built; the lift rung, where a Cholesky certificate on the lifted rank-one
+system (_lifted_gram) proves that no coset point passes the rank-one test
+(NOT_FOUND on path "lift"), or else one eigensolve yields the one solution,
+which must then verify; and the coset search, which minimizes the smooth
+surrogate
 
     f = sum over cuts of (sigma2 / sigma1)^2 of realign(V),
 
@@ -31,6 +32,7 @@ claims inequivalence.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -48,20 +50,23 @@ from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
 
 # The lift rung runs on cosets of at most this many entries S (the sum of
 # the squared block sizes).  H costs O(S^4 D^2 / min(d_L, d_R)^2) to build
-# and O(S^6) to diagonalize, far more than a search's growth.  Whole checks,
-# searched (rung off) -> with the rung, median of six inputs, 2 cores, numpy
-# 2.4 / OpenBLAS on one thread; "lift" is H and eigh alone:
-#   S = 6  (2,3):      lift 0.2 ms; rho*  5.9 -> 0.8 ms
-#   S = 8  (2,2,2):    lift 0.4 ms; rho*  9.6 -> 1.2 ms; plant 3.6 -> 1.5 ms
-#   S = 9  (3,3):      lift 0.5 ms; rho*  7.4 -> 1.3 ms
-#   S = 12 (2,2,3):    lift 2-3 ms; rho* 12.0 -> 3.8 ms
-#   S = 16 (2,2,2,2):  lift 5-12 ms; rho* searched in 20-30 ms, a
+# and O(S^6) to factor or diagonalize, far more than a search's growth.
+# Whole checks, searched (rung off) -> with the rung, median of six inputs,
+# 2 cores, numpy 2.4 / OpenBLAS on one thread; "lift" is H and its
+# Cholesky certificate, all that a rho* check pays (H and eigh, which
+# decided before the certificate, in brackets):
+#   S = 6  (2,3):      lift 0.07-0.12 (0.3-0.4) ms; rho*  5.9 -> 0.7-1.2 ms
+#   S = 8  (2,2,2):    lift 0.15-0.25 (0.5-0.65) ms; rho*  9.6 -> 0.9-1.6 ms;
+#                      plant 3.6 -> 1.5-2.0 ms
+#   S = 9  (3,3):      lift 0.17-0.26 (0.9-1.2) ms; rho*  7.4 -> 1.0-1.5 ms
+#   S = 12 (2,2,3):    lift 1.4-2.0 (2.6-4.0) ms; rho* 12.0 -> 2.5-3.9 ms
+#   S = 16 (2,2,2,2):  H and eigh 5-12 ms; rho* searched in 20-30 ms, a
 #                      locally-mixed plant in 4.3-8.5 ms
-# An input the rung hands on pays for H, eigh and one failed certify:
-# paper_example (S = 8) about 0.6 ms on 3-4 ms, Werner (2,.) (S = 10)
-# about 1.4 ms on 1.7 ms.  The cap is the largest S where the lift costs
-# less than every searched class measured; at S = 16 it is slower than a
-# searched plant.
+# An input the rung hands on pays for H, the failed certificate, eigh and
+# one failed certify: paper_example (S = 8) about 0.5-0.7 ms, Werner (2,.)
+# (S = 10) about 1.0 ms.  The cap is the largest S where the lift costs
+# less than every searched class measured; at S = 16 H and eigh alone are
+# slower than a searched plant.
 LIFT_MAX_SIZE = 12
 
 
@@ -122,11 +127,12 @@ class Verdict:
     # "frame" (the local-eigenframe guess verified, no search ran; no cut
     # reports or best objective), "bound" (NOT_FOUND with no search: the
     # marginal spectra put every product unitary beyond the witness gate),
-    # "lift" (no search ran: NOT_FOUND when the lifted system's least
-    # eigenvalue shows that no coset point passes the rank-one test, with no
-    # cut reports or best objective; EQUIVALENT when the point read off its
-    # least eigenvector verified), "coset" or "coset-block" (the search, over
-    # a diagonal or a block-unitary coset); None when the spectra differ
+    # "lift" (no search ran: NOT_FOUND when a Cholesky certificate puts the
+    # lifted system's least eigenvalue above its floor, so that no coset
+    # point passes the rank-one test, with no cut reports or best objective;
+    # EQUIVALENT when the point read off its least eigenvector verified),
+    # "coset" or "coset-block" (the search, over a diagonal or a
+    # block-unitary coset); None when the spectra differ
     path: str | None = None
     # a lower bound on min over product unitaries W of ||W rho W^dag - rho'||_F:
     # the larger of ||lambda - lambda'||_2 and the marginal-spectrum bound L
@@ -356,36 +362,61 @@ def _lifted_gram(ctx: CosetContext) -> np.ndarray:
     # entry (mn, pq) of H sums the orderings (m, n), (n, m) times (p, q),
     # (q, p) of the lifted Gram; a trace is cyclic, so u is unchanged by
     # (a, c) <-> (b, d), and the four are two, each twice
+    first, second, weights, eye = _lift_layout(s)
+    u = u.reshape(-1)
+    return 0.5 * len(ctx.splits) * eye - (u[first] + u[second]) * weights
+
+
+@functools.lru_cache(maxsize=LIFT_MAX_SIZE)
+def _lift_layout(s: int) -> tuple[np.ndarray, ...]:
+    """(first, second, weights, eye): _lifted_gram's gathers for a coset of s
+    entries, which depend on s alone, built once per s (read-only, as every
+    caller shares them).
+
+    Coordinate i of c is E_mn with (m, n) = np.triu_indices(s)[:, i].  Entry
+    (i, j) of H reads u at first[i, j] (orderings (m, n) then (p, q)) and
+    second[i, j] ((n, m) then (p, q)), u flattened from its (s, s, s, s)
+    shape.  Each off-diagonal coordinate weighs sqrt(1/2) per ordering, and
+    the 2x2 minors (rows i < j, columns k < l) are a quarter of the
+    quadruples: weights is the outer product of those factors.
+    """
     m, n = np.triu_indices(s)
     cols = (m * s * s + n * s)[np.newaxis, :]
-    u = u.reshape(-1)
-    twice = u[(m * s**3 + n)[:, np.newaxis] + cols] + u[(n * s**3 + m)[:, np.newaxis] + cols]
-    # each off-diagonal coordinate weighs sqrt(1/2) per ordering, and the
-    # 2x2 minors (rows i < j, columns k < l) are a quarter of the quadruples
     w = np.where(m == n, 0.5, math.sqrt(0.5))
-    return 0.5 * len(ctx.splits) * np.eye(len(m)) - twice * np.outer(w, w)
+    layout = (
+        (m * s**3 + n)[:, np.newaxis] + cols,
+        (n * s**3 + m)[:, np.newaxis] + cols,
+        np.outer(w, w),
+        np.eye(len(m)),
+    )
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
-def _lift_floor(ctx: CosetContext, rank_tol: float, h_norm: float) -> float:
+def _lift_floor(ctx: CosetContext, rank_tol: float, h: np.ndarray) -> float:
     """Lambda = sum_k (r_k - 1) tau^2 (1 + (r_k - 1) tau^2 / 2), r_k = min(d_L^2,
-    d_R^2), plus rounding: the least eigenvalue of _lifted_gram above it
-    proves that no coset point passes the rank-one test (check_equivalence
-    has the proof).
+    d_R^2), plus rounding: the least eigenvalue of H = _lifted_gram(ctx)
+    above it proves that no coset point passes the rank-one test
+    (check_equivalence has the proof).  No eigenvalue is needed to form it.
 
     The rounding covers four errors, with n = S (S + 1) / 2 the order of H
-    and eps the unit roundoff.  The rank-one test reads sigma2 / sigma1 off
-    a computed V and SVD, within eta = 2 (S sqrt(S) + D) eps of the point's
-    own ratio, so tau is rank_tol + eta; and the computed eigenvectors are
-    orthonormal to O(D eps), which moves ||R_k||_F^2 = ||a||^2 by a factor
-    1 + 4 D eps.  Forming H from the Gram identity errs by at most 4 D eps
-    an entry a cut (inner products of length <= D of unit-norm reshapes, and
-    the same non-orthonormality in <R_m, R_p> = delta_mp), so by
-    4 (M - 1) n D eps in norm.  eigh's backward error moves an
-    eigenvalue by at most n eps ||H||_2 (``h_norm``).
+    and eps = 2^-52 (twice the unit roundoff).  The rank-one test reads
+    sigma2 / sigma1 off a computed V and SVD, within eta = 2 (S sqrt(S) + D)
+    eps of the point's own ratio, so tau is rank_tol + eta; and the computed
+    eigenvectors are orthonormal to O(D eps), which moves ||R_k||_F^2 =
+    ||a||^2 by a factor 1 + 4 D eps.  Forming H from the Gram identity errs
+    by at most 4 D eps an entry a cut (inner products of length <= D of
+    unit-norm reshapes, and the same non-orthonormality in <R_m, R_p> =
+    delta_mp), so by 4 (M - 1) n D eps in norm.  n eps ||H||_inf, with
+    ||H||_inf the largest absolute row sum (at least ||H||_2), bounds with
+    room the rounding of the shifted diagonal that _lift's certificate
+    factors, at most eps ||H||_inf an entry.
     """
     eps = sys.float_info.epsilon
     dim = len(ctx.x)
-    n = ctx.size * (ctx.size + 1) // 2
+    n = len(h)
+    h_norm = float(np.max(np.sum(np.abs(h), axis=1)))
     tau = rank_tol + 2.0 * (ctx.size * math.sqrt(ctx.size) + dim) * eps
     lam = sum(
         (r - 1) * tau**2 * (1.0 + (r - 1) * tau**2 / 2.0)
@@ -398,16 +429,43 @@ def _lift(ctx: CosetContext, rank_tol: float) -> tuple[bool, np.ndarray | None]:
     """(excluded, point): whether no coset point can pass the rank-one test,
     and else the coset point read off the least eigenvector of H, or None.
 
-    When the kernel is one-dimensional, the least eigenvector is E = mu a a^T
-    up to rounding, and a_i = E_ij / sqrt(E_jj), with j the largest |E_jj|,
-    is a up to a sign and a scale, which ``project`` removes.  From a larger
-    kernel the point is some mix of solutions, which the caller's certify
-    rejects.
+    The negative side is a certificate, not an eigensolve: H is excluded
+    when the Cholesky factorization of A = H - mu I runs to completion, with
+    mu = floor + 2 (n + 1) eps tr(H), the floor from _lift_floor and n the
+    order of H.  Proof: the computed factor R then satisfies R^H R = A +
+    dA, |dA| <= gamma_{n+1} |R^H| |R| entrywise, gamma_k = k u / (1 - k u),
+    u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., SIAM 2002, Theorem 10.3; its proof uses only that every pivot
+    came out positive, not that A is definite).  That theorem counts real
+    operations of relative error u.  In complex arithmetic a product errs by
+    at most sqrt(2) gamma_2 < 3 u, and a sum, a real square root and the
+    division by a real pivot by u (Lemma 3.5 there), so the same proof
+    gives gamma = gamma_{3(n+1)}.  Then ||dA||_2 <= ||dA||_F <= gamma
+    ||R||_F^2, and ||R||_F^2 = tr(A + dA) <= tr(A) + gamma ||R||_F^2, so
+    ||dA||_2 <= gamma tr(A) / (1 - gamma) <= 1.5 (n + 1) eps tr(H) (1 + 1e-10)
+    for n <= 78; the rest of the margin covers the rounding of tr(H) and mu.
+    R^H R is positive definite, so lambda_min(A) > -||dA||_2, and
+    lambda_min(H) > mu - ||dA||_2 - eps ||H||_inf > floor - eps ||H||_inf,
+    the last term the rounding of the shift, which the floor's own
+    n eps ||H||_inf covers.  A factorization that breaks down proves nothing.
+
+    Only then does eigh run, to read the point.  When the kernel is
+    one-dimensional, the least eigenvector is E = s a a^T up to rounding,
+    and a_i = E_ij / sqrt(E_jj), with j the largest |E_jj|, is a up to a
+    sign and a scale, which ``project`` removes.  From a larger kernel the
+    point is some mix of solutions, and from a least eigenvalue between the
+    floor and mu it passes no rank-one test; the caller's certify rejects
+    both and hands on.
     """
-    w, v = np.linalg.eigh(_lifted_gram(ctx))
-    if w[0] > _lift_floor(ctx, rank_tol, float(np.max(np.abs(w)))):
+    h = _lifted_gram(ctx)
+    margin = 2.0 * (len(h) + 1) * sys.float_info.epsilon * float(np.trace(h).real)
+    try:
+        np.linalg.cholesky(h - (_lift_floor(ctx, rank_tol, h) + margin) * np.eye(len(h)))
+    except np.linalg.LinAlgError:
+        pass
+    else:
         return True, None
-    c = v[:, 0]
+    c = np.linalg.eigh(h)[1][:, 0]
     m, n = np.triu_indices(ctx.size)
     e = np.empty((ctx.size, ctx.size), dtype=np.complex128)
     e[m, n] = e[n, m] = c * np.where(m == n, 1.0, math.sqrt(0.5))
@@ -592,9 +650,15 @@ def check_equivalence(
     (r - 1) tau^2 sigma1^4 (1 + (r - 1) tau^2 / 2) <= (r - 1) tau^2 D^2
     (1 + (r - 1) tau^2 / 2) by Cauchy-Binet; summed over the cuts that is
     at most Lambda D^2, while it is ||K E||^2 >= lambda_min ||E||_F^2 =
-    lambda_min D^2.  So lambda_min <= Lambda.  When it fires, the verdict
-    is NOT_FOUND on path "lift" with no search, the status the search would
-    have returned (as on "bound"), with no cut reports.  Otherwise the
+    lambda_min D^2.  So lambda_min <= Lambda.  The rung shows lambda_min
+    above the floor without an eigensolve: a Cholesky factorization of
+    H - mu I that runs to completion, mu the floor plus a bound on
+    Cholesky's backward error, 2 (n + 1) eps tr(H) for H of order n (_lift
+    has the proof, from Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Theorem 10.3, and Lemma 3.5 for complex
+    arithmetic).  When it completes, the verdict is NOT_FOUND on path
+    "lift" with no search, the status the search would have returned (as
+    on "bound"), with no cut reports.  Otherwise one eigh of H runs, and the
     point read off the least eigenvector (_lift) is certified: it is the
     solution when the kernel is one-dimensional.  If it passes, the verdict
     is EQUIVALENT on path "lift" with restarts_used 0; soundness rests on

@@ -8,7 +8,8 @@ precision, so a write/read round trip is value-exact.
 Files are read with orjson, which is several times faster than the stdlib
 on repr-precision floats; stdlib ``json`` reads only a text orjson rejects
 (``NaN``, ``Infinity``, a number beyond the double range, a lone surrogate
-escape), so that such a text keeps json's outcome.  Both read an integer
+escape), so that such a text keeps json's outcome, and a text that may be
+nested deeply enough to crash orjson (NEST_CHARS).  Both read an integer
 beyond 64 bits as a double.  Files are written with stdlib ``json``, whose
 float spelling (``1e+60``) fixes the bytes of a file.
 
@@ -137,16 +138,34 @@ def _json_int(digits: str) -> int | float:
     return float(digits)
 
 
+# orjson 3.8.3 builds the decoded tree recursively on the C stack, about 32
+# bytes per character of nesting syntax: 2 for an array level ("[" "]"), at
+# least 5 for an object level ('{"":' "}").  On the 8 MB stack of a Linux
+# main thread it dies with SIGSEGV on a complete document holding about
+# 261,000 such characters: 131,000 nested arrays, 52,000 nested objects, or
+# 37,400 of each in turn (measured in child processes).  An unclosed text is
+# a clean JSONDecodeError.  A text that can hold NEST_CHARS of them, 1.2 times
+# fewer, goes to stdlib json, whose recursion limit makes the depth an
+# error.  That margin assumes an 8 MB decoding stack with at most 1.3 MB of
+# it in use.  NEST_CHARS exceeds the longest 64x64 file (213,024 characters,
+# 17-digit negative mantissas and exponents), so no such file pays for the
+# count.
+NEST_CHARS = 216_000
+
+
 def _decode(text: str):
-    try:
-        return orjson.loads(text)
-    except orjson.JSONDecodeError:
-        pass
+    # a complete document with NEST_CHARS characters of nesting syntax is at
+    # least that long, and each of its levels opens with a "[" or a "{"
+    if len(text) < NEST_CHARS or 2 * text.count("[") + 5 * text.count("{") < NEST_CHARS:
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
     try:
         return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"not valid JSON: {exc}") from None
-    except RecursionError:  # json's recursive decoder, on a text orjson rejected
+    except RecursionError:  # json's recursive decoder
         raise MatrixFileError("not valid JSON: nested too deeply") from None
 
 

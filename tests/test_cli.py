@@ -8,6 +8,7 @@ import pytest
 from luequiv import DimProfile, SearchConfig, kron_all, load_matrix, save_matrix
 from luequiv.cli import _config_from, build_parser, main
 from luequiv.equivalence import _gate_distance
+from luequiv.matfile import NEST_CHARS
 from luequiv.oracle import haar_unitary, local_unitaries, random_density
 
 from helpers import local_rotation, locally_mixed_qubits, near_product, nested_nan_text
@@ -210,6 +211,34 @@ def test_check_parse_error_exit_one(tmp_path, capsys):
 def test_check_deeply_nested_file_exit_one(tmp_path, capsys):
     # a RecursionError from stdlib json's decoder is an error line, no traceback
     _check_bad_file_exit_one(tmp_path, capsys, nested_nan_text().encode())
+
+
+@pytest.mark.parametrize(
+    "level, depth, message",
+    [
+        ("[]", 200_000, "nested too deeply"),
+        ('{"":}', 200_000, "nested too deeply"),
+        ("[]", (NEST_CHARS - 100) // 2, "pairs"),
+        ('{"":}', (NEST_CHARS - 100) // 5, "pairs"),
+    ],
+    ids=["arrays-200000", "objects-200000", "arrays-below-guard", "objects-below-guard"],
+)
+def test_check_complete_deeply_nested_document_exit_one(tmp_path, level, depth, message):
+    # a complete document 200,000 deep would crash orjson (SIGSEGV, exit
+    # 139), so the nesting guard hands it to stdlib json; just below the
+    # guard orjson decodes it and the structure check rejects it.  A child
+    # process, so that a crash fails this test alone
+    opening, closing = level[:-1], level[-1]
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"dims":[2,2],"data":' + opening * depth + "0" + closing * depth + "}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "luequiv.cli", "check", str(deep), str(deep)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr[-300:]
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
 
 
 def test_check_non_ascii_file_exit_one(tmp_path, capsys):

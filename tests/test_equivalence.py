@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -1586,31 +1587,112 @@ def test_lift_rung_hands_larger_kernels_and_cosets_on_to_the_search(monkeypatch)
     assert verdict.path == "coset" and verdict.restarts_used >= 1
 
 
+def _certificate_margin(h):
+    """The Cholesky certificate's margin over the floor, as _lift documents it."""
+    return 2.0 * (len(h) + 1) * sys.float_info.epsilon * float(np.trace(h).real)
+
+
 def test_lift_rung_fires_only_above_its_floor(monkeypatch):
-    # the least eigenvalue set just above Lambda plus rounding ends the check
-    # on "lift"; just below, the rung reads a point that does not certify and
-    # hands on to the search, which fails
+    # H shifted so that its least eigenvalue sits half a margin above the
+    # certificate's shift mu = floor + margin: the Cholesky of H - mu I
+    # completes and the check ends on "lift".  Half a margin below mu (still
+    # above the floor, so an eigenvalue test would have fired) the rung reads
+    # a point that does not certify and hands on to the search, which fails
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     config = SearchConfig(sweeps=20, restarts=4, seed=2)
     ctx = _coset_of(rho, conjugate(rho))
-    w = np.linalg.eigvalsh(equivalence._lifted_gram(ctx))
-    floor = equivalence._lift_floor(ctx, config.rank_tol, float(np.max(np.abs(w))))
-    assert 0 < floor < 1e-11 < w[0]
-    real_eigh = np.linalg.eigh
-    for scale, path in ((1.0 + 1e-6, "lift"), (1.0 - 1e-6, "coset")):
-
-        def eigh(a, *args, _scale=scale, **kwargs):
-            out_w, out_v = real_eigh(a, *args, **kwargs)
-            if np.shape(a) == (len(w), len(w)):
-                out_w = out_w.copy()
-                out_w[0] = _scale * floor
-            return out_w, out_v
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+    h = equivalence._lifted_gram(ctx)
+    lam = np.linalg.eigvalsh(h)[0]
+    floor = equivalence._lift_floor(ctx, config.rank_tol, h)
+    assert 0 < floor < 1e-11 < lam
+    for above, path in ((1.5, "lift"), (0.5, "coset")):
+        shifted = h
+        # mu depends on the shifted H's trace and row sums, weakly: a few
+        # rounds of the fixed point settle the shift
+        for _ in range(3):
+            target = equivalence._lift_floor(ctx, config.rank_tol, shifted)
+            target += above * _certificate_margin(shifted)
+            shifted = h - (lam - target) * np.eye(len(h))
+        w = np.linalg.eigvalsh(shifted)
+        assert w[0] > equivalence._lift_floor(ctx, config.rank_tol, shifted), above
+        monkeypatch.setattr(equivalence, "_lifted_gram", lambda ctx, _h=shifted: _h)
         verdict = check_equivalence(rho, conjugate(rho), config)
-        assert verdict.status is VerdictStatus.NOT_FOUND, scale
-        assert verdict.path == path, scale
-        assert (verdict.restarts_used == 0) == (path == "lift"), scale
+        assert verdict.status is VerdictStatus.NOT_FOUND, above
+        assert verdict.path == path, above
+        assert (verdict.restarts_used == 0) == (path == "lift"), above
+
+
+def test_lift_certificate_fires_only_where_the_least_eigenvalue_clears_the_floor(monkeypatch):
+    # rho* on every profile within the size rule, Haar-rotated pairs (which
+    # the bound rung ends before the lift, so _lift runs on their coset
+    # directly), and plants: the certificate fires on no plant, and wherever
+    # it fires, its shift clears the floor by the Cholesky backward-error
+    # bound 1.5 (n + 1) eps tr(H) and the least eigenvalue of H exceeds the
+    # floor
+    shifts = []
+    real_cholesky = np.linalg.cholesky
+
+    def cholesky(a, *args, **kwargs):
+        shifts.append(a)
+        return real_cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+
+    def fired(rho, rho_prime):
+        ctx = _coset_of(rho, rho_prime)
+        assert ctx.size <= equivalence.LIFT_MAX_SIZE
+        shifts.clear()
+        excluded, _ = equivalence._lift(ctx, 1e-7)
+        h = equivalence._lifted_gram(ctx)
+        floor = equivalence._lift_floor(ctx, 1e-7, h)
+        if excluded:
+            (a,) = shifts
+            mu = float(np.min(np.diagonal(h - a).real))
+            bound = 1.5 * (len(h) + 1) * sys.float_info.epsilon * float(np.trace(h).real)
+            assert mu - floor >= bound
+            assert np.linalg.eigvalsh(h)[0] > floor
+        return excluded
+
+    profiles = [DimProfile(d) for d in ((2, 3), (3, 3), (2, 2, 2), (2, 2, 3))]
+    for p in profiles:
+        for seed in range(3):
+            rho = random_density(p, "generic-nondegenerate", 200 + seed)
+            assert fired(rho, conjugate(rho)), (p, seed)
+        for seed in range(2):
+            rho = random_density(p, "generic-nondegenerate", 300 + seed)
+            lam = eig_hermitian(rho.matrix).eigenvalues
+            assert fired(rho, random_density(p, lam, 400 + seed)), (p, seed)
+            sample = make_equivalent_pair(p, 500 + seed)
+            assert not fired(sample.rho, sample.rho_prime), (p, seed)
+    for eta in (0.0, 1e-9, 3e-9):
+        for seed in range(3):
+            rho = locally_mixed_qubits(3, 700 + seed)
+            rho_prime = _with_noise(local_rotation(rho, 800 + seed), eta, seed)
+            assert not fired(rho, rho_prime), (eta, seed)
+    sample = make_degenerate_pair(DimProfile((2, 2)), 3)
+    assert not fired(sample.rho, sample.rho_prime)
+
+
+def test_lift_rung_runs_no_eigensolve_of_h_on_a_certified_check(monkeypatch):
+    # a (2,2,2) rho* check ends on the certificate: no 36 x 36 eigh; a
+    # locally-mixed plant's certificate fails and one eigh reads its point
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 79)
+    verdict = check_equivalence(rho, conjugate(rho), SearchConfig(seed=1))
+    assert verdict.path == "lift" and verdict.status is VerdictStatus.NOT_FOUND
+    assert (36, 36) not in calls
+    calls.clear()
+    rho = locally_mixed_qubits(3, 1)
+    verdict = check_equivalence(rho, local_rotation(rho, 101), SearchConfig(seed=1))
+    assert verdict.path == "lift" and verdict.status is VerdictStatus.EQUIVALENT
+    assert calls.count((36, 36)) == 1
 
 
 @pytest.mark.parametrize("eta", [1e-9, 3e-9])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from luequiv import DimProfile, MatrixFileError, load_matrix, save_matrix
+from luequiv import matfile
 from luequiv.matfile import dump_matrix, parse_matrix
 from luequiv.oracle import haar_unitary, random_density
 
@@ -65,6 +66,32 @@ def test_parse_rejects_bad_json():
 def test_parse_rejects_deep_nesting_on_the_json_fallback():
     with pytest.raises(MatrixFileError, match="^not valid JSON: nested too deeply$"):
         parse_matrix(nested_nan_text())
+
+
+def test_parse_reads_the_longest_64x64_file_with_orjson_and_no_count(monkeypatch):
+    # every entry a 24-character float (17 digits, a sign, a three-digit
+    # negative exponent), the longest dims header of D = 64 and a 64-bit
+    # seed: shorter than NEST_CHARS, so the nesting count never runs, and
+    # orjson decodes it
+    m = np.full((64, 64), -2.2250738585072014e-308 * (1 + 1j))
+    text = dump_matrix(m, dims=(2,) * 6, seed=2**63 - 1)
+    assert len(text) < matfile.NEST_CHARS
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("stdlib json decoded the text")
+
+    monkeypatch.setattr(matfile.json, "loads", no_json)
+    assert np.array_equal(parse_matrix(text).matrix, m)
+
+
+def test_parse_reads_a_512x512_file():
+    # 262,146 "[": over the nesting guard, so stdlib json decodes it
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+    text = dump_matrix(m, dims=(8, 8, 8))
+    assert 2 * text.count("[") >= matfile.NEST_CHARS
+    back = parse_matrix(text)
+    assert back.dims == (8, 8, 8) and np.array_equal(back.matrix, m)
 
 
 def test_parse_starts_no_garbage_collection():
