@@ -5,13 +5,7 @@ unitaries, using realignment rank-one tests on the block-unitary coset of
 the eigenbasis change, and produces explicit witness unitaries on success.
 """
 
-from .decompose import (
-    FactorSet,
-    NotDecomposableError,
-    cut_reports,
-    factor_full,
-    is_decomposable,
-)
+from .decompose import FactorSet, cut_reports, factor_full
 from .equivalence import (
     CosetContext,
     SearchConfig,
@@ -52,7 +46,6 @@ __all__ = [
     "FactorSet",
     "MatrixFile",
     "MatrixFileError",
-    "NotDecomposableError",
     "PairLabel",
     "PairSample",
     "RankOneReport",
@@ -67,7 +60,6 @@ __all__ = [
     "eig_hermitian",
     "factor_full",
     "haar_unitary",
-    "is_decomposable",
     "kron_all",
     "load_matrix",
     "make_degenerate_pair",

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .decompose import NotDecomposableError, factor_full, is_decomposable
+from .decompose import factor_full
 from .equivalence import SearchConfig, Verdict, VerdictStatus, check_equivalence
 from .matfile import MatrixFile, MatrixFileError, load_matrix, save_matrix
 from .oracle import make_equivalent_pair, make_spectrum_mismatch_pair, paper_example
@@ -192,21 +192,15 @@ def cmd_realign(args) -> int:
 
 def cmd_factor(args) -> int:
     mf = _load_operator(args.file)
-    profile = mf.profile
-    ok, reports = is_decomposable(mf.matrix, profile, args.tol_rank)
+    reports, fs = factor_full(mf.matrix, mf.profile, args.tol_rank)
     for r in reports:
         print(_cut_line(r))
-    if not ok:
+    if fs is None:
         worst = max(reports, key=lambda r: r.ratio)
         print(f"not decomposable: cut {worst.cut} has ratio {worst.ratio:.3e}")
         return 2
-    try:
-        fs = factor_full(mf.matrix, profile, args.tol_rank)
-    except NotDecomposableError as exc:
-        print(f"not decomposable: {exc}")
-        return 2
     prefix = args.out_prefix or f"{args.file}.factor"
-    for i, (f, d) in enumerate(zip(fs.factors, profile.dims), start=1):
+    for i, (f, d) in enumerate(zip(fs.factors, mf.profile.dims), start=1):
         path = f"{prefix}{i}.json"
         _save(path, f, dims=(d,), label=f"factor {i}")
         print(f"factor U{i} ({d}x{d}) -> {path}")

@@ -1,9 +1,11 @@
 """Tensor factorization of unitaries whose cut realignments are rank one.
 
 A unitary V on N_1 x ... x N_M decomposes as V_1 kron ... kron V_M exactly
-when every sequential-cut realignment has rank one.  The factors come from
-the leading singular triple of each realignment, rescaled so both sides are
-unitary (the positive scale k relating the raw factors is absorbed).
+when every sequential-cut realignment has rank one.  ``factor_full`` runs
+that test once, on V's own realignments, and factors only when every cut
+passes.  The factors come from the leading singular triple of each peeled
+realignment, rescaled so both sides are unitary (the positive scale k
+relating the raw factors is absorbed).
 """
 
 from __future__ import annotations
@@ -12,21 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import TOL, RankOneReport, rank_one_report, rank_one_test
+from .spectral import TOL, RankOneReport, rank_one_test
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all, leading_index, realign
-
-
-class NotDecomposableError(ValueError):
-    """Input is not a tensor product; carries the failing cut's report."""
-
-    def __init__(self, report: RankOneReport, message: str | None = None):
-        self.report = report
-        if message is None:
-            message = (
-                f"realignment at cut {report.cut} is not rank one: "
-                f"sigma2/sigma1 = {report.ratio:.3e}"
-            )
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -66,17 +55,6 @@ def cut_reports(v, profile: DimProfile, tol: float) -> list[RankOneReport]:
     ]
 
 
-def is_decomposable(
-    v, profile: DimProfile, tol: float
-) -> tuple[bool, list[RankOneReport]]:
-    """Rank-one test at every sequential cut of a unitary.
-
-    Returns the overall verdict and the per-cut reports (always all cuts).
-    """
-    reports = cut_reports(_checked_unitary(v, profile, "is_decomposable input"), profile, tol)
-    return all(r.is_rank_one for r in reports), reports
-
-
 def _fix_leading_phase(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Make the largest-magnitude entry of the left factor real positive."""
     lead = left.flat[leading_index(left)]
@@ -86,8 +64,8 @@ def _fix_leading_phase(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray,
     return left / phase, right * phase
 
 
-def _peel(u: np.ndarray, d_left: int, tol: float, cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split u across its d_left | rest cut into (U_1, U_2), or raise naming ``cut``.
+def _peel(u: np.ndarray, d_left: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split u across its d_left | rest cut into (U_1, U_2).
 
     From the leading singular triple sigma * x * y^t of the realignment,
     U_1 = s * X and U_2 = (sigma / s) * Y, with X and Y the row-major square
@@ -95,9 +73,6 @@ def _peel(u: np.ndarray, d_left: int, tol: float, cut: int) -> tuple[np.ndarray,
     """
     d_right = u.shape[0] // d_left
     uu, sv, vh = np.linalg.svd(_realign_matrix(u, d_left, d_right), full_matrices=False)
-    report = rank_one_report(float(sv[0]), float(sv[1]) if sv.size > 1 else 0.0, tol, cut=cut)
-    if not report.is_rank_one:
-        raise NotDecomposableError(report)
     a = uu[:, 0].reshape(d_left, d_left)
     b = vh[0, :].reshape(d_right, d_right)
     # least-squares unitarization scale: s^2 = tr(AA^dag) / ||AA^dag||_F^2
@@ -106,21 +81,26 @@ def _peel(u: np.ndarray, d_left: int, tol: float, cut: int) -> tuple[np.ndarray,
     return _fix_leading_phase(s * a, (float(sv[0]) / s) * b)
 
 
-def factor_full(v, profile: DimProfile, tol: float) -> FactorSet:
-    """Peel unitary factors left to right across the sequential cuts.
+def factor_full(
+    v, profile: DimProfile, tol: float
+) -> tuple[list[RankOneReport], FactorSet | None]:
+    """The cut reports of a unitary v, and its factors when every cut passes.
 
-    Raises NotDecomposableError naming the first failing cut.  Only the
-    input's unitarity is checked: a remainder is as close to unitary as v is
-    to a product, so a near product that passes the rank-one tests factors.
-    The phase convention fixes every left factor's leading entry real
+    Unitarity is checked once, on v: a remainder is as close to unitary as v
+    is to a product, so a near product that passes the rank-one tests
+    factors.  Factors are peeled left to right across the sequential cuts;
+    the phase convention fixes every left factor's leading entry real
     positive, pushing the accumulated global phase into the final factor.
     """
     v = _checked_unitary(v, profile, "factor_full input")
+    reports = cut_reports(v, profile, tol)
+    if not all(r.is_rank_one for r in reports):
+        return reports, None
     factors: list[np.ndarray] = []
     rest = v
-    for cut, d_left in enumerate(profile.dims[:-1], 1):
-        left, rest = _peel(rest, d_left, tol, cut)
+    for d_left in profile.dims[:-1]:
+        left, rest = _peel(rest, d_left)
         factors.append(left)
     factors.append(rest)
     residual = float(np.linalg.norm(kron_all(factors) - v))
-    return FactorSet(factors=tuple(factors), residual=residual)
+    return reports, FactorSet(factors=tuple(factors), residual=residual)

@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .decompose import FactorSet, NotDecomposableError, cut_reports, factor_full, unitarity_defect
+from .decompose import FactorSet, factor_full, unitarity_defect
 from .oracle import haar_unitary, reduced_density
 from .search import run_search
 from .spectral import TOL, RankOneReport, degeneracy_profile, spectra_match
@@ -726,17 +726,10 @@ def check_equivalence(
 
     def certify(point: np.ndarray):
         """The exact cut reports of a point, and its verified witness or None."""
-        v = ctx.build(point)
-        reports = cut_reports(v, rho.profile, config.rank_tol)
-        # f bounds sum (sigma2/sigma1)^2, so a search success passes this too;
-        # soundness rests on the verified witness, not on this gate
-        if not all(r.is_rank_one for r in reports):
-            return reports, None
-        try:
-            fs = factor_full(v, rho.profile, config.rank_tol)
-        except NotDecomposableError:
-            return reports, None
-        return reports, _verified(rho, rho_prime, fs.adjoints())
+        # f bounds sum (sigma2/sigma1)^2, so a search success passes the cut
+        # tests too; soundness rests on the verified witness, not on them
+        reports, fs = factor_full(ctx.build(point), rho.profile, config.rank_tol)
+        return reports, None if fs is None else _verified(rho, rho_prime, fs.adjoints())
 
     def coset_verdict(point: np.ndarray, path: str, outcome=None) -> Verdict:
         reports, verified = certify(point)

@@ -7,6 +7,7 @@ unitaries, and keep those unitaries as the certified witness.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,7 +73,7 @@ def random_density(
     """U Lambda U^dag with U Haar on the full space.
 
     spectrum_kind is either the string "generic-nondegenerate" or an explicit
-    eigenvalue list (non-negative, summing to 1).
+    eigenvalue list (finite, non-negative, summing to 1).
     """
     rng = _rng(seed)
     n = profile.total
@@ -84,8 +85,8 @@ def random_density(
         lam = np.asarray(spectrum_kind, dtype=float).reshape(-1)
         if lam.size != n:
             raise ValueError(f"planted spectrum has {lam.size} values, expected {n}")
-        if np.any(lam < 0):
-            raise ValueError("planted eigenvalues must be non-negative")
+        if not np.all(lam >= 0):  # NaN fails too; the sum test below catches inf
+            raise ValueError(f"spectrum_kind eigenvalues must be non-negative, got {lam.tolist()}")
         if abs(lam.sum() - 1.0) > 1e-9:
             raise ValueError(f"planted eigenvalues sum to {lam.sum()}, expected 1")
         lam = np.sort(lam / lam.sum())[::-1]
@@ -122,9 +123,14 @@ def make_equivalent_pair(profile: DimProfile, seed: int) -> PairSample:
 
 
 def make_degenerate_pair(profile: DimProfile, seed: int) -> PairSample:
-    """Planted pair whose common spectrum has one multiplicity-2 block."""
-    rng = np.random.default_rng([int(seed), 0xDE9])
+    """Planted pair whose common spectrum has one multiplicity-2 block.
+
+    ValueError when D < 2: a one-level spectrum has no pair to merge.
+    """
     n = profile.total
+    if n < 2:
+        raise ValueError(f"profile: a degenerate pair needs total dimension >= 2, got {n}")
+    rng = np.random.default_rng([int(seed), 0xDE9])
     lam = _generic_spectrum(n, rng)
     k = int(rng.integers(0, n - 1))
     merged = (lam[k] + lam[k + 1]) / 2.0
@@ -139,12 +145,15 @@ def make_spectrum_mismatch_pair(
     """Same eigenvectors, one eigenvalue pair shifted by +/- delta.
 
     The shift is capped at lambda_2 / 2 of the drawn spectrum, which keeps the
-    shifted eigenvalue non-negative at any dimension.  ValueError when D < 2:
-    the one unit-trace spectrum of D = 1 has no mismatched partner.
+    shifted eigenvalue non-negative at any dimension.  ValueError unless
+    delta > 0 (a zero shift is no mismatch), and when D < 2: the one
+    unit-trace spectrum of D = 1 has no mismatched partner.
     """
+    if not delta > 0:  # NaN fails too
+        raise ValueError(f"delta must be positive, got {delta}")
     n = profile.total
     if n < 2:
-        raise ValueError(f"a spectrum mismatch needs total dimension >= 2, got {n}")
+        raise ValueError(f"profile: a spectrum mismatch needs total dimension >= 2, got {n}")
     rng = np.random.default_rng([int(seed), 0x5B])
     lam = _generic_spectrum(n, rng)
     delta = min(delta, lam[1] / 2.0)
@@ -198,13 +207,6 @@ def reduced_density(rho: DensityMatrix, site: int) -> np.ndarray:
     m = len(dims)
     if not 0 <= site < m:
         raise ValueError(f"site must be in [0, {m - 1}], got {site}")
-    t = as_cmatrix(rho.matrix).reshape(*dims, *dims)
-    # contract bra/ket legs of every traced site via einsum
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    labels = list(letters[: 2 * m])
-    for i in range(m):
-        if i != site:
-            labels[m + i] = labels[i]
-    spec = "".join(labels) + "->" + labels[site] + labels[m + site]
-    out = np.einsum(spec, t)
-    return np.ascontiguousarray(out)
+    before, d, after = math.prod(dims[:site]), dims[site], math.prod(dims[site + 1 :])
+    t = as_cmatrix(rho.matrix).reshape(before, d, after, before, d, after)
+    return np.ascontiguousarray(np.einsum("aibajb->ij", t))

@@ -17,7 +17,8 @@ from .tensor import LEAD_RTOL, as_cmatrix
 #   trace warning (validate_density)     |tr rho - 1|               1
 #   PSD (validate_density)               -lambda_min                1
 #   unitarity (factor_full input,        ||U U^dag - I||_F          1
-#     every witness factor)
+#     once per unitary; every witness
+#     factor)
 #   witness residual                     ||W rho W^dag - rho'||_F   max(1, ||rho||_F)
 #   spectra match (spec_tol)             max |lambda - lambda'|     1
 #   degeneracy grouping (spec_tol)       adjacent eigenvalue gap    1
@@ -26,7 +27,8 @@ from .tensor import LEAD_RTOL, as_cmatrix
 # Four thresholds are not rows: none is TOL times a scale, and none decides
 # soundness, which rests on the witness gate (the unitarity and witness
 # residual rows) alone.  rank_tol (SearchConfig, --tol-rank) bounds a
-# singular-value ratio, sigma2 / sigma1.  search.OBJECTIVE_POLISH and
+# singular-value ratio, sigma2 / sigma1, tested once per unitary V at each
+# of V's own cut realignments (factor_full).  search.OBJECTIVE_POLISH and
 # search.ESCAPE_LEVEL_PER_CUT set only the search's cost and reach; a point
 # it returns must still pass the gate.  tensor.LEAD_RTOL only breaks ties
 # between equal magnitudes when a phase convention picks a leading entry.
@@ -141,30 +143,22 @@ def spectra_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
     return bool(np.max(np.abs(s1.eigenvalues - s2.eigenvalues)) <= tol)
 
 
-def rank_one_report(s1: float, s2: float, tol: float, cut: int | None = None) -> RankOneReport:
-    """Rank-one verdict from the two leading singular values sigma1 >= sigma2.
-
-    is_rank_one <=> sigma1 > 0 and sigma2 <= tol * sigma1.  The ratio is
-    scale-invariant, so the verdict ignores any overall scalar factor.
-    """
-    if not 0 < tol < 1:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    ratio = s2 / s1 if s1 > 0 else 0.0
-    return RankOneReport(
-        sigma1=s1,
-        sigma2=s2,
-        ratio=ratio,
-        is_rank_one=bool(s1 > 0 and s2 <= tol * s1),
-        cut=cut,
-    )
-
-
 def rank_one_test(m, tol: float, cut: int | None = None) -> RankOneReport:
     """Rank-one verdict via the ratio of the two leading singular values of m.
 
+    is_rank_one <=> sigma1 > 0 and sigma2 <= tol * sigma1.  The ratio is
+    scale-invariant, so the verdict ignores any overall scalar factor.
     sigma2 is 0 when min(shape) < 2, so a nonzero single row or column is rank one.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     sv = np.linalg.svd(as_cmatrix(m), compute_uv=False)
     s1 = float(sv[0]) if sv.size else 0.0
     s2 = float(sv[1]) if sv.size > 1 else 0.0
-    return rank_one_report(s1, s2, tol, cut=cut)
+    return RankOneReport(
+        sigma1=s1,
+        sigma2=s2,
+        ratio=s2 / s1 if s1 > 0 else 0.0,
+        is_rank_one=bool(s1 > 0 and s2 <= tol * s1),
+        cut=cut,
+    )

@@ -165,15 +165,14 @@ def test_criterion_5_decomposability_oracle_equivalence():
         for _ in range(200):
             profile = _random_profile(rng)
             v = lq.kron_all([lq.haar_unitary(d, rng) for d in profile.dims])
-            ok, reports = lq.is_decomposable(v, profile, 1e-7)
-            assert ok and all(r.ratio < 1e-12 for r in reports), profile.dims
-            fs = lq.factor_full(v, profile, 1e-7)
+            reports, fs = lq.factor_full(v, profile, 1e-7)
+            assert fs is not None and all(r.ratio < 1e-12 for r in reports), profile.dims
             assert fs.residual < 1e-9, profile.dims
         for _ in range(200):
             profile = _random_profile(rng)
             v = lq.haar_unitary(profile.total, rng)
-            ok, reports = lq.is_decomposable(v, profile, 1e-7)
-            assert not ok, profile.dims
+            reports, fs = lq.factor_full(v, profile, 1e-7)
+            assert fs is None, profile.dims
             assert max(r.ratio for r in reports) > 1e-2, profile.dims
 
 

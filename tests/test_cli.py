@@ -259,6 +259,27 @@ def test_check_usage_error_exit_one(capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "{tmp}/missing.json", "{tmp}/missing.json"],
+        ["check", "{tmp}", "{tmp}"],
+        ["gen", "pair-equivalent", "--dims", "2,x", "-o", "{tmp}/g"],
+        ["gen", "pair-equivalent", "--dims", "4", "-o", "{tmp}/g"],
+        ["gen", "pair-equivalent", "-o", "{tmp}/g"],
+    ],
+    ids=["missing-file", "directory", "unparsable-dims", "one-dim", "no-dims"],
+)
+def test_input_error_is_one_error_line(tmp_path, capsys, args):
+    rc = main([a.format(tmp=tmp_path) for a in args])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_defaults_are_the_search_config_defaults():
     assert _config_from(build_parser().parse_args(["check", "a", "b"])) == SearchConfig()
 

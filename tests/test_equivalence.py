@@ -15,7 +15,7 @@ from luequiv import (
     cut_reports,
     degeneracy_profile,
     eig_hermitian,
-    is_decomposable,
+    factor_full,
     kron_all,
     paper_example,
     validate_density,
@@ -143,8 +143,8 @@ def test_build_v0_degenerate_bell_pair():
     ctx = CosetContext(s1.basis, s2.basis, DimProfile((2, 2)), sizes)
     v0 = ctx.build(np.concatenate([blk.ravel() for blk in blocks]))
     assert np.allclose(v0, hh, atol=1e-12)
-    ok, reports = is_decomposable(v0, DimProfile((2, 2)), 1e-7)
-    assert ok and reports[0].ratio < 1e-12
+    reports, fs = factor_full(v0, DimProfile((2, 2)), 1e-7)
+    assert fs is not None and reports[0].ratio < 1e-12
 
 
 def test_build_v0_size_mismatch():
@@ -192,8 +192,8 @@ def test_phase_search_paper_pair_and_decompose_agreement():
     outcome = _coset_search(ctx, QUICK)
     assert outcome.objective <= QUICK.rank_tol**2
     theta = np.angle(outcome.point)
-    ok, _ = is_decomposable(ctx.build(np.exp(1j * theta)), rho.profile, 1e-7)
-    assert ok
+    _, fs = factor_full(ctx.build(np.exp(1j * theta)), rho.profile, 1e-7)
+    assert fs is not None
 
 
 def test_coset_build_matches_build_v_and_build_v0():
@@ -312,9 +312,12 @@ def test_witness_gate_rejects_non_unitary_search_factors(monkeypatch):
     assert verdict.status is VerdictStatus.EQUIVALENT and verdict.path == "coset"
     assert verify_witness(rho, rho_prime, scaled(verdict.witness.factors)) <= TOL
     real = equivalence.factor_full
-    monkeypatch.setattr(
-        equivalence, "factor_full", lambda *args: scaled(real(*args).factors)
-    )
+
+    def factor_scaled(*args):
+        reports, fs = real(*args)
+        return reports, None if fs is None else scaled(fs.factors)
+
+    monkeypatch.setattr(equivalence, "factor_full", factor_scaled)
     verdict = check_equivalence(rho, rho_prime, QUICK)
     assert verdict.status is VerdictStatus.NOT_FOUND and verdict.witness is None
 
@@ -605,7 +608,7 @@ def test_frame_rung_skips_the_coset(monkeypatch):
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(CosetContext, "__init__", init)
-        for name in ("cut_reports", "factor_full", "run_search"):
+        for name in ("factor_full", "run_search"):
             monkeypatch.setattr(equivalence, name, lambda *a, _n=name, **k: calls.append(_n))
         verdict, factors, _ = _check_with_frame(monkeypatch, sample.rho, sample.rho_prime, config)
         assert calls == [], (label, calls)
