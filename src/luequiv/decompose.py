@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import TOL, RankOneReport, rank_one_test
-from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all, leading_index, realign
+from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all, lead_phases, realign
 
 
 @dataclass(frozen=True)
@@ -55,21 +55,14 @@ def cut_reports(v, profile: DimProfile, tol: float) -> list[RankOneReport]:
     ]
 
 
-def _fix_leading_phase(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Make the largest-magnitude entry of the left factor real positive."""
-    lead = left.flat[leading_index(left)]
-    if abs(lead) == 0:
-        return left, right
-    phase = lead / abs(lead)
-    return left / phase, right * phase
-
-
 def _peel(u: np.ndarray, d_left: int) -> tuple[np.ndarray, np.ndarray]:
     """Split u across its d_left | rest cut into (U_1, U_2).
 
     From the leading singular triple sigma * x * y^t of the realignment,
     U_1 = s * X and U_2 = (sigma / s) * Y, with X and Y the row-major square
     reshapes of x and y and s > 0 chosen to minimize ||U_1 U_1^dag - I||_F.
+    U_1's leading entry, row-major (tensor.lead_phases), is made real
+    positive and its phase moved onto U_2.
     """
     d_right = u.shape[0] // d_left
     uu, sv, vh = np.linalg.svd(_realign_matrix(u, d_left, d_right), full_matrices=False)
@@ -78,7 +71,9 @@ def _peel(u: np.ndarray, d_left: int) -> tuple[np.ndarray, np.ndarray]:
     # least-squares unitarization scale: s^2 = tr(AA^dag) / ||AA^dag||_F^2
     aa = a @ a.conj().T
     s = float(np.sqrt(np.trace(aa).real / np.linalg.norm(aa) ** 2))
-    return _fix_leading_phase(s * a, (float(sv[0]) / s) * b)
+    left = s * a
+    phase = lead_phases(left.reshape(-1, 1))[0]
+    return left / phase, (float(sv[0]) / s) * b * phase
 
 
 def factor_full(

@@ -311,6 +311,13 @@ class CosetContext:
         det = first[:, 0] if n1 == 1 else np.linalg.det(first.reshape(-1, n1, n1))
         return out * np.exp(-1j * np.angle(det) / n1)[:, np.newaxis]
 
+    def nearest(self, point: np.ndarray) -> np.ndarray | None:
+        """The coset point nearest one point, or None when it is zero on a 1x1
+        entry, which has no nearest phase."""
+        if np.any(point[self.phase_entries] == 0):
+            return None
+        return self.project(point[np.newaxis])[0]
+
     def project(self, points: np.ndarray) -> np.ndarray:
         """Nearest coset points: a unit phase per 1x1 block, the polar factor of a larger one."""
         out = points.copy()
@@ -472,10 +479,7 @@ def _lift(ctx: CosetContext, rank_tol: float) -> tuple[bool, np.ndarray | None]:
     j = np.argmax(np.abs(np.diagonal(e)))
     if e[j, j] == 0:
         return False, None
-    point = e[:, j] / np.sqrt(e[j, j])
-    if np.any(point[ctx.phase_entries] == 0):
-        return False, None
-    return False, ctx.project(point[np.newaxis])[0]
+    return False, ctx.nearest(e[:, j] / np.sqrt(e[j, j]))
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
@@ -537,12 +541,12 @@ def _frame_factors(
     M_i's leading (Perron) eigenvector.  B o conj(A) is positive
     semidefinite (Schur), which is why its partial traces are taken as a
     DensityMatrix's.  None when a pair of marginal spectra differ by more
-    than tol (spec_tol), a marginal has a gap <= tol, or M_i's top gap is
-    within TOL of its span.
+    than tol (spec_tol), degeneracy_profile groups two eigenvalues of a
+    marginal of rho at tol, or M_i's top gap is within TOL of its span.
     """
     profile = rho.profile
     for w, _ in marginals:
-        if np.max(np.abs(w[0] - w[1])) > tol or np.any(np.diff(w[0]) <= tol):
+        if np.max(np.abs(w[0] - w[1])) > tol or max(degeneracy_profile(w[0], tol)) > 1:
             return None
     # eigh's column phases are a diagonal gauge, which M_i's phases absorb
     frames = [v for _, v in marginals]
@@ -561,13 +565,9 @@ def _frame_factors(
 
 
 def _frame_point(ctx: CosetContext, factors) -> np.ndarray | None:
-    """X^dag W^dag Y read on the coset's entries and projected onto the coset,
-    or None when it is zero on a 1x1 block, which has no nearest phase."""
+    """CosetContext.nearest of X^dag W^dag Y read on the coset's entries."""
     w_dag = kron_all([u.conj().T for u in factors])
-    point = (ctx.x.conj().T @ w_dag @ ctx.y)[ctx.rows, ctx.cols]
-    if np.any(point[ctx.phase_entries] == 0):
-        return None
-    return ctx.project(point[np.newaxis])[0]
+    return ctx.nearest((ctx.x.conj().T @ w_dag @ ctx.y)[ctx.rows, ctx.cols])
 
 
 def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: FactorSet) -> float:
@@ -600,8 +600,10 @@ def _verified(rho: DensityMatrix, rho_prime: DensityMatrix, witness: FactorSet):
 
 
 def _phases(point: np.ndarray) -> np.ndarray:
-    """The angles of a non-degenerate coset point, measured from a_1 (theta_1 = 0)."""
-    return (np.angle(point) - np.angle(point[0])) % (2.0 * np.pi)
+    """The angles of a non-degenerate coset point, measured from a_1 (theta_1 = 0),
+    in [0, 2 pi): the modulo rounds a tiny negative difference up to 2 pi."""
+    theta = (np.angle(point) - np.angle(point[0])) % (2.0 * np.pi)
+    return np.where(theta == 2.0 * np.pi, 0.0, theta)
 
 
 def check_equivalence(
@@ -693,17 +695,17 @@ def check_equivalence(
     fallback = max(sizes) > 1
     marginals = _marginal_eighs(rho, rho_prime)
     marginal_distance = _marginal_distance(rho.profile, marginals)
-    distance_lower = max(spectral_distance, marginal_distance)
+    # the fields every verdict past the spectra shares
+    verdict = functools.partial(
+        Verdict,
+        used_degenerate_fallback=fallback,
+        seed=config.seed,
+        distance_lower=max(spectral_distance, marginal_distance),
+    )
     if marginal_distance > _gate_distance(rho):
         # every product unitary is farther than the witness gate allows, so no
         # search point could certify: NOT_FOUND, still no claim of inequivalence
-        return Verdict(
-            status=VerdictStatus.NOT_FOUND,
-            used_degenerate_fallback=fallback,
-            seed=config.seed,
-            path="bound",
-            distance_lower=distance_lower,
-        )
+        return verdict(VerdictStatus.NOT_FOUND, path="bound")
     factors = _frame_factors(rho, rho_prime, marginals, config.spec_tol)
     if factors is not None:
         verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
@@ -711,15 +713,12 @@ def check_equivalence(
             witness, residual, w = verified
             # x_m^dag W^dag y_m for each m, from the gate's W and one D x D product
             point = None if fallback else np.sum(s1.basis.conj() * (w.conj().T @ s2.basis), axis=0)
-            return Verdict(
-                status=VerdictStatus.EQUIVALENT,
+            return verdict(
+                VerdictStatus.EQUIVALENT,
                 witness=witness,
                 witness_residual=residual,
                 phases=None if fallback else _phases(point),
-                used_degenerate_fallback=fallback,
-                seed=config.seed,
                 path="frame",
-                distance_lower=distance_lower,
             )
 
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
@@ -734,8 +733,8 @@ def check_equivalence(
     def coset_verdict(point: np.ndarray, path: str, outcome=None) -> Verdict:
         reports, verified = certify(point)
         witness, residual, _ = verified or (None, None, None)
-        return Verdict(
-            status=VerdictStatus.NOT_FOUND if verified is None else VerdictStatus.EQUIVALENT,
+        return verdict(
+            VerdictStatus.NOT_FOUND if verified is None else VerdictStatus.EQUIVALENT,
             witness=witness,
             witness_residual=residual,
             phases=None if fallback else _phases(point),
@@ -743,11 +742,8 @@ def check_equivalence(
             objective_history=[] if outcome is None else outcome.history,
             # the paper's surrogate; the search's f only bounds it from above
             best_objective=sum(r.ratio**2 for r in reports),
-            used_degenerate_fallback=fallback,
-            seed=config.seed,
             restarts_used=0 if outcome is None else outcome.restarts_used,
             path=path,
-            distance_lower=distance_lower,
         )
 
     if ctx.size <= LIFT_MAX_SIZE:
@@ -755,17 +751,11 @@ def check_equivalence(
         if excluded:
             # no coset point passes the rank-one test, so no search point
             # could certify: NOT_FOUND, as on "bound", with no search
-            return Verdict(
-                status=VerdictStatus.NOT_FOUND,
-                used_degenerate_fallback=fallback,
-                seed=config.seed,
-                path="lift",
-                distance_lower=distance_lower,
-            )
+            return verdict(VerdictStatus.NOT_FOUND, path="lift")
         if point is not None:
-            verdict = coset_verdict(point, "lift")
-            if verdict.status is VerdictStatus.EQUIVALENT:
-                return verdict
+            lifted = coset_verdict(point, "lift")
+            if lifted.status is VerdictStatus.EQUIVALENT:
+                return lifted
 
     outcome = run_search(
         ctx,

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from .spectral import TOL, degeneracy_profile
 from .states import DensityMatrix
 from .tensor import DimProfile, as_cmatrix, kron_all
 
@@ -176,14 +177,15 @@ def paper_example(a: float, b: float, c: float) -> tuple[DensityMatrix, DensityM
     """The 2x2x2 fixture pair: corner-coupled diagonals, trace-normalized.
 
     The two operators share the unnormalized eigenvalue multiset
-    {2, 0, 1/a, a, 1/b, b, 1/c, c}; the spectrum is non-degenerate whenever
-    those eight values are pairwise distinct.  A warning is issued otherwise.
+    {2, 0, 1/a, a, 1/b, b, 1/c, c}, divided by the trace, their sum.  A
+    warning is issued when degeneracy_profile groups two of them at TOL,
+    which is when ``check`` at its default spec_tol takes the block search
+    instead of the phase criterion.
     """
     if not all(0 < p < np.inf for p in (a, b, c)):  # NaN fails both
         raise ValueError(f"parameters must be positive and finite, got {(a, b, c)}")
     vals = np.array([2.0, 0.0, 1 / a, a, 1 / b, b, 1 / c, c])
-    gaps = np.min(np.diff(np.sort(vals)))
-    if gaps < 1e-9:
+    if max(degeneracy_profile(np.sort(vals) / vals.sum(), TOL)) > 1:
         warnings.warn(
             f"parameters {(a, b, c)} give a degenerate spectrum; "
             "the phase criterion needs distinct eigenvalues",

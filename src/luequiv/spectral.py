@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import LEAD_RTOL, as_cmatrix
+from .tensor import as_cmatrix, lead_phases
 
 # The one tolerance scale of the package.  Each check below compares its
 # quantity with TOL times its scale; spec_tol (SearchConfig, --tol-spec,
@@ -21,7 +21,11 @@ from .tensor import LEAD_RTOL, as_cmatrix
 #     factor)
 #   witness residual                     ||W rho W^dag - rho'||_F   max(1, ||rho||_F)
 #   spectra match (spec_tol)             max |lambda - lambda'|     1
-#   degeneracy grouping (spec_tol)       adjacent eigenvalue gap    1
+#   degeneracy grouping                  adjacent eigenvalue gap    1
+#     (degeneracy_profile, the one
+#     grouping rule: coset blocks and
+#     marginal frames at spec_tol,
+#     paper_example's warning at TOL)
 #   frame phase gap (M_i, equivalence)   top eigenvalue gap         span of M_i
 #
 # Four thresholds are not rows: none is TOL times a scale, and none decides
@@ -31,7 +35,8 @@ from .tensor import LEAD_RTOL, as_cmatrix
 # of V's own cut realignments (factor_full).  search.OBJECTIVE_POLISH and
 # search.ESCAPE_LEVEL_PER_CUT set only the search's cost and reach; a point
 # it returns must still pass the gate.  tensor.LEAD_RTOL only breaks ties
-# between equal magnitudes when a phase convention picks a leading entry.
+# between equal magnitudes when tensor.lead_phases, the one leading-entry
+# phase convention (eigenvectors, peeled factors), picks a column's entry.
 TOL = 1e-8
 
 
@@ -63,18 +68,6 @@ class RankOneReport:
     cut: int | None = None
 
 
-def _fix_column_phases(m: np.ndarray) -> np.ndarray:
-    """Rotate each column so its leading entry (as ``leading_index`` picks it) is real positive."""
-    mags = np.abs(m)
-    rows = np.argmax(mags >= mags.max(axis=0) * (1.0 - LEAD_RTOL), axis=0)
-    cols = np.arange(m.shape[1])
-    lead, size = m[rows, cols], mags[rows, cols]
-    keep = size > 0
-    out = m.copy()
-    out[:, keep] /= lead[keep] / size[keep]
-    return out
-
-
 def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
     """ValueError unless ||H - H^dag||_F <= TOL * max(1, ||H||_F)."""
     dev = float(np.linalg.norm(h - h.conj().T))
@@ -85,8 +78,8 @@ def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
 def eig_hermitian(h) -> Spectrum:
     """Decompose a Hermitian matrix as X diag(lambda) X^dag, lambda descending.
 
-    Deterministic: eigenvector phases are fixed per column and exact eigenvalue
-    ties are ordered lexicographically by the resulting vectors.
+    Deterministic: eigh is, and each column's leading entry is made real
+    positive (tensor.lead_phases).
     """
     h = as_cmatrix(h)
     if h.shape[0] != h.shape[1]:
@@ -99,21 +92,8 @@ def _eig_checked(h: np.ndarray) -> Spectrum:
     """eig_hermitian of a square matrix already checked by require_hermitian."""
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    v = _fix_column_phases(v)
-    # exact float ties: order tied columns lexicographically for reproducibility
-    j = 0
-    n = w.size
-    while j < n:
-        k = j + 1
-        while k < n and w[k] == w[j]:
-            k += 1
-        if k - j > 1:
-            block = v[:, j:k]
-            keys = np.concatenate([block.real, block.imag], axis=0)
-            order = np.lexsort(keys[::-1])
-            v[:, j:k] = block[:, order]
-        j = k
+    v = v[:, ::-1]
+    v = v / lead_phases(v)
     w.setflags(write=False)
     v.setflags(write=False)
     return Spectrum(eigenvalues=w, basis=v)

@@ -61,14 +61,19 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def leading_index(a, rtol: float = LEAD_RTOL) -> int:
-    """Flat index of the first entry within rtol of the maximum magnitude.
+def lead_phases(m: np.ndarray) -> np.ndarray:
+    """The unit phase of each column's leading entry, 1 for a zero column.
 
-    Plain argmax is unstable when magnitudes tie up to rounding (common for
-    2x2 unitaries); the tolerance makes phase conventions reproducible.
+    The leading entry is the column's first within LEAD_RTOL of its largest
+    magnitude: plain argmax is unstable when magnitudes tie up to rounding
+    (common for 2x2 unitaries), and the tolerance makes every phase
+    convention that divides by these phases reproducible.
     """
-    mags = np.abs(np.asarray(a)).reshape(-1)
-    return int(np.argmax(mags >= mags.max() * (1.0 - rtol)))
+    mags = np.abs(m)
+    rows = np.argmax(mags >= mags.max(axis=0) * (1.0 - LEAD_RTOL), axis=0)
+    cols = np.arange(m.shape[1])
+    lead, size = m[rows, cols], mags[rows, cols]
+    return np.divide(lead, size, out=np.ones_like(lead), where=size > 0)
 
 
 def kron_all(mats) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -195,6 +196,7 @@ def _check_bad_file_exit_one(tmp_path, capsys, content: bytes):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 def test_check_parse_error_exit_one(tmp_path, capsys):
@@ -206,6 +208,26 @@ def test_check_parse_error_exit_one(tmp_path, capsys):
         b'{"dims":[1,2],"data":[[Infinity,0],[0,0],[0,0],[1,0]]}',
     ):
         _check_bad_file_exit_one(tmp_path, capsys, content)
+
+
+def _dims_file(diagonal) -> bytes:
+    n = len(diagonal)
+    data = [[float(diagonal[i // n]) if i % (n + 1) == 0 else 0.0, 0.0] for i in range(n * n)]
+    return json.dumps({"dims": [2, n // 2], "data": data}).encode()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[[1, 0], [0, 0], [0, 0], [1, 0]]", "must be a JSON object"),
+        (b'{"shape":[2,2],"data":[[1,0],[0,0],[0,0]]}', "data length 3 != shape 2x2"),
+        (_dims_file([0.0] * 4), "non-positive trace"),
+        (_dims_file([-1.0] * 4), "non-positive trace"),
+    ],
+    ids=["json-array", "shape-mismatch", "zero-matrix", "minus-identity"],
+)
+def test_check_rejected_input_is_one_error_line(tmp_path, capsys, content, message):
+    assert message in _check_bad_file_exit_one(tmp_path, capsys, content)
 
 
 def test_check_deeply_nested_file_exit_one(tmp_path, capsys):
@@ -642,3 +664,17 @@ def test_check_into_a_closed_pipe_exits_one_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait() == 1
     assert "Traceback" not in err
+
+
+def test_main_into_a_closed_pipe_returns_one_in_process(tmp_path, capsys, monkeypatch):
+    # the write fails once the verdict is flushed; the handler sends the rest
+    # of stdout to devnull, so closing the pipe's file afterwards cannot fail
+    prefix = _gen(tmp_path, "paper-example")
+    capsys.readouterr()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", pipe)
+        rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json", "--json", *FAST])
+    assert rc == 1
+    assert capsys.readouterr().err == ""

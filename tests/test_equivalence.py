@@ -32,7 +32,7 @@ from luequiv.search import (
     _align_until_stall,
     run_search,
 )
-from luequiv.spectral import TOL
+from luequiv.spectral import TOL, Spectrum
 from luequiv.oracle import (
     haar_unitary,
     local_unitaries,
@@ -423,6 +423,48 @@ def test_maximally_mixed_against_a_local_rotation_is_one_block(dims, seed):
     assert verdict.witness_residual <= TOL
 
 
+def _diagonal_tie_plant():
+    """diag(1, 1, 1, 1, 2, 2, 3, 3) / 14 and its image under I kron X kron I."""
+    rho = DensityMatrix(
+        matrix=np.diag([1, 1, 1, 1, 2, 2, 3, 3]).astype(complex) / 14, profile=DimProfile((2, 2, 2))
+    )
+    flip = kron_all([np.eye(2), np.array([[0, 1], [1, 0]]), np.eye(2)])
+    return rho, DensityMatrix(matrix=flip @ rho.matrix @ flip, profile=rho.profile)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_maximally_mixed_pair, lambda: (werner(3, 0.0), werner(3, 0.0)), _diagonal_tie_plant],
+    ids=["I/4", "werner-3x3-p0", "diagonal-2x2x2"],
+)
+def test_order_of_tied_eigenvectors_leaves_the_verdict(monkeypatch, make):
+    # a block's coset is the same set in any basis of its eigenspace, so
+    # reversing rho's tied eigenvector columns within each block changes
+    # neither the status nor the path
+    rho, rho_prime = make()
+    config = SearchConfig(seed=1)
+    want = check_equivalence(rho, rho_prime, config)
+    calls = []
+
+    def validate(state):
+        checked, spectrum = validate_density(state)
+        calls.append(state)
+        if len(calls) > 1:
+            return checked, spectrum
+        x, start = spectrum.basis.copy(), 0
+        for n in degeneracy_profile(spectrum.eigenvalues, TOL):
+            x[:, start : start + n] = x[:, start : start + n][:, ::-1]
+            start += n
+        assert not np.array_equal(x, spectrum.basis)
+        return checked, Spectrum(eigenvalues=spectrum.eigenvalues, basis=x)
+
+    monkeypatch.setattr(equivalence, "validate_density", validate)
+    got = check_equivalence(rho, rho_prime, config)
+    assert len(calls) == 2
+    assert got.used_degenerate_fallback and want.used_degenerate_fallback
+    assert (got.status, got.path) == (want.status, want.path)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_noisy_werner_against_a_local_rotation_is_equivalent(seed):
     # eigenvalues 1/10 (x3) and 7/60 (x6), span 1/60: noise of norm 3e-9 on
@@ -644,6 +686,19 @@ def test_frame_verdict_builds_its_witness_operator_once(monkeypatch):
         assert len(calls) == 3, label
         residual = verify_witness(sample.rho, sample.rho_prime, verdict.witness)
         assert verdict.witness_residual == residual, label
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 2), (2, 2, 2), (2, 3), (3, 3)], ids=["2x2", "2x2x2", "2x3", "3x3"]
+)
+def test_phases_of_a_state_against_itself_are_zero_and_below_two_pi(dims):
+    # (angle - angle_1) mod 2 pi rounds a tiny negative difference up to
+    # exactly 2 pi, which _phases folds to 0
+    for seed in range(20):
+        rho = random_density(DimProfile(dims), seed=seed)
+        phases = check_equivalence(rho, rho).phases
+        assert np.all((phases >= 0.0) & (phases < 2.0 * np.pi)), seed
+        assert np.max(phases) <= 1e-12, seed
 
 
 @pytest.mark.parametrize(

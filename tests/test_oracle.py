@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,22 @@ def test_paper_example_unnormalized_multiset():
 def test_paper_example_warns_on_degenerate_parameters():
     with pytest.warns(UserWarning, match="degenerate"):
         paper_example(2.0, 5.0, 7.0)
+
+
+@pytest.mark.parametrize(
+    "params, degenerate",
+    [((3.0, 5.0, 5.0 + 5e-8), True), ((2.0, 3.0, 4.0), True), ((3.0, 5.0, 7.0), False)],
+    ids=["near-tie", "tie", "distinct"],
+)
+def test_paper_example_warns_exactly_when_check_takes_the_block_search(params, degenerate):
+    # 5 and 5 + 5e-8 are 3e-9 apart once divided by the trace, within the
+    # default spec_tol: the warning and check's coset blocks group alike
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rho, rho_prime = paper_example(*params)
+    assert len(caught) == degenerate
+    verdict = check_equivalence(rho, rho_prime, SearchConfig(sweeps=40, restarts=6))
+    assert verdict.used_degenerate_fallback is degenerate
 
 
 def test_paper_example_rejects_nonpositive():
