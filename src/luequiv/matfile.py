@@ -10,8 +10,14 @@ on repr-precision floats; stdlib ``json`` reads only a text orjson rejects
 (``NaN``, ``Infinity``, a number beyond the double range, a lone surrogate
 escape), so that such a text keeps json's outcome, and a text that may be
 nested deeply enough to crash orjson (NEST_CHARS).  Both read an integer
-beyond 64 bits as a double.  Files are written with stdlib ``json``, whose
-float spelling (``1e+60``) fixes the bytes of a file.
+beyond 64 bits as a double.
+
+A file's header (``dims`` or ``shape``, ``label``, ``seed``) is written by
+stdlib ``json``, which escapes a non-ASCII label, so the file stays ASCII.
+Its data is written by orjson, which picks the same shortest round-trip
+digits as ``repr`` at a fraction of its cost, and is then re-spelled to
+``repr``'s layout (_RESPELL).  So a file has the bytes stdlib ``json``
+would write for the whole document, as before orjson wrote the data.
 
 parse_matrix pauses the cyclic garbage collector while the decoded document
 is alive.  orjson builds one list per entry pair (4,097 lists for a 64x64
@@ -25,6 +31,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -58,8 +65,19 @@ class MatrixFile:
         return DensityMatrix(matrix=self.matrix, profile=self.profile)
 
 
-def _encode_data(m: np.ndarray) -> list[list[float]]:
-    return np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist()
+# orjson and repr pick the same shortest round-trip digits for a float and
+# lay them out alike except in three places, which these rules re-spell: a
+# positive exponent, a one-digit negative exponent, and the [1e-5, 1e-4)
+# decade, which orjson writes as a decimal (the look-behind for "[", "," or
+# "-" leaves 10.00002785 as it is).
+_RESPELL = (
+    (re.compile(rb"e(?=\d)"), b"e+"),  # 1e16 -> 1e+16
+    (re.compile(rb"e-(\d)(?=[,\]])"), rb"e-0\1"),  # 1e-7 -> 1e-07
+    (  # [1e-5, 1e-4): 0.0000123 -> 1.23e-05, 0.00001 -> 1e-05
+        re.compile(rb"0\.0000(?<=[\[,-]0\.0000)(\d)(\d*)"),
+        lambda m: m[1] + b"." + m[2] + b"e-05" if m[2] else m[1] + b"e-05",
+    ),
+)
 
 
 def dump_matrix(
@@ -68,25 +86,36 @@ def dump_matrix(
     label: str | None = None,
     seed: int | None = None,
 ) -> str:
-    """Serialize a matrix; square operators should pass their dims."""
+    """Serialize a matrix; square operators should pass their dims.
+
+    The text equals ``json.dumps(doc, separators=(",", ":")) + "\n"`` for
+    the document whose keys are dims or shape, label, seed and data, in that
+    order, data being the [re, im] pairs as Python floats.  The header is
+    written by ``json`` and the data by orjson, re-spelled to repr's layout
+    (_RESPELL).
+    """
     m = as_cmatrix(m)
     if not np.isfinite(m).all():  # json would write NaN or Infinity
         raise MatrixFileError("matrix entries must be finite")
-    doc: dict = {}
+    header: dict = {}
     if dims is not None:
         dims = tuple(int(d) for d in dims)
         n = int(np.prod(dims))
         if m.shape != (n, n):
             raise MatrixFileError(f"matrix shape {m.shape} does not match dims {dims}")
-        doc["dims"] = list(dims)
+        header["dims"] = list(dims)
     else:
-        doc["shape"] = [int(m.shape[0]), int(m.shape[1])]
+        header["shape"] = [int(m.shape[0]), int(m.shape[1])]
     if label is not None:
-        doc["label"] = label
+        header["label"] = label
     if seed is not None:
-        doc["seed"] = int(seed)
-    doc["data"] = _encode_data(m)
-    return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
+        header["seed"] = int(seed)
+    pairs = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2)
+    data = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY)
+    for pattern, spelling in _RESPELL:
+        data = pattern.sub(spelling, data)
+    head = json.dumps(header, separators=(",", ":"))[:-1]  # without its "}"
+    return f'{head},"data":{data.decode()}}}\n'
 
 
 def save_matrix(path, m, dims=None, label=None, seed=None) -> None:

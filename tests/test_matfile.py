@@ -208,12 +208,53 @@ def test_dump_checks_dims():
         dump_matrix(np.eye(3), dims=(2, 2))
 
 
+def _stdlib_text(m, head):
+    """The text stdlib json writes for a matrix file: the reference encoding."""
+    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    return json.dumps({**head, "data": data}, separators=(",", ":")) + "\n"
+
+
 def test_dump_matches_per_entry_encoding():
     m = np.array([[-0.0, 5e-324 - 1e-310j], [1.7976931348623157e308j, complex(0.1, -0.0)]])
-    doc = {"shape": [2, 2], "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
-    expected = json.dumps(doc, separators=(",", ":")) + "\n"
+    expected = _stdlib_text(m, {"shape": [2, 2]})
     assert dump_matrix(m) == expected
     assert dump_matrix(m.T.copy().T) == expected  # column-major storage
+    # orjson writes the data, so every spelling must be repr's: a dims file
+    # of 131,072 seeded random bit patterns (1.0 for a non-finite one) ...
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 2**64, size=2 * 256 * 256, dtype=np.uint64).view(np.float64)
+    m = np.where(np.isfinite(bits), bits, 1.0).view(np.complex128).reshape(256, 256)
+    assert dump_matrix(m, dims=(2,) * 8, seed=29) == _stdlib_text(
+        m, {"dims": [2] * 8, "seed": 29}
+    )
+    # ... and a shape file of every power of two and of ten with both
+    # neighbours, zeros, subnormals and the edges of repr's layouts: the
+    # [1e-5, 1e-4) decade, one-digit and positive exponents, and numbers
+    # whose text holds "0.0000" but which are no decade numbers
+    powers = np.array([2.0**k for k in range(-1074, 1024)]
+                      + [float(f"1e{k}") for k in range(-323, 309)])
+    edges = [0.0, 5e-324, 1e-323, 2.225073858507201e-308, 1e-310,
+             1e-5, 9.999999999999999e-05, 1e-4, 1.5e-05, 1e-07, 1.2e-09,
+             9999999999999998.0, 1e16, 1.5e16, 10.00002785, 100000.00001234]
+    values = np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), edges]
+    )
+    values = values[np.isfinite(values)]
+    m = np.concatenate([values, -values]).view(np.complex128).reshape(1, -1)
+    assert dump_matrix(m) == _stdlib_text(m, {"shape": list(m.shape)})
+
+
+def test_dump_keeps_a_non_ascii_label_escaped(tmp_path):
+    # the data's re-spelling never reaches the header, even where the label
+    # reads like the numbers it re-spells
+    label = "ρ′ 1e16 0.00001 e-7 [0.00001,1e-7]"
+    m = np.diag([1e16, 1e-5j, 1e-7, 0.25])
+    path = tmp_path / "l.json"
+    save_matrix(path, m, dims=(2, 2), label=label)
+    raw = path.read_bytes()
+    assert raw.isascii()
+    assert raw.decode() == _stdlib_text(m, {"dims": [2, 2], "label": label})
+    assert load_matrix(path).label == label
 
 
 def test_dump_deterministic_bytes():
