@@ -144,10 +144,14 @@ def _report_check(verdict: Verdict, out) -> None:
             else "the lifted rank-one system shows no coset point can pass the rank-one test"
         )
         print(f"note: no search ran; {why}", file=out)
-    if verdict.path == "bound":
+    if verdict.path in ("bound", "invariant"):
+        why = {
+            "bound": "the marginal spectra",
+            "invariant": "the cycle products of the marginal eigenframes",
+        }[verdict.path]
         print(f"distance_lower: {verdict.distance_lower:.3e}", file=out)
         print(
-            "note: no search ran; the marginal spectra put every product unitary "
+            f"note: no search ran; {why} put every product unitary "
             "farther than the witness gate allows",
             file=out,
         )

@@ -15,8 +15,11 @@ conclusive negative); the bound rung, where the one-site marginal spectra
 put every product unitary image of rho farther from rho' than the witness
 gate lets through, and the verdict is NOT_FOUND on path "bound"; the frame
 rung, a local-eigenframe witness guess that verifies before any coset is
-built; the lift rung, where a Cholesky certificate on the lifted rank-one
-system (_lifted_gram) proves that no coset point passes the rank-one test
+built; the invariant rung, where, with non-degenerate marginals, the
+3-cycle (Bargmann) products of the pair in its marginal eigenframes do
+what the marginal spectra do on "bound" (NOT_FOUND on path "invariant");
+the lift rung, where a Cholesky certificate on the lifted rank-one system
+(_lifted_gram) proves that no coset point passes the rank-one test
 (NOT_FOUND on path "lift"), or else one eigensolve yields the one solution,
 which must then verify; and the coset search, which minimizes the smooth
 surrogate
@@ -66,7 +69,10 @@ from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
 # one failed certify: paper_example (S = 8) about 0.5-0.7 ms, Werner (2,.)
 # (S = 10) about 1.0 ms.  The cap is the largest S where the lift costs
 # less than every searched class measured; at S = 16 H and eigh alone are
-# slower than a searched plant.
+# slower than a searched plant.  The rho* rows were measured on generic
+# states, before the invariant rung, which now ends those checks first:
+# the lift's rho* traffic is inputs with a degenerate marginal (a
+# locally-mixed state against its conjugate), where H costs the same.
 LIFT_MAX_SIZE = 12
 
 
@@ -110,8 +116,8 @@ class Verdict:
 
     NOT_FOUND never asserts inequivalence: the coset search is one-sided and
     only reports that no decomposable element was found within budget, the
-    bound rung only that no witness could pass the gate, and the lift rung
-    only that no coset point passes the rank-one test.
+    bound and invariant rungs only that no witness could pass the gate, and
+    the lift rung only that no coset point passes the rank-one test.
     """
 
     status: VerdictStatus
@@ -127,7 +133,9 @@ class Verdict:
     # "frame" (the local-eigenframe guess verified, no search ran; no cut
     # reports or best objective), "bound" (NOT_FOUND with no search: the
     # marginal spectra put every product unitary beyond the witness gate),
-    # "lift" (no search ran: NOT_FOUND when a Cholesky certificate puts the
+    # "invariant" (NOT_FOUND with no coset and no search: the cycle products
+    # of the marginal eigenframes do the same, _invariant_distance), "lift"
+    # (no search ran: NOT_FOUND when a Cholesky certificate puts the
     # lifted system's least eigenvalue above its floor, so that no coset
     # point passes the rank-one test, with no cut reports or best objective;
     # EQUIVALENT when the point read off its least eigenvector verified),
@@ -136,7 +144,8 @@ class Verdict:
     path: str | None = None
     # a lower bound on min over product unitaries W of ||W rho W^dag - rho'||_F:
     # the larger of ||lambda - lambda'||_2 and the marginal-spectrum bound L
-    # (_marginal_distance); the first alone when the spectra differ
+    # (_marginal_distance), and of the cycle-invariant bound d_T on path
+    # "invariant"; the first alone when the spectra differ
     distance_lower: float | None = None
 
 
@@ -492,7 +501,8 @@ def _marginal_eighs(rho: DensityMatrix, rho_prime: DensityMatrix) -> list:
     """Per site, eigh of the stacked one-site marginals of rho and rho': an
     (eigenvalues, eigenvectors) pair whose row 0 is rho's and row 1 is rho''s,
     eigenvalues ascending.  The one marginal eigensolve of a check: it feeds
-    both _marginal_distance and _frame_factors."""
+    the bound, frame and invariant rungs (_marginal_distance, _product_frames,
+    _frame_factors and the Davis-Kahan gaps of _invariant_bound)."""
     return [
         np.linalg.eigh(np.array([reduced_density(r, i) for r in (rho, rho_prime)]))
         for i in range(rho.profile.nsites)
@@ -524,9 +534,22 @@ def _gate_distance(rho: DensityMatrix) -> float:
     return TOL * max(1.0, norm) + (delta * (2.0 + delta) + rounding) * norm
 
 
-def _frame_factors(
+def _product_frames(
     rho: DensityMatrix, rho_prime: DensityMatrix, marginals, tol: float
-) -> list[np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(A, B) = (P^dag rho P, Q^dag rho' Q), with P = kron_i P_i and
+    Q = kron_i Q_i the marginal eigenbases of rho and rho' (``marginals``,
+    from _marginal_eighs): the pair read in its product frames, which the
+    frame and invariant rungs share.  None when degeneracy_profile groups
+    two eigenvalues of a marginal of rho at tol (spec_tol), where P_i is not
+    fixed up to phases."""
+    if any(max(degeneracy_profile(w[0], tol)) > 1 for w, _ in marginals):
+        return None
+    p, q = (kron_all([v[j] for _, v in marginals]) for j in (0, 1))
+    return p.conj().T @ rho.matrix @ p, q.conj().T @ rho_prime.matrix @ q
+
+
+def _frame_factors(marginals, frames, tol: float) -> list[np.ndarray] | None:
     """The local-eigenframe witness guess (U_1, ..., U_M), or None when the
     one-site marginals do not fix it.
 
@@ -535,33 +558,140 @@ def _frame_factors(
     P_i and Q_i the eigenbases of the marginals of rho and rho' in the same
     eigenvalue order (``marginals``, from _marginal_eighs): Kraus's
     local-Schmidt frame (PRL 104, 020504 (2010)).  In the product frames,
-    A = P^dag rho P and B = Q^dag rho' Q of an equivalent pair obey
-    B_ab = e^{i(phi_a - phi_b)} A_ab, so M_i = Tr_{other sites}(B o conj(A))
-    is D_i N_i D_i^dag with N_i entrywise >= 0, and phi_i is the argument of
-    M_i's leading (Perron) eigenvector.  B o conj(A) is positive
-    semidefinite (Schur), which is why its partial traces are taken as a
-    DensityMatrix's.  None when a pair of marginal spectra differ by more
-    than tol (spec_tol), degeneracy_profile groups two eigenvalues of a
-    marginal of rho at tol, or M_i's top gap is within TOL of its span.
+    A = P^dag rho P and B = Q^dag rho' Q (``frames``, from _product_frames)
+    of an equivalent pair obey B_ab = e^{i(phi_a - phi_b)} A_ab, so
+    M_i = Tr_{other sites}(B o conj(A)) is D_i N_i D_i^dag with N_i
+    entrywise >= 0, and phi_i is the argument of M_i's leading (Perron)
+    eigenvector.  B o conj(A) is positive semidefinite (Schur), which is why
+    its partial traces are taken as a DensityMatrix's.  None when a pair of
+    marginal spectra differ by more than tol (spec_tol), or M_i's top gap is
+    within TOL of its span.
     """
-    profile = rho.profile
-    for w, _ in marginals:
-        if np.max(np.abs(w[0] - w[1])) > tol or max(degeneracy_profile(w[0], tol)) > 1:
-            return None
+    if any(np.max(np.abs(w[0] - w[1])) > tol for w, _ in marginals):
+        return None
     # eigh's column phases are a diagonal gauge, which M_i's phases absorb
-    frames = [v for _, v in marginals]
-    p, q = (kron_all([v[j] for v in frames]) for j in (0, 1))
-    a = p.conj().T @ rho.matrix @ p
-    b = q.conj().T @ rho_prime.matrix @ q
+    a, b = frames
+    profile = DimProfile(tuple(w.shape[-1] for w, _ in marginals))
     overlap = DensityMatrix(matrix=b * a.conj(), profile=profile)
     factors = []
-    for i, (pi, qi) in enumerate(frames):
+    for i, (pi, qi) in enumerate(v for _, v in marginals):
         w, v = np.linalg.eigh(reduced_density(overlap, i))
         if w.size > 1 and w[-1] - w[-2] <= TOL * (w[-1] - w[0]):
             return None
         # U_i as the adjoint of U_i^dag = P_i diag(e^{-i phi_i}) Q_i^dag
         factors.append(((pi * np.exp(-1j * np.angle(v[:, -1]))) @ qi.conj().T).conj().T)
     return factors
+
+
+def _cycle_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """A lower bound on ||T(A) - T(B)||_F, T(X)_abc = X_ab X_bc X_ca, with no
+    D^3 tensor formed.
+
+    Sum_abc conj(T(X)_abc) T(Y)_abc = tr(Z^3) with Z = conj(X) o Y, so
+    ||T(A) - T(B)||^2 = tr(Z_AA^3) + tr(Z_BB^3) - 2 Re tr(Z_AB^3), each trace
+    two D x D products.  The sum cancels, so its rounding is bounded by the
+    absolute terms: each trace is a sum of D^3 triple products, formed with a
+    relative error of at most gamma = (D^2 + 2D + 16) eps a term (an inner
+    product of length D, one more product, a sum of D^2 terms, and the
+    entrywise products that form Z), and sum |Z_AB terms| <= ||T(A)|| ||T(B)||
+    <= (s_A + s_B) / 2 (Cauchy-Schwarz), s_X = tr(Z_XX^3) = ||T(X)||^2.  So
+    the computed square errs by at most 2 gamma (s_A + s_B) (1 + gamma), and
+    3 gamma (s_A + s_B) leaves room for the last three sums.
+    """
+
+    def tr3(z):
+        return (z @ z * z.T).sum().real
+
+    s_a, s_b = tr3(np.abs(a) ** 2), tr3(np.abs(b) ** 2)
+    dim = len(a)
+    gamma = (dim * dim + 2 * dim + 16) * sys.float_info.epsilon
+    square = s_a + s_b - 2.0 * tr3(a.conj() * b) - 3.0 * gamma * (s_a + s_b)
+    return math.sqrt(max(float(square), 0.0))
+
+
+def _invariant_bound(rho: DensityMatrix, rho_prime: DensityMatrix, tops, marginals):
+    """(slope, offset): every exact product unitary V with ||V rho V^dag -
+    rho'||_F <= g has ||T(A) - T(B)||_F <= slope g + offset, with A, B the
+    frames of _product_frames and T(X)_abc = X_ab X_bc X_ca, the 3-cycle
+    (Bargmann) products.  ``tops`` are the largest eigenvalues lambda,
+    lambda' of rho and rho', ``marginals`` from _marginal_eighs.
+
+    Per site, delta_ik = min_{j != k} |lambda_k(rho'_i) - lambda_j(rho_i)|
+    and S_i = (sum_k delta_ik^-2)^(1/2); with K = lambda^2 + lambda lambda'
+    + lambda'^2 and c = 2 sqrt(2) ||rho'||_F, slope = K (1 + c sum_i
+    sqrt(D / d_i) S_i) (infinite when a gap is zero) and offset = K eta
+    (1 + c sum_i S_i), eta the rounding term below.  Proof, in exact
+    arithmetic, with eps_V = V rho V^dag - rho':
+    1. At site i, V_i rho_i V_i^dag - rho'_i = Tr_{other sites} eps_V, of
+       Frobenius norm r_i <= sqrt(D / d_i) g.
+    2. Davis-Kahan in residual form: the columns V_i p_j of V_i P_i are
+       orthonormal eigenvectors of V_i rho_i V_i^dag (eigenvalues lambda_j),
+       so the unit eigenvector q_k of rho'_i (eigenvalue mu_k) expands as
+       q_k = sum_j c_j V_i p_j with sum_j |c_j|^2 (lambda_j - mu_k)^2 =
+       ||(V_i rho_i V_i^dag - rho'_i) q_k||^2 <= r_i^2.  So the weight off
+       V_i p_k is at most r_i^2 / delta_ik^2, and with e^{i phi_k} the phase
+       of c_k, ||V_i p_k - e^{i phi_k} q_k||^2 = 2 - 2 |c_k| <= 2 r_i^2 /
+       delta_ik^2.  That is, V_i P_i = Q_i D_i + E_i with D_i diagonal
+       unitary and ||E_i||_F <= sqrt(2) r_i S_i.
+    3. VP = kron_i V_i P_i and Q Phi = kron_i Q_i D_i are both unitary, so
+       telescoping the product, ||VP - Q Phi||_2 <= e = sum_i ||E_i||_F.
+    4. A = (VP)^dag (rho' + eps_V) (VP), and X^dag rho' X - Y^dag rho' Y =
+       (X - Y)^dag rho' X + Y^dag rho' (X - Y) for X = VP, Y = Q Phi, so
+       ||A - Phi^dag B Phi||_F <= g + 2 e ||rho'||_F = G'.
+    5. T(Phi^dag B Phi) = T(B): a diagonal phase cancels around a cycle (so
+       does eigh's column-phase gauge).
+    6. With C = Phi^dag B Phi and Delta = A - C, T(A) - T(C) telescopes into
+       Delta_ab A_bc A_ca + C_ab Delta_bc A_ca + C_ab C_bc Delta_ca.  Every
+       entry and row norm of A is at most ||A||_2 = lambda, and of C at
+       most lambda', so the three terms are at most lambda^2, lambda
+       lambda' and lambda'^2 times ||Delta||_F, and ||T(A) - T(B)||_F <=
+       K G' = slope g.
+    Rounding: eta = 4 D^2 eps (||rho||_F + ||rho'||_F) exceeds, for rho and
+    rho' together, the errors of a computed marginal (a sum of D / d_i
+    entries), of eigh's backward error on it (exact eigenpairs of a
+    Hermitian matrix within a small multiple of d_i eps ||rho_i|| of it,
+    with frames orthonormal to working precision; LAPACK Users' Guide, 3rd
+    ed., section 4.7), and of kron_all's frames and the products that form
+    A and B (at most 2 D eps || |P| ||_2^2 ||rho||_F <= 2 D^2 eps ||rho||_F
+    for A, the same with rho' for B), and of the computed lambda and
+    lambda'.  So the computed marginals, frames, A and B are exact ones of
+    matrices within eta, and eta is added to each r_i, to G', and to
+    lambda, lambda' and ||rho'||_F, which gives the offset.
+    """
+    profile = rho.profile
+    dim = profile.total
+    norm_prime = float(np.linalg.norm(rho_prime.matrix))
+    norms = float(np.linalg.norm(rho.matrix)) + norm_prime
+    eta = 4.0 * dim * dim * sys.float_info.epsilon * norms
+    spreads = []
+    # plain floats: a few d_i^2 scalars, which numpy calls would cost more
+    # than; 1.0 / a subnormal gap and its square overflow to inf, silently
+    for w, _ in marginals:
+        lams, mus = w.tolist()
+        total = 0.0
+        for k, mu in enumerate(mus):
+            gap = min(abs(mu - x) for j, x in enumerate(lams) if j != k)
+            inverse = math.inf if gap == 0.0 else 1.0 / gap
+            total += inverse * inverse
+        spreads.append(math.sqrt(total))
+    lam, lam_prime = (float(t) + eta for t in tops)
+    k = lam * lam + lam * lam_prime + lam_prime * lam_prime
+    c = 2.0 * math.sqrt(2.0) * (norm_prime + eta)
+    slope = k * (1.0 + c * sum(math.sqrt(dim / d) * s for d, s in zip(profile.dims, spreads)))
+    return slope, k * eta * (1.0 + c * sum(spreads))
+
+
+def _invariant_distance(
+    rho: DensityMatrix, rho_prime: DensityMatrix, tops, marginals, frames
+) -> float:
+    """d_T, a lower bound on min over product unitaries W of ||W rho W^dag -
+    rho'||_F: _invariant_bound inverted at _cycle_gap's lower value of
+    ||T(A) - T(B)||_F, or 0 where that value does not clear the offset.
+    The few dozen operations that form the bound and d_T err by a relative
+    (D + 20) eps at most, which the last factor removes."""
+    slope, offset = _invariant_bound(rho, rho_prime, tops, marginals)
+    shrink = 1.0 - (rho.profile.total + 20) * sys.float_info.epsilon
+    return max(0.0, (_cycle_gap(*frames) - offset) / slope * shrink)
 
 
 def _frame_point(ctx: CosetContext, factors) -> np.ndarray | None:
@@ -625,19 +755,36 @@ def check_equivalence(
     gate, and the verdict is NOT_FOUND on path "bound" with no search: the
     status the search would have returned, and no claim of inequivalence.
     Every verdict past validation reports distance_lower, the larger of L
-    and ||lambda - lambda'||_2.  Then three rungs, each ending in the one
-    witness gate (_verified: unitary factors, verified residual).  The frame
+    and ||lambda - lambda'||_2 (and of d_T on path "invariant").  The frame
     rung, from the same marginal eigenbases: the local-eigenframe guess
-    W = kron_i U_i, when the marginals fix it and it passes the gate, is
-    EQUIVALENT on path "frame", with no coset and no search; its phases are
-    those of x_m^dag W^dag y_m, and it has no cut reports or best objective,
-    W being a product by construction.  The other two work on the coset
-    X blockdiag(A_1..A_r) Y^dag (diagonal phases when the spectrum is
-    non-degenerate, a unitary block per repeated eigenvalue otherwise), whose
-    point a gives V(a) = sum_m a_m x_{r_m} y_{c_m}^dag.  A point certifies
-    when the exact rank-one test sigma2 <= tau sigma1 (tau = rank_tol)
-    passes at every cut and its V factors into a witness that passes the
-    gate.
+    W = kron_i U_i, when the marginals fix it and it passes the one witness
+    gate (_verified: unitary factors, verified residual), is EQUIVALENT on
+    path "frame", with no coset and no search; its phases are those of
+    x_m^dag W^dag y_m, and it has no cut reports or best objective, W being
+    a product by construction.
+
+    The invariant rung, when every marginal of rho is non-degenerate at
+    spec_tol (so the product frames A = P^dag rho P and B = Q^dag rho' Q
+    exist, _product_frames) and the frame guess did not pass the gate, for
+    whatever reason: an exact product unitary V at distance g from rho'
+    fixes the frames up to phases and a Davis-Kahan error, and the 3-cycle
+    products T(X)_abc = X_ab X_bc X_ca, blind to the phases, then differ
+    by at most slope g + offset (_invariant_bound has the proof).  That
+    bound inverted at a certified lower value of ||T(A) - T(B)||_F
+    (_cycle_gap) is d_T (_invariant_distance), a lower bound on the
+    distance under product unitaries.  A witness that passes the gate is,
+    by its polar split as on "bound", within G of an exact product unitary
+    image, so when d_T exceeds G no witness can pass, and the verdict is
+    NOT_FOUND on path "invariant" with no coset, lift or search: the status
+    the search would have returned, and distance_lower the larger of
+    ||lambda - lambda'||_2, L and d_T.
+
+    The last two rungs work on the coset X blockdiag(A_1..A_r) Y^dag
+    (diagonal phases when the spectrum is non-degenerate, a unitary block
+    per repeated eigenvalue otherwise), whose point a gives V(a) =
+    sum_m a_m x_{r_m} y_{c_m}^dag.  A point certifies when the exact
+    rank-one test sigma2 <= tau sigma1 (tau = rank_tol) passes at every cut
+    and its V factors into a witness that passes the gate.
 
     The lift rung, on cosets of at most LIFT_MAX_SIZE entries: every 2x2
     minor of R_k(a) = realign_k(V(a)) is linear in E = a a^T, and H =
@@ -702,13 +849,17 @@ def check_equivalence(
         seed=config.seed,
         distance_lower=max(spectral_distance, marginal_distance),
     )
-    if marginal_distance > _gate_distance(rho):
+    gate = _gate_distance(rho)
+    if marginal_distance > gate:
         # every product unitary is farther than the witness gate allows, so no
         # search point could certify: NOT_FOUND, still no claim of inequivalence
         return verdict(VerdictStatus.NOT_FOUND, path="bound")
-    factors = _frame_factors(rho, rho_prime, marginals, config.spec_tol)
-    if factors is not None:
-        verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
+    frames = _product_frames(rho, rho_prime, marginals, config.spec_tol)
+    factors = None
+    if frames is not None:
+        factors = _frame_factors(marginals, frames, config.spec_tol)
+        guess = None if factors is None else FactorSet(factors=tuple(factors))
+        verified = None if guess is None else _verified(rho, rho_prime, guess)
         if verified is not None:
             witness, residual, w = verified
             # x_m^dag W^dag y_m for each m, from the gate's W and one D x D product
@@ -719,6 +870,16 @@ def check_equivalence(
                 witness_residual=residual,
                 phases=None if fallback else _phases(point),
                 path="frame",
+            )
+        tops = (s1.eigenvalues[0], s2.eigenvalues[0])
+        invariant = _invariant_distance(rho, rho_prime, tops, marginals, frames)
+        if invariant > gate:
+            # the frames' cycle products put every product unitary beyond the
+            # gate, as on "bound": NOT_FOUND with no coset, lift or search
+            return verdict(
+                VerdictStatus.NOT_FOUND,
+                path="invariant",
+                distance_lower=max(spectral_distance, marginal_distance, invariant),
             )
 
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)

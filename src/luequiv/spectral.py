@@ -37,6 +37,11 @@ from .tensor import as_cmatrix, lead_phases
 # it returns must still pass the gate.  tensor.LEAD_RTOL only breaks ties
 # between equal magnitudes when tensor.lead_phases, the one leading-entry
 # phase convention (eigenvectors, peeled factors), picks a column's entry.
+# The bound and invariant rungs' slack (equivalence._gate_distance,
+# _invariant_bound) is not a row either: it is a proof bound, how far the
+# witness gate's two rows let a witness's image sit from an exact product
+# image, carried to the marginal spectra and the frames' cycle products,
+# with no threshold of its own.
 TOL = 1e-8
 
 

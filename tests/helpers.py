@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 
 from luequiv import DensityMatrix, DimProfile, kron_all
-from luequiv.oracle import haar_unitary, local_unitaries, random_density
+from luequiv.oracle import haar_unitary, local_unitaries, random_density, reduced_density
 
 
 def realign_index_oracle(z: np.ndarray, dims: tuple[int, ...], cut: int) -> np.ndarray:
@@ -89,6 +89,12 @@ def lifted_gram_oracle(ctx) -> np.ndarray:
     return k_mat.conj().T @ k_mat
 
 
+def cycle_products_oracle(x: np.ndarray) -> np.ndarray:
+    """T(X)_abc = X_ab X_bc X_ca, the 3-cycle products, as an explicit
+    D x D x D tensor."""
+    return x[:, :, np.newaxis] * x[np.newaxis, :, :] * x.T[:, np.newaxis, :]
+
+
 def operator_norm_power_iteration(m: np.ndarray, iters: int = 2000) -> float:
     """Largest singular value via power iteration on m^dag m from a fixed start."""
     g = m.conj().T @ m
@@ -142,6 +148,19 @@ def local_rotation(rho: DensityMatrix, seed) -> DensityMatrix:
 def conjugate(rho: DensityMatrix) -> DensityMatrix:
     """rho*: the same spectrum and the same marginal spectra as rho."""
     return DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
+
+
+def with_mixed_marginal(rho: DensityMatrix, site: int = 0) -> DensityMatrix:
+    """F rho F^dag with F = rho_i^(-1/2) / sqrt(d_i) at ``site`` i: a state
+    whose marginal there is I/d_i (degenerate) and whose other marginals and
+    spectrum stay generic."""
+    w, v = np.linalg.eigh(reduced_density(rho, site))
+    dims = rho.profile.dims
+    factors = [np.eye(d) for d in dims]
+    factors[site] = (v / np.sqrt(w * dims[site])) @ v.conj().T
+    f = kron_all(factors)
+    m = f @ rho.matrix @ f.conj().T
+    return DensityMatrix(matrix=(m + m.conj().T) / 2.0, profile=rho.profile)
 
 
 def locally_mixed_qubits(nsites: int, seed: int) -> DensityMatrix:

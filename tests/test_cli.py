@@ -69,15 +69,17 @@ def test_check_not_found_exit_three(tmp_path, capsys):
     rho = load_matrix(tmp_path / "a.json").density()
     assert doc["distance_lower"] > _gate_distance(rho)
     # rho against rho*: equal marginal spectra, so the bound rung passes it
-    # on, and the lift rung shows that no coset point passes the rank-one test
+    # on, and the cycle products of the marginal eigenframes put every
+    # product unitary beyond the gate
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     save_matrix(tmp_path / "c.json", rho.matrix, dims=(2, 2, 2))
     save_matrix(tmp_path / "d.json", rho.matrix.conj(), dims=(2, 2, 2))
     rc, doc = _check_json(capsys, tmp_path / "c.json", tmp_path / "d.json", *budget)
     assert rc == 3
-    assert doc["status"] == "NOT_FOUND" and doc["path"] == "lift"
+    assert doc["status"] == "NOT_FOUND" and doc["path"] == "invariant"
     assert doc["restarts_used"] == 0 and doc["objective_history"] == []
     assert doc["cuts"] is None and doc["best_objective"] is None
+    assert doc["distance_lower"] > _gate_distance(load_matrix(tmp_path / "c.json").density())
 
 
 def test_check_bound_verdict_text_and_json(tmp_path, capsys):
@@ -101,10 +103,32 @@ def test_check_bound_verdict_text_and_json(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_check_invariant_verdict_text_and_json(tmp_path, capsys):
+    # rho against rho* on six qubits: the invariant rung ends the check, and
+    # the report gives distance_lower and says no search ran
+    rho = random_density(DimProfile((2,) * 6), "generic-nondegenerate", 73)
+    save_matrix(tmp_path / "a.json", rho.matrix, dims=(2,) * 6)
+    save_matrix(tmp_path / "b.json", rho.matrix.conj(), dims=(2,) * 6)
+    rc, doc = _check_json(capsys, tmp_path / "a.json", tmp_path / "b.json")
+    assert rc == 3
+    assert doc["status"] == "NOT_FOUND" and doc["path"] == "invariant"
+    assert doc["restarts_used"] == 0 and doc["objective_history"] == []
+    assert doc["cuts"] is None and doc["best_objective"] is None and doc["phases"] is None
+    assert doc["distance_lower"] > _gate_distance(load_matrix(tmp_path / "a.json").density())
+    rc = main(["check", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    assert lines[:2] == ["verdict: NOT_FOUND", "path: invariant"]
+    assert lines[2] == f"distance_lower: {doc['distance_lower']:.3e}"
+    assert lines[3].startswith("note: no search ran; the cycle products")
+    assert len(lines) == 4
+
+
 def test_check_lift_verdicts_text(tmp_path, capsys):
-    # rho against rho*: the lift rung ends the check, and the report says no
-    # search ran and prints no cut
-    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    # a locally-mixed state against its conjugate: every marginal is I/2, so
+    # the lift rung ends the check, and the report says no search ran and
+    # prints no cut
+    rho = locally_mixed_qubits(3, 5)
     save_matrix(tmp_path / "a.json", rho.matrix, dims=(2, 2, 2))
     save_matrix(tmp_path / "b.json", rho.matrix.conj(), dims=(2, 2, 2))
     rc = main(["check", str(tmp_path / "a.json"), str(tmp_path / "b.json")])

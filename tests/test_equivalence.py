@@ -45,6 +45,7 @@ from luequiv.tensor import _realign_matrix
 from helpers import (
     WITNESS_SIGNS,
     conjugate,
+    cycle_products_oracle,
     degenerate_plant,
     example_bases,
     lifted_gram_oracle,
@@ -52,6 +53,7 @@ from helpers import (
     locally_mixed_qubits,
     realign_index_oracle,
     werner,
+    with_mixed_marginal,
 )
 
 QUICK = SearchConfig(sweeps=40, restarts=6)
@@ -361,14 +363,15 @@ def test_not_found_for_equal_spectrum_inequivalent_pair():
     assert verdict.path == "bound" and verdict.restarts_used == 0
     assert verdict.distance_lower > equivalence._gate_distance(rho)
     # rho* has rho's marginal spectra, so the bound rung passes it on; the
-    # lifted system's least eigenvalue then shows that no coset point passes
-    # the rank-one test, and again no search runs
+    # cycle products of its marginal eigenframes then put every product
+    # unitary beyond the gate, and again no coset is built and no search runs
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     verdict = check_equivalence(rho, conjugate(rho), config)
     assert verdict.status is VerdictStatus.NOT_FOUND
     assert verdict.witness is None
-    assert verdict.path == "lift" and verdict.restarts_used == 0
+    assert verdict.path == "invariant" and verdict.restarts_used == 0
     assert verdict.best_objective is None and verdict.cut_reports is None
+    assert verdict.distance_lower > equivalence._gate_distance(rho)
 
 
 def test_check_degenerate_bell_pair_end_to_end():
@@ -478,7 +481,11 @@ def test_noisy_werner_against_a_local_rotation_is_equivalent(seed):
 
 
 def test_rank_three_state_against_its_conjugate_is_not_conclusive():
+    # a degenerate spectrum and a marginal I/2, so neither the invariant rung
+    # nor the lift (a coset of 3 + 25 entries) runs: the block search ends
+    # NOT_FOUND on an inequivalent pair without a false witness
     rho, _ = degenerate_plant((2, 2, 2), 0, rank=3)
+    rho = with_mixed_marginal(rho)
     rho_conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
     verdict = check_equivalence(rho, rho_conj, QUICK)
     assert verdict.status is VerdictStatus.NOT_FOUND
@@ -567,19 +574,22 @@ def test_search_stops_at_a_verified_stalled_start(monkeypatch):
     assert verdict.restarts_used == STARTS_PER_ROUND
 
 
-def _hand_on_from_the_lift(monkeypatch):
-    """Make the lift rung hand every input on, so that the search decides it."""
+def _hand_on_to_the_search(monkeypatch):
+    """Make the invariant and lift rungs hand every input on, so that the
+    search decides it."""
+    monkeypatch.setattr(equivalence, "_invariant_distance", lambda *args: 0.0)
     monkeypatch.setattr(equivalence, "_lift", lambda ctx, rank_tol: (False, None))
 
 
-def _check_with_frame(monkeypatch, rho, rho_prime, config, lift=True):
+def _check_with_frame(monkeypatch, rho, rho_prime, config, hand_on=False):
     """check_equivalence's verdict, its frame factors and the search's frame
     start point (None when the frame gave none or no coset was built; the
     factors also None when the bound rung ended the check first).  With
-    ``lift`` False the lift rung hands on, so a coset check reaches the search."""
+    ``hand_on`` the invariant and lift rungs hand on, so a check past the
+    frame reaches the search."""
     seen = {}
-    if not lift:
-        _hand_on_from_the_lift(monkeypatch)
+    if hand_on:
+        _hand_on_to_the_search(monkeypatch)
 
     def spy(name):
         real = getattr(equivalence, name)
@@ -735,7 +745,7 @@ def test_frame_falls_back_to_the_identity(monkeypatch):
     # fails (the lift rung, which ends this check on its own, hands on)
     rho = locally_mixed_qubits(3, 5)
     verdict, factors, start = _check_with_frame(
-        monkeypatch, rho, conjugate(rho), config, lift=False
+        monkeypatch, rho, conjugate(rho), config, hand_on=True
     )
     assert factors is None and start is None
     assert verdict.status is VerdictStatus.NOT_FOUND
@@ -755,12 +765,12 @@ def test_frame_falls_back_to_the_identity(monkeypatch):
 
 def test_frame_start_on_the_conjugate_stays_not_found(monkeypatch):
     # rho* has rho's marginal spectra, so the frame is built, fails to
-    # verify, and the search from its coset point (the lift rung handing on)
-    # still finds no decomposable V
+    # verify, and the search from its coset point (the invariant and lift
+    # rungs handing on) still finds no decomposable V
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
     verdict, factors, start = _check_with_frame(
-        monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=2), lift=False
+        monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=2), hand_on=True
     )
     assert factors is not None and start is not None
     assert verdict.status is VerdictStatus.NOT_FOUND
@@ -782,11 +792,11 @@ def test_frame_start_is_deterministic_given_seed(monkeypatch):
     for f1, f2, w1, w2 in zip(factors1, factors2, v1.witness.factors, v2.witness.factors):
         assert np.array_equal(f1, f2) and np.array_equal(w1, w2)
     # and, where the frame does not verify, the same search start and outcome
-    # (the lift rung handing on)
+    # (the invariant and lift rungs handing on)
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
     conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
     runs = [
-        _check_with_frame(monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=5), lift=False)
+        _check_with_frame(monkeypatch, rho, conj, SearchConfig(sweeps=20, seed=5), hand_on=True)
         for _ in "ab"
     ]
     (v1, _, start1), (v2, _, start2) = runs
@@ -817,6 +827,27 @@ def _gate_slack(rho) -> float:
     unitarity gate can bring rho nearer to rho' than any product unitary."""
     delta = (1.0 + TOL) ** rho.profile.nsites - 1.0
     return delta * (2.0 + delta) * float(np.linalg.norm(rho.matrix))
+
+
+def _rho_star_states():
+    """States whose conjugate the invariant rung decides, from D = 8 to D = 64."""
+    profiles = [(2, 2, 2), (2,) * 4, (3, 3, 3), (2,) * 6, (4, 4, 4)]
+    return [random_density(DimProfile(d), "generic-nondegenerate", 73) for d in profiles]
+
+
+def _invariant_parts(rho, rho_prime):
+    """The product frames (A, B), d_T and the (slope, offset) of the
+    invariant bound of a pair whose marginals of rho are non-degenerate."""
+    tops = tuple(eig_hermitian(r.matrix).eigenvalues[0] for r in (rho, rho_prime))
+    marginals = equivalence._marginal_eighs(rho, rho_prime)
+    frames = equivalence._product_frames(rho, rho_prime, marginals, TOL)
+    d_t = equivalence._invariant_distance(rho, rho_prime, tops, marginals, frames)
+    return frames, d_t, equivalence._invariant_bound(rho, rho_prime, tops, marginals)
+
+
+def _explicit_cycle_gap(frames) -> float:
+    a, b = (cycle_products_oracle(x) for x in frames)
+    return float(np.linalg.norm(a - b))
 
 
 def test_bound_rung_fires_only_above_the_gate_distance():
@@ -852,13 +883,16 @@ def test_distance_lower_is_below_every_verified_residual():
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3)], ids=["2x2x2", "2x3"])
 def test_noisy_planted_pairs_never_end_on_bound(dims):
     # Hermitian noise of norm eta moves every product-unitary distance by at
-    # most eta, so at and below the witness tolerance the gate is never crossed
+    # most eta, so at and below the witness tolerance the gate is never
+    # crossed, by the marginal spectra or by the cycle invariants (d_T, read
+    # directly, since the invariant rung runs only where the frame guess fails)
     for eta in (1e-9, 3e-9, 1e-8):
         for seed in range(5):
             rho, rho_prime = _noisy_pair(dims, seed, eta=eta)
             verdict = check_equivalence(rho, rho_prime, SearchConfig(sweeps=20, restarts=3))
-            assert verdict.path != "bound", (eta, seed)
+            assert verdict.path not in ("bound", "invariant"), (eta, seed)
             assert verdict.distance_lower <= eta, (eta, seed)
+            assert _invariant_parts(rho, rho_prime)[1] <= eta, (eta, seed)
 
 
 def test_bound_rung_adds_no_eigensolve(monkeypatch):
@@ -882,6 +916,82 @@ def test_bound_rung_adds_no_eigensolve(monkeypatch):
     verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=0))
     assert verdict.path == "frame"
     assert counts == {"eigh": 8, "reduced_density": 9}
+
+
+def test_invariant_rung_ends_a_state_against_its_conjugate_without_a_coset(monkeypatch):
+    # rho* has rho's spectrum and marginal spectra, and its frame guess fails
+    # the gate; the cycle products of the marginal eigenframes put every
+    # product unitary beyond the gate, so no coset is built and neither the
+    # lift nor the search runs, up to D = 64; a rank-3 state, whose
+    # marginals stay non-degenerate, is decided the same way
+    _without_search(monkeypatch)
+    for name in ("CosetContext", "_lift"):
+        monkeypatch.setattr(equivalence, name, _raiser(name))
+    rank_three, _ = degenerate_plant((2, 2, 2), 0, rank=3)
+    for rho in [*_rho_star_states(), rank_three]:
+        verdict = check_equivalence(rho, conjugate(rho), SearchConfig(seed=1))
+        label = rho.profile
+        assert verdict.status is VerdictStatus.NOT_FOUND, label
+        assert verdict.path == "invariant" and verdict.restarts_used == 0, label
+        assert verdict.witness is None and verdict.phases is None, label
+        assert verdict.cut_reports is None and verdict.best_objective is None, label
+        assert verdict.objective_history == [], label
+        assert verdict.distance_lower > equivalence._gate_distance(rho), label
+
+
+def test_distance_lower_on_invariant_is_below_the_frame_guess_distance(monkeypatch):
+    # d_T bounds min over product unitaries of ||V rho V^dag - rho'||_F from
+    # below: on each rho* state it lies between the gate distance and the
+    # distance of the frame guess, made exactly unitary by its polar factor,
+    # and distance_lower reports it
+    for rho in _rho_star_states():
+        label = rho.profile
+        rho_conj = conjugate(rho)
+        verdict, factors, _ = _check_with_frame(monkeypatch, rho, rho_conj, SearchConfig(seed=1))
+        assert verdict.path == "invariant" and factors is not None, label
+        polar = tuple(u @ vh for u, _, vh in map(np.linalg.svd, factors))
+        residual = verify_witness(rho, rho_conj, FactorSet(factors=polar))
+        _, d_t, _ = _invariant_parts(rho, rho_conj)
+        assert verdict.distance_lower == d_t, label
+        assert equivalence._gate_distance(rho) < d_t <= residual, label
+
+
+def test_cycle_gap_is_a_lower_value_of_the_explicit_tensor_norm():
+    # the trace identity against the D^3 tensor: never above it, and on rho*
+    # pairs within 1e-6 of it, far above its cancellation's rounding term
+    for rho in _rho_star_states():
+        frames, _, _ = _invariant_parts(rho, conjugate(rho))
+        exact = _explicit_cycle_gap(frames)
+        assert exact * (1.0 - 1e-6) <= equivalence._cycle_gap(*frames) <= exact, rho.profile
+
+
+def test_invariant_bound_is_far_above_the_cycle_gap_of_plants():
+    # a soundness canary: on plants the frame rung decides, the explicit
+    # cycle-product difference stays below 1e-3 of the bound at the gate
+    # distance, and d_T below the gate
+    for dims in [(2, 3), (2, 2, 2), (2,) * 4, (3, 3, 3), (2,) * 6]:
+        for seed in range(3):
+            sample = make_equivalent_pair(DimProfile(dims), 900 + seed)
+            verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=seed))
+            assert verdict.path == "frame", (dims, seed)
+            frames, d_t, (slope, offset) = _invariant_parts(sample.rho, sample.rho_prime)
+            gate = equivalence._gate_distance(sample.rho)
+            assert _explicit_cycle_gap(frames) < 1e-3 * (slope * gate + offset), (dims, seed)
+            assert d_t <= gate, (dims, seed)
+
+
+def test_invariant_rung_does_not_run_with_a_degenerate_marginal(monkeypatch):
+    # a marginal of rho grouped at spec_tol leaves no product frames: rho*
+    # of a locally-mixed state, or of a state with one marginal I/2, goes on
+    # to the lift rung, which ends it
+    calls = []
+    monkeypatch.setattr(equivalence, "_invariant_distance", lambda *args: calls.append(1) or 0.0)
+    generic = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    for rho in (locally_mixed_qubits(3, 5), with_mixed_marginal(generic)):
+        verdict = check_equivalence(rho, conjugate(rho), SearchConfig(seed=1))
+        assert verdict.status is VerdictStatus.NOT_FOUND
+        assert verdict.path == "lift"
+    assert calls == []
 
 
 def test_check_rejects_non_finite_entries():
@@ -1513,7 +1623,7 @@ def test_a_second_round_start_decides_a_locally_mixed_plant(monkeypatch):
     # every round-1 start of this plant stays in the bulk; a start of the
     # stacked second round escapes and its success ends the search (the lift
     # rung, which decides this plant on its own, hands on)
-    _hand_on_from_the_lift(monkeypatch)
+    _hand_on_to_the_search(monkeypatch)
     rho = locally_mixed_qubits(3, 9)
     verdict = check_equivalence(rho, local_rotation(rho, 109), SearchConfig(seed=9))
     assert verdict.status is VerdictStatus.EQUIVALENT and verdict.path == "coset"
@@ -1524,8 +1634,8 @@ def test_a_second_round_start_decides_a_locally_mixed_plant(monkeypatch):
 def test_stacked_starts_end_as_each_start_raced_alone(monkeypatch):
     # a start's passes do not depend on its stack-mates, so racing each start
     # alone gives the same verdict, surrogate and history values in some order
-    # (the lift rung, which ends this check on its own, hands on)
-    _hand_on_from_the_lift(monkeypatch)
+    # (the invariant rung, which ends this check on its own, hands on)
+    _hand_on_to_the_search(monkeypatch)
     rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 71)
     config = SearchConfig(seed=3)
     stacked = check_equivalence(rho, conjugate(rho), config)
@@ -1575,21 +1685,32 @@ def test_lifted_gram_matches_the_explicit_minors():
     assert checked == [(2, 2, 2), (2, 3), (3, 2, 2), "block"]
 
 
-def _without_search(monkeypatch):
-    def search(*args, **kwargs):
-        raise AssertionError("the search ran")
+def _raiser(name):
+    def raises(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
 
-    monkeypatch.setattr(equivalence, "run_search", search)
+    return raises
+
+
+def _without_search(monkeypatch):
+    monkeypatch.setattr(equivalence, "run_search", _raiser("the search"))
 
 
 def test_lift_rung_ends_a_state_against_its_conjugate_without_a_search(monkeypatch):
     # rho* has rho's spectrum and marginal spectra, so neither the spectra nor
-    # the bound rung end the check; the lifted system's least eigenvalue is
+    # the bound rung end the check, and a degenerate marginal keeps the
+    # frame and invariant rungs out; the lifted system's least eigenvalue is
     # far above its floor, so no coset point passes the rank-one test
     _without_search(monkeypatch)
-    states = [random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", s) for s in (73, 79)]
+    states = [
+        with_mixed_marginal(random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", s))
+        for s in (73, 79)
+    ]
     # (2,2,3) has 12 coset entries, the largest the size rule lets through
-    states += [locally_mixed_qubits(3, 5), random_density(DimProfile((2, 2, 3)), "generic-nondegenerate", 5)]
+    states += [
+        locally_mixed_qubits(3, 5),
+        with_mixed_marginal(random_density(DimProfile((2, 2, 3)), "generic-nondegenerate", 5)),
+    ]
     for rho in states:
         verdict = check_equivalence(rho, conjugate(rho), SearchConfig(seed=1))
         label = rho.profile
@@ -1655,8 +1776,9 @@ def test_lift_rung_fires_only_above_its_floor(monkeypatch):
     # certificate's shift mu = floor + margin: the Cholesky of H - mu I
     # completes and the check ends on "lift".  Half a margin below mu (still
     # above the floor, so an eigenvalue test would have fired) the rung reads
-    # a point that does not certify and hands on to the search, which fails
-    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    # a point that does not certify and hands on to the search, which fails.
+    # The marginal at site 1 is I/2, so the invariant rung does not run
+    rho = with_mixed_marginal(random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73))
     config = SearchConfig(sweeps=20, restarts=4, seed=2)
     ctx = _coset_of(rho, conjugate(rho))
     h = equivalence._lifted_gram(ctx)
@@ -1732,8 +1854,9 @@ def test_lift_certificate_fires_only_where_the_least_eigenvalue_clears_the_floor
 
 
 def test_lift_rung_runs_no_eigensolve_of_h_on_a_certified_check(monkeypatch):
-    # a (2,2,2) rho* check ends on the certificate: no 36 x 36 eigh; a
-    # locally-mixed plant's certificate fails and one eigh reads its point
+    # a (2,2,2) rho* check with a degenerate marginal ends on the
+    # certificate: no 36 x 36 eigh; a locally-mixed plant's certificate
+    # fails and one eigh reads its point
     calls = []
     real_eigh = np.linalg.eigh
 
@@ -1742,7 +1865,7 @@ def test_lift_rung_runs_no_eigensolve_of_h_on_a_certified_check(monkeypatch):
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 79)
+    rho = with_mixed_marginal(random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 79))
     verdict = check_equivalence(rho, conjugate(rho), SearchConfig(seed=1))
     assert verdict.path == "lift" and verdict.status is VerdictStatus.NOT_FOUND
     assert (36, 36) not in calls

@@ -17,7 +17,7 @@ from luequiv import (
     spectra_match,
     validate_density,
 )
-from luequiv.equivalence import _frame_factors, _marginal_eighs, _verified
+from luequiv.equivalence import _frame_factors, _marginal_eighs, _product_frames, _verified
 from luequiv.oracle import haar_unitary
 from luequiv.spectral import TOL, Spectrum, require_hermitian
 from luequiv.tensor import kron_all, lead_phases
@@ -287,7 +287,9 @@ def _frame_phase_gap_within(eps):
     rows[0, 0] = (0.8 + np.sqrt(0.64 - 8.0 * (0.16 - top))) / 4.0
     rows[0, 1] = 0.4 - rows[0, 0]
     rho = DensityMatrix(matrix=np.diag(rows.ravel()).astype(complex), profile=DimProfile((3, 2)))
-    return _frame_factors(rho, rho, _marginal_eighs(rho, rho), TOL) is None
+    marginals = _marginal_eighs(rho, rho)
+    frames = _product_frames(rho, rho, marginals, TOL)
+    return _frame_factors(marginals, frames, TOL) is None
 
 
 @pytest.mark.parametrize(
