@@ -2,11 +2,11 @@
 
 Square multipartite operators carry a ``dims`` header (data length is the
 square of the product of dims); general rectangular matrices (realignment
-output) carry an explicit ``shape`` instead.  Floats are written with repr
-precision, so a write/read round trip is value-exact.
+output) carry an explicit ``shape`` instead.  Floats are written with their
+shortest round-trip digits, so a write/read round trip is bit-exact.
 
 Files are read with orjson, which is several times faster than the stdlib
-on repr-precision floats; stdlib ``json`` reads only a text orjson rejects
+on 17-digit floats; stdlib ``json`` reads only a text orjson rejects
 (``NaN``, ``Infinity``, a number beyond the double range, a lone surrogate
 escape), so that such a text keeps json's outcome, and a text that may be
 nested deeply enough to crash orjson (NEST_CHARS).  Both read an integer
@@ -14,10 +14,8 @@ beyond 64 bits as a double.
 
 A file's header (``dims`` or ``shape``, ``label``, ``seed``) is written by
 stdlib ``json``, which escapes a non-ASCII label, so the file stays ASCII.
-Its data is written by orjson, which picks the same shortest round-trip
-digits as ``repr`` at a fraction of its cost, and is then re-spelled to
-``repr``'s layout (_RESPELL).  So a file has the bytes stdlib ``json``
-would write for the whole document, as before orjson wrote the data.
+Its data is written by orjson, in orjson's layout of those digits (``1e16``,
+``1e-7``, ``0.0000123``), which every JSON reader reads as the same doubles.
 
 parse_matrix pauses the cyclic garbage collector while the decoded document
 is alive.  orjson builds one list per entry pair (4,097 lists for a 64x64
@@ -31,7 +29,6 @@ from __future__ import annotations
 import gc
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -65,19 +62,10 @@ class MatrixFile:
         return DensityMatrix(matrix=self.matrix, profile=self.profile)
 
 
-# orjson and repr pick the same shortest round-trip digits for a float and
-# lay them out alike except in three places, which these rules re-spell: a
-# positive exponent, a one-digit negative exponent, and the [1e-5, 1e-4)
-# decade, which orjson writes as a decimal (the look-behind for "[", "," or
-# "-" leaves 10.00002785 as it is).
-_RESPELL = (
-    (re.compile(rb"e(?=\d)"), b"e+"),  # 1e16 -> 1e+16
-    (re.compile(rb"e-(\d)(?=[,\]])"), rb"e-0\1"),  # 1e-7 -> 1e-07
-    (  # [1e-5, 1e-4): 0.0000123 -> 1.23e-05, 0.00001 -> 1e-05
-        re.compile(rb"0\.0000(?<=[\[,-]0\.0000)(\d)(\d*)"),
-        lambda m: m[1] + b"." + m[2] + b"e-05" if m[2] else m[1] + b"e-05",
-    ),
-)
+def entry_pairs(m) -> np.ndarray:
+    """The row-major [re, im] pairs of a matrix as a C-contiguous (n, 2)
+    float64 array, a view of m when m is already C-contiguous complex128."""
+    return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(-1, 2)
 
 
 def dump_matrix(
@@ -88,14 +76,13 @@ def dump_matrix(
 ) -> str:
     """Serialize a matrix; square operators should pass their dims.
 
-    The text equals ``json.dumps(doc, separators=(",", ":")) + "\n"`` for
-    the document whose keys are dims or shape, label, seed and data, in that
-    order, data being the [re, im] pairs as Python floats.  The header is
-    written by ``json`` and the data by orjson, re-spelled to repr's layout
-    (_RESPELL).
+    One ASCII line ending in a newline: a JSON object whose keys are dims
+    or shape, label, seed and data, in that order.  The header is
+    ``json.dumps(header, separators=(",", ":"))`` and data is orjson's
+    text of the [re, im] pairs, which parse_matrix reads back bit for bit.
     """
     m = as_cmatrix(m)
-    if not np.isfinite(m).all():  # json would write NaN or Infinity
+    if not np.isfinite(m).all():  # orjson would write NaN or Infinity as null
         raise MatrixFileError("matrix entries must be finite")
     header: dict = {}
     if dims is not None:
@@ -110,10 +97,7 @@ def dump_matrix(
         header["label"] = label
     if seed is not None:
         header["seed"] = int(seed)
-    pairs = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2)
-    data = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY)
-    for pattern, spelling in _RESPELL:
-        data = pattern.sub(spelling, data)
+    data = orjson.dumps(entry_pairs(m), option=orjson.OPT_SERIALIZE_NUMPY)
     head = json.dumps(header, separators=(",", ":"))[:-1]  # without its "}"
     return f'{head},"data":{data.decode()}}}\n'
 
@@ -176,9 +160,11 @@ def _json_int(digits: str) -> int | float:
 # a clean JSONDecodeError.  A text that can hold NEST_CHARS of them, 1.2 times
 # fewer, goes to stdlib json, whose recursion limit makes the depth an
 # error.  That margin assumes an 8 MB decoding stack with at most 1.3 MB of
-# it in use.  NEST_CHARS exceeds the longest 64x64 file (213,024 characters,
-# 17-digit negative mantissas and exponents), so no such file pays for the
-# count.
+# it in use.  orjson writes a finite double in at most 24 characters (a
+# sign and 17 digits, as -0.000012345678901234568 or -2.2250738585072014e-308),
+# so a 64x64 file without a label has at most 213,052 (with a (2,)*6 dims
+# header and a 20-digit seed).  NEST_CHARS exceeds that, so no such file
+# pays for the count.
 NEST_CHARS = 216_000
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from luequiv import DimProfile, SearchConfig, kron_all, load_matrix, save_matrix
-from luequiv.cli import _config_from, build_parser, main
-from luequiv.equivalence import _gate_distance
+from luequiv.cli import EXIT_CODES, _config_from, build_parser, main
+from luequiv.equivalence import _gate_distance, check_equivalence
 from luequiv.matfile import NEST_CHARS
 from luequiv.oracle import haar_unitary, local_unitaries, random_density
 
@@ -383,6 +383,88 @@ def test_check_json_contract(tmp_path, capsys):
     assert doc["best_objective"] == sum(c["ratio"] ** 2 for c in doc["cuts"])
     assert doc["witness"] is not None and doc["witness_residual"] < 1e-8
     assert doc["restarts_used"] >= 1 and doc["objective_history"] != []
+
+
+def _reference_doc(v) -> dict:
+    """The check --json document of a Verdict, built field by field from it."""
+    return {
+        "status": v.status.value,
+        "phases": None if v.phases is None else [float(t) for t in v.phases],
+        "cuts": None
+        if v.cut_reports is None
+        else [
+            {"cut": r.cut, "sigma1": r.sigma1, "sigma2": r.sigma2, "ratio": r.ratio,
+             "rank_one": r.is_rank_one}
+            for r in v.cut_reports
+        ],
+        "witness_residual": v.witness_residual,
+        "best_objective": v.best_objective,
+        "degenerate_fallback": v.used_degenerate_fallback,
+        "seed": v.seed,
+        "restarts_used": v.restarts_used,
+        "path": v.path,
+        "distance_lower": v.distance_lower,
+        "objective_history": [[i, f] for i, f in v.objective_history],
+        "witness": None
+        if v.witness is None
+        else {
+            "factors": [
+                {"shape": list(f.shape),
+                 "data": [[float(z.real), float(z.imag)] for z in f.reshape(-1)]}
+                for f in v.witness.factors
+            ],
+            "factorization_residual": v.witness.residual,
+        },
+    }
+
+
+def _bitwise(x):
+    """x with every float replaced by its hex spelling, so == compares bits
+    (and 0 != 0.0, -0.0 != 0.0)."""
+    if isinstance(x, dict):
+        return {k: _bitwise(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_bitwise(v) for v in x]
+    return float.hex(x) if isinstance(x, float) else x
+
+
+def _verdict_files(tmp_path, path: str):
+    """Two matrix files whose check ends on path, and the extra check flags."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    if path in ("frame", "coset"):
+        kind = {"frame": ["pair-equivalent", "--dims", "2,2,2", "--seed", "7"],
+                "coset": ["paper-example", "--a", "3", "--b", "5", "--c", "7"]}[path]
+        prefix = _gen(tmp_path, *kind)
+        return f"{prefix}_a.json", f"{prefix}_b.json", FAST
+    if path == "bound":
+        lam = np.array([0.7, 0.15, 0.1, 0.05])
+        bell = np.array(
+            [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]
+        ) / np.sqrt(2.0)
+        save_matrix(a, (bell * lam) @ bell.conj().T, dims=(2, 2))
+        save_matrix(b, np.diag(lam), dims=(2, 2))
+    elif path == "invariant":
+        rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+        save_matrix(a, rho.matrix, dims=(2, 2, 2))
+        save_matrix(b, rho.matrix.conj(), dims=(2, 2, 2))
+    else:  # an EQUIVALENT on "lift": phases, cuts and a witness
+        rho = locally_mixed_qubits(3, 0)
+        save_matrix(a, rho.matrix, dims=(2, 2, 2))
+        save_matrix(b, local_rotation(rho, 100).matrix, dims=(2, 2, 2))
+    return str(a), str(b), []
+
+
+@pytest.mark.parametrize("path", ["frame", "bound", "invariant", "lift", "coset"])
+def test_check_json_is_one_line_with_the_verdict_bitwise(tmp_path, capsys, path):
+    a, b, extra = _verdict_files(tmp_path, path)
+    capsys.readouterr()  # drop the gen report
+    rc = main(["check", a, b, "--json", *extra])
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    config = _config_from(build_parser().parse_args(["check", a, b, *extra]))
+    verdict = check_equivalence(load_matrix(a).density(), load_matrix(b).density(), config)
+    assert verdict.path == path and rc == EXIT_CODES[verdict.status]
+    assert _bitwise(json.loads(out)) == _bitwise(_reference_doc(verdict))
 
 
 def test_gen_paper_example_files_match_literal_matrices(tmp_path):

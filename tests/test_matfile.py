@@ -69,13 +69,15 @@ def test_parse_rejects_deep_nesting_on_the_json_fallback():
 
 
 def test_parse_reads_the_longest_64x64_file_with_orjson_and_no_count(monkeypatch):
-    # every entry a 24-character float (17 digits, a sign, a three-digit
-    # negative exponent), the longest dims header of D = 64 and a 64-bit
-    # seed: shorter than NEST_CHARS, so the nesting count never runs, and
-    # orjson decodes it
-    m = np.full((64, 64), -2.2250738585072014e-308 * (1 + 1j))
-    text = dump_matrix(m, dims=(2,) * 6, seed=2**63 - 1)
-    assert len(text) < matfile.NEST_CHARS
+    # every entry one of orjson's two 24-character spellings (a sign and 17
+    # digits, behind "0.0000" or before a three-digit negative exponent), the
+    # longest dims header of D = 64 and a 20-digit seed: the longest file
+    # dump_matrix writes for D = 64 without a label, shorter than NEST_CHARS,
+    # so the nesting count never runs, and orjson decodes it
+    m = np.full((64, 64), complex(-2.2250738585072014e-308, -1.2345678901234567e-05))
+    text = dump_matrix(m, dims=(2,) * 6, seed=2**64 - 1)
+    assert "[-2.2250738585072014e-308,-0.000012345678901234568]" in text
+    assert len(text) == 213_052 < matfile.NEST_CHARS
 
     def no_json(*args, **kwargs):
         raise AssertionError("stdlib json decoded the text")
@@ -208,29 +210,35 @@ def test_dump_checks_dims():
         dump_matrix(np.eye(3), dims=(2, 2))
 
 
-def _stdlib_text(m, head):
-    """The text stdlib json writes for a matrix file: the reference encoding."""
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return json.dumps({**head, "data": data}, separators=(",", ":")) + "\n"
+def _assert_round_trip(m, head: dict, **meta) -> str:
+    """dump_matrix's text of m: one ASCII line, the header json.dumps gives,
+    and data that parse_matrix and stdlib json both read back bit for bit."""
+    text = dump_matrix(m, **meta)
+    assert text.isascii() and text.endswith("\n") and text.count("\n") == 1
+    assert text.startswith(json.dumps(head, separators=(",", ":"))[:-1] + ',"data":[')
+    bits = np.asarray(m, dtype=complex).view(np.uint64)
+    back = parse_matrix(text)
+    assert np.array_equal(back.matrix.view(np.uint64), bits)
+    stdlib = np.array(json.loads(text)["data"], dtype=np.float64).view(np.complex128)
+    assert np.array_equal(stdlib.reshape(m.shape).view(np.uint64), bits)
+    return text
 
 
-def test_dump_matches_per_entry_encoding():
+def test_dump_round_trips_every_value_bitwise():
     m = np.array([[-0.0, 5e-324 - 1e-310j], [1.7976931348623157e308j, complex(0.1, -0.0)]])
-    expected = _stdlib_text(m, {"shape": [2, 2]})
-    assert dump_matrix(m) == expected
-    assert dump_matrix(m.T.copy().T) == expected  # column-major storage
-    # orjson writes the data, so every spelling must be repr's: a dims file
-    # of 131,072 seeded random bit patterns (1.0 for a non-finite one) ...
+    text = _assert_round_trip(m, {"shape": [2, 2]})
+    assert dump_matrix(m.T.copy().T) == text  # column-major storage
+    # orjson writes the data as it spells it: a dims file of 131,072 seeded
+    # random bit patterns (1.0 for a non-finite one) ...
     rng = np.random.default_rng(29)
     bits = rng.integers(0, 2**64, size=2 * 256 * 256, dtype=np.uint64).view(np.float64)
     m = np.where(np.isfinite(bits), bits, 1.0).view(np.complex128).reshape(256, 256)
-    assert dump_matrix(m, dims=(2,) * 8, seed=29) == _stdlib_text(
-        m, {"dims": [2] * 8, "seed": 29}
-    )
+    _assert_round_trip(m, {"dims": [2] * 8, "seed": 29}, dims=(2,) * 8, seed=29)
     # ... and a shape file of every power of two and of ten with both
-    # neighbours, zeros, subnormals and the edges of repr's layouts: the
-    # [1e-5, 1e-4) decade, one-digit and positive exponents, and numbers
-    # whose text holds "0.0000" but which are no decade numbers
+    # neighbours, zeros, subnormals and the places where orjson's layout
+    # differs from repr's: the [1e-5, 1e-4) decade, one-digit and positive
+    # exponents, and numbers whose text holds "0.0000" but which are no
+    # decade numbers
     powers = np.array([2.0**k for k in range(-1074, 1024)]
                       + [float(f"1e{k}") for k in range(-323, 309)])
     edges = [0.0, 5e-324, 1e-323, 2.225073858507201e-308, 1e-310,
@@ -241,19 +249,18 @@ def test_dump_matches_per_entry_encoding():
     )
     values = values[np.isfinite(values)]
     m = np.concatenate([values, -values]).view(np.complex128).reshape(1, -1)
-    assert dump_matrix(m) == _stdlib_text(m, {"shape": list(m.shape)})
+    _assert_round_trip(m, {"shape": list(m.shape)})
 
 
 def test_dump_keeps_a_non_ascii_label_escaped(tmp_path):
-    # the data's re-spelling never reaches the header, even where the label
-    # reads like the numbers it re-spells
+    # json writes the header, so the label is escaped and the file stays
+    # ASCII, even where the label reads like the numbers orjson writes
     label = "ρ′ 1e16 0.00001 e-7 [0.00001,1e-7]"
     m = np.diag([1e16, 1e-5j, 1e-7, 0.25])
+    _assert_round_trip(m, {"dims": [2, 2], "label": label}, dims=(2, 2), label=label)
     path = tmp_path / "l.json"
     save_matrix(path, m, dims=(2, 2), label=label)
-    raw = path.read_bytes()
-    assert raw.isascii()
-    assert raw.decode() == _stdlib_text(m, {"dims": [2, 2], "label": label})
+    assert path.read_bytes().isascii()
     assert load_matrix(path).label == label
 
 
