@@ -13,13 +13,13 @@ rho to Y A^dag Lambda A Y^dag = rho'.
 The rungs of a check, in order: the spectra (a mismatch is the one
 conclusive negative); the bound rung, where the one-site marginal spectra
 put every product unitary image of rho farther from rho' than the witness
-gate lets through, and the verdict is NOT_FOUND on path "bound"; the frame
+gate lets through, and the verdict is NOT_FOUND on path "bound"; the
+invariant rung, where, with non-degenerate marginals, the 3-cycle
+(Bargmann) products of the pair in its marginal eigenframes do what the
+marginal spectra do on "bound" (NOT_FOUND on path "invariant"); the frame
 rung, a local-eigenframe witness guess that verifies before any coset is
-built; the invariant rung, where, with non-degenerate marginals, the
-3-cycle (Bargmann) products of the pair in its marginal eigenframes do
-what the marginal spectra do on "bound" (NOT_FOUND on path "invariant");
-the lift rung, where a Cholesky certificate on the lifted rank-one system
-(_lifted_gram) proves that no coset point passes the rank-one test
+built; the lift rung, where a Cholesky certificate on the lifted rank-one
+system (_lifted_gram) proves that no coset point passes the rank-one test
 (NOT_FOUND on path "lift"), or else one eigensolve yields the one solution,
 which must then verify; and the coset search, which minimizes the smooth
 surrogate
@@ -130,15 +130,16 @@ class Verdict:
     used_degenerate_fallback: bool = False
     seed: int | None = None
     restarts_used: int = 0
-    # "frame" (the local-eigenframe guess verified, no search ran; no cut
-    # reports or best objective), "bound" (NOT_FOUND with no search: the
+    # in the order the rungs run: "bound" (NOT_FOUND with no search: the
     # marginal spectra put every product unitary beyond the witness gate),
-    # "invariant" (NOT_FOUND with no coset and no search: the cycle products
-    # of the marginal eigenframes do the same, _invariant_distance), "lift"
-    # (no search ran: NOT_FOUND when a Cholesky certificate puts the
-    # lifted system's least eigenvalue above its floor, so that no coset
-    # point passes the rank-one test, with no cut reports or best objective;
-    # EQUIVALENT when the point read off its least eigenvector verified),
+    # "invariant" (NOT_FOUND with no frame guess, coset or search: the cycle
+    # products of the marginal eigenframes do the same, _invariant_distance),
+    # "frame" (the local-eigenframe guess verified, no search ran; no cut
+    # reports or best objective), "lift" (no search ran: NOT_FOUND when a
+    # Cholesky certificate puts the lifted system's least eigenvalue above
+    # its floor, so that no coset point passes the rank-one test, with no
+    # cut reports or best objective; EQUIVALENT when the point read off its
+    # least eigenvector verified),
     # "coset" or "coset-block" (the search, over a diagonal or a
     # block-unitary coset); None when the spectra differ
     path: str | None = None
@@ -536,76 +537,83 @@ def _gate_distance(rho: DensityMatrix) -> float:
 
 def _product_frames(
     rho: DensityMatrix, rho_prime: DensityMatrix, marginals, tol: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(A, B) = (P^dag rho P, Q^dag rho' Q), with P = kron_i P_i and
-    Q = kron_i Q_i the marginal eigenbases of rho and rho' (``marginals``,
-    from _marginal_eighs): the pair read in its product frames, which the
-    frame and invariant rungs share.  None when degeneracy_profile groups
-    two eigenvalues of a marginal of rho at tol (spec_tol), where P_i is not
-    fixed up to phases."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(A, B, conj(A) o B), with A = P^dag rho P and B = Q^dag rho' Q,
+    P = kron_i P_i and Q = kron_i Q_i the marginal eigenbases of rho and rho'
+    (``marginals``, from _marginal_eighs): the pair read in its product
+    frames and their entrywise overlap, which the invariant and frame rungs
+    share.  None when degeneracy_profile groups two eigenvalues of a
+    marginal of rho at tol (spec_tol), where P_i is not fixed up to
+    phases."""
     if any(max(degeneracy_profile(w[0], tol)) > 1 for w, _ in marginals):
         return None
     p, q = (kron_all([v[j] for _, v in marginals]) for j in (0, 1))
-    return p.conj().T @ rho.matrix @ p, q.conj().T @ rho_prime.matrix @ q
+    a = p.conj().T @ rho.matrix @ p
+    b = q.conj().T @ rho_prime.matrix @ q
+    return a, b, a.conj() * b
 
 
 def _frame_factors(marginals, frames, tol: float) -> list[np.ndarray] | None:
-    """The local-eigenframe witness guess (U_1, ..., U_M), or None when the
-    one-site marginals do not fix it.
+    """The local-eigenframe witness guess (U_1, ..., U_M), or None when a pair
+    of marginal spectra differ by more than tol (spec_tol).
 
     A one-site marginal is LU-covariant, rho'_i = U_i rho_i U_i^dag, so a
     non-degenerate marginal fixes U_i = Q_i diag(e^{i phi_i}) P_i^dag, with
     P_i and Q_i the eigenbases of the marginals of rho and rho' in the same
     eigenvalue order (``marginals``, from _marginal_eighs): Kraus's
     local-Schmidt frame (PRL 104, 020504 (2010)).  In the product frames,
-    A = P^dag rho P and B = Q^dag rho' Q (``frames``, from _product_frames)
-    of an equivalent pair obey B_ab = e^{i(phi_a - phi_b)} A_ab, so
-    M_i = Tr_{other sites}(B o conj(A)) is D_i N_i D_i^dag with N_i
-    entrywise >= 0, and phi_i is the argument of M_i's leading (Perron)
-    eigenvector.  B o conj(A) is positive semidefinite (Schur), which is why
-    its partial traces are taken as a DensityMatrix's.  None when a pair of
-    marginal spectra differ by more than tol (spec_tol), or M_i's top gap is
-    within TOL of its span.
+    A = P^dag rho P and B = Q^dag rho' Q (``frames``, from _product_frames,
+    with conj(A) o B) of an equivalent pair obey B_ab = e^{i(phi_a - phi_b)}
+    A_ab, so M_i = Tr_{other sites}(conj(A) o B) is D_i N_i D_i^dag with
+    N_i entrywise >= 0 and D_i = diag(e^{i phi_i}).  The phases are read off
+    M_i with no eigensolve: with j the index of M_i's largest diagonal
+    entry, (M_i m_j)_k = e^{i(phi_k - phi_j)} (N_i^2)_kj for the column m_j
+    of M_i, so phi_i = angle(M_i m_j) up to one global phase, exact wherever
+    every index is within two hops of j in N_i's nonzero pattern.  The
+    column is not normalised to unit phases: each index then weighs by
+    |M_kj|, and an entry at the noise level adds noise of its own size.  A
+    wrong guess fails the witness gate, the only soundness check.
+    conj(A) o B is positive semidefinite (Schur), which is why its partial
+    traces are taken as a DensityMatrix's.
     """
     if any(np.max(np.abs(w[0] - w[1])) > tol for w, _ in marginals):
         return None
     # eigh's column phases are a diagonal gauge, which M_i's phases absorb
-    a, b = frames
     profile = DimProfile(tuple(w.shape[-1] for w, _ in marginals))
-    overlap = DensityMatrix(matrix=b * a.conj(), profile=profile)
+    overlap = DensityMatrix(matrix=frames[2], profile=profile)
     factors = []
     for i, (pi, qi) in enumerate(v for _, v in marginals):
-        w, v = np.linalg.eigh(reduced_density(overlap, i))
-        if w.size > 1 and w[-1] - w[-2] <= TOL * (w[-1] - w[0]):
-            return None
-        # U_i as the adjoint of U_i^dag = P_i diag(e^{-i phi_i}) Q_i^dag
-        factors.append(((pi * np.exp(-1j * np.angle(v[:, -1]))) @ qi.conj().T).conj().T)
+        m = reduced_density(overlap, i)
+        phi = np.angle(m @ m[:, np.argmax(m.diagonal().real)])
+        factors.append((qi * np.exp(1j * phi)) @ pi.conj().T)
     return factors
 
 
-def _cycle_gap(a: np.ndarray, b: np.ndarray) -> float:
+def _cycle_gap(a: np.ndarray, b: np.ndarray, overlap: np.ndarray) -> float:
     """A lower bound on ||T(A) - T(B)||_F, T(X)_abc = X_ab X_bc X_ca, with no
-    D^3 tensor formed.
+    D^3 tensor formed; ``overlap`` is conj(A) o B, as _product_frames gives it.
 
     Sum_abc conj(T(X)_abc) T(Y)_abc = tr(Z^3) with Z = conj(X) o Y, so
     ||T(A) - T(B)||^2 = tr(Z_AA^3) + tr(Z_BB^3) - 2 Re tr(Z_AB^3), each trace
-    two D x D products.  The sum cancels, so its rounding is bounded by the
-    absolute terms: each trace is a sum of D^3 triple products, formed with a
-    relative error of at most gamma = (D^2 + 2D + 16) eps a term (an inner
-    product of length D, one more product, a sum of D^2 terms, and the
-    entrywise products that form Z), and sum |Z_AB terms| <= ||T(A)|| ||T(B)||
-    <= (s_A + s_B) / 2 (Cauchy-Schwarz), s_X = tr(Z_XX^3) = ||T(X)||^2.  So
-    the computed square errs by at most 2 gamma (s_A + s_B) (1 + gamma), and
-    3 gamma (s_A + s_B) leaves room for the last three sums.
+    one D x D product and one inner product of length D^2, as every Z is
+    Hermitian: tr(Z^3) = sum_ab conj(Z_ab) (Z^2)_ab.  Z_AA = |A|^2 and
+    Z_BB = |B|^2 are real.  The sum cancels, so its rounding is bounded by
+    the absolute terms: each trace is a sum of D^3 triple products, formed
+    with a relative error of at most gamma = (D^2 + 2D + 16) eps a term (an
+    inner product of length D, one more product, a sum of D^2 terms, and
+    the entrywise products that form Z), and sum |Z_AB terms| <= ||T(A)||
+    ||T(B)|| <= (s_A + s_B) / 2 (Cauchy-Schwarz), s_X = tr(Z_XX^3) =
+    ||T(X)||^2.  So the computed square errs by at most 2 gamma (s_A + s_B)
+    (1 + gamma), and 3 gamma (s_A + s_B) leaves room for the last three sums.
     """
 
     def tr3(z):
-        return (z @ z * z.T).sum().real
+        return np.vdot(z, z @ z).real
 
     s_a, s_b = tr3(np.abs(a) ** 2), tr3(np.abs(b) ** 2)
     dim = len(a)
     gamma = (dim * dim + 2 * dim + 16) * sys.float_info.epsilon
-    square = s_a + s_b - 2.0 * tr3(a.conj() * b) - 3.0 * gamma * (s_a + s_b)
+    square = s_a + s_b - 2.0 * tr3(overlap) - 3.0 * gamma * (s_a + s_b)
     return math.sqrt(max(float(square), 0.0))
 
 
@@ -689,9 +697,13 @@ def _invariant_distance(
     ||T(A) - T(B)||_F, or 0 where that value does not clear the offset.
     The few dozen operations that form the bound and d_T err by a relative
     (D + 20) eps at most, which the last factor removes."""
+    gap = _cycle_gap(*frames)
+    if gap == 0.0:
+        # exact: slope > 0 and offset >= 0, so d_T would be 0 too
+        return 0.0
     slope, offset = _invariant_bound(rho, rho_prime, tops, marginals)
     shrink = 1.0 - (rho.profile.total + 20) * sys.float_info.epsilon
-    return max(0.0, (_cycle_gap(*frames) - offset) / slope * shrink)
+    return max(0.0, (gap - offset) / slope * shrink)
 
 
 def _frame_point(ctx: CosetContext, factors) -> np.ndarray | None:
@@ -755,29 +767,34 @@ def check_equivalence(
     gate, and the verdict is NOT_FOUND on path "bound" with no search: the
     status the search would have returned, and no claim of inequivalence.
     Every verdict past validation reports distance_lower, the larger of L
-    and ||lambda - lambda'||_2 (and of d_T on path "invariant").  The frame
-    rung, from the same marginal eigenbases: the local-eigenframe guess
-    W = kron_i U_i, when the marginals fix it and it passes the one witness
-    gate (_verified: unitary factors, verified residual), is EQUIVALENT on
-    path "frame", with no coset and no search; its phases are those of
-    x_m^dag W^dag y_m, and it has no cut reports or best objective, W being
-    a product by construction.
+    and ||lambda - lambda'||_2 (and of d_T on path "invariant").
 
     The invariant rung, when every marginal of rho is non-degenerate at
     spec_tol (so the product frames A = P^dag rho P and B = Q^dag rho' Q
-    exist, _product_frames) and the frame guess did not pass the gate, for
-    whatever reason: an exact product unitary V at distance g from rho'
-    fixes the frames up to phases and a Davis-Kahan error, and the 3-cycle
-    products T(X)_abc = X_ab X_bc X_ca, blind to the phases, then differ
-    by at most slope g + offset (_invariant_bound has the proof).  That
-    bound inverted at a certified lower value of ||T(A) - T(B)||_F
+    exist, _product_frames): an exact product unitary V at distance g from
+    rho' fixes the frames up to phases and a Davis-Kahan error, and the
+    3-cycle products T(X)_abc = X_ab X_bc X_ca, blind to the phases, then
+    differ by at most slope g + offset (_invariant_bound has the proof).
+    That bound inverted at a certified lower value of ||T(A) - T(B)||_F
     (_cycle_gap) is d_T (_invariant_distance), a lower bound on the
     distance under product unitaries.  A witness that passes the gate is,
     by its polar split as on "bound", within G of an exact product unitary
     image, so when d_T exceeds G no witness can pass, and the verdict is
-    NOT_FOUND on path "invariant" with no coset, lift or search: the status
-    the search would have returned, and distance_lower the larger of
-    ||lambda - lambda'||_2, L and d_T.
+    NOT_FOUND on path "invariant" with no frame guess, coset, lift or
+    search: the status the search would have returned, and distance_lower
+    the larger of ||lambda - lambda'||_2, L and d_T.  It runs before the
+    frame guess, so a check it ends (rho against rho*, say) pays for
+    neither the frame factors nor the gate's kron_i U_i and residual; on a
+    planted pair the certified gap is exactly 0, its rounding slack taking
+    up the difference, so the rung hands on without forming its bound, for
+    the cost of the gap's three traces.
+
+    The frame rung, from the same marginal eigenbases: the local-eigenframe
+    guess W = kron_i U_i (_frame_factors), when the marginals fix it and it
+    passes the one witness gate (_verified: unitary factors, verified
+    residual), is EQUIVALENT on path "frame", with no coset and no search;
+    its phases are those of x_m^dag W^dag y_m, and it has no cut reports or
+    best objective, W being a product by construction.
 
     The last two rungs work on the coset X blockdiag(A_1..A_r) Y^dag
     (diagonal phases when the spectrum is non-degenerate, a unitary block
@@ -857,6 +874,17 @@ def check_equivalence(
     frames = _product_frames(rho, rho_prime, marginals, config.spec_tol)
     factors = None
     if frames is not None:
+        tops = (s1.eigenvalues[0], s2.eigenvalues[0])
+        invariant = _invariant_distance(rho, rho_prime, tops, marginals, frames)
+        if invariant > gate:
+            # the frames' cycle products put every product unitary beyond the
+            # gate, as on "bound": NOT_FOUND with no frame guess, coset, lift
+            # or search
+            return verdict(
+                VerdictStatus.NOT_FOUND,
+                path="invariant",
+                distance_lower=max(spectral_distance, marginal_distance, invariant),
+            )
         factors = _frame_factors(marginals, frames, config.spec_tol)
         guess = None if factors is None else FactorSet(factors=tuple(factors))
         verified = None if guess is None else _verified(rho, rho_prime, guess)
@@ -870,16 +898,6 @@ def check_equivalence(
                 witness_residual=residual,
                 phases=None if fallback else _phases(point),
                 path="frame",
-            )
-        tops = (s1.eigenvalues[0], s2.eigenvalues[0])
-        invariant = _invariant_distance(rho, rho_prime, tops, marginals, frames)
-        if invariant > gate:
-            # the frames' cycle products put every product unitary beyond the
-            # gate, as on "bound": NOT_FOUND with no coset, lift or search
-            return verdict(
-                VerdictStatus.NOT_FOUND,
-                path="invariant",
-                distance_lower=max(spectral_distance, marginal_distance, invariant),
             )
 
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)

@@ -26,7 +26,6 @@ from .tensor import as_cmatrix, lead_phases
 #     grouping rule: coset blocks and
 #     marginal frames at spec_tol,
 #     paper_example's warning at TOL)
-#   frame phase gap (M_i, equivalence)   top eigenvalue gap         span of M_i
 #
 # Four thresholds are not rows: none is TOL times a scale, and none decides
 # soundness, which rests on the witness gate (the unitarity and witness

@@ -145,6 +145,19 @@ def local_rotation(rho: DensityMatrix, seed) -> DensityMatrix:
     return DensityMatrix(matrix=(m + m.conj().T) / 2.0, profile=rho.profile)
 
 
+def tied_overlap_state(eps: float) -> DensityMatrix:
+    """A diagonal (3, 2) state whose overlap marginal against itself,
+    M_1 = diag(sum_j rho_aj^2), has its two largest entries eps times its
+    span apart; every marginal gap is far above spec_tol.  Row 0 is
+    (s, 0.4 - s) with s^2 + (0.4 - s)^2 the top entry."""
+    rows = np.array([[0.0, 0.0], [0.28, 0.15], [0.1, 0.07]])
+    m = rows[1:] ** 2 @ np.ones(2)
+    top = m[0] + eps * (m[0] - m[1]) / (1.0 - eps)
+    rows[0, 0] = (0.8 + np.sqrt(0.64 - 8.0 * (0.16 - top))) / 4.0
+    rows[0, 1] = 0.4 - rows[0, 0]
+    return DensityMatrix(matrix=np.diag(rows.ravel()).astype(complex), profile=DimProfile((3, 2)))
+
+
 def conjugate(rho: DensityMatrix) -> DensityMatrix:
     """rho*: the same spectrum and the same marginal spectra as rho."""
     return DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)

@@ -52,6 +52,7 @@ from helpers import (
     local_rotation,
     locally_mixed_qubits,
     realign_index_oracle,
+    tied_overlap_state,
     werner,
     with_mixed_marginal,
 )
@@ -648,7 +649,9 @@ def test_frame_point_decides_planted_pairs_without_a_search(monkeypatch):
 
 def test_frame_rung_skips_the_coset(monkeypatch):
     # a frame guess that verifies decides the check with no coset machinery:
-    # no CosetContext, no cut reports, no factoring, no search
+    # no CosetContext, no cut reports, no factoring, no search; the invariant
+    # rung before it finds a cycle gap of exactly 0, so it hands on without
+    # forming its bound
     config = SearchConfig(seed=4)
     for sample in _frame_samples():
         label = sample.rho.profile
@@ -662,6 +665,7 @@ def test_frame_rung_skips_the_coset(monkeypatch):
         monkeypatch.setattr(CosetContext, "__init__", init)
         for name in ("factor_full", "run_search"):
             monkeypatch.setattr(equivalence, name, lambda *a, _n=name, **k: calls.append(_n))
+        monkeypatch.setattr(equivalence, "_invariant_bound", _raiser("_invariant_bound"))
         verdict, factors, _ = _check_with_frame(monkeypatch, sample.rho, sample.rho_prime, config)
         assert calls == [], (label, calls)
         assert verdict.status is VerdictStatus.EQUIVALENT, label
@@ -680,6 +684,18 @@ def test_frame_rung_skips_the_coset(monkeypatch):
         want = np.angle(point) - np.angle(point[0])
         assert verdict.phases[0] == 0.0, label
         assert np.max(np.abs(np.exp(1j * verdict.phases) - np.exp(1j * want))) <= 1e-12, label
+
+
+@pytest.mark.parametrize("eps", [0.0, TOL / 2], ids=["tied", "half-tol"])
+def test_frame_rung_decides_a_tied_overlap_marginal(eps):
+    # M_1's two largest entries tie, or sit TOL / 2 of its span apart: its
+    # phases are read off with no eigenvalue gap to need, so the frame guess
+    # verifies against the state itself and against a local rotation
+    rho = tied_overlap_state(eps)
+    for partner in (rho, local_rotation(rho, 5)):
+        verdict = check_equivalence(rho, partner, SearchConfig(seed=0))
+        assert verdict.status is VerdictStatus.EQUIVALENT
+        assert verdict.path == "frame"
 
 
 def test_frame_verdict_builds_its_witness_operator_once(monkeypatch):
@@ -836,8 +852,9 @@ def _rho_star_states():
 
 
 def _invariant_parts(rho, rho_prime):
-    """The product frames (A, B), d_T and the (slope, offset) of the
-    invariant bound of a pair whose marginals of rho are non-degenerate."""
+    """The product frames (A, B, conj(A) o B), d_T and the (slope, offset)
+    of the invariant bound of a pair whose marginals of rho are
+    non-degenerate."""
     tops = tuple(eig_hermitian(r.matrix).eigenvalues[0] for r in (rho, rho_prime))
     marginals = equivalence._marginal_eighs(rho, rho_prime)
     frames = equivalence._product_frames(rho, rho_prime, marginals, TOL)
@@ -846,7 +863,7 @@ def _invariant_parts(rho, rho_prime):
 
 
 def _explicit_cycle_gap(frames) -> float:
-    a, b = (cycle_products_oracle(x) for x in frames)
+    a, b = (cycle_products_oracle(x) for x in frames[:2])
     return float(np.linalg.norm(a - b))
 
 
@@ -885,7 +902,7 @@ def test_noisy_planted_pairs_never_end_on_bound(dims):
     # Hermitian noise of norm eta moves every product-unitary distance by at
     # most eta, so at and below the witness tolerance the gate is never
     # crossed, by the marginal spectra or by the cycle invariants (d_T, read
-    # directly, since the invariant rung runs only where the frame guess fails)
+    # directly, since distance_lower reports it only on path "invariant")
     for eta in (1e-9, 3e-9, 1e-8):
         for seed in range(5):
             rho, rho_prime = _noisy_pair(dims, seed, eta=eta)
@@ -896,9 +913,10 @@ def test_noisy_planted_pairs_never_end_on_bound(dims):
 
 
 def test_bound_rung_adds_no_eigensolve(monkeypatch):
-    # a planted (2,2,2) check: one eigh per state for the spectra, one stacked
-    # eigh per site shared by the bound and frame rungs, one per site of the
-    # frame's overlap; two marginals per site and one overlap marginal per site
+    # a planted (2,2,2) check: one eigh per state for the spectra and one
+    # stacked eigh per site shared by the bound, invariant and frame rungs,
+    # whose phases are read off the overlap marginals with no eigensolve; two
+    # marginals per site and one overlap marginal per site
     counts = {"eigh": 0, "reduced_density": 0}
 
     def counted(name, real):
@@ -915,17 +933,17 @@ def test_bound_rung_adds_no_eigensolve(monkeypatch):
     sample = make_equivalent_pair(DimProfile((2, 2, 2)), 7)
     verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=0))
     assert verdict.path == "frame"
-    assert counts == {"eigh": 8, "reduced_density": 9}
+    assert counts == {"eigh": 5, "reduced_density": 9}
 
 
 def test_invariant_rung_ends_a_state_against_its_conjugate_without_a_coset(monkeypatch):
-    # rho* has rho's spectrum and marginal spectra, and its frame guess fails
-    # the gate; the cycle products of the marginal eigenframes put every
-    # product unitary beyond the gate, so no coset is built and neither the
-    # lift nor the search runs, up to D = 64; a rank-3 state, whose
-    # marginals stay non-degenerate, is decided the same way
+    # rho* has rho's spectrum and marginal spectra; the cycle products of the
+    # marginal eigenframes put every product unitary beyond the gate, so the
+    # check ends before the frame guess is formed or gated, no coset is
+    # built and neither the lift nor the search runs, up to D = 64; a rank-3
+    # state, whose marginals stay non-degenerate, is decided the same way
     _without_search(monkeypatch)
-    for name in ("CosetContext", "_lift"):
+    for name in ("CosetContext", "_lift", "_frame_factors", "_verified"):
         monkeypatch.setattr(equivalence, name, _raiser(name))
     rank_three, _ = degenerate_plant((2, 2, 2), 0, rank=3)
     for rho in [*_rho_star_states(), rank_three]:
@@ -939,16 +957,20 @@ def test_invariant_rung_ends_a_state_against_its_conjugate_without_a_coset(monke
         assert verdict.distance_lower > equivalence._gate_distance(rho), label
 
 
-def test_distance_lower_on_invariant_is_below_the_frame_guess_distance(monkeypatch):
+def test_distance_lower_on_invariant_is_below_the_frame_guess_distance():
     # d_T bounds min over product unitaries of ||V rho V^dag - rho'||_F from
     # below: on each rho* state it lies between the gate distance and the
     # distance of the frame guess, made exactly unitary by its polar factor,
-    # and distance_lower reports it
+    # and distance_lower reports it; the check itself ends before the guess
     for rho in _rho_star_states():
         label = rho.profile
         rho_conj = conjugate(rho)
-        verdict, factors, _ = _check_with_frame(monkeypatch, rho, rho_conj, SearchConfig(seed=1))
-        assert verdict.path == "invariant" and factors is not None, label
+        verdict = check_equivalence(rho, rho_conj, SearchConfig(seed=1))
+        assert verdict.path == "invariant", label
+        marginals = equivalence._marginal_eighs(rho, rho_conj)
+        frames = equivalence._product_frames(rho, rho_conj, marginals, TOL)
+        factors = equivalence._frame_factors(marginals, frames, TOL)
+        assert factors is not None, label
         polar = tuple(u @ vh for u, _, vh in map(np.linalg.svd, factors))
         residual = verify_witness(rho, rho_conj, FactorSet(factors=polar))
         _, d_t, _ = _invariant_parts(rho, rho_conj)

@@ -17,7 +17,7 @@ from luequiv import (
     spectra_match,
     validate_density,
 )
-from luequiv.equivalence import _frame_factors, _marginal_eighs, _product_frames, _verified
+from luequiv.equivalence import _verified
 from luequiv.oracle import haar_unitary
 from luequiv.spectral import TOL, Spectrum, require_hermitian
 from luequiv.tensor import kron_all, lead_phases
@@ -277,21 +277,6 @@ def _degeneracy_within(eps):
     return check_equivalence(rho, rho).used_degenerate_fallback
 
 
-def _frame_phase_gap_within(eps):
-    # a diagonal (3, 2) state against itself: M_1 = diag(sum_j rho_aj^2),
-    # whose two largest entries differ by eps times its span; every marginal
-    # gap is far above spec_tol.  Row 0 is (s, 0.4 - s), s^2 + (0.4 - s)^2 = top.
-    rows = np.array([[0.0, 0.0], [0.28, 0.15], [0.1, 0.07]])
-    m = rows[1:] ** 2 @ np.ones(2)
-    top = m[0] + eps * (m[0] - m[1]) / (1.0 - eps)
-    rows[0, 0] = (0.8 + np.sqrt(0.64 - 8.0 * (0.16 - top))) / 4.0
-    rows[0, 1] = 0.4 - rows[0, 0]
-    rho = DensityMatrix(matrix=np.diag(rows.ravel()).astype(complex), profile=DimProfile((3, 2)))
-    marginals = _marginal_eighs(rho, rho)
-    frames = _product_frames(rho, rho, marginals, TOL)
-    return _frame_factors(marginals, frames, TOL) is None
-
-
 @pytest.mark.parametrize(
     "within",
     [
@@ -303,7 +288,6 @@ def _frame_phase_gap_within(eps):
         _witness_residual_within,
         _spectra_within,
         _degeneracy_within,
-        _frame_phase_gap_within,
     ],
     ids=[
         "hermiticity",
@@ -314,7 +298,6 @@ def _frame_phase_gap_within(eps):
         "witness-residual",
         "spectra-match",
         "degeneracy-grouping",
-        "frame-phase-gap",
     ],
 )
 def test_tolerance_table_boundary(within):
