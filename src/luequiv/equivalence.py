@@ -54,25 +54,24 @@ from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
 # The lift rung runs on cosets of at most this many entries S (the sum of
 # the squared block sizes).  H costs O(S^4 D^2 / min(d_L, d_R)^2) to build
 # and O(S^6) to factor or diagonalize, far more than a search's growth.
-# Whole checks, searched (rung off) -> with the rung, median of six inputs,
-# 2 cores, numpy 2.4 / OpenBLAS on one thread; "lift" is H and its
-# Cholesky certificate, all that a rho* check pays (H and eigh, which
-# decided before the certificate, in brackets):
-#   S = 6  (2,3):      lift 0.07-0.12 (0.3-0.4) ms; rho*  5.9 -> 0.7-1.2 ms
-#   S = 8  (2,2,2):    lift 0.15-0.25 (0.5-0.65) ms; rho*  9.6 -> 0.9-1.6 ms;
-#                      plant 3.6 -> 1.5-2.0 ms
-#   S = 9  (3,3):      lift 0.17-0.26 (0.9-1.2) ms; rho*  7.4 -> 1.0-1.5 ms
-#   S = 12 (2,2,3):    lift 1.4-2.0 (2.6-4.0) ms; rho* 12.0 -> 2.5-3.9 ms
-#   S = 16 (2,2,2,2):  H and eigh 5-12 ms; rho* searched in 20-30 ms, a
-#                      locally-mixed plant in 4.3-8.5 ms
+# Its traffic is what the invariant rung and the frame guess leave: states
+# with a degenerate marginal.  Whole checks with the rung against the same
+# checks searched with it off (LIFT_MAX_SIZE = 0), best of 5, three seeds
+# each, 2 cores, numpy 2.4 / OpenBLAS on one thread:
+#   one marginal I/2 (with_mixed_marginal), rho against rho*:
+#     (2,2), (2,3): 0.3 ms against 4.2-19 ms; (2,2,2), (3,3): 0.4 ms
+#     against 4.8-6.7 ms; (2,2,3), S = 12: 1.3 ms against 8.2-8.7 ms
+#   the same states against a local rotation: 0.6-1.1 ms against 1.4-2.7
+#     ms up to S = 9; (2,2,3): 2.7 ms against 2.6-3.4 ms
+#   locally-mixed 3 qubits: rho* 0.4 ms against 6.7-6.9 ms, plant 1.1 ms
+#     against 2.7-2.8 ms
 # An input the rung hands on pays for H, the failed certificate, eigh and
-# one failed certify: paper_example (S = 8) about 0.5-0.7 ms, Werner (2,.)
-# (S = 10) about 1.0 ms.  The cap is the largest S where the lift costs
-# less than every searched class measured; at S = 16 H and eigh alone are
-# slower than a searched plant.  The rho* rows were measured on generic
-# states, before the invariant rung, which now ends those checks first:
-# the lift's rho* traffic is inputs with a degenerate marginal (a
-# locally-mixed state against its conjugate), where H costs the same.
+# one failed certify: Werner (2,2) (S = 10) 1.8-1.9 ms against 1.0 ms, and
+# paper_example (S = 8) 3.4 ms against 3.0 ms.  A process's first coset of
+# each S also builds _lift_layout, about 0.3 ms.  At S = 16 (2,2,2,2, the
+# same two classes) the rung would end rho* in 3.4-3.6 ms against 19-27
+# ms searched, but plants would take 8.2-9.4 ms against 5.9-8.3 ms.  The
+# cap is the largest S measured at which plants break even or better.
 LIFT_MAX_SIZE = 12
 
 

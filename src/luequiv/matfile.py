@@ -170,8 +170,18 @@ NEST_CHARS = 216_000
 
 def _decode(text: str):
     # a complete document with NEST_CHARS characters of nesting syntax is at
-    # least that long, and each of its levels opens with a "[" or a "{"
-    if len(text) < NEST_CHARS or 2 * text.count("[") + 5 * text.count("{") < NEST_CHARS:
+    # least that long, and each of its levels opens with a "[" or a "{".
+    # At any point p the open array levels number the "[" before p less the
+    # "]" before p.  Each real "],[" has its "]" before p or its "[" after p,
+    # so they number at most the text's "[" less its "],[" (a "],[" inside a
+    # string takes back a "[" that the same string added).  A file of
+    # D >= 329 has one "[" per entry pair but a "],[" between pairs, so it
+    # still goes to orjson.
+    if (
+        len(text) < NEST_CHARS
+        or (syntax := 2 * text.count("[") + 5 * text.count("{")) < NEST_CHARS
+        or syntax - 2 * text.count("],[") < NEST_CHARS
+    ):
         try:
             return orjson.loads(text)
         except orjson.JSONDecodeError:

@@ -22,7 +22,6 @@ from .tensor import DimProfile, as_cmatrix, kron_all
 class PairLabel(str, Enum):
     EQUIVALENT = "EQUIVALENT"
     SPECTRUM_MISMATCH = "SPECTRUM_MISMATCH"
-    UNKNOWN = "UNKNOWN"
 
 
 @dataclass(frozen=True)

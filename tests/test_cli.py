@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,20 +166,27 @@ def test_check_json_reports_distance_lower_on_every_path(tmp_path, capsys):
     assert doc["distance_lower"] == pytest.approx(want, rel=1e-9)
 
 
-def test_check_maximally_mixed_state_exit_zero(tmp_path, capsys):
-    # one 4-fold block: any product unitary is a witness
-    save_matrix(tmp_path / "mix.json", np.eye(4) / 4.0, dims=(2, 2))
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2)], ids=["I/4", "I/16"])
+def test_check_maximally_mixed_state_exit_zero(tmp_path, capsys, dims):
+    # one D-fold block: any product unitary is a witness, and the search
+    # verdict still reports the exact test at every cut
+    d = int(np.prod(dims))
+    rho = np.eye(d) / d
+    save_matrix(tmp_path / "mix.json", rho, dims=dims)
     mix = str(tmp_path / "mix.json")
     rc = main(["check", mix, mix, "--json", *FAST])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert doc["status"] == "EQUIVALENT" and doc["path"] == "coset-block"
+    assert [c["cut"] for c in doc["cuts"]] == list(range(1, len(dims)))
+    assert doc["best_objective"] is not None
     factors = [
         np.array([complex(*z) for z in f["data"]]).reshape(f["shape"])
         for f in doc["witness"]["factors"]
     ]
-    rho = np.eye(4) / 4.0
+    assert [u.shape for u in factors] == [(2, 2)] * len(dims)
     w = kron_all(factors)
+    assert np.linalg.norm(w @ w.conj().T - np.eye(d)) <= 1e-8
     assert np.linalg.norm(w @ rho @ w.conj().T - rho) <= 1e-8
 
 
@@ -247,8 +256,13 @@ def _dims_file(diagonal) -> bytes:
         (b'{"shape":[2,2],"data":[[1,0],[0,0],[0,0]]}', "data length 3 != shape 2x2"),
         (_dims_file([0.0] * 4), "non-positive trace"),
         (_dims_file([-1.0] * 4), "non-positive trace"),
+        # orjson rejects NaN and 1e400, and stdlib json reads them
+        (b'{"dims":[1,2],"data":[[NaN,0.5],[0,0],[0,0],[1,0]]}', "entries must be finite"),
+        (b'{"dims":[1,2],"data":[[1e400,0.5],[0,0],[0,0],[1,0]]}', "entries must be finite"),
+        (b'{"dims":[1,2],"data":[[true,0.5],[0,0],[0,0],[1,0]]}', "entries must be JSON numbers"),
     ],
-    ids=["json-array", "shape-mismatch", "zero-matrix", "minus-identity"],
+    ids=["json-array", "shape-mismatch", "zero-matrix", "minus-identity",
+         "nan-entry", "1e400-entry", "bool-entry"],
 )
 def test_check_rejected_input_is_one_error_line(tmp_path, capsys, content, message):
     assert message in _check_bad_file_exit_one(tmp_path, capsys, content)
@@ -259,24 +273,36 @@ def test_check_deeply_nested_file_exit_one(tmp_path, capsys):
     _check_bad_file_exit_one(tmp_path, capsys, nested_nan_text().encode())
 
 
+HEAD = '{"dims":[2,2],"data":'
+# 200,000 "],[" that open nothing: in a label, or between real [0] pairs
+LABEL_HEAD = '{"dims":[2,2],"label":"' + "],[" * 200_000 + '","data":'
+PAIRS_HEAD = HEAD + "[" + "[0]," * 200_000
+
+
 @pytest.mark.parametrize(
-    "level, depth, message",
+    "head, level, depth, tail, message",
     [
-        ("[]", 200_000, "nested too deeply"),
-        ('{"":}', 200_000, "nested too deeply"),
-        ("[]", (NEST_CHARS - 100) // 2, "pairs"),
-        ('{"":}', (NEST_CHARS - 100) // 5, "pairs"),
+        (HEAD, "[]", 200_000, "}", "nested too deeply"),
+        (HEAD, '{"":}', 200_000, "}", "nested too deeply"),
+        (HEAD, "[]", (NEST_CHARS - 100) // 2, "}", "pairs"),
+        (HEAD, '{"":}', (NEST_CHARS - 100) // 5, "}", "pairs"),
+        (LABEL_HEAD, "[]", 200_000, "}", "nested too deeply"),
+        (PAIRS_HEAD, "[]", 200_000, "]}", "nested too deeply"),
     ],
-    ids=["arrays-200000", "objects-200000", "arrays-below-guard", "objects-below-guard"],
+    ids=["arrays-200000", "objects-200000", "arrays-below-guard", "objects-below-guard",
+         "arrays-200000-after-label-separators", "arrays-200000-after-pairs"],
 )
-def test_check_complete_deeply_nested_document_exit_one(tmp_path, level, depth, message):
+def test_check_complete_deeply_nested_document_exit_one(
+    tmp_path, head, level, depth, tail, message
+):
     # a complete document 200,000 deep would crash orjson (SIGSEGV, exit
-    # 139), so the nesting guard hands it to stdlib json; just below the
+    # 139), so the nesting guard hands it to stdlib json, also behind
+    # 200,000 "],[" that the guard takes off its count; just below the
     # guard orjson decodes it and the structure check rejects it.  A child
     # process, so that a crash fails this test alone
     opening, closing = level[:-1], level[-1]
     deep = tmp_path / "deep.json"
-    deep.write_text('{"dims":[2,2],"data":' + opening * depth + "0" + closing * depth + "}")
+    deep.write_text(head + opening * depth + "0" + closing * depth + tail)
     proc = subprocess.run(
         [sys.executable, "-m", "luequiv.cli", "check", str(deep), str(deep)],
         capture_output=True,
@@ -382,6 +408,7 @@ def test_check_json_contract(tmp_path, capsys):
     assert all({"sigma1", "sigma2", "ratio", "rank_one"} <= set(c) for c in doc["cuts"])
     assert doc["best_objective"] == sum(c["ratio"] ** 2 for c in doc["cuts"])
     assert doc["witness"] is not None and doc["witness_residual"] < 1e-8
+    assert [f["shape"] for f in doc["witness"]["factors"]] == [[2, 2]] * 3
     assert doc["restarts_used"] >= 1 and doc["objective_history"] != []
 
 
@@ -505,7 +532,8 @@ def test_gen_planted_pair_of_64_levels_checks_equivalent(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["check", f"{prefix}_a.json", f"{prefix}_b.json", "--json"])
     assert rc == 0
-    assert json.loads(capsys.readouterr().out)["witness_residual"] <= 1e-8
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["path"] == "frame" and doc["witness_residual"] <= 1e-8
 
 
 def test_gen_generator_error_exit_one(tmp_path, capsys):
@@ -667,7 +695,8 @@ def test_factor_product_writes_factors(tmp_path, capsys):
     rc = main(["factor", str(tmp_path / "v.json"), "-o", str(tmp_path / "f")])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "residual" in out
+    assert out.count("rank_one=True") == 2
+    assert out.splitlines()[-1].startswith("reconstruction residual: ")
     prod = kron_all([load_matrix(str(tmp_path / f"f{i}.json")).matrix for i in (1, 2, 3)])
     assert np.linalg.norm(prod - kron_all(factors)) < 1e-9
 
@@ -687,7 +716,7 @@ def test_factor_entangling_fails_at_cut_one(tmp_path, capsys):
     save_matrix(tmp_path / "w.json", np.kron(cnot, np.eye(2)), dims=(2, 2, 2))
     rc = main(["factor", str(tmp_path / "w.json")])
     assert rc == 2
-    assert "cut 1" in capsys.readouterr().out
+    assert "\nnot decomposable: cut 1 has ratio " in capsys.readouterr().out
 
 
 def test_factor_near_product_at_loose_tolerance(tmp_path):
@@ -710,7 +739,8 @@ def test_factor_non_unitary_exit_one(tmp_path, capsys):
     save_matrix(tmp_path / "n.json", np.diag([1.0, 2.0, 3.0, 4.0]), dims=(2, 2))
     rc = main(["factor", str(tmp_path / "n.json")])
     assert rc == 1
-    assert "unitary" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: factor_full input is not unitary") and err.count("\n") == 1
 
 
 def test_factor_unwritable_output_exit_one(tmp_path, capsys):
@@ -719,6 +749,16 @@ def test_factor_unwritable_output_exit_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_console_script_is_cli_main():
+    # the installed luequiv runs cli.main, which every check in this module
+    # runs, in process or as python -m luequiv.cli; read with a regex, since
+    # tomllib is missing on Python 3.10
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    scripts = re.findall(r'^\s*"?([\w.-]+)"?\s*=\s*"([^"]*)"', section.group(1), re.M)
+    assert scripts == [("luequiv", "luequiv.cli:main")]
 
 
 def test_console_entry_point_smoke(tmp_path):

@@ -481,16 +481,27 @@ def test_noisy_werner_against_a_local_rotation_is_equivalent(seed):
     assert verdict.witness_residual <= TOL
 
 
-def test_rank_three_state_against_its_conjugate_is_not_conclusive():
+@pytest.mark.parametrize(
+    "make, config",
+    [
+        (lambda: degenerate_plant((2, 2, 2), 0, rank=3)[0], QUICK),
+        (lambda: random_density(DimProfile((2,) * 4), [0.7, 0.3] + [0.0] * 14, 5), SearchConfig()),
+    ],
+    ids=["rank-3-2x2x2", "rank-2-2^4"],
+)
+def test_degenerate_state_with_a_mixed_marginal_against_its_conjugate_is_not_conclusive(
+    make, config
+):
     # a degenerate spectrum and a marginal I/2, so neither the invariant rung
-    # nor the lift (a coset of 3 + 25 entries) runs: the block search ends
-    # NOT_FOUND on an inequivalent pair without a false witness
-    rho, _ = degenerate_plant((2, 2, 2), 0, rank=3)
-    rho = with_mixed_marginal(rho)
+    # nor the lift (a coset of 3 + 25 or 2 + 196 entries) runs: the block
+    # search runs every start and ends NOT_FOUND on an inequivalent pair
+    # without a false witness
+    rho = with_mixed_marginal(make())
     rho_conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
-    verdict = check_equivalence(rho, rho_conj, QUICK)
+    verdict = check_equivalence(rho, rho_conj, config)
     assert verdict.status is VerdictStatus.NOT_FOUND
     assert verdict.path == "coset-block"
+    assert verdict.restarts_used == config.restarts
     assert verdict.witness is None
 
 

@@ -68,6 +68,10 @@ def test_parse_rejects_deep_nesting_on_the_json_fallback():
         parse_matrix(nested_nan_text())
 
 
+def _no_json(*args, **kwargs):
+    raise AssertionError("stdlib json decoded the text")
+
+
 def test_parse_reads_the_longest_64x64_file_with_orjson_and_no_count(monkeypatch):
     # every entry one of orjson's two 24-character spellings (a sign and 17
     # digits, behind "0.0000" or before a three-digit negative exponent), the
@@ -78,20 +82,31 @@ def test_parse_reads_the_longest_64x64_file_with_orjson_and_no_count(monkeypatch
     text = dump_matrix(m, dims=(2,) * 6, seed=2**64 - 1)
     assert "[-2.2250738585072014e-308,-0.000012345678901234568]" in text
     assert len(text) == 213_052 < matfile.NEST_CHARS
-
-    def no_json(*args, **kwargs):
-        raise AssertionError("stdlib json decoded the text")
-
-    monkeypatch.setattr(matfile.json, "loads", no_json)
+    monkeypatch.setattr(matfile.json, "loads", _no_json)
     assert np.array_equal(parse_matrix(text).matrix, m)
 
 
-def test_parse_reads_a_512x512_file():
-    # 262,146 "[": over the nesting guard, so stdlib json decodes it
+def _random_file(n: int, dims: tuple[int, ...]):
     rng = np.random.default_rng(5)
-    m = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
-    text = dump_matrix(m, dims=(8, 8, 8))
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return m, dump_matrix(m, dims=dims)
+
+
+def test_parse_reads_a_file_of_330_levels_with_orjson(monkeypatch):
+    # one "[" per entry pair puts the text over 2 * count("[") >= NEST_CHARS,
+    # but a "],[" between each two pairs takes the guard's bound down to 11:
+    # orjson decodes it, bit for bit
+    m, text = _random_file(330, (10, 33))
     assert 2 * text.count("[") >= matfile.NEST_CHARS
+    monkeypatch.setattr(matfile.json, "loads", _no_json)
+    back = parse_matrix(text)
+    assert back.dims == (10, 33)
+    assert np.array_equal(back.matrix.view(np.uint64), m.view(np.uint64))
+
+
+def test_parse_reads_a_512x512_file(monkeypatch):
+    m, text = _random_file(512, (8, 8, 8))
+    monkeypatch.setattr(matfile.json, "loads", _no_json)
     back = parse_matrix(text)
     assert back.dims == (8, 8, 8) and np.array_equal(back.matrix, m)
 
