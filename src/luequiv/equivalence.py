@@ -10,26 +10,10 @@ parties: if rho' = W rho W^dag, then Y^dag W X commutes with Lambda, so
 W^dag = X A Y^dag with A block-unitary; conversely, W = Y A^dag X^dag maps
 rho to Y A^dag Lambda A Y^dag = rho'.
 
-The rungs of a check, in order: the spectra (a mismatch is the one
-conclusive negative); the bound rung, where the one-site marginal spectra
-put every product unitary image of rho farther from rho' than the witness
-gate lets through, and the verdict is NOT_FOUND on path "bound"; the
-invariant rung, where, with non-degenerate marginals, the 3-cycle
-(Bargmann) products of the pair in its marginal eigenframes do what the
-marginal spectra do on "bound" (NOT_FOUND on path "invariant"); the frame
-rung, a local-eigenframe witness guess that verifies before any coset is
-built; the lift rung, where a Cholesky certificate on the lifted rank-one
-system (_lifted_gram) proves that no coset point passes the rank-one test
-(NOT_FOUND on path "lift"), or else one eigensolve yields the one solution,
-which must then verify; and the coset search, which minimizes the smooth
-surrogate
-
-    f = sum over cuts of (sigma2 / sigma1)^2 of realign(V),
-
-exactly zero at solutions, through an upper bound of f with the same zero
-set (CosetContext.decompose).  Every EQUIVALENT verdict ships an explicit
-witness (U_1, ..., U_M) that passed the one witness gate, _verified: each
-factor unitary, and the conjugation residual verified.  No NOT_FOUND
+check_equivalence wraps that criterion in a ladder of cheaper rungs; its
+docstring lists them, and each rung's proof lives in the function that
+applies it.  Every EQUIVALENT verdict ships an explicit witness
+(U_1, ..., U_M) that passed the one witness gate, _verified.  No NOT_FOUND
 claims inequivalence.
 """
 
@@ -113,10 +97,8 @@ class SearchConfig:
 class Verdict:
     """Outcome of a check, with enough detail to reproduce and report it.
 
-    NOT_FOUND never asserts inequivalence: the coset search is one-sided and
-    only reports that no decomposable element was found within budget, the
-    bound and invariant rungs only that no witness could pass the gate, and
-    the lift rung only that no coset point passes the rank-one test.
+    NOT_FOUND never asserts inequivalence; check_equivalence says what each
+    rung that returns it has shown.
     """
 
     status: VerdictStatus
@@ -129,23 +111,14 @@ class Verdict:
     used_degenerate_fallback: bool = False
     seed: int | None = None
     restarts_used: int = 0
-    # in the order the rungs run: "bound" (NOT_FOUND with no search: the
-    # marginal spectra put every product unitary beyond the witness gate),
-    # "invariant" (NOT_FOUND with no frame guess, coset or search: the cycle
-    # products of the marginal eigenframes do the same, _invariant_distance),
-    # "frame" (the local-eigenframe guess verified, no search ran; no cut
-    # reports or best objective), "lift" (no search ran: NOT_FOUND when a
-    # Cholesky certificate puts the lifted system's least eigenvalue above
-    # its floor, so that no coset point passes the rank-one test, with no
-    # cut reports or best objective; EQUIVALENT when the point read off its
-    # least eigenvector verified),
-    # "coset" or "coset-block" (the search, over a diagonal or a
-    # block-unitary coset); None when the spectra differ
+    # the rung that ended the check, in ladder order (check_equivalence):
+    # "bound", "invariant", "frame", "lift", "coset" or "coset-block"; None
+    # when the spectra differ
     path: str | None = None
     # a lower bound on min over product unitaries W of ||W rho W^dag - rho'||_F:
-    # the larger of ||lambda - lambda'||_2 and the marginal-spectrum bound L
-    # (_marginal_distance), and of the cycle-invariant bound d_T on path
-    # "invariant"; the first alone when the spectra differ
+    # the larger of ||lambda - lambda'||_2 and L (_marginal_distance), and of
+    # d_T (_invariant_distance) on path "invariant"; the first alone when the
+    # spectra differ
     distance_lower: float | None = None
 
 
@@ -414,7 +387,18 @@ def _lift_floor(ctx: CosetContext, rank_tol: float, h: np.ndarray) -> float:
     """Lambda = sum_k (r_k - 1) tau^2 (1 + (r_k - 1) tau^2 / 2), r_k = min(d_L^2,
     d_R^2), plus rounding: the least eigenvalue of H = _lifted_gram(ctx)
     above it proves that no coset point passes the rank-one test
-    (check_equivalence has the proof).  No eigenvalue is needed to form it.
+    sigma2 <= tau sigma1 (tau = rank_tol) at every cut.  No eigenvalue is
+    needed to form it.
+
+    Proof, in exact arithmetic: a coset point a has ||a||^2 = D, so E = a a^T
+    has ||E||_F = D, and sigma1(R_k)^2 <= ||R_k||_F^2 = ||V||_F^2 = D.  A
+    point with sigma_i <= tau sigma1 for every i >= 2 at a cut of rank at
+    most r has sum over minors (i < j, k < l) of |minor|^2 = e_2(sigma^2) <=
+    (r - 1) tau^2 sigma1^4 (1 + (r - 1) tau^2 / 2) <= (r - 1) tau^2 D^2
+    (1 + (r - 1) tau^2 / 2) by Cauchy-Binet.  Summed over the cuts that is
+    at most Lambda D^2, while it is ||K E||^2 >= lambda_min ||E||_F^2 =
+    lambda_min D^2 (K the minors map whose Gram matrix is H), so
+    lambda_min <= Lambda.
 
     The rounding covers four errors, with n = S (S + 1) / 2 the order of H
     and eps = 2^-52 (twice the unit roundoff).  The rank-one test reads
@@ -524,9 +508,16 @@ def _marginal_distance(profile: DimProfile, marginals) -> float:
 def _gate_distance(rho: DensityMatrix) -> float:
     """G = TOL * max(1, ||rho||_F) + delta (2 + delta) ||rho||_F, with
     delta = (1 + TOL)^M - 1: no witness passes _verified on a pair whose
-    distance under product unitaries exceeds G (check_equivalence has the
-    proof).  2 D eps ||rho||_F more covers the rounding of the computed L
-    and residual.
+    distance under product unitaries exceeds G.
+
+    Proof: the gate accepts factors with ||U_i U_i^dag - I||_F <= TOL.  The
+    polar split U_i = V_i P_i, V_i unitary, then has ||P_i^2 - I||_2 <= TOL,
+    so ||P_i - I||_2 <= TOL, and W = kron_i U_i = V (I + E) with V =
+    kron_i V_i an exact product unitary and ||E||_2 <= delta.  So W rho W^dag
+    is within delta (2 + delta) ||rho||_F of V rho V^dag, and a residual
+    within TOL * max(1, ||rho||_F) puts V rho V^dag within G of rho'.
+    2 D eps ||rho||_F more covers the rounding of the computed L and
+    residual.
     """
     norm = float(np.linalg.norm(rho.matrix))
     delta = (1.0 + TOL) ** rho.profile.nsites - 1.0
@@ -552,9 +543,8 @@ def _product_frames(
     return a, b, a.conj() * b
 
 
-def _frame_factors(marginals, frames, tol: float) -> list[np.ndarray] | None:
-    """The local-eigenframe witness guess (U_1, ..., U_M), or None when a pair
-    of marginal spectra differ by more than tol (spec_tol).
+def _frame_factors(marginals, frames) -> list[np.ndarray]:
+    """The local-eigenframe witness guess (U_1, ..., U_M).
 
     A one-site marginal is LU-covariant, rho'_i = U_i rho_i U_i^dag, so a
     non-degenerate marginal fixes U_i = Q_i diag(e^{i phi_i}) P_i^dag, with
@@ -575,8 +565,6 @@ def _frame_factors(marginals, frames, tol: float) -> list[np.ndarray] | None:
     conj(A) o B is positive semidefinite (Schur), which is why its partial
     traces are taken as a DensityMatrix's.
     """
-    if any(np.max(np.abs(w[0] - w[1])) > tol for w, _ in marginals):
-        return None
     # eigh's column phases are a diagonal gauge, which M_i's phases absorb
     profile = DimProfile(tuple(w.shape[-1] for w, _ in marginals))
     overlap = DensityMatrix(matrix=frames[2], profile=profile)
@@ -752,88 +740,46 @@ def check_equivalence(
 ) -> Verdict:
     """Decide LU equivalence and produce witness local unitaries when found.
 
-    Validate, then compare spectra: a mismatch is a conclusive NO.  Then the
-    bound rung: one eigensolve of each site's pair of marginals
-    (_marginal_eighs) gives L, the largest ||lambda(rho_i) - lambda(rho'_i)||_2
-    / sqrt(D / d_i), a lower bound on min over product unitaries W of
-    ||W rho W^dag - rho'||_F (Hoffman-Wielandt on the marginals, and
-    ||Tr_{other sites} X||_F <= sqrt(D / d_i) ||X||_F).  The gate accepts
-    factors with ||U_i U_i^dag - I||_F <= TOL; the polar split U_i = V_i P_i
-    puts kron_i P_i within delta = (1 + TOL)^M - 1 of I in operator norm, so
-    such a witness has residual >= L - delta (2 + delta) ||rho||_F.  When L
-    exceeds G = TOL * max(1, ||rho||_F) + delta (2 + delta) ||rho||_F (plus
-    a rounding term, _gate_distance), no point of any search can pass the
-    gate, and the verdict is NOT_FOUND on path "bound" with no search: the
-    status the search would have returned, and no claim of inequivalence.
-    Every verdict past validation reports distance_lower, the larger of L
-    and ||lambda - lambda'||_2 (and of d_T on path "invariant").
+    A ValueError when the profiles differ or a state fails validate_density.
+    Then the rungs run in this order, each on what the one before handed on;
+    the functions named hold each rung's proof.
 
-    The invariant rung, when every marginal of rho is non-degenerate at
-    spec_tol (so the product frames A = P^dag rho P and B = Q^dag rho' Q
-    exist, _product_frames): an exact product unitary V at distance g from
-    rho' fixes the frames up to phases and a Davis-Kahan error, and the
-    3-cycle products T(X)_abc = X_ab X_bc X_ca, blind to the phases, then
-    differ by at most slope g + offset (_invariant_bound has the proof).
-    That bound inverted at a certified lower value of ||T(A) - T(B)||_F
-    (_cycle_gap) is d_T (_invariant_distance), a lower bound on the
-    distance under product unitaries.  A witness that passes the gate is,
-    by its polar split as on "bound", within G of an exact product unitary
-    image, so when d_T exceeds G no witness can pass, and the verdict is
-    NOT_FOUND on path "invariant" with no frame guess, coset, lift or
-    search: the status the search would have returned, and distance_lower
-    the larger of ||lambda - lambda'||_2, L and d_T.  It runs before the
-    frame guess, so a check it ends (rho against rho*, say) pays for
-    neither the frame factors nor the gate's kron_i U_i and residual; on a
-    planted pair the certified gap is exactly 0, its rounding slack taking
-    up the difference, so the rung hands on without forming its bound, for
-    the cost of the gap's three traces.
+    1. Spectra, always: a mismatch at spec_tol (spectra_match) is
+       INEQUIVALENT_SPECTRUM with path None, the one conclusive negative.
+    2. "bound", always: NOT_FOUND when the marginal-spectrum distance L
+       (_marginal_distance) exceeds the gate distance G (_gate_distance).
+    3. "invariant", when every marginal of rho is non-degenerate at
+       spec_tol (_product_frames): NOT_FOUND when the cycle-invariant
+       distance d_T (_invariant_distance, from _cycle_gap and
+       _invariant_bound) exceeds G.  It runs before the frame guess, so a
+       check it ends pays for neither the guess nor its gate.
+    4. "frame", on the same frames: EQUIVALENT when the local-eigenframe
+       guess (_frame_factors) passes the witness gate (_verified).
+    5. "lift", on a coset (CosetContext) of at most LIFT_MAX_SIZE entries:
+       NOT_FOUND when the Cholesky certificate of _lift shows the least
+       eigenvalue of H (_lifted_gram) above the floor (_lift_floor);
+       EQUIVALENT when the point _lift reads off H certifies; else it
+       hands on.
+    6. "coset", or "coset-block" on a degenerate spectrum: search.run_search
+       from the frame guess's coset point (_frame_point), or the identity
+       without one, with config.restarts starts of up to config.sweeps
+       passes, stopping at the first stalled point that certifies:
+       EQUIVALENT when the point it returns certifies, else NOT_FOUND.
 
-    The frame rung, from the same marginal eigenbases: the local-eigenframe
-    guess W = kron_i U_i (_frame_factors), when the marginals fix it and it
-    passes the one witness gate (_verified: unitary factors, verified
-    residual), is EQUIVALENT on path "frame", with no coset and no search;
-    its phases are those of x_m^dag W^dag y_m, and it has no cut reports or
-    best objective, W being a product by construction.
+    A coset point certifies when factor_full's rank-one test passes at every
+    cut of its V and the factors pass _verified.  No NOT_FOUND claims
+    inequivalence: "bound" and "invariant" show that no witness could pass
+    the gate, "lift" that no coset point passes the rank-one test, and the
+    search only that it found none within budget; each is the status the
+    search would have returned.
 
-    The last two rungs work on the coset X blockdiag(A_1..A_r) Y^dag
-    (diagonal phases when the spectrum is non-degenerate, a unitary block
-    per repeated eigenvalue otherwise), whose point a gives V(a) =
-    sum_m a_m x_{r_m} y_{c_m}^dag.  A point certifies when the exact
-    rank-one test sigma2 <= tau sigma1 (tau = rank_tol) passes at every cut
-    and its V factors into a witness that passes the gate.
-
-    The lift rung, on cosets of at most LIFT_MAX_SIZE entries: every 2x2
-    minor of R_k(a) = realign_k(V(a)) is linear in E = a a^T, and H =
-    sum_k K_k^H K_k (_lifted_gram) is the Gram matrix of that linear map on
-    the orthonormal coordinates of a complex symmetric E.  If the least
-    eigenvalue of H exceeds Lambda = sum_k (r_k - 1) tau^2 (1 + (r_k - 1)
-    tau^2 / 2), r_k = min(d_L^2, d_R^2), plus a rounding term (_lift_floor),
-    no coset point certifies.  Proof: a coset point has ||a||^2 = D, so
-    ||E||_F = D, and sigma1(R_k)^2 <= ||R_k||_F^2 = ||V||_F^2 = D.  A point
-    with sigma_i <= tau sigma1 for every i >= 2 at a cut of rank at most r
-    has sum over minors (i < j, k < l) of |minor|^2 = e_2(sigma^2) <=
-    (r - 1) tau^2 sigma1^4 (1 + (r - 1) tau^2 / 2) <= (r - 1) tau^2 D^2
-    (1 + (r - 1) tau^2 / 2) by Cauchy-Binet; summed over the cuts that is
-    at most Lambda D^2, while it is ||K E||^2 >= lambda_min ||E||_F^2 =
-    lambda_min D^2.  So lambda_min <= Lambda.  The rung shows lambda_min
-    above the floor without an eigensolve: a Cholesky factorization of
-    H - mu I that runs to completion, mu the floor plus a bound on
-    Cholesky's backward error, 2 (n + 1) eps tr(H) for H of order n (_lift
-    has the proof, from Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Theorem 10.3, and Lemma 3.5 for complex
-    arithmetic).  When it completes, the verdict is NOT_FOUND on path
-    "lift" with no search, the status the search would have returned (as
-    on "bound"), with no cut reports.  Otherwise one eigh of H runs, and the
-    point read off the least eigenvector (_lift) is certified: it is the
-    solution when the kernel is one-dimensional.  If it passes, the verdict
-    is EQUIVALENT on path "lift" with restarts_used 0; soundness rests on
-    the gate, whatever the kernel says.  Else the check hands on, unchanged.
-
-    The search rung: search.run_search over the coset from W's coset point,
-    or the identity, with ``config.restarts`` starts of up to
-    ``config.sweeps`` passes each.  The search stops at the first stalled
-    point that certifies, and the point it returns is certified once more
-    for the verdict.
+    Every verdict past the spectra reports distance_lower (Verdict).  One
+    that ran no search has restarts_used 0 and an empty objective_history.
+    cut_reports and best_objective (the paper's surrogate, the sum of
+    (sigma2/sigma1)^2 over the cuts) belong to the coset point the verdict
+    reports, the lift's or the search's, and are None elsewhere.  phases
+    are those of that point, or of x_m^dag W^dag y_m on "frame"; they are
+    None on a degenerate spectrum and where no point is reported.
     """
     if config is None:
         config = SearchConfig()
@@ -884,9 +830,8 @@ def check_equivalence(
                 path="invariant",
                 distance_lower=max(spectral_distance, marginal_distance, invariant),
             )
-        factors = _frame_factors(marginals, frames, config.spec_tol)
-        guess = None if factors is None else FactorSet(factors=tuple(factors))
-        verified = None if guess is None else _verified(rho, rho_prime, guess)
+        factors = _frame_factors(marginals, frames)
+        verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
         if verified is not None:
             witness, residual, w = verified
             # x_m^dag W^dag y_m for each m, from the gate's W and one D x D product

@@ -10,7 +10,8 @@ from .tensor import as_cmatrix, lead_phases
 
 # The one tolerance scale of the package.  Each check below compares its
 # quantity with TOL times its scale; spec_tol (SearchConfig, --tol-spec,
-# default TOL) sets its two rows, for the states' and the marginals' spectra.
+# default TOL) sets its two rows, the states' spectra match and eigenvalue
+# grouping.
 #
 #   check                                quantity                   scale
 #   Hermiticity (require_hermitian)      ||H - H^dag||_F            max(1, ||H||_F)
@@ -27,15 +28,17 @@ from .tensor import as_cmatrix, lead_phases
 #     marginal frames at spec_tol,
 #     paper_example's warning at TOL)
 #
-# Four thresholds are not rows: none is TOL times a scale, and none decides
+# Five thresholds are not rows: none is TOL times a scale, and none decides
 # soundness, which rests on the witness gate (the unitarity and witness
 # residual rows) alone.  rank_tol (SearchConfig, --tol-rank) bounds a
 # singular-value ratio, sigma2 / sigma1, tested once per unitary V at each
-# of V's own cut realignments (factor_full).  search.OBJECTIVE_POLISH and
-# search.ESCAPE_LEVEL_PER_CUT set only the search's cost and reach; a point
-# it returns must still pass the gate.  tensor.LEAD_RTOL only breaks ties
-# between equal magnitudes when tensor.lead_phases, the one leading-entry
-# phase convention (eigenvectors, peeled factors), picks a column's entry.
+# of V's own cut realignments (factor_full).  search.OBJECTIVE_POLISH,
+# search.ESCAPE_LEVEL_PER_CUT and search.ALIGN_STALL_REL (the relative gain
+# below which a lone descent stalls) set only the search's cost and reach;
+# a point it returns must still pass the gate.  tensor.LEAD_RTOL only
+# breaks ties between equal magnitudes when tensor.lead_phases, the one
+# leading-entry phase convention (eigenvectors, peeled factors), picks a
+# column's entry.
 # The bound and invariant rungs' slack (equivalence._gate_distance,
 # _invariant_bound) is not a row either: it is a proof bound, how far the
 # witness gate's two rows let a witness's image sit from an exact product

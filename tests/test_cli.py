@@ -14,7 +14,9 @@ from luequiv.equivalence import _gate_distance, check_equivalence
 from luequiv.matfile import NEST_CHARS
 from luequiv.oracle import haar_unitary, local_unitaries, random_density
 
-from helpers import local_rotation, locally_mixed_qubits, near_product, nested_nan_text
+from helpers import (
+    degenerate_plant, local_rotation, locally_mixed_qubits, near_product, nested_nan_text
+)
 
 FAST = ["--sweeps", "40", "--restarts", "6"]
 
@@ -492,6 +494,37 @@ def test_check_json_is_one_line_with_the_verdict_bitwise(tmp_path, capsys, path)
     verdict = check_equivalence(load_matrix(a).density(), load_matrix(b).density(), config)
     assert verdict.path == path and rc == EXIT_CODES[verdict.status]
     assert _bitwise(json.loads(out)) == _bitwise(_reference_doc(verdict))
+
+
+def _ladder_paths() -> set[str]:
+    """The backticked values in the `path` column of README's ladder table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| rung |"))
+    column = [c.strip() for c in lines[start].strip("|").split("|")].index("`path`")
+    paths = set()
+    for row in lines[start + 2:]:
+        if not row.startswith("|"):
+            break
+        paths.update(re.findall(r"`([^`]+)`", row.strip("|").split("|")[column]))
+    return paths
+
+
+def test_readme_ladder_and_check_docstring_name_every_path(tmp_path):
+    # one input per path, the five above and a block-search plant: README's
+    # ladder table and check_equivalence's docstring, the rungs' one
+    # description, name exactly the paths the checks take
+    seen = set()
+    for path in ("frame", "bound", "invariant", "lift", "coset"):
+        (tmp_path / path).mkdir()
+        a, b, extra = _verdict_files(tmp_path / path, path)
+        config = _config_from(build_parser().parse_args(["check", a, b, *extra]))
+        seen.add(check_equivalence(load_matrix(a).density(), load_matrix(b).density(), config).path)
+    rho, rho_prime = degenerate_plant((2, 2), 0, tie=3)
+    seen.add(check_equivalence(rho, rho_prime, SearchConfig(sweeps=40, restarts=6)).path)
+    assert seen == {"bound", "invariant", "frame", "lift", "coset", "coset-block"}
+    assert _ladder_paths() == seen
+    for path in seen:
+        assert f'"{path}"' in check_equivalence.__doc__, path
 
 
 def test_gen_paper_example_files_match_literal_matrices(tmp_path):

@@ -393,22 +393,32 @@ def _maximally_mixed_pair():
     return rho, rho
 
 
+def _mixed_marginal_rank_two_plant():
+    """A rank-2 2^4 state with the marginal I/2 at site 0, against a local
+    rotation: its coset (1 + 1 + 196 entries) is over LIFT_MAX_SIZE, and its
+    degenerate marginal gives no frame guess, so only the search decides it."""
+    rho = with_mixed_marginal(degenerate_plant((2, 2, 2, 2), 0, rank=2)[0])
+    return rho, local_rotation(rho, 0)
+
+
 @pytest.mark.parametrize(
-    "make",
+    "make, config",
     [
-        _maximally_mixed_pair,
-        lambda: degenerate_plant((2, 3), 0, rank=1),
-        lambda: degenerate_plant((2, 2), 0, tie=3),
-        lambda: (werner(3, 0.7), local_rotation(werner(3, 0.7), 0)),
-        lambda: degenerate_plant((2, 2, 2, 2), 0, rank=2),
+        (_maximally_mixed_pair, QUICK),
+        (lambda: degenerate_plant((2, 3), 0, rank=1), QUICK),
+        (lambda: degenerate_plant((2, 2), 0, tie=3), QUICK),
+        (lambda: (werner(3, 0.7), local_rotation(werner(3, 0.7), 0)), QUICK),
+        # QUICK's 40 passes and 6 starts miss these plants; the default finds them
+        (_mixed_marginal_rank_two_plant, SearchConfig()),
     ],
     ids=["maximally-mixed-2x2", "pure-2x3", "multiplicity-3-2x2", "werner-3x3", "rank-2-2^4"],
 )
-def test_blocks_larger_than_two_are_searched(make):
+def test_blocks_larger_than_two_are_searched(make, config):
     rho, rho_prime = make()
     assert max(degeneracy_profile(eig_hermitian(rho.matrix).eigenvalues, 1e-8)) >= 3
-    verdict = check_equivalence(rho, rho_prime, QUICK)
+    verdict = check_equivalence(rho, rho_prime, config)
     assert verdict.status is VerdictStatus.EQUIVALENT
+    assert verdict.path == "coset-block"
     assert verdict.used_degenerate_fallback
     assert verdict.witness_residual <= TOL
     assert verify_witness(rho, rho_prime, verdict.witness) <= TOL
@@ -572,11 +582,12 @@ def _noisy_six_qubit_pair(seed):
 
 
 def test_search_stops_at_a_verified_stalled_start(monkeypatch):
-    # without the frame guess (which verifies on this pair before any search)
-    # the search starts at the identity; the lone descent stalls above
-    # rank_tol^2 at a point that passes the exact cut test and verifies, so
-    # the first round's starts are the only ones used
-    monkeypatch.setattr(equivalence, "_frame_factors", lambda *args: None)
+    # without the product frames there is no frame guess (which verifies on
+    # this pair before any search), so the search starts at the identity;
+    # the lone descent stalls above rank_tol^2 at a point that passes the
+    # exact cut test and verifies, so the first round's starts are the only
+    # ones used
+    monkeypatch.setattr(equivalence, "_product_frames", lambda *args: None)
     rho, rho_prime = _noisy_six_qubit_pair(1)
     config = SearchConfig(seed=1)
     verdict = check_equivalence(rho, rho_prime, config)
@@ -980,8 +991,7 @@ def test_distance_lower_on_invariant_is_below_the_frame_guess_distance():
         assert verdict.path == "invariant", label
         marginals = equivalence._marginal_eighs(rho, rho_conj)
         frames = equivalence._product_frames(rho, rho_conj, marginals, TOL)
-        factors = equivalence._frame_factors(marginals, frames, TOL)
-        assert factors is not None, label
+        factors = equivalence._frame_factors(marginals, frames)
         polar = tuple(u @ vh for u, _, vh in map(np.linalg.svd, factors))
         residual = verify_witness(rho, rho_conj, FactorSet(factors=polar))
         _, d_t, _ = _invariant_parts(rho, rho_conj)
@@ -1797,6 +1807,27 @@ def test_lift_rung_hands_larger_kernels_and_cosets_on_to_the_search(monkeypatch)
     assert calls == []
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.path == "coset" and verdict.restarts_used >= 1
+
+
+def test_lift_reads_no_point_off_an_eigenvector_with_a_zero_diagonal(monkeypatch):
+    # with E's diagonal zero, a_i = E_ij / sqrt(E_jj) divides by zero: the
+    # rung reads no point, so the check hands on; an eigh whose least
+    # eigenvector has only off-diagonal coordinates shows it
+    rho = locally_mixed_qubits(3, 9)
+    ctx = _coset_of(rho, local_rotation(rho, 2))
+    assert ctx.size == 8
+    excluded, point = equivalence._lift(ctx, 1e-7)
+    assert not excluded and point is not None
+    m, n = np.triu_indices(ctx.size)
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        w, v = real_eigh(a, *args, **kwargs)
+        v[m == n, 0] = 0.0
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert equivalence._lift(ctx, 1e-7) == (False, None)
 
 
 def _certificate_margin(h):
