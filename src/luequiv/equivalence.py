@@ -28,11 +28,11 @@ from enum import Enum
 import numpy as np
 
 from .decompose import FactorSet, factor_full, unitarity_defect
-from .oracle import haar_unitary, reduced_density
+from .oracle import haar_unitary
 from .search import run_search
 from .spectral import TOL, RankOneReport, degeneracy_profile, spectra_match
 from .states import DensityMatrix, validate_density
-from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all
+from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all, partial_trace
 
 
 # The lift rung runs on cosets of at most this many entries S (the sum of
@@ -487,10 +487,9 @@ def _marginal_eighs(rho: DensityMatrix, rho_prime: DensityMatrix) -> list:
     eigenvalues ascending.  The one marginal eigensolve of a check: it feeds
     the bound, frame and invariant rungs (_marginal_distance, _product_frames,
     _frame_factors and the Davis-Kahan gaps of _invariant_bound)."""
-    return [
-        np.linalg.eigh(np.array([reduced_density(r, i) for r in (rho, rho_prime)]))
-        for i in range(rho.profile.nsites)
-    ]
+    pair = np.stack((rho.matrix, rho_prime.matrix))
+    dims = rho.profile.dims
+    return [np.linalg.eigh(partial_trace(pair, dims, i)) for i in range(len(dims))]
 
 
 def _marginal_distance(profile: DimProfile, marginals) -> float:
@@ -562,15 +561,12 @@ def _frame_factors(marginals, frames) -> list[np.ndarray]:
     column is not normalised to unit phases: each index then weighs by
     |M_kj|, and an entry at the noise level adds noise of its own size.  A
     wrong guess fails the witness gate, the only soundness check.
-    conj(A) o B is positive semidefinite (Schur), which is why its partial
-    traces are taken as a DensityMatrix's.
     """
     # eigh's column phases are a diagonal gauge, which M_i's phases absorb
-    profile = DimProfile(tuple(w.shape[-1] for w, _ in marginals))
-    overlap = DensityMatrix(matrix=frames[2], profile=profile)
+    dims = tuple(w.shape[-1] for w, _ in marginals)
     factors = []
     for i, (pi, qi) in enumerate(v for _, v in marginals):
-        m = reduced_density(overlap, i)
+        m = partial_trace(frames[2], dims, i)
         phi = np.angle(m @ m[:, np.argmax(m.diagonal().real)])
         factors.append((qi * np.exp(1j * phi)) @ pi.conj().T)
     return factors
@@ -612,11 +608,11 @@ def _invariant_bound(rho: DensityMatrix, rho_prime: DensityMatrix, tops, margina
     lambda' of rho and rho', ``marginals`` from _marginal_eighs.
 
     Per site, delta_ik = min_{j != k} |lambda_k(rho'_i) - lambda_j(rho_i)|
-    and S_i = (sum_k delta_ik^-2)^(1/2); with K = lambda^2 + lambda lambda'
-    + lambda'^2 and c = 2 sqrt(2) ||rho'||_F, slope = K (1 + c sum_i
-    sqrt(D / d_i) S_i) (infinite when a gap is zero) and offset = K eta
-    (1 + c sum_i S_i), eta the rounding term below.  Proof, in exact
-    arithmetic, with eps_V = V rho V^dag - rho':
+    (inf when d_i = 1) and S_i = (sum_k delta_ik^-2)^(1/2); with K =
+    lambda^2 + lambda lambda' + lambda'^2 and c = 2 sqrt(2) ||rho'||_F,
+    slope = K (1 + c sum_i sqrt(D / d_i) S_i) (infinite when a gap is zero)
+    and offset = K eta (1 + c sum_i S_i), eta the rounding term below.
+    Proof, in exact arithmetic, with eps_V = V rho V^dag - rho':
     1. At site i, V_i rho_i V_i^dag - rho'_i = Tr_{other sites} eps_V, of
        Frobenius norm r_i <= sqrt(D / d_i) g.
     2. Davis-Kahan in residual form: the columns V_i p_j of V_i P_i are
@@ -627,7 +623,8 @@ def _invariant_bound(rho: DensityMatrix, rho_prime: DensityMatrix, tops, margina
        V_i p_k is at most r_i^2 / delta_ik^2, and with e^{i phi_k} the phase
        of c_k, ||V_i p_k - e^{i phi_k} q_k||^2 = 2 - 2 |c_k| <= 2 r_i^2 /
        delta_ik^2.  That is, V_i P_i = Q_i D_i + E_i with D_i diagonal
-       unitary and ||E_i||_F <= sqrt(2) r_i S_i.
+       unitary and ||E_i||_F <= sqrt(2) r_i S_i.  A site of dimension 1
+       has S_i = 0: V_i P_i and Q_i are 1x1 unitaries, phases, so E_i = 0.
     3. VP = kron_i V_i P_i and Q Phi = kron_i Q_i D_i are both unitary, so
        telescoping the product, ||VP - Q Phi||_2 <= e = sum_i ||E_i||_F.
     4. A = (VP)^dag (rho' + eps_V) (VP), and X^dag rho' X - Y^dag rho' Y =
@@ -665,7 +662,7 @@ def _invariant_bound(rho: DensityMatrix, rho_prime: DensityMatrix, tops, margina
         lams, mus = w.tolist()
         total = 0.0
         for k, mu in enumerate(mus):
-            gap = min(abs(mu - x) for j, x in enumerate(lams) if j != k)
+            gap = min((abs(mu - x) for j, x in enumerate(lams) if j != k), default=math.inf)
             inverse = math.inf if gap == 0.0 else 1.0 / gap
             total += inverse * inverse
         spreads.append(math.sqrt(total))

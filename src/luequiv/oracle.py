@@ -7,7 +7,6 @@ unitaries, and keep those unitaries as the certified witness.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,7 +15,7 @@ import numpy as np
 
 from .spectral import TOL, degeneracy_profile
 from .states import DensityMatrix
-from .tensor import DimProfile, as_cmatrix, kron_all
+from .tensor import DimProfile, kron_all, partial_trace
 
 
 class PairLabel(str, Enum):
@@ -204,10 +203,4 @@ def paper_example(a: float, b: float, c: float) -> tuple[DensityMatrix, DensityM
 
 def reduced_density(rho: DensityMatrix, site: int) -> np.ndarray:
     """Single-site reduced density matrix (partial trace over the rest)."""
-    dims = rho.profile.dims
-    m = len(dims)
-    if not 0 <= site < m:
-        raise ValueError(f"site must be in [0, {m - 1}], got {site}")
-    before, d, after = math.prod(dims[:site]), dims[site], math.prod(dims[site + 1 :])
-    t = as_cmatrix(rho.matrix).reshape(before, d, after, before, d, after)
-    return np.ascontiguousarray(np.einsum("aibajb->ij", t))
+    return partial_trace(rho.matrix, rho.profile.dims, site)

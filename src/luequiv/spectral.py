@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +52,21 @@ TOL = 1e-8
 class Spectrum:
     """Eigenvalues in descending order with the pairing eigenvector matrix.
 
-    Column j of ``basis`` is the unit eigenvector for ``eigenvalues[j]``.
-    Each column is phase-fixed (largest-magnitude entry real positive) so the
-    decomposition is deterministic.
+    Column j of ``vectors`` is a unit eigenvector for ``eigenvalues[j]``,
+    with the phase eigh gave it.  ``basis`` is the same matrix with each
+    column phase-fixed (leading entry real positive, tensor.lead_phases), so
+    the decomposition is deterministic; it is formed on first read, as only
+    the rungs that read an eigenbasis need it.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
-    basis: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        basis = self.vectors / lead_phases(self.vectors)
+        basis.setflags(write=False)
+        return basis
 
     @property
     def dim(self) -> int:
@@ -85,8 +94,8 @@ def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
 def eig_hermitian(h) -> Spectrum:
     """Decompose a Hermitian matrix as X diag(lambda) X^dag, lambda descending.
 
-    Deterministic: eigh is, and each column's leading entry is made real
-    positive (tensor.lead_phases).
+    Deterministic: eigh is, and each column of the returned ``basis`` has
+    its leading entry made real positive (tensor.lead_phases).
     """
     h = as_cmatrix(h)
     if h.shape[0] != h.shape[1]:
@@ -100,10 +109,9 @@ def _eig_checked(h: np.ndarray) -> Spectrum:
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     w = w[::-1].copy()
     v = v[:, ::-1]
-    v = v / lead_phases(v)
     w.setflags(write=False)
     v.setflags(write=False)
-    return Spectrum(eigenvalues=w, basis=v)
+    return Spectrum(eigenvalues=w, vectors=v)
 
 
 def degeneracy_profile(eigenvalues: np.ndarray, tol: float) -> tuple[int, ...]:

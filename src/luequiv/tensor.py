@@ -76,6 +76,24 @@ def lead_phases(m: np.ndarray) -> np.ndarray:
     return np.divide(lead, size, out=np.ones_like(lead), where=size > 0)
 
 
+def partial_trace(m, dims, site: int) -> np.ndarray:
+    """Tr over every site but ``site`` of a square operator on sites of
+    dimensions ``dims``, or of each operator of a stack (leading axes).
+
+    The operator need not be a state: any square matrix, Hermitian or not,
+    of any trace.
+    """
+    if not 0 <= site < len(dims):
+        raise ValueError(f"site must be in [0, {len(dims) - 1}], got {site}")
+    m = np.asarray(m, dtype=np.complex128)
+    n = math.prod(dims)
+    if m.shape[-2:] != (n, n):
+        raise ShapeError(f"operator shape {m.shape} does not match dims {dims}")
+    before, d, after = math.prod(dims[:site]), dims[site], math.prod(dims[site + 1 :])
+    t = m.reshape(*m.shape[:-2], before, d, after, before, d, after)
+    return np.ascontiguousarray(np.einsum("...aibajb->...ij", t))
+
+
 def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right."""
     mats = list(mats)

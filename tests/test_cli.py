@@ -128,6 +128,22 @@ def test_check_invariant_verdict_text_and_json(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_check_site_of_dimension_one_exit_three(tmp_path, capsys):
+    # rho against rho* with a site of dimension 1 ends on the invariant rung,
+    # as the same matrix does on (2, 2), not on an error
+    rho = random_density(DimProfile((2, 2)), "generic-nondegenerate", 73)
+    save_matrix(tmp_path / "a.json", rho.matrix, dims=(2, 1, 2))
+    save_matrix(tmp_path / "b.json", rho.matrix.conj(), dims=(2, 1, 2))
+    rc = main(["check", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["status"] == "NOT_FOUND" and doc["path"] == "invariant"
+    assert "error:" not in captured.out + captured.err
+
+
 def test_check_lift_verdicts_text(tmp_path, capsys):
     # a locally-mixed state against its conjugate: every marginal is I/2, so
     # the lift rung ends the check, and the report says no search ran and

@@ -21,7 +21,7 @@ from luequiv import (
     validate_density,
     verify_witness,
 )
-from luequiv import equivalence, search
+from luequiv import equivalence, search, spectral
 from luequiv.decompose import unitarity_defect
 from luequiv.equivalence import CosetContext
 from luequiv.search import (
@@ -40,7 +40,7 @@ from luequiv.oracle import (
     make_equivalent_pair,
     random_density,
 )
-from luequiv.tensor import _realign_matrix
+from luequiv.tensor import _realign_matrix, lead_phases
 
 from helpers import (
     WITNESS_SIGNS,
@@ -470,7 +470,7 @@ def test_order_of_tied_eigenvectors_leaves_the_verdict(monkeypatch, make):
             x[:, start : start + n] = x[:, start : start + n][:, ::-1]
             start += n
         assert not np.array_equal(x, spectrum.basis)
-        return checked, Spectrum(eigenvalues=spectrum.eigenvalues, basis=x)
+        return checked, Spectrum(eigenvalues=spectrum.eigenvalues, vectors=x)
 
     monkeypatch.setattr(equivalence, "validate_density", validate)
     got = check_equivalence(rho, rho_prime, config)
@@ -934,12 +934,80 @@ def test_noisy_planted_pairs_never_end_on_bound(dims):
             assert _invariant_parts(rho, rho_prime)[1] <= eta, (eta, seed)
 
 
+def _haar_rotated_pair():
+    """Two Haar states of one spectrum on (2,2,2): the bound rung ends them."""
+    lam = np.arange(8, 0, -1) / 36.0
+    profile = DimProfile((2, 2, 2))
+    return random_density(profile, lam, 1), random_density(profile, lam, 2)
+
+
+def _rho_star_pair():
+    rho = random_density(DimProfile((2, 2, 2)), "generic-nondegenerate", 73)
+    return rho, conjugate(rho)
+
+
+def _sample_pair(make):
+    sample = make(DimProfile((2, 2, 2)), 3)
+    return sample.rho, sample.rho_prime
+
+
+@pytest.mark.parametrize(
+    "make, path, calls",
+    [
+        (_haar_rotated_pair, "bound", 0),
+        (_rho_star_pair, "invariant", 0),
+        (lambda: _sample_pair(make_degenerate_pair), "frame", 0),
+        (lambda: _sample_pair(make_equivalent_pair), "frame", 2),
+    ],
+    ids=["bound", "invariant", "degenerate-frame", "frame"],
+)
+def test_a_basis_is_phase_fixed_only_where_a_rung_reads_it(monkeypatch, make, path, calls):
+    # the eigenbases X and Y are read only for a coset point: the frame
+    # rung's phases on a non-degenerate spectrum, and CosetContext; bound,
+    # invariant and a degenerate-spectrum frame verdict read neither
+    rho, rho_prime = make()
+    count = []
+
+    def counted(m):
+        count.append(m.shape)
+        return lead_phases(m)
+
+    monkeypatch.setattr(spectral, "lead_phases", counted)
+    verdict = check_equivalence(rho, rho_prime, SearchConfig(seed=1))
+    assert verdict.path == path
+    assert len(count) == calls
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        (lambda: _sample_pair(make_equivalent_pair), "frame"),
+        (_rho_star_pair, "invariant"),
+        (lambda: _sample_pair(make_degenerate_pair), "frame"),
+    ],
+    ids=["plant", "rho-star", "degenerate-plant"],
+)
+def test_a_site_of_dimension_one_changes_no_verdict(make, path):
+    # a site of dimension 1 carries only a phase, so a 1 inserted at any
+    # position of dims leaves every verdict's status and path as they are
+    rho, rho_prime = make()
+    config = SearchConfig(seed=1)
+    want = check_equivalence(rho, rho_prime, config)
+    assert want.path == path
+    dims = rho.profile.dims
+    for k in range(len(dims) + 1):
+        profile = DimProfile(dims[:k] + (1,) + dims[k:])
+        pair = (DensityMatrix(matrix=r.matrix, profile=profile) for r in (rho, rho_prime))
+        got = check_equivalence(*pair, config)
+        assert (got.status, got.path) == (want.status, want.path), profile.dims
+
+
 def test_bound_rung_adds_no_eigensolve(monkeypatch):
     # a planted (2,2,2) check: one eigh per state for the spectra and one
     # stacked eigh per site shared by the bound, invariant and frame rungs,
-    # whose phases are read off the overlap marginals with no eigensolve; two
-    # marginals per site and one overlap marginal per site
-    counts = {"eigh": 0, "reduced_density": 0}
+    # whose phases are read off the overlap marginals with no eigensolve; one
+    # partial trace of the stacked pair per site and one of the overlap per site
+    counts = {"eigh": 0, "partial_trace": 0}
 
     def counted(name, real):
         def wrapped(*args, **kwargs):
@@ -950,12 +1018,12 @@ def test_bound_rung_adds_no_eigensolve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(
-        equivalence, "reduced_density", counted("reduced_density", equivalence.reduced_density)
+        equivalence, "partial_trace", counted("partial_trace", equivalence.partial_trace)
     )
     sample = make_equivalent_pair(DimProfile((2, 2, 2)), 7)
     verdict = check_equivalence(sample.rho, sample.rho_prime, SearchConfig(seed=0))
     assert verdict.path == "frame"
-    assert counts == {"eigh": 5, "reduced_density": 9}
+    assert counts == {"eigh": 5, "partial_trace": 6}
 
 
 def test_invariant_rung_ends_a_state_against_its_conjugate_without_a_coset(monkeypatch):

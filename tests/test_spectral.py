@@ -266,7 +266,7 @@ def _witness_residual_within(eps):
 
 def _spectra_within(eps):
     def spectrum(*w):
-        return Spectrum(eigenvalues=np.array(w), basis=np.eye(len(w)))
+        return Spectrum(eigenvalues=np.array(w), vectors=np.eye(len(w)))
 
     return spectra_match(spectrum(0.6, 0.4), spectrum(0.6 + eps, 0.4), SearchConfig().spec_tol)
 

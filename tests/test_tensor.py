@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from luequiv import DimProfile, ShapeError, kron_all, realign
 from luequiv.oracle import haar_unitary
+from luequiv.tensor import partial_trace
 
-from helpers import realign_index_oracle
+from helpers import partial_trace_oracle, realign_index_oracle
 
 
 # a unit-dimension site shows the row-major vec convention directly: across
@@ -139,3 +142,21 @@ def test_dim_profile_validation():
     assert p.total == 12
     assert p.split(1) == (2, 6)
     assert p.split(2) == (6, 2)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 1, 3), (1, 2, 2)], ids=["2x3x2", "2x1x3", "1x2x2"])
+def test_partial_trace_of_a_matrix_and_a_stack_against_loop_oracle(dims):
+    # any square operator, not only a state: a complex Gaussian matrix is
+    # neither Hermitian nor of unit trace, and a (2, D, D) stack is traced
+    # matrix by matrix
+    rng = np.random.default_rng(11)
+    n = math.prod(dims)
+    stack = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    for site in range(len(dims)):
+        want = np.array([partial_trace_oracle(m, dims, site) for m in stack])
+        assert np.allclose(partial_trace(stack[0], dims, site), want[0], rtol=0, atol=1e-12)
+        assert np.allclose(partial_trace(stack, dims, site), want, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="site must be in"):
+        partial_trace(stack, dims, len(dims))
+    with pytest.raises(ShapeError):
+        partial_trace(stack[:, 1:], dims, 0)
