@@ -20,9 +20,10 @@ import orjson
 
 from .decompose import factor_full
 from .equivalence import SearchConfig, Verdict, VerdictStatus, check_equivalence
-from .matfile import MatrixFile, MatrixFileError, entry_pairs, load_matrix, save_matrix
+from .matfile import MatrixFileError, entry_pairs, load_matrix, save_matrix
 from .oracle import make_equivalent_pair, make_spectrum_mismatch_pair, paper_example
 from .spectral import rank_one_test
+from .states import DensityMatrix
 from .tensor import DimProfile, realign
 
 EXIT_CODES = {
@@ -54,14 +55,15 @@ def _config_from(args) -> SearchConfig:
     )
 
 
-def _load_operator(path) -> MatrixFile:
+def _load_operator(path) -> tuple[np.ndarray, DimProfile]:
+    """The matrix of a file and its dims header; every error names the file."""
     try:
         mf = load_matrix(path)
+        return mf.matrix, mf.profile
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     except MatrixFileError as exc:
         raise CliError(f"{path}: {exc}") from None
-    return mf
 
 
 def _save(path, m, **meta) -> None:
@@ -174,8 +176,8 @@ def _report_check(verdict: Verdict, out) -> None:
 
 
 def cmd_check(args) -> int:
-    rho = _load_operator(args.file_a).density()
-    rho_prime = _load_operator(args.file_b).density()
+    rho = DensityMatrix(*_load_operator(args.file_a))
+    rho_prime = DensityMatrix(*_load_operator(args.file_b))
     verdict = check_equivalence(rho, rho_prime, _config_from(args))
     if args.json:
         options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
@@ -186,8 +188,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_realign(args) -> int:
-    mf = _load_operator(args.file)
-    realigned = realign(mf.matrix, mf.profile, args.cut)
+    m, profile = _load_operator(args.file)
+    realigned = realign(m, profile, args.cut)
     # the verdict is not printed, so any tolerance serves
     r = rank_one_test(realigned, SearchConfig.rank_tol)
     out_path = args.out or f"{args.file}.cut{args.cut}.realigned.json"
@@ -198,8 +200,8 @@ def cmd_realign(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    mf = _load_operator(args.file)
-    reports, fs = factor_full(mf.matrix, mf.profile, args.tol_rank)
+    m, profile = _load_operator(args.file)
+    reports, fs = factor_full(m, profile, args.tol_rank)
     for r in reports:
         print(_cut_line(r))
     if fs is None:
@@ -207,7 +209,7 @@ def cmd_factor(args) -> int:
         print(f"not decomposable: cut {worst.cut} has ratio {worst.ratio:.3e}")
         return 2
     prefix = args.out_prefix or f"{args.file}.factor"
-    for i, (f, d) in enumerate(zip(fs.factors, mf.profile.dims), start=1):
+    for i, (f, d) in enumerate(zip(fs.factors, profile.dims), start=1):
         path = f"{prefix}{i}.json"
         _save(path, f, dims=(d,), label=f"factor {i}")
         print(f"factor U{i} ({d}x{d}) -> {path}")
@@ -246,9 +248,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process; argparse looks up sys.stdout when it prints."""
+    """The root parser, built once per process; argparse looks up sys.stdout
+    when it prints."""
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and each command's own parser, by command name."""
     parser = _Parser(
         prog="luequiv",
         description="Local-unitary equivalence of multipartite density matrices",
@@ -299,7 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--out-prefix", default="luequiv_gen")
     p_gen.set_defaults(func=cmd_gen)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """One parse: a command's own parser reads the arguments after its name,
+    as the root parser would hand them on; the root parser reads the rest
+    (--help, no command, an unknown command)."""
+    root, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return root.parse_args(argv)
+    return command.parse_args(argv[1:])
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -313,7 +333,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
-            args = build_parser().parse_args(argv)
+            args = _parse_args(argv)
             code = args.func(args)
         sys.stdout.flush()
         return code

@@ -5,17 +5,24 @@ square of the product of dims); general rectangular matrices (realignment
 output) carry an explicit ``shape`` instead.  Floats are written with their
 shortest round-trip digits, so a write/read round trip is bit-exact.
 
-Files are read with orjson, which is several times faster than the stdlib
-on 17-digit floats; stdlib ``json`` reads only a text orjson rejects
-(``NaN``, ``Infinity``, a number beyond the double range, a lone surrogate
-escape), so that such a text keeps json's outcome, and a text that may be
-nested deeply enough to crash orjson (NEST_CHARS).  Both read an integer
-beyond 64 bits as a double.
+load_matrix reads a file as bytes, which must all be ASCII, with no newline
+translation (JSON reads a CR as whitespace).  Files are decoded with orjson,
+which is several times faster than the stdlib on 17-digit floats; stdlib
+``json`` reads only a text orjson rejects (``NaN``, ``Infinity``, a number
+beyond the double range, a lone surrogate escape), so that such a text keeps
+json's outcome, and a text that may be nested deeply enough to crash orjson
+(NEST_CHARS).  Both read an integer beyond 64 bits as a double.
 
 A file's header (``dims`` or ``shape``, ``label``, ``seed``) is written by
 stdlib ``json``, which escapes a non-ASCII label, so the file stays ASCII.
 Its data is written by orjson, in orjson's layout of those digits (``1e16``,
 ``1e-7``, ``0.0000123``), which every JSON reader reads as the same doubles.
+
+The [re, im] pairs are decoded column-wise: one type pass over the pairs,
+zip(*data, strict=True) splits them into a real and an imaginary column
+(a pair not of length 2 stops it), one type pass over the two columns
+rejects anything but an int or a float, and one float64 fill interleaves
+them into the complex vector.
 
 parse_matrix pauses the cyclic garbage collector while the decoded document
 is alive.  orjson builds one list per entry pair (4,097 lists for a 64x64
@@ -30,7 +37,6 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import orjson
@@ -124,19 +130,20 @@ def _entries(data) -> np.ndarray:
     Each entry must be an int or a float: a bool is not a number here,
     although numpy would read true as 1.
     """
-    if (
-        not isinstance(data, list)
-        or set(map(type, data)) != {list}
-        or set(map(len, data)) != {2}
-    ):
+    if not isinstance(data, list) or set(map(type, data)) != {list}:
         raise MatrixFileError("'data' must be a list of [re, im] pairs")
-    flat = list(chain.from_iterable(data))
-    kinds = set(map(type, flat))
+    try:  # no pairs, or one not of length 2
+        reals, imags = zip(*data, strict=True)
+    except ValueError:
+        raise MatrixFileError("'data' must be a list of [re, im] pairs") from None
+    kinds = set(map(type, reals)) | set(map(type, imags))
     if list in kinds:  # nested deeper than pairs
         raise MatrixFileError("'data' must be a list of [re, im] pairs")
     if not kinds <= {int, float}:
         raise MatrixFileError("'data' entries must be JSON numbers")
-    values = np.array(flat, dtype=np.float64)
+    values = np.empty(2 * len(reals))
+    values[0::2] = reals
+    values[1::2] = imags
     if not np.isfinite(values).all():  # json reads NaN, Infinity, 1e400
         raise MatrixFileError("'data' entries must be finite")
     return values.view(np.complex128)
@@ -168,7 +175,10 @@ def _json_int(digits: str) -> int | float:
 NEST_CHARS = 216_000
 
 
-def _decode(text: str):
+def _decode(text: str | bytes):
+    """The JSON document of a text, or of an ASCII text's bytes."""
+    if isinstance(text, bytes) and len(text) >= NEST_CHARS:
+        text = text.decode("ascii")  # the count below reads a str
     # a complete document with NEST_CHARS characters of nesting syntax is at
     # least that long, and each of its levels opens with a "[" or a "{".
     # At any point p the open array levels number the "[" before p less the
@@ -186,6 +196,8 @@ def _decode(text: str):
             return orjson.loads(text)
         except orjson.JSONDecodeError:
             pass
+    if isinstance(text, bytes):  # json would read a text opening with NUL as UTF-16
+        text = text.decode("ascii")
     try:
         return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
@@ -194,8 +206,9 @@ def _decode(text: str):
         raise MatrixFileError("not valid JSON: nested too deeply") from None
 
 
-def parse_matrix(text: str) -> MatrixFile:
-    """The matrix file of a text, decoded with the cyclic collector paused."""
+def parse_matrix(text: str | bytes) -> MatrixFile:
+    """The matrix file of a text, or of an ASCII text's bytes, decoded with
+    the cyclic collector paused."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -205,7 +218,7 @@ def parse_matrix(text: str) -> MatrixFile:
             gc.enable()
 
 
-def _parse(text: str) -> MatrixFile:
+def _parse(text: str | bytes) -> MatrixFile:
     doc = _decode(text)
     if not isinstance(doc, dict) or "data" not in doc:
         raise MatrixFileError("matrix file must be a JSON object with a 'data' field")
@@ -242,9 +255,10 @@ def _parse(text: str) -> MatrixFile:
 
 
 def load_matrix(path) -> MatrixFile:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise MatrixFileError(f"not ASCII: {exc.reason} at byte {exc.start}") from None
+    """The matrix file at path, read as bytes, which must all be ASCII."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if not text.isascii():
+        start = next(i for i, byte in enumerate(text) if byte > 127)
+        raise MatrixFileError(f"not ASCII: ordinal not in range(128) at byte {start}")
     return parse_matrix(text)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from luequiv import DimProfile, SearchConfig, kron_all, load_matrix, save_matrix
-from luequiv.cli import EXIT_CODES, _config_from, build_parser, main
+from luequiv.cli import EXIT_CODES, _config_from, _parse_args, build_parser, main
 from luequiv.equivalence import _gate_distance, check_equivalence
 from luequiv.matfile import NEST_CHARS
 from luequiv.oracle import haar_unitary, local_unitaries, random_density
@@ -332,8 +332,27 @@ def test_check_complete_deeply_nested_document_exit_one(
 
 
 def test_check_non_ascii_file_exit_one(tmp_path, capsys):
-    # fails while reading the file, before parse_matrix sees it
-    _check_bad_file_exit_one(tmp_path, capsys, '{"dims":[1,2],"label":"\u00e9"}'.encode())
+    # fails while reading the file, before parse_matrix sees it; the offset
+    # is that of the first byte above 127
+    err = _check_bad_file_exit_one(tmp_path, capsys, '{"dims":[1,2],"label":"\u00e9"}'.encode())
+    assert err == f"error: {tmp_path / 'bad.json'}: not ASCII: ordinal not in range(128) at byte 23\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check", "{good}", "{bad}"], ["check", "{bad}", "{good}"],
+     ["realign", "{bad}", "--cut", "1"], ["factor", "{bad}"]],
+    ids=["check-second", "check-first", "realign", "factor"],
+)
+def test_shape_file_where_dims_belong_names_the_file(tmp_path, capsys, command):
+    good, bad = tmp_path / "good.json", tmp_path / "shape.json"
+    save_matrix(good, np.eye(4) / 4, dims=(2, 2))
+    save_matrix(bad, np.eye(4) / 4)
+    rc = main([a.format(good=good, bad=bad) for a in command])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: file does not declare a multipartite dims header\n"
 
 
 @pytest.mark.parametrize(
@@ -841,6 +860,45 @@ def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: luequiv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--json"], ["--seed", "1", "check"]])
+def test_main_without_a_command_is_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_main_help_lists_every_command_and_each_command_has_its_own(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{check,realign,factor,gen}" in capsys.readouterr().out
+    for command in ("check", "realign", "factor", "gen"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: luequiv {command}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "a", "b"],
+        ["check", "a", "--json", "b", "--seed", "3", "--tol-spec", "1e-6"],
+        ["check", "--sweeps", "5", "--", "a", "b"],
+        ["realign", "a", "--cut", "2", "-o", "c"],
+        ["factor", "a", "--tol-rank", "1e-5"],
+        ["gen", "paper-example", "--a", "2"],
+    ],
+)
+def test_main_parses_a_command_as_the_root_parser_would(argv):
+    # main hands the arguments after a command's name to that command's own
+    # parser: the root parser's namespace, less the command's name
+    root = vars(build_parser().parse_args(argv))
+    assert root.pop("command") == argv[0]
+    assert vars(_parse_args(argv)) == root
 
 
 def test_check_into_a_closed_pipe_exits_one_without_traceback(tmp_path):

@@ -43,6 +43,23 @@ def test_roundtrip_rectangular_shape(tmp_path):
     assert back.dims is None
 
 
+def test_crlf_copy_loads_bit_identically(tmp_path):
+    # files are read as bytes, with no newline translation: JSON reads a CR
+    # between tokens as whitespace
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    path = tmp_path / "m.json"
+    save_matrix(path, m, dims=(2, 2, 2), label="x", seed=4)
+    pretty = json.dumps(json.loads(path.read_text()), indent=1)
+    for i, text in enumerate([path.read_text(), pretty]):
+        copy = tmp_path / f"crlf{i}.json"
+        copy.write_bytes(text.replace("\n", "\r\n").encode())
+        assert copy.read_bytes().count(b"\r\n") == text.count("\n") > 0
+        back = load_matrix(copy)
+        assert np.array_equal(back.matrix.view(np.uint64), m.view(np.uint64))
+        assert (back.dims, back.label, back.seed) == ((2, 2, 2), "x", 4)
+
+
 def test_density_conversion(tmp_path):
     rho = random_density(DimProfile((2, 3)), "generic-nondegenerate", 7)
     path = tmp_path / "rho.json"
@@ -172,6 +189,13 @@ def test_parse_rejects_bad_pairs():
     cases = [
         ('{"shape": [1, 2], "data": [[1, 0], [0]]}', "pairs"),
         ('{"shape": [1, 1], "data": "x"}', "pairs"),
+        ('{"shape": [1, 1], "data": []}', "pairs"),
+        ('{"shape": [1, 1], "data": [[1, 0, 0]]}', "pairs"),
+        ('{"shape": [1, 2], "data": [[1, 0], [0, 0, 0]]}', "pairs"),
+        ('{"shape": [1, 2], "data": [[1, 0], "10"]}', "pairs"),
+        ('{"shape": [1, 2], "data": [[1, 0], {"a": 1, "b": 0}]}', "pairs"),
+        ('{"shape": [1, 1], "data": {"ab": 1, "cd": 0}}', "pairs"),
+        ('{"shape": [1, 1], "data": [[[1], [0]]]}', "pairs"),
         ('{"shape": [1, 1], "data": [["1", "0"]]}', "numbers"),
         ('{"shape": [1, 1], "data": [[null, 0]]}', "numbers"),
         ('{"shape": [1, 1], "data": [[true, false]]}', "numbers"),
