@@ -9,6 +9,7 @@ from .decompose import FactorSet, cut_reports, factor_full
 from .equivalence import (
     CosetContext,
     SearchConfig,
+    StateError,
     Verdict,
     VerdictStatus,
     check_equivalence,
@@ -52,6 +53,7 @@ __all__ = [
     "SearchConfig",
     "ShapeError",
     "Spectrum",
+    "StateError",
     "Verdict",
     "VerdictStatus",
     "check_equivalence",

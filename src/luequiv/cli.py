@@ -19,7 +19,7 @@ import numpy as np
 import orjson
 
 from .decompose import factor_full
-from .equivalence import SearchConfig, Verdict, VerdictStatus, check_equivalence
+from .equivalence import SearchConfig, StateError, Verdict, VerdictStatus, check_equivalence
 from .matfile import MatrixFileError, entry_pairs, load_matrix, save_matrix
 from .oracle import make_equivalent_pair, make_spectrum_mismatch_pair, paper_example
 from .spectral import rank_one_test
@@ -178,7 +178,10 @@ def _report_check(verdict: Verdict, out) -> None:
 def cmd_check(args) -> int:
     rho = DensityMatrix(*_load_operator(args.file_a))
     rho_prime = DensityMatrix(*_load_operator(args.file_b))
-    verdict = check_equivalence(rho, rho_prime, _config_from(args))
+    try:
+        verdict = check_equivalence(rho, rho_prime, _config_from(args))
+    except StateError as exc:
+        raise CliError(f"{(args.file_a, args.file_b)[exc.index]}: {exc}") from None
     if args.json:
         options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
         sys.stdout.write(orjson.dumps(_verdict_json(verdict), option=options).decode())
@@ -201,7 +204,10 @@ def cmd_realign(args) -> int:
 
 def cmd_factor(args) -> int:
     m, profile = _load_operator(args.file)
-    reports, fs = factor_full(m, profile, args.tol_rank)
+    try:
+        reports, fs = factor_full(m, profile, args.tol_rank)
+    except ValueError as exc:  # the file holds no unitary
+        raise CliError(f"{args.file}: {exc}") from None
     for r in reports:
         print(_cut_line(r))
     if fs is None:

@@ -65,6 +65,15 @@ class VerdictStatus(str, Enum):
     NOT_FOUND = "NOT_FOUND"
 
 
+class StateError(ValueError):
+    """A state of check_equivalence that fails validate_density; index is 0
+    for rho and 1 for rho_prime."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass
 class SearchConfig:
     """Tolerances and budgets for the equivalence pipeline.
@@ -737,7 +746,8 @@ def check_equivalence(
 ) -> Verdict:
     """Decide LU equivalence and produce witness local unitaries when found.
 
-    A ValueError when the profiles differ or a state fails validate_density.
+    A ValueError when the profiles differ, a StateError when a state fails
+    validate_density.
     Then the rungs run in this order, each on what the one before handed on;
     the functions named hold each rung's proof.
 
@@ -784,8 +794,13 @@ def check_equivalence(
         raise ValueError(
             f"dimension profiles differ: {rho.profile.dims} vs {rho_prime.profile.dims}"
         )
-    rho, s1 = validate_density(rho)
-    rho_prime, s2 = validate_density(rho_prime)
+    validated = []
+    for index, state in enumerate((rho, rho_prime)):
+        try:
+            validated.append(validate_density(state))
+        except ValueError as exc:
+            raise StateError(index, str(exc)) from None
+    (rho, s1), (rho_prime, s2) = validated
     # Hoffman-Wielandt: no unitary, local or not, maps rho nearer to rho'
     spectral_distance = float(np.linalg.norm(s1.eigenvalues - s2.eigenvalues))
     if not spectra_match(s1, s2, config.spec_tol):

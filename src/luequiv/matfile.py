@@ -6,12 +6,12 @@ output) carry an explicit ``shape`` instead.  Floats are written with their
 shortest round-trip digits, so a write/read round trip is bit-exact.
 
 load_matrix reads a file as bytes, which must all be ASCII, with no newline
-translation (JSON reads a CR as whitespace).  Files are decoded with orjson,
-which is several times faster than the stdlib on 17-digit floats; stdlib
-``json`` reads only a text orjson rejects (``NaN``, ``Infinity``, a number
-beyond the double range, a lone surrogate escape), so that such a text keeps
-json's outcome, and a text that may be nested deeply enough to crash orjson
-(NEST_CHARS).  Both read an integer beyond 64 bits as a double.
+translation (JSON reads a CR as whitespace).  orjson decodes every file: it
+is several times faster than the stdlib on 17-digit floats, and reads an
+integer beyond 64 bits as a double.  A text it rejects (``NaN``,
+``Infinity``, a number beyond the double range, a lone surrogate escape) is
+not valid JSON, and so is a text that may be nested deeply enough to crash
+it (NEST_CHARS).
 
 A file's header (``dims`` or ``shape``, ``label``, ``seed``) is written by
 stdlib ``json``, which escapes a non-ASCII label, so the file stays ASCII.
@@ -144,18 +144,11 @@ def _entries(data) -> np.ndarray:
     values = np.empty(2 * len(reals))
     values[0::2] = reals
     values[1::2] = imags
-    if not np.isfinite(values).all():  # json reads NaN, Infinity, 1e400
+    # orjson refuses NaN, Infinity and 1e400; a file is outside input, so its
+    # entries are checked whatever the decoder reads
+    if not np.isfinite(values).all():
         raise MatrixFileError("'data' entries must be finite")
     return values.view(np.complex128)
-
-
-def _json_int(digits: str) -> int | float:
-    """orjson's reading of an integer, for json: one beyond 64 bits is a double."""
-    if len(digits) <= 20:
-        n = int(digits)
-        if -(2**63) <= n < 2**64:
-            return n
-    return float(digits)
 
 
 # orjson 3.8.3 builds the decoded tree recursively on the C stack, about 32
@@ -165,50 +158,50 @@ def _json_int(digits: str) -> int | float:
 # 261,000 such characters: 131,000 nested arrays, 52,000 nested objects, or
 # 37,400 of each in turn (measured in child processes).  An unclosed text is
 # a clean JSONDecodeError.  A text that can hold NEST_CHARS of them, 1.2 times
-# fewer, goes to stdlib json, whose recursion limit makes the depth an
-# error.  That margin assumes an 8 MB decoding stack with at most 1.3 MB of
-# it in use.  orjson writes a finite double in at most 24 characters (a
-# sign and 17 digits, as -0.000012345678901234568 or -2.2250738585072014e-308),
-# so a 64x64 file without a label has at most 213,052 (with a (2,)*6 dims
-# header and a 20-digit seed).  NEST_CHARS exceeds that, so no such file
-# pays for the count.
+# fewer, is refused as nested too deeply (_decode).  That margin assumes an
+# 8 MB decoding stack with at most 1.3 MB of it in use.  orjson writes a
+# finite double in at most 24 characters (a sign and 17 digits, as
+# -0.000012345678901234568 or -2.2250738585072014e-308), so a 64x64 file
+# without a label has at most 213,052 (with a (2,)*6 dims header and a
+# 20-digit seed).  NEST_CHARS exceeds that, so no such file pays for the
+# count.
 NEST_CHARS = 216_000
 
 
-def _decode(text: str | bytes):
-    """The JSON document of a text, or of an ASCII text's bytes."""
-    if isinstance(text, bytes) and len(text) >= NEST_CHARS:
-        text = text.decode("ascii")  # the count below reads a str
+def _nesting_bound(text: bytes) -> int:
+    """An upper bound on the characters of nesting syntax open at any one
+    point of a complete JSON document with this text (_decode)."""
+    return 2 * (text.count(b"[") - text.count(b"],[")) + 5 * text.count(b"{")
+
+
+def _decode(text: bytes):
+    """The JSON document of an ASCII text's bytes."""
     # a complete document with NEST_CHARS characters of nesting syntax is at
     # least that long, and each of its levels opens with a "[" or a "{".
     # At any point p the open array levels number the "[" before p less the
     # "]" before p.  Each real "],[" has its "]" before p or its "[" after p,
     # so they number at most the text's "[" less its "],[" (a "],[" inside a
     # string takes back a "[" that the same string added).  A file of
-    # D >= 329 has one "[" per entry pair but a "],[" between pairs, so it
-    # still goes to orjson.
+    # D >= 329 has one "[" per entry pair but a "],[" between pairs, so its
+    # bound stays small.  Removing JSON whitespace keeps every "[" and "{"
+    # and the document's structure, and a "],[" it joins lies between two
+    # values or inside one string, so the bound of the stripped text holds
+    # too; it takes the "], [" between pairs that json.dumps writes.
     if (
-        len(text) < NEST_CHARS
-        or (syntax := 2 * text.count("[") + 5 * text.count("{")) < NEST_CHARS
-        or syntax - 2 * text.count("],[") < NEST_CHARS
+        len(text) >= NEST_CHARS
+        and _nesting_bound(text) >= NEST_CHARS
+        and _nesting_bound(text.translate(None, b" \t\n\r")) >= NEST_CHARS
     ):
-        try:
-            return orjson.loads(text)
-        except orjson.JSONDecodeError:
-            pass
-    if isinstance(text, bytes):  # json would read a text opening with NUL as UTF-16
-        text = text.decode("ascii")
+        raise MatrixFileError("not valid JSON: nested too deeply")
     try:
-        return json.loads(text, parse_int=_json_int)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise MatrixFileError(f"not valid JSON: {exc}") from None
-    except RecursionError:  # json's recursive decoder
-        raise MatrixFileError("not valid JSON: nested too deeply") from None
 
 
-def parse_matrix(text: str | bytes) -> MatrixFile:
-    """The matrix file of a text, or of an ASCII text's bytes, decoded with
-    the cyclic collector paused."""
+def parse_matrix(text: bytes) -> MatrixFile:
+    """The matrix file of an ASCII text's bytes, decoded with the cyclic
+    collector paused."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -218,7 +211,7 @@ def parse_matrix(text: str | bytes) -> MatrixFile:
             gc.enable()
 
 
-def _parse(text: str | bytes) -> MatrixFile:
+def _parse(text: bytes) -> MatrixFile:
     doc = _decode(text)
     if not isinstance(doc, dict) or "data" not in doc:
         raise MatrixFileError("matrix file must be a JSON object with a 'data' field")
