@@ -208,9 +208,8 @@ WITNESS_SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float)
 
 
 def nested_nan_text(depth: int = 100_000) -> str:
-    """A matrix file text that orjson rejects at its NaN, before the brackets,
-    and that is nested far deeper than the recursion limit stdlib json's
-    recursive decoder meets on any supported Python."""
+    """A matrix file text that orjson rejects at its NaN, before the
+    brackets; shorter than NEST_CHARS, so the nesting guard never counts it."""
     return '{"dims":[2,2],"data":[[NaN,0],' + "[" * depth + "]" * depth + "]}"
 
 
