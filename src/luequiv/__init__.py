@@ -17,7 +17,6 @@ from .equivalence import (
 )
 from .matfile import MatrixFile, MatrixFileError, load_matrix, save_matrix
 from .oracle import (
-    PairLabel,
     PairSample,
     haar_unitary,
     make_degenerate_pair,
@@ -25,7 +24,6 @@ from .oracle import (
     make_spectrum_mismatch_pair,
     paper_example,
     random_density,
-    reduced_density,
 )
 from .spectral import (
     RankOneReport,
@@ -47,7 +45,6 @@ __all__ = [
     "FactorSet",
     "MatrixFile",
     "MatrixFileError",
-    "PairLabel",
     "PairSample",
     "RankOneReport",
     "SearchConfig",
@@ -71,7 +68,6 @@ __all__ = [
     "random_density",
     "rank_one_test",
     "realign",
-    "reduced_density",
     "save_matrix",
     "spectra_match",
     "validate_density",

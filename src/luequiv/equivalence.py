@@ -699,10 +699,10 @@ def _invariant_distance(
     return max(0.0, (gap - offset) / slope * shrink)
 
 
-def _frame_point(ctx: CosetContext, factors) -> np.ndarray | None:
-    """CosetContext.nearest of X^dag W^dag Y read on the coset's entries."""
-    w_dag = kron_all([u.conj().T for u in factors])
-    return ctx.nearest((ctx.x.conj().T @ w_dag @ ctx.y)[ctx.rows, ctx.cols])
+def _frame_point(ctx: CosetContext, w: np.ndarray) -> np.ndarray | None:
+    """CosetContext.nearest of X^dag W^dag Y read on the coset's entries, for
+    the refused frame guess's W = kron_i U_i as the witness gate formed it."""
+    return ctx.nearest((ctx.x.conj().T @ w.conj().T @ ctx.y)[ctx.rows, ctx.cols])
 
 
 def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: FactorSet) -> float:
@@ -710,28 +710,24 @@ def verify_witness(rho: DensityMatrix, rho_prime: DensityMatrix, factors: Factor
 
     ValueError unless the witness has exactly one d_i x d_i factor per site.
     """
-    return _witness_residual(rho, rho_prime, factors)[0]
-
-
-def _witness_residual(rho: DensityMatrix, rho_prime: DensityMatrix, factors: FactorSet):
-    """(||W rho W^dag - rho'||_F, W) for W = kron_i U_i, as verify_witness."""
-    shapes = [np.shape(u) for u in factors.factors]
-    if shapes != [(d, d) for d in rho.profile.dims]:
-        raise ValueError(f"witness factor shapes {shapes} do not match sites {rho.profile.dims}")
-    w = kron_all(factors.factors)
-    return float(np.linalg.norm(w @ rho.matrix @ w.conj().T - rho_prime.matrix)), w
+    return _verified(rho, rho_prime, factors)[1]
 
 
 def _verified(rho: DensityMatrix, rho_prime: DensityMatrix, witness: FactorSet):
-    """(witness, residual, W = kron_i U_i), or None unless every factor is
-    unitary within TOL and the residual is within TOL * max(1, ||rho||_F):
-    the one witness gate."""
-    if any(unitarity_defect(u) > TOL for u in witness.factors):
-        return None
-    residual, w = _witness_residual(rho, rho_prime, witness)
-    if residual > TOL * max(1.0, float(np.linalg.norm(rho.matrix))):
-        return None
-    return witness, residual, w
+    """(passed, residual, W), the one witness gate: W = kron_i U_i and the
+    residual ||W rho W^dag - rho'||_F, each formed once, and passed True iff
+    every factor is unitary within TOL and the residual is within
+    TOL * max(1, ||rho||_F).  ValueError unless the witness has exactly one
+    d_i x d_i factor per site."""
+    shapes = [np.shape(u) for u in witness.factors]
+    if shapes != [(d, d) for d in rho.profile.dims]:
+        raise ValueError(f"witness factor shapes {shapes} do not match sites {rho.profile.dims}")
+    w = kron_all(witness.factors)
+    residual = float(np.linalg.norm(w @ rho.matrix @ w.conj().T - rho_prime.matrix))
+    passed = residual <= TOL * max(1.0, float(np.linalg.norm(rho.matrix))) and all(
+        unitarity_defect(u) <= TOL for u in witness.factors
+    )
+    return passed, residual, w
 
 
 def _phases(point: np.ndarray) -> np.ndarray:
@@ -761,17 +757,19 @@ def check_equivalence(
        _invariant_bound) exceeds G.  It runs before the frame guess, so a
        check it ends pays for neither the guess nor its gate.
     4. "frame", on the same frames: EQUIVALENT when the local-eigenframe
-       guess (_frame_factors) passes the witness gate (_verified).
+       guess (_frame_factors) passes the witness gate (_verified); a guess
+       it refuses hands on the W = kron_i U_i the gate formed.
     5. "lift", on a coset (CosetContext) of at most LIFT_MAX_SIZE entries:
        NOT_FOUND when the Cholesky certificate of _lift shows the least
        eigenvalue of H (_lifted_gram) above the floor (_lift_floor);
        EQUIVALENT when the point _lift reads off H certifies; else it
        hands on.
     6. "coset", or "coset-block" on a degenerate spectrum: search.run_search
-       from the frame guess's coset point (_frame_point), or the identity
-       without one, with config.restarts starts of up to config.sweeps
-       passes, stopping at the first stalled point that certifies:
-       EQUIVALENT when the point it returns certifies, else NOT_FOUND.
+       from the refused frame guess's coset point (_frame_point, read from
+       that W), or the identity without one, with config.restarts starts
+       of up to config.sweeps passes, stopping at the first stalled point
+       that certifies: EQUIVALENT when the point it returns certifies,
+       else NOT_FOUND.
 
     A coset point certifies when factor_full's rank-one test passes at every
     cut of its V and the factors pass _verified.  No NOT_FOUND claims
@@ -829,7 +827,7 @@ def check_equivalence(
         # search point could certify: NOT_FOUND, still no claim of inequivalence
         return verdict(VerdictStatus.NOT_FOUND, path="bound")
     frames = _product_frames(rho, rho_prime, marginals, config.spec_tol)
-    factors = None
+    w = None  # the frame guess's W, once the gate has refused it
     if frames is not None:
         tops = (s1.eigenvalues[0], s2.eigenvalues[0])
         invariant = _invariant_distance(rho, rho_prime, tops, marginals, frames)
@@ -842,10 +840,9 @@ def check_equivalence(
                 path="invariant",
                 distance_lower=max(spectral_distance, marginal_distance, invariant),
             )
-        factors = _frame_factors(marginals, frames)
-        verified = _verified(rho, rho_prime, FactorSet(factors=tuple(factors)))
-        if verified is not None:
-            witness, residual, w = verified
+        witness = FactorSet(factors=tuple(_frame_factors(marginals, frames)))
+        passed, residual, w = _verified(rho, rho_prime, witness)
+        if passed:
             # x_m^dag W^dag y_m for each m, from the gate's W and one D x D product
             point = None if fallback else np.sum(s1.basis.conj() * (w.conj().T @ s2.basis), axis=0)
             return verdict(
@@ -859,17 +856,22 @@ def check_equivalence(
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
 
     def certify(point: np.ndarray):
-        """The exact cut reports of a point, and its verified witness or None."""
+        """The exact cut reports of a point, and its verified witness and
+        that witness's residual, or None and None."""
         # f bounds sum (sigma2/sigma1)^2, so a search success passes the cut
         # tests too; soundness rests on the verified witness, not on them
         reports, fs = factor_full(ctx.build(point), rho.profile, config.rank_tol)
-        return reports, None if fs is None else _verified(rho, rho_prime, fs.adjoints())
+        if fs is not None:
+            witness = fs.adjoints()
+            passed, residual, _ = _verified(rho, rho_prime, witness)
+            if passed:
+                return reports, witness, residual
+        return reports, None, None
 
     def coset_verdict(point: np.ndarray, path: str, outcome=None) -> Verdict:
-        reports, verified = certify(point)
-        witness, residual, _ = verified or (None, None, None)
+        reports, witness, residual = certify(point)
         return verdict(
-            VerdictStatus.NOT_FOUND if verified is None else VerdictStatus.EQUIVALENT,
+            VerdictStatus.NOT_FOUND if witness is None else VerdictStatus.EQUIVALENT,
             witness=witness,
             witness_residual=residual,
             phases=None if fallback else _phases(point),
@@ -898,7 +900,7 @@ def check_equivalence(
         restarts=config.restarts,
         rank_tol=config.rank_tol,
         seed=config.seed,
-        start=None if factors is None else _frame_point(ctx, factors),
+        start=None if w is None else _frame_point(ctx, w),
         accept=lambda p: certify(p)[1] is not None,
     )
     return coset_verdict(outcome.point, "coset-block" if fallback else "coset", outcome)

@@ -199,9 +199,12 @@ def _decode(text: bytes):
         raise MatrixFileError(f"not valid JSON: {exc}") from None
 
 
-def parse_matrix(text: bytes) -> MatrixFile:
+def parse_matrix(text: bytes | str) -> MatrixFile:
     """The matrix file of an ASCII text's bytes, decoded with the cyclic
-    collector paused."""
+    collector paused.  A str is encoded to UTF-8 first, so the nesting guard
+    counts it as it counts bytes (a lone surrogate stays not valid JSON)."""
+    if isinstance(text, str):
+        text = text.encode(errors="surrogatepass")
     enabled = gc.isenabled()
     gc.disable()
     try:

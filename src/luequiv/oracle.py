@@ -9,25 +9,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .spectral import TOL, degeneracy_profile
 from .states import DensityMatrix
-from .tensor import DimProfile, kron_all, partial_trace
-
-
-class PairLabel(str, Enum):
-    EQUIVALENT = "EQUIVALENT"
-    SPECTRUM_MISMATCH = "SPECTRUM_MISMATCH"
+from .tensor import DimProfile, kron_all
 
 
 @dataclass(frozen=True)
 class PairSample:
     rho: DensityMatrix
     rho_prime: DensityMatrix
-    label: PairLabel
     seed: int
     planted: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
@@ -109,7 +102,6 @@ def _planted_pair(rho: DensityMatrix, rng: np.random.Generator, seed: int) -> Pa
     return PairSample(
         rho=rho,
         rho_prime=DensityMatrix(matrix=m, profile=rho.profile),
-        label=PairLabel.EQUIVALENT,
         seed=int(seed),
         planted=factors,
     )
@@ -166,7 +158,6 @@ def make_spectrum_mismatch_pair(
     return PairSample(
         rho=DensityMatrix(matrix=(rho + rho.conj().T) / 2.0, profile=profile),
         rho_prime=DensityMatrix(matrix=(rho2 + rho2.conj().T) / 2.0, profile=profile),
-        label=PairLabel.SPECTRUM_MISMATCH,
         seed=int(seed),
     )
 
@@ -199,8 +190,3 @@ def paper_example(a: float, b: float, c: float) -> tuple[DensityMatrix, DensityM
         DensityMatrix(matrix=first / trace, profile=profile),
         DensityMatrix(matrix=second / trace, profile=profile),
     )
-
-
-def reduced_density(rho: DensityMatrix, site: int) -> np.ndarray:
-    """Single-site reduced density matrix (partial trace over the rest)."""
-    return partial_trace(rho.matrix, rho.profile.dims, site)

@@ -68,10 +68,6 @@ class Spectrum:
         basis.setflags(write=False)
         return basis
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
 
 @dataclass(frozen=True)
 class RankOneReport:
@@ -133,8 +129,9 @@ def degeneracy_profile(eigenvalues: np.ndarray, tol: float) -> tuple[int, ...]:
 
 def spectra_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
     """True iff the sorted eigenvalue vectors agree element-wise within tol."""
-    if s1.dim != s2.dim:
-        raise ValueError(f"spectra have different dimensions: {s1.dim} vs {s2.dim}")
+    n1, n2 = s1.eigenvalues.size, s2.eigenvalues.size
+    if n1 != n2:
+        raise ValueError(f"spectra have different dimensions: {n1} vs {n2}")
     return bool(np.max(np.abs(s1.eigenvalues - s2.eigenvalues)) <= tol)
 
 

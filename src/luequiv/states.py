@@ -27,10 +27,6 @@ class DensityMatrix:
             )
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.profile.total
-
 
 def validate_density(rho: DensityMatrix) -> tuple[DensityMatrix, Spectrum]:
     """The checked state and its spectrum, from one eigensolve.  Entries must

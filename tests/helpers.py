@@ -9,7 +9,8 @@ import itertools
 import numpy as np
 
 from luequiv import DensityMatrix, DimProfile, kron_all
-from luequiv.oracle import haar_unitary, local_unitaries, random_density, reduced_density
+from luequiv.oracle import haar_unitary, local_unitaries, random_density
+from luequiv.tensor import partial_trace
 
 
 def realign_index_oracle(z: np.ndarray, dims: tuple[int, ...], cut: int) -> np.ndarray:
@@ -167,7 +168,7 @@ def with_mixed_marginal(rho: DensityMatrix, site: int = 0) -> DensityMatrix:
     """F rho F^dag with F = rho_i^(-1/2) / sqrt(d_i) at ``site`` i: a state
     whose marginal there is I/d_i (degenerate) and whose other marginals and
     spectrum stay generic."""
-    w, v = np.linalg.eigh(reduced_density(rho, site))
+    w, v = np.linalg.eigh(partial_trace(rho.matrix, rho.profile.dims, site))
     dims = rho.profile.dims
     factors = [np.eye(d) for d in dims]
     factors[site] = (v / np.sqrt(w * dims[site])) @ v.conj().T
@@ -205,12 +206,6 @@ def werner(d: int, p: float) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 WITNESS_SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float)
-
-
-def nested_nan_text(depth: int = 100_000) -> str:
-    """A matrix file text that orjson rejects at its NaN, before the
-    brackets; shorter than NEST_CHARS, so the nesting guard never counts it."""
-    return '{"dims":[2,2],"data":[[NaN,0],' + "[" * depth + "]" * depth + "]}"
 
 
 def example_bases(a: float, b: float, c: float):

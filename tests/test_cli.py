@@ -15,9 +15,7 @@ from luequiv.equivalence import _gate_distance, check_equivalence
 from luequiv.matfile import NEST_CHARS
 from luequiv.oracle import haar_unitary, local_unitaries, random_density
 
-from helpers import (
-    degenerate_plant, local_rotation, locally_mixed_qubits, near_product, nested_nan_text
-)
+from helpers import degenerate_plant, local_rotation, locally_mixed_qubits, near_product
 
 FAST = ["--sweeps", "40", "--restarts", "6"]
 
@@ -288,8 +286,10 @@ def test_check_rejected_input_is_one_error_line(tmp_path, capsys, content, messa
 
 
 def test_check_deeply_nested_file_exit_one(tmp_path, capsys):
-    # a text 100,000 levels deep behind a NaN is an error line, no traceback
-    _check_bad_file_exit_one(tmp_path, capsys, nested_nan_text().encode())
+    # a text NEST_CHARS levels deep is refused by the nesting guard before
+    # orjson reads it: an error line, no traceback
+    content = b'{"dims":[2,2],"data":' + b"[" * NEST_CHARS
+    assert "nested too deeply" in _check_bad_file_exit_one(tmp_path, capsys, content)
 
 
 HEAD = '{"dims":[2,2],"data":'

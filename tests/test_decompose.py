@@ -49,6 +49,9 @@ def test_is_decomposable_rejects_non_unitary():
 def test_factor_full_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         factor_full(np.diag([1.0, 2.0, 3.0, 4.0]), DimProfile((2, 2)), 1e-7)
+    # a unitary off the profile's space is refused before its defect is formed
+    with pytest.raises(ValueError, match=r"operator shape \(6, 6\) does not match profile"):
+        factor_full(np.eye(6), DimProfile((2, 2)), 1e-7)
 
 
 def test_factor_pair_recovers_up_to_phase():

@@ -562,7 +562,7 @@ def test_exact_cut_reports_gate_the_witness_when_the_search_bound_stalls():
 
 def _with_noise(state: DensityMatrix, eta: float, seed: int) -> DensityMatrix:
     """A state plus Hermitian noise of Frobenius norm eta, drawn from seed."""
-    n = state.dim
+    n = state.profile.total
     rng = np.random.default_rng(100 + seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     noise = g + g.conj().T
@@ -635,7 +635,7 @@ def _coset_point(rho, rho_prime, factors):
     s1, s2 = eig_hermitian(rho.matrix), eig_hermitian(rho_prime.matrix)
     sizes = degeneracy_profile(s1.eigenvalues, 1e-8)
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
-    return ctx, equivalence._frame_point(ctx, factors)
+    return ctx, equivalence._frame_point(ctx, kron_all(factors))
 
 
 def _frame_samples():
@@ -765,6 +765,39 @@ def test_frame_rung_decides_pairs_with_noise_near_the_witness_tolerance(dims, se
         assert verify_witness(rho, rho_prime, verdict.witness) <= 1e-8, seed
 
 
+def test_search_starts_from_the_w_the_gate_formed_for_the_refused_frame_guess(monkeypatch):
+    # on the noisy (3,3) plant the second marginal's gap of 7.2e-3 amplifies
+    # the noise of norm 3e-9 about 13x: the gate refuses the frame guess and
+    # hands back its residual and W = kron_i U_i, and the search's start is
+    # read from that same W, with no second Kronecker product
+    rho, rho_prime = _noisy_pair((3, 3), 7, eta=3e-9)
+    gated, starts = [], []
+    verified, frame_point = equivalence._verified, equivalence._frame_point
+
+    def spy_verified(rho, rho_prime, witness):
+        gated.append((witness, verified(rho, rho_prime, witness)))
+        return gated[-1][1]
+
+    def spy_frame_point(ctx, w):
+        starts.append(w)
+        with monkeypatch.context() as m:
+            m.delattr(equivalence, "kron_all")
+            return frame_point(ctx, w)
+
+    monkeypatch.setattr(equivalence, "_verified", spy_verified)
+    monkeypatch.setattr(equivalence, "_frame_point", spy_frame_point)
+    verdict = check_equivalence(rho, rho_prime, SearchConfig(seed=0))
+    guess, (passed, residual, w) = gated[0]
+    assert not passed
+    assert TOL * max(1.0, np.linalg.norm(rho.matrix)) == TOL
+    assert 3.8e-8 < residual < 3.9e-8
+    assert np.array_equal(w, kron_all(guess.factors))
+    assert len(starts) == 1 and starts[0] is w
+    assert verdict.path == "coset"
+    # a NOT_FOUND reports no residual, an EQUIVALENT its witness's
+    assert (verdict.witness_residual is None) is (verdict.status is VerdictStatus.NOT_FOUND)
+
+
 def test_frame_falls_back_to_the_identity(monkeypatch):
     config = SearchConfig(sweeps=20, seed=2)
     # a Bell pair's marginals are I/2: degenerate
@@ -847,7 +880,7 @@ def _nonlocal_rotation(rho: DensityMatrix, eps: float) -> DensityMatrix:
     """exp(i eps K) rho exp(-i eps K) for a fixed random Hermitian K: rho's
     spectrum, with marginal spectra that move linearly in eps."""
     rng = np.random.default_rng(5)
-    n = rho.dim
+    n = rho.profile.total
     k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     w, v = np.linalg.eigh(k + k.conj().T)
     u = (v * np.exp(1j * eps * w)) @ v.conj().T
@@ -1111,6 +1144,11 @@ def test_check_rejects_non_finite_entries():
     rho = DensityMatrix(matrix=m, profile=DimProfile((2, 2)))
     with pytest.raises(ValueError, match="entries are not finite"):
         check_equivalence(rho, rho, QUICK)
+
+
+def test_density_matrix_rejects_a_shape_off_its_profile():
+    with pytest.raises(ValueError, match=r"matrix shape \(4, 4\) does not match profile \(2, 3\)"):
+        DensityMatrix(matrix=np.eye(4) / 4.0, profile=DimProfile((2, 3)))
 
 
 def test_validate_density_returns_the_repaired_state_and_its_spectrum():

@@ -9,8 +9,6 @@ from luequiv import matfile
 from luequiv.matfile import dump_matrix, parse_matrix
 from luequiv.oracle import haar_unitary, random_density
 
-from helpers import nested_nan_text
-
 
 def test_roundtrip_value_exact(tmp_path):
     rng = np.random.default_rng(3)
@@ -83,9 +81,11 @@ def test_parse_rejects_bad_json():
 def test_parse_refuses_a_label_packed_with_brackets():
     # the nesting bound counts the brackets of strings too: a text of
     # NEST_CHARS characters whose label holds 216,000 "[" is refused, with or
-    # without JSON whitespace, although it is no deeper than a file of pairs
+    # without JSON whitespace, and as a str, although it is no deeper than a
+    # file of pairs
     head = b'{"dims": [1, 1], "label": "' + b"[" * 216_000 + b'", "data": '
-    for text in (head + b"[[1, 0]]}", head.replace(b" ", b"") + b"[[1,0]]}"):
+    texts = (head + b"[[1, 0]]}", head.replace(b" ", b"") + b"[[1,0]]}")
+    for text in (*texts, texts[0].decode()):
         assert len(text) >= matfile.NEST_CHARS
         with pytest.raises(MatrixFileError, match="^not valid JSON: nested too deeply$"):
             parse_matrix(text)
@@ -171,7 +171,7 @@ def test_parse_starts_no_garbage_collection():
     assert starts == []
 
 
-def _parse_outcome(text: str):
+def _parse_outcome(text: bytes | str):
     try:
         parse_matrix(text)
     except MatrixFileError as exc:
@@ -186,7 +186,8 @@ def _parse_outcome(text: str):
         ('{"shape": [1, 1], "data": [[true, 0.5]]}', "'data' entries must be JSON numbers"),
         ('{"shape": [1, 1], "data": [[NaN, 0.5]]}', "not valid JSON"),
         ("{not json", "not valid JSON"),
-        (nested_nan_text(), "not valid JSON"),
+        # refused by the nesting guard, before orjson reads it
+        (b'{"dims":[2,2],"data":' + b"[" * matfile.NEST_CHARS, "not valid JSON: nested too deeply"),
     ],
     ids=["parsed", "entries-error", "fallback-entries-error", "fallback-json-error", "nested"],
 )
@@ -230,6 +231,10 @@ def test_parse_rejects_bad_pairs():
     for text, match in cases:
         with pytest.raises(MatrixFileError, match=match):
             parse_matrix(text)
+    # orjson reads no non-finite number, so only a decoded list can hold one
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(MatrixFileError, match="'data' entries must be finite"):
+            matfile._entries([[1.0, 0.0], [bad, 0.0]])
 
 
 def test_parse_rejects_bad_headers():
@@ -254,9 +259,10 @@ def test_integers_beyond_64_bits_read_as_doubles():
     text = '{"shape": [1, 1], "label": "x", "seed": 18446744073709551616, "data": [[1, 0]]}'
     with pytest.raises(MatrixFileError, match="'seed' must be an integer"):
         parse_matrix(text)
-    # orjson refuses a lone surrogate escape
-    with pytest.raises(MatrixFileError, match="^not valid JSON: "):
-        parse_matrix(text.replace('"x"', '"\\ud800"'))
+    # orjson refuses a lone surrogate, escaped or as a character of a str
+    for surrogate in ('"\\ud800"', '"\ud800"'):
+        with pytest.raises(MatrixFileError, match="^not valid JSON: "):
+            parse_matrix(text.replace('"x"', surrogate))
 
 
 def test_parse_requires_header():

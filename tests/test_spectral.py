@@ -54,6 +54,8 @@ def test_eig_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         eig_hermitian(m)
+    with pytest.raises(ValueError, match=r"expected a square matrix, got \(2, 3\)"):
+        eig_hermitian(np.zeros((2, 3)))
 
 
 def test_eig_reconstruction_and_orthonormality():
@@ -255,13 +257,13 @@ def _witness_factor_within(eps):
     # ||c^2 I_2 - I_2||_F = eps for U_1 = c I_2; (c I_2) kron (I_2 / c) = I_4
     c = np.sqrt(1 + eps / np.sqrt(2))
     rho = _state(0.4, 0.3, 0.2, 0.1)
-    return _verified(rho, rho, FactorSet(factors=(c * np.eye(2), np.eye(2) / c))) is not None
+    return _verified(rho, rho, FactorSet(factors=(c * np.eye(2), np.eye(2) / c)))[0]
 
 
-def _witness_residual_within(eps):
+def _gate_residual_within(eps):
     rho = _state(0.4, 0.3, 0.2, 0.1)
     rho_prime = _state(0.4 + eps / np.sqrt(2), 0.3 - eps / np.sqrt(2), 0.2, 0.1)
-    return _verified(rho, rho_prime, FactorSet(factors=(np.eye(2), np.eye(2)))) is not None
+    return _verified(rho, rho_prime, FactorSet(factors=(np.eye(2), np.eye(2))))[0]
 
 
 def _spectra_within(eps):
@@ -285,7 +287,7 @@ def _degeneracy_within(eps):
         _psd_within,
         _factor_full_input_within,
         _witness_factor_within,
-        _witness_residual_within,
+        _gate_residual_within,
         _spectra_within,
         _degeneracy_within,
     ],

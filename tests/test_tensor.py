@@ -5,7 +5,7 @@ import pytest
 
 from luequiv import DimProfile, ShapeError, kron_all, realign
 from luequiv.oracle import haar_unitary
-from luequiv.tensor import partial_trace
+from luequiv.tensor import as_cmatrix, partial_trace
 
 from helpers import partial_trace_oracle, realign_index_oracle
 
@@ -131,6 +131,13 @@ def test_realign_tolerates_unit_dimensions():
     out = [realign(np.eye(4), profile, k) for k in range(1, profile.nsites)]
     assert [o.shape for o in out] == [(1, 16)]
     assert np.linalg.matrix_rank(out[0]) == 1
+
+
+def test_as_cmatrix_and_kron_all_refuse_what_forms_no_matrix():
+    with pytest.raises(ShapeError, match="expected a 2-D matrix, got ndim=1"):
+        as_cmatrix(np.ones(3))
+    with pytest.raises(ValueError, match="kron_all needs at least one matrix"):
+        kron_all([])
 
 
 def test_dim_profile_validation():
