@@ -33,16 +33,12 @@ EXIT_CODES = {
 }
 
 
-class CliError(Exception):
-    """User-facing error: message printed to stderr, exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Usage errors become CliError, so they exit 1 like every other input
+    """Usage errors become ValueError, so they exit 1 like every other input
     error; argparse's own exit code 2 is INEQUIVALENT_SPECTRUM here."""
 
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _config_from(args) -> SearchConfig:
@@ -61,25 +57,25 @@ def _load_operator(path) -> tuple[np.ndarray, DimProfile]:
         mf = load_matrix(path)
         return mf.matrix, mf.profile
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except MatrixFileError as exc:
-        raise CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _save(path, m, **meta) -> None:
     try:
         save_matrix(path, m, **meta)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _dims_list(parts: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(p) for p in parts.replace(",", " ").split())
     except ValueError:
-        raise CliError(f"cannot parse dims {parts!r}") from None
+        raise ValueError(f"cannot parse dims {parts!r}") from None
     if len(dims) < 2:
-        raise CliError("need at least two local dimensions")
+        raise ValueError("need at least two local dimensions")
     return dims
 
 
@@ -181,7 +177,7 @@ def cmd_check(args) -> int:
     try:
         verdict = check_equivalence(rho, rho_prime, _config_from(args))
     except StateError as exc:
-        raise CliError(f"{(args.file_a, args.file_b)[exc.index]}: {exc}") from None
+        raise ValueError(f"{(args.file_a, args.file_b)[exc.index]}: {exc}") from None
     if args.json:
         options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
         sys.stdout.write(orjson.dumps(_verdict_json(verdict), option=options).decode())
@@ -207,7 +203,7 @@ def cmd_factor(args) -> int:
     try:
         reports, fs = factor_full(m, profile, args.tol_rank)
     except ValueError as exc:  # the file holds no unitary
-        raise CliError(f"{args.file}: {exc}") from None
+        raise ValueError(f"{args.file}: {exc}") from None
     for r in reports:
         print(_cut_line(r))
     if fs is None:
@@ -226,7 +222,7 @@ def cmd_factor(args) -> int:
 def cmd_gen(args) -> int:
     seed = args.seed
     if seed < 0:
-        raise CliError(f"seed must be non-negative, got {seed}")
+        raise ValueError(f"seed must be non-negative, got {seed}")
     prefix = args.out_prefix
     if args.kind == "paper-example":
         rho, rho_prime = paper_example(args.a, args.b, args.c)
@@ -238,7 +234,7 @@ def cmd_gen(args) -> int:
         print(f"wrote {prefix}_a.json {prefix}_b.json (a={args.a} b={args.b} c={args.c})")
         return 0
     if args.dims is None:
-        raise CliError(f"--dims is required for kind {args.kind}")
+        raise ValueError(f"--dims is required for kind {args.kind}")
     profile = DimProfile(_dims_list(args.dims))
     planted = args.kind == "pair-equivalent"
     sample = (make_equivalent_pair if planted else make_spectrum_mismatch_pair)(profile, seed)
@@ -276,6 +272,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
          "absolute eigenvalue tolerance: spectra match and degeneracy grouping"),
         ("--sweeps", int, d.sweeps, "alignment passes per start"),
         ("--restarts", int, d.restarts, "search starts: three race, then all the others at once"),
+        ("--seed", int, d.seed, "search seed"),
     )
 
     def add_flags(p, flags):
@@ -287,7 +284,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_check.add_argument("file_b")
     p_check.add_argument("--json", action="store_true", help="emit the verdict as JSON")
     add_flags(p_check, search_flags)
-    p_check.add_argument("--seed", type=int, default=d.seed, help="search seed (default 0)")
     p_check.set_defaults(func=cmd_check)
 
     p_re = sub.add_parser("realign", help="realign an operator across one cut")
@@ -334,8 +330,9 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv=None) -> int:
-    # the one place a failure becomes an exit code: CliError, or a ValueError
-    # (MatrixFileError, ShapeError, LinAlgError, a SearchConfig range error)
+    # the one place a failure becomes an exit code: a ValueError (a usage or
+    # file error, MatrixFileError, ShapeError, LinAlgError, a SearchConfig
+    # range error)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
@@ -343,7 +340,7 @@ def main(argv=None) -> int:
             code = args.func(args)
         sys.stdout.flush()
         return code
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

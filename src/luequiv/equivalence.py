@@ -78,8 +78,10 @@ class StateError(ValueError):
 class SearchConfig:
     """Tolerances and budgets for the equivalence pipeline.
 
-    ``sweeps`` is the number of alignment passes each restart may run.  A
-    value out of range is a ValueError naming the field.  spec_tol starts
+    ``sweeps`` is the number of alignment passes each restart may run;
+    search.run_search reads it, ``restarts``, ``rank_tol`` and ``seed``
+    from the config check_equivalence validated.  A value out of range is
+    a ValueError naming the field.  spec_tol starts
     at spectral.TOL, on the absolute eigenvalue scale of its table: it
     decides both whether the spectra match and which eigenvalues share a
     coset block.
@@ -98,8 +100,8 @@ class SearchConfig:
         for name in ("sweeps", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # orjson writes no wider integer to check --json
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -896,10 +898,7 @@ def check_equivalence(
 
     outcome = run_search(
         ctx,
-        passes=config.sweeps,
-        restarts=config.restarts,
-        rank_tol=config.rank_tol,
-        seed=config.seed,
+        config,
         start=None if w is None else _frame_point(ctx, w),
         accept=lambda p: certify(p)[1] is not None,
     )

@@ -86,6 +86,8 @@ def dump_matrix(
     or shape, label, seed and data, in that order.  The header is
     ``json.dumps(header, separators=(",", ":"))`` and data is orjson's
     text of the [re, im] pairs, which parse_matrix reads back bit for bit.
+    A seed outside [-2**63, 2**64), which parse_matrix would refuse, is a
+    MatrixFileError.
     """
     m = as_cmatrix(m)
     if not np.isfinite(m).all():  # orjson would write NaN or Infinity as null
@@ -103,13 +105,15 @@ def dump_matrix(
         header["label"] = label
     if seed is not None:
         header["seed"] = int(seed)
+        if not -(2**63) <= header["seed"] < 2**64:
+            raise MatrixFileError(f"seed must lie in [-2**63, 2**64), got {seed}")
     data = orjson.dumps(entry_pairs(m), option=orjson.OPT_SERIALIZE_NUMPY)
     head = json.dumps(header, separators=(",", ":"))[:-1]  # without its "}"
     return f'{head},"data":{data.decode()}}}\n'
 
 
 def save_matrix(path, m, dims=None, label=None, seed=None) -> None:
-    """Write dump_matrix's text to path; a matrix it rejects leaves no file."""
+    """Write dump_matrix's text to path; a matrix or seed it rejects leaves no file."""
     text = dump_matrix(m, dims=dims, label=label, seed=seed)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)

@@ -16,17 +16,25 @@ from .spectral import TOL, degeneracy_profile
 from .states import DensityMatrix
 from .tensor import DimProfile, kron_all
 
+# make_spectrum_mismatch_pair moves this much weight between its top two eigenvalues
+MISMATCH_SHIFT = 1e-2
+
 
 @dataclass(frozen=True)
 class PairSample:
     rho: DensityMatrix
     rho_prime: DensityMatrix
-    seed: int
     planted: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
 
 def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2: a product that should be Hermitian, with its rounding
+    asymmetry removed."""
+    return (m + m.conj().T) / 2.0
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -83,8 +91,7 @@ def random_density(
             raise ValueError(f"planted eigenvalues sum to {lam.sum()}, expected 1")
         lam = np.sort(lam / lam.sum())[::-1]
     u = haar_unitary(n, rng)
-    m = (u * lam[np.newaxis, :]) @ u.conj().T
-    m = (m + m.conj().T) / 2.0
+    m = _hermitian_part((u * lam[np.newaxis, :]) @ u.conj().T)
     return DensityMatrix(matrix=m, profile=profile)
 
 
@@ -93,24 +100,18 @@ def local_unitaries(profile: DimProfile, seed) -> tuple[np.ndarray, ...]:
     return tuple(haar_unitary(d, rng) for d in profile.dims)
 
 
-def _planted_pair(rho: DensityMatrix, rng: np.random.Generator, seed: int) -> PairSample:
+def _planted_pair(rho: DensityMatrix, rng: np.random.Generator) -> PairSample:
     """rho with rho' = (kron U_i) rho (kron U_i)^dag, Haar U_i drawn from rng."""
     factors = local_unitaries(rho.profile, rng)
     w = kron_all(factors)
-    m = w @ rho.matrix @ w.conj().T
-    m = (m + m.conj().T) / 2.0
-    return PairSample(
-        rho=rho,
-        rho_prime=DensityMatrix(matrix=m, profile=rho.profile),
-        seed=int(seed),
-        planted=factors,
-    )
+    m = _hermitian_part(w @ rho.matrix @ w.conj().T)
+    return PairSample(rho, DensityMatrix(matrix=m, profile=rho.profile), planted=factors)
 
 
 def make_equivalent_pair(profile: DimProfile, seed: int) -> PairSample:
     """Plant rho' = (kron U_i) rho (kron U_i)^dag with Haar local factors."""
     rng = np.random.default_rng([int(seed), 0xE9])
-    return _planted_pair(random_density(profile, "generic-nondegenerate", rng), rng, seed)
+    return _planted_pair(random_density(profile, "generic-nondegenerate", rng), rng)
 
 
 def make_degenerate_pair(profile: DimProfile, seed: int) -> PairSample:
@@ -127,39 +128,32 @@ def make_degenerate_pair(profile: DimProfile, seed: int) -> PairSample:
     merged = (lam[k] + lam[k + 1]) / 2.0
     lam[k] = lam[k + 1] = merged
     lam = lam / lam.sum()
-    return _planted_pair(random_density(profile, lam, rng), rng, seed)
+    return _planted_pair(random_density(profile, lam, rng), rng)
 
 
-def make_spectrum_mismatch_pair(
-    profile: DimProfile, seed: int, delta: float = 1e-2
-) -> PairSample:
-    """Same eigenvectors, one eigenvalue pair shifted by +/- delta.
+def make_spectrum_mismatch_pair(profile: DimProfile, seed: int) -> PairSample:
+    """Same eigenvectors, the top eigenvalue pair shifted by +/- MISMATCH_SHIFT.
 
     The shift is capped at lambda_2 / 2 of the drawn spectrum, which keeps the
-    shifted eigenvalue non-negative at any dimension.  ValueError unless
-    delta > 0 (a zero shift is no mismatch), and when D < 2: the one
-    unit-trace spectrum of D = 1 has no mismatched partner.
+    shifted eigenvalue non-negative at any dimension.  ValueError when D < 2:
+    the one unit-trace spectrum of D = 1 has no mismatched partner.
     """
-    if not delta > 0:  # NaN fails too
-        raise ValueError(f"delta must be positive, got {delta}")
     n = profile.total
     if n < 2:
         raise ValueError(f"profile: a spectrum mismatch needs total dimension >= 2, got {n}")
     rng = np.random.default_rng([int(seed), 0x5B])
     lam = _generic_spectrum(n, rng)
-    delta = min(delta, lam[1] / 2.0)
+    delta = min(MISMATCH_SHIFT, lam[1] / 2.0)
     u = haar_unitary(n, rng)
-    rho = (u * lam[np.newaxis, :]) @ u.conj().T
     lam2 = lam.copy()
     lam2[0] += delta
     lam2[1] -= delta
     lam2 = lam2 / lam2.sum()
-    rho2 = (u * lam2[np.newaxis, :]) @ u.conj().T
-    return PairSample(
-        rho=DensityMatrix(matrix=(rho + rho.conj().T) / 2.0, profile=profile),
-        rho_prime=DensityMatrix(matrix=(rho2 + rho2.conj().T) / 2.0, profile=profile),
-        seed=int(seed),
+    rho, rho_prime = (
+        DensityMatrix(_hermitian_part((u * x[np.newaxis, :]) @ u.conj().T), profile)
+        for x in (lam, lam2)
     )
+    return PairSample(rho, rho_prime)
 
 
 def paper_example(a: float, b: float, c: float) -> tuple[DensityMatrix, DensityMatrix]:

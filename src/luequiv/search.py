@@ -20,11 +20,14 @@ the frame witness did not verify on its own, and none when the one-site
 marginals do not fix it.  Start r >= 1 is
 a random point drawn from its own generator.
 
-The search owns its levels, all derived from the caller's rank tolerance
-and the number of cuts: it succeeds at f_success = rank_tol^2 (f bounds
-the sum of (sigma2/sigma1)^2 over the cuts from above), an escaped start
-polishes toward f_target = min(f_success, OBJECTIVE_POLISH), and a start
-has escaped the bulk of the coset once f <= ESCAPE_LEVEL_PER_CUT per cut.
+The budgets (``sweeps`` passes per start, ``restarts`` starts), the rank
+tolerance and the seed come from the equivalence.SearchConfig the caller
+validated.  The search owns its levels, all derived from that rank
+tolerance and the number of cuts: it succeeds at f_success = rank_tol^2 (f
+bounds the sum of (sigma2/sigma1)^2 over the cuts from above), an escaped
+start polishes toward f_target = min(f_success, OBJECTIVE_POLISH), and a
+start has escaped the bulk of the coset once f <= ESCAPE_LEVEL_PER_CUT per
+cut.
 
 Most starts leave the bulk, where every cut's realignment still has sigma2
 close to sigma1, within a few passes; the rest crawl there for tens of
@@ -60,8 +63,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .equivalence import SearchConfig
 
 # a start whose objective is above this per cut is still in the bulk of the coset
 ESCAPE_LEVEL_PER_CUT = 0.1
@@ -181,42 +188,40 @@ def _race(
 
 def run_search(
     ctx,
+    config: SearchConfig,
     *,
-    passes: int,
-    restarts: int,
-    rank_tol: float,
-    seed: int = 0,
     start: np.ndarray | None = None,
     accept: Callable[[np.ndarray], bool] | None = None,
 ) -> SearchOutcome:
-    """Race ``restarts`` starts until the objective drops to rank_tol^2:
-    the first STARTS_PER_ROUND, then, unless one of them succeeded or was
-    accepted, all the others as one stack.
+    """Race config.restarts starts until the objective drops to
+    config.rank_tol^2: the first STARTS_PER_ROUND, then, unless one of them
+    succeeded or was accepted, all the others as one stack.
 
-    ``passes`` is the number of alignment passes each start may run.
-    ``start`` replaces the identity as start 0.  ``accept`` is asked at each
-    point where a lone descent stalls above rank_tol^2; the search stops at
-    the first point it takes and returns it.  The result is deterministic
-    for a given seed: start r draws from its own generator, and when neither
+    Each start may run config.sweeps alignment passes.  ``start`` replaces
+    the identity as start 0.  ``accept`` is asked at each point where a lone
+    descent stalls above rank_tol^2; the search stops at the first point it
+    takes and returns it.  The result is deterministic for a given
+    config.seed: start r draws from its own generator, and when neither
     stop is reached the lowest objective wins, the first reached breaking
     ties.
     """
-    f_success = rank_tol**2
+    f_success = config.rank_tol**2
     f_target = min(f_success, OBJECTIVE_POLISH)
     f_escape = ESCAPE_LEVEL_PER_CUT * len(ctx.splits)
     trace: list[float] = []
     best_point, best_f, accepted = None, np.inf, False
     start = ctx.identity() if start is None else start
-    used = 0
+    used, restarts = 0, config.restarts
     for rs in (range(min(STARTS_PER_ROUND, restarts)), range(STARTS_PER_ROUND, restarts)):
         if not rs:
             break
         used = rs.stop
         starts = [
-            start if r == 0 else ctx.random_point(np.random.default_rng([seed, r])) for r in rs
+            start if r == 0 else ctx.random_point(np.random.default_rng([config.seed, r]))
+            for r in rs
         ]
         point, f, accepted = _race(
-            ctx, np.array(starts), passes, f_escape, f_target, f_success, trace, accept
+            ctx, np.array(starts), config.sweeps, f_escape, f_target, f_success, trace, accept
         )
         if accepted or f < best_f:
             best_point, best_f = point, f

@@ -134,7 +134,8 @@ def degenerate_plant(dims: tuple[int, ...], seed: int, tie: int = 1, rank: int |
     r = profile.total if rank is None else rank
     lam = np.zeros(profile.total)
     lam[:r] = np.arange(r, 0, -1) + rng.uniform(0.0, 0.5, r)
-    lam[1 : 1 + tie] = lam[1 : 1 + tie].mean()
+    if tie > 1:  # tie 0 or 1 ties nothing
+        lam[1 : 1 + tie] = lam[1 : 1 + tie].mean()
     rho = random_density(profile, lam / lam.sum(), rng)
     return rho, local_rotation(rho, rng)
 

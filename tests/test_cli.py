@@ -445,6 +445,8 @@ def test_check_defaults_are_the_search_config_defaults():
         ("--sweeps", "-3", "sweeps"),
         ("--restarts", "-2", "restarts"),
         ("--seed", "-1", "seed"),
+        # orjson writes no integer of 64 bits or more
+        ("--seed", str(2**64), "seed"),
     ],
 )
 def test_check_invalid_search_setting_exit_one(tmp_path, capsys, flag, value, field):
@@ -572,17 +574,23 @@ def test_check_json_is_one_line_with_the_verdict_bitwise(tmp_path, capsys, path)
     assert _bitwise(json.loads(out)) == _bitwise(_reference_doc(verdict))
 
 
-def _ladder_paths() -> set[str]:
-    """The backticked values in the `path` column of README's ladder table."""
+def _readme_column(header: str, column: str) -> list[list[str]]:
+    """Row by row, the backticked values in one column of the README table
+    whose header row starts with ``header``."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("| rung |"))
-    column = [c.strip() for c in lines[start].strip("|").split("|")].index("`path`")
-    paths = set()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    index = [c.strip() for c in lines[start].strip("|").split("|")].index(column)
+    cells = []
     for row in lines[start + 2:]:
         if not row.startswith("|"):
             break
-        paths.update(re.findall(r"`([^`]+)`", row.strip("|").split("|")[column]))
-    return paths
+        cells.append(re.findall(r"`([^`]+)`", row.strip("|").split("|")[index]))
+    return cells
+
+
+def _ladder_paths() -> set[str]:
+    """The backticked values in the `path` column of README's ladder table."""
+    return set().union(*_readme_column("| rung |", "`path`"))
 
 
 def test_readme_ladder_and_check_docstring_name_every_path(tmp_path):
@@ -601,6 +609,19 @@ def test_readme_ladder_and_check_docstring_name_every_path(tmp_path):
     assert _ladder_paths() == seen
     for path in seen:
         assert f'"{path}"' in check_equivalence.__doc__, path
+
+
+def test_readme_json_table_names_every_check_json_field(tmp_path, capsys):
+    # an EQUIVALENT on "lift" fills every field: cuts, witness and its factors
+    a, b, extra = _verdict_files(tmp_path, "lift")
+    assert main(["check", a, b, "--json", *extra]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    keys = [*doc, *(f"cuts[].{k}" for k in doc["cuts"][0])]
+    keys += [f"witness.{k}" for k in doc["witness"]]
+    keys += [f"witness.factors[].{k}" for k in doc["witness"]["factors"][0]]
+    fields = _readme_column("| field |", "field")
+    assert all(len(names) == 1 for names in fields)
+    assert sorted(name for (name,) in fields) == sorted(keys)
 
 
 def test_gen_paper_example_files_match_literal_matrices(tmp_path):
@@ -692,6 +713,18 @@ def test_gen_negative_seed_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: seed must be non-negative, got -1\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_gen_seed_beyond_64_bits_exit_one(tmp_path, capsys):
+    # orjson would read the seed back as a double, so check could not load the files
+    args = ["gen", "pair-equivalent", "--dims", "2,2", "-o", str(tmp_path / "g")]
+    assert main([*args, "--seed", str(2**64)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: seed must lie in [-2**63, 2**64), got {2**64}\n"
+    assert not list(tmp_path.iterdir())
+    assert main([*args, "--seed", str(2**64 - 1)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(tmp_path / "g_a.json"), str(tmp_path / "g_b.json")]) == 0
 
 
 def test_gen_seed_env_var(tmp_path, monkeypatch):

@@ -74,17 +74,6 @@ def surrogate(ctx, point, profile):
     return sum(r.ratio**2 for r in cut_reports(ctx.build(point), profile, 1e-7))
 
 
-def _coset_search(ctx, config):
-    """run_search with the budgets and rank tolerance check_equivalence gives it."""
-    return run_search(
-        ctx,
-        passes=config.sweeps,
-        restarts=config.restarts,
-        rank_tol=config.rank_tol,
-        seed=config.seed,
-    )
-
-
 def test_build_v_identity():
     assert np.allclose(phase_v(np.eye(4), np.eye(4), np.zeros(4), DimProfile((2, 2))), np.eye(4))
 
@@ -184,7 +173,7 @@ def test_phase_search_identical_state_succeeds_from_zero_seed():
     ctx = CosetContext(s.basis, s.basis, rho.profile, (1,) * 8)
     (f,), _ = ctx.decompose(ctx.identity()[np.newaxis])
     assert f < 1e-14  # the identity start is already a solution
-    outcome = _coset_search(ctx, QUICK)
+    outcome = run_search(ctx, QUICK)
     assert outcome.objective < 1e-14
 
 
@@ -192,7 +181,7 @@ def test_phase_search_paper_pair_and_decompose_agreement():
     rho, rho_p = paper_example(3, 5, 7)
     s1, s2 = eig_hermitian(rho.matrix), eig_hermitian(rho_p.matrix)
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, (1,) * 8)
-    outcome = _coset_search(ctx, QUICK)
+    outcome = run_search(ctx, QUICK)
     assert outcome.objective <= QUICK.rank_tol**2
     theta = np.angle(outcome.point)
     _, fs = factor_full(ctx.build(np.exp(1j * theta)), rho.profile, 1e-7)
@@ -406,12 +395,20 @@ def _mixed_marginal_rank_two_plant():
     [
         (_maximally_mixed_pair, QUICK),
         (lambda: degenerate_plant((2, 3), 0, rank=1), QUICK),
+        (lambda: degenerate_plant((2, 3), 3, tie=0, rank=1), QUICK),
         (lambda: degenerate_plant((2, 2), 0, tie=3), QUICK),
         (lambda: (werner(3, 0.7), local_rotation(werner(3, 0.7), 0)), QUICK),
         # QUICK's 40 passes and 6 starts miss these plants; the default finds them
         (_mixed_marginal_rank_two_plant, SearchConfig()),
     ],
-    ids=["maximally-mixed-2x2", "pure-2x3", "multiplicity-3-2x2", "werner-3x3", "rank-2-2^4"],
+    ids=[
+        "maximally-mixed-2x2",
+        "pure-2x3",
+        "pure-2x3-tie-0",
+        "multiplicity-3-2x2",
+        "werner-3x3",
+        "rank-2-2^4",
+    ],
 )
 def test_blocks_larger_than_two_are_searched(make, config):
     rho, rho_prime = make()
@@ -1540,13 +1537,7 @@ def test_race_carries_the_decomposition_of_its_points():
     contexts = [(label, make()) for label, make in _context_factories()]
     for label, ctx in contexts + _planted_contexts():
         checked = _CheckedContext(ctx)
-        outcome = run_search(
-            checked,
-            passes=60,
-            restarts=4,
-            rank_tol=1e-7,
-            seed=3,
-        )
+        outcome = run_search(checked, SearchConfig(sweeps=60, restarts=4, seed=3))
         assert checked.sweeps == len(outcome.history), label
         assert checked.cold == outcome.restarts_used, label
         assert outcome.objective == checked.decomposed[outcome.point.tobytes()][0], label
@@ -1587,13 +1578,7 @@ def test_reported_objective_never_understates_the_surrogate():
             assert all(f >= paper - 1e-24 for f, paper in bounded.seen), label
     contexts = [(label, make()) for label, make in _context_factories()]
     for label, ctx in contexts + _planted_contexts():
-        outcome = run_search(
-            ctx,
-            passes=60,
-            restarts=4,
-            rank_tol=1e-7,
-            seed=5,
-        )
+        outcome = run_search(ctx, SearchConfig(sweeps=60, restarts=4, seed=5))
         paper = surrogate(ctx, outcome.point, _profile(label))
         assert outcome.objective >= paper - 1e-24, label
 
@@ -1661,7 +1646,7 @@ class _ScriptedContext:
 
 
 def _search(ctx, restarts, passes=1000):
-    return run_search(ctx, passes=passes, restarts=restarts, rank_tol=1e-7)
+    return run_search(ctx, SearchConfig(sweeps=passes, restarts=restarts))
 
 
 def test_race_goes_on_after_an_escaped_start_stalls():
@@ -1689,9 +1674,7 @@ def test_search_stops_at_the_first_stall_accept_takes():
     offered = []
     outcome = run_search(
         ctx,
-        passes=1000,
-        restarts=2 * STARTS_PER_ROUND,
-        rank_tol=1e-7,
+        SearchConfig(sweeps=1000, restarts=2 * STARTS_PER_ROUND),
         accept=lambda point: offered.append(point.copy()) or True,
     )
     assert outcome.point[0] == 0 and outcome.objective == 1e-2

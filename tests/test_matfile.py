@@ -265,6 +265,22 @@ def test_integers_beyond_64_bits_read_as_doubles():
             parse_matrix(text.replace('"x"', surrogate))
 
 
+@pytest.mark.parametrize("seed", [2**64 - 1, -(2**63)])
+def test_seeds_at_the_64_bit_ends_round_trip(tmp_path, seed):
+    path = tmp_path / "m.json"
+    save_matrix(path, np.eye(4), dims=(2, 2), seed=seed)
+    assert load_matrix(path).seed == seed
+
+
+@pytest.mark.parametrize("seed", [2**64, -(2**63) - 1])
+def test_save_refuses_a_seed_beyond_64_bits_and_writes_no_file(tmp_path, seed):
+    # orjson reads such an integer back as a double, which parse_matrix refuses
+    path = tmp_path / "m.json"
+    with pytest.raises(MatrixFileError, match=r"seed must lie in \[-2\*\*63, 2\*\*64\)"):
+        save_matrix(path, np.eye(4), dims=(2, 2), seed=seed)
+    assert not path.exists()
+
+
 def test_parse_requires_header():
     with pytest.raises(MatrixFileError, match="header"):
         parse_matrix('{"data": [[1, 0]]}')

@@ -97,13 +97,6 @@ def test_random_density_rejects_nan_spectrum():
         random_density(PROFILE, [np.nan] + [1.0 / 7] * 7, 0)
 
 
-@pytest.mark.parametrize("delta", [-1.0, 0.0, np.nan], ids=["negative", "zero", "nan"])
-def test_spectrum_mismatch_pair_rejects_non_positive_delta(delta):
-    # -1 would give rho' a negative eigenvalue, 0 an identical pair, NaN a NaN matrix
-    with pytest.raises(ValueError, match="delta"):
-        make_spectrum_mismatch_pair(PROFILE, 0, delta=delta)
-
-
 def test_degenerate_pair_rejects_one_dimension():
     with pytest.raises(ValueError, match="profile"):
         make_degenerate_pair(DimProfile((1, 1)), 0)
