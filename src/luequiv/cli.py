@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import os
 import sys
@@ -21,7 +22,7 @@ import orjson
 from .decompose import factor_full
 from .equivalence import SearchConfig, StateError, Verdict, VerdictStatus, check_equivalence
 from .matfile import MatrixFileError, entry_pairs, load_matrix, save_matrix
-from .oracle import make_equivalent_pair, make_spectrum_mismatch_pair, paper_example
+from .oracle import PairSample, make_equivalent_pair, make_spectrum_mismatch_pair, paper_example
 from .spectral import rank_one_test
 from .states import DensityMatrix
 from .tensor import DimProfile, realign
@@ -79,44 +80,15 @@ def _dims_list(parts: str) -> tuple[int, ...]:
     return dims
 
 
-def _verdict_json(verdict: Verdict) -> dict:
-    """The check --json document, for orjson: the phases and each witness
-    factor's [re, im] pairs stay C-contiguous float64 arrays."""
-    doc = {
-        "status": verdict.status.value,
-        "phases": verdict.phases,
-        "cuts": None
-        if verdict.cut_reports is None
-        else [
-            {
-                "cut": r.cut,
-                "sigma1": r.sigma1,
-                "sigma2": r.sigma2,
-                "ratio": r.ratio,
-                "rank_one": r.is_rank_one,
-            }
-            for r in verdict.cut_reports
-        ],
-        "witness_residual": verdict.witness_residual,
-        "best_objective": verdict.best_objective,
-        "degenerate_fallback": verdict.used_degenerate_fallback,
-        "seed": verdict.seed,
-        "restarts_used": verdict.restarts_used,
-        "path": verdict.path,
-        "distance_lower": verdict.distance_lower,
-        "objective_history": verdict.objective_history,  # orjson writes tuples as arrays
-    }
-    if verdict.witness is not None:
-        doc["witness"] = {
-            "factors": [
-                {"shape": list(f.shape), "data": entry_pairs(f)}
-                for f in verdict.witness.factors
-            ],
-            "factorization_residual": verdict.witness.residual,
-        }
-    else:
-        doc["witness"] = None
-    return doc
+def _json_ready(verdict: Verdict) -> Verdict:
+    """The verdict with each witness factor, a complex array orjson cannot
+    write, as its shape and [re, im] pairs, so orjson writes the rest as it
+    stands.  Not a default hook: orjson 3.8.3 never frees what one returns."""
+    fs = verdict.witness
+    if fs is None:
+        return verdict
+    factors = tuple({"shape": f.shape, "data": entry_pairs(f)} for f in fs.factors)
+    return dataclasses.replace(verdict, witness=dataclasses.replace(fs, factors=factors))
 
 
 def _print_matrix(m: np.ndarray, out) -> None:
@@ -127,7 +99,7 @@ def _print_matrix(m: np.ndarray, out) -> None:
 def _cut_line(r) -> str:
     return (
         f"cut {r.cut}: sigma1={r.sigma1:.6e} sigma2={r.sigma2:.6e} "
-        f"ratio={r.ratio:.3e} rank_one={r.is_rank_one}"
+        f"ratio={r.ratio:.3e} rank_one={r.rank_one}"
     )
 
 
@@ -155,9 +127,8 @@ def _report_check(verdict: Verdict, out) -> None:
             "farther than the witness gate allows",
             file=out,
         )
-    if verdict.cut_reports:
-        for r in verdict.cut_reports:
-            print(_cut_line(r), file=out)
+    for r in verdict.cuts or ():
+        print(_cut_line(r), file=out)
     if verdict.objective_history:
         print(
             f"objective: best={verdict.best_objective:.3e} "
@@ -180,7 +151,7 @@ def cmd_check(args) -> int:
         raise ValueError(f"{(args.file_a, args.file_b)[exc.index]}: {exc}") from None
     if args.json:
         options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-        sys.stdout.write(orjson.dumps(_verdict_json(verdict), option=options).decode())
+        sys.stdout.write(orjson.dumps(_json_ready(verdict), option=options).decode())
     else:
         _report_check(verdict, sys.stdout)
     return EXIT_CODES[verdict.status]
@@ -215,7 +186,7 @@ def cmd_factor(args) -> int:
         path = f"{prefix}{i}.json"
         _save(path, f, dims=(d,), label=f"factor {i}")
         print(f"factor U{i} ({d}x{d}) -> {path}")
-    print(f"reconstruction residual: {fs.residual:.3e}")
+    print(f"reconstruction residual: {fs.factorization_residual:.3e}")
     return 0
 
 
@@ -223,30 +194,25 @@ def cmd_gen(args) -> int:
     seed = args.seed
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    prefix = args.out_prefix
+    prefix, note = args.out_prefix, ""
     if args.kind == "paper-example":
-        rho, rho_prime = paper_example(args.a, args.b, args.c)
-        dims = rho.profile.dims
-        _save(f"{prefix}_a.json", rho.matrix, dims=dims, label="paper-example rho")
-        _save(
-            f"{prefix}_b.json", rho_prime.matrix, dims=dims, label="paper-example rho_prime"
-        )
-        print(f"wrote {prefix}_a.json {prefix}_b.json (a={args.a} b={args.b} c={args.c})")
-        return 0
-    if args.dims is None:
-        raise ValueError(f"--dims is required for kind {args.kind}")
-    profile = DimProfile(_dims_list(args.dims))
-    planted = args.kind == "pair-equivalent"
-    sample = (make_equivalent_pair if planted else make_spectrum_mismatch_pair)(profile, seed)
-    tag = "planted" if planted else "mismatch"
+        sample = PairSample(*paper_example(args.a, args.b, args.c))
+        tag, seed, note = "paper-example", None, f" (a={args.a} b={args.b} c={args.c})"
+    else:
+        if args.dims is None:
+            raise ValueError(f"--dims is required for kind {args.kind}")
+        profile = DimProfile(_dims_list(args.dims))
+        planted = args.kind == "pair-equivalent"
+        sample = (make_equivalent_pair if planted else make_spectrum_mismatch_pair)(profile, seed)
+        tag = "planted" if planted else "mismatch"
+    dims = sample.rho.profile.dims
     written = [f"{prefix}_a.json", f"{prefix}_b.json"]
     for path, m, name in zip(written, (sample.rho, sample.rho_prime), ("rho", "rho_prime")):
-        _save(path, m.matrix, dims=profile.dims, label=f"{tag} {name}", seed=seed)
-    if planted:
-        for i, (u, d) in enumerate(zip(sample.planted, profile.dims), start=1):
-            written.append(f"{prefix}_u{i}.json")
-            _save(written[-1], u, dims=(d,), label=f"planted factor {i}", seed=seed)
-    print("wrote " + " ".join(written))
+        _save(path, m.matrix, dims=dims, label=f"{tag} {name}", seed=seed)
+    for i, (u, d) in enumerate(zip(sample.planted or (), dims), start=1):
+        written.append(f"{prefix}_u{i}.json")
+        _save(written[-1], u, dims=(d,), label=f"planted factor {i}", seed=seed)
+    print("wrote " + " ".join(written) + note)
     return 0
 
 
@@ -332,7 +298,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 def main(argv=None) -> int:
     # the one place a failure becomes an exit code: a ValueError (a usage or
     # file error, MatrixFileError, ShapeError, LinAlgError, a SearchConfig
-    # range error)
+    # range error) or a MemoryError (numpy's names the allocation it refused)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
@@ -340,8 +306,8 @@ def main(argv=None) -> int:
             code = args.func(args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader left (``| head``): the rest goes to devnull, so the flush at

@@ -23,11 +23,12 @@ class FactorSet:
     """Per-site factors (U_1, ..., U_M) with the reconstruction residual."""
 
     factors: tuple[np.ndarray, ...] = field(repr=False)
-    residual: float = 0.0
+    factorization_residual: float = 0.0
 
     def adjoints(self) -> "FactorSet":
         return FactorSet(
-            factors=tuple(f.conj().T for f in self.factors), residual=self.residual
+            factors=tuple(f.conj().T for f in self.factors),
+            factorization_residual=self.factorization_residual,
         )
 
 
@@ -89,7 +90,7 @@ def factor_full(
     """
     v = _checked_unitary(v, profile, "factor_full input")
     reports = cut_reports(v, profile, tol)
-    if not all(r.is_rank_one for r in reports):
+    if not all(r.rank_one for r in reports):
         return reports, None
     factors: list[np.ndarray] = []
     rest = v
@@ -98,4 +99,4 @@ def factor_full(
         factors.append(left)
     factors.append(rest)
     residual = float(np.linalg.norm(kron_all(factors) - v))
-    return reports, FactorSet(factors=tuple(factors), residual=residual)
+    return reports, FactorSet(factors=tuple(factors), factorization_residual=residual)

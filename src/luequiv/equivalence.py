@@ -106,31 +106,28 @@ class SearchConfig:
 
 @dataclass
 class Verdict:
-    """Outcome of a check, with enough detail to reproduce and report it.
+    """Outcome of a check: the CLI writes it as it stands, field by field,
+    as the check --json document, each witness factor as its shape and
+    [re, im] pairs (README names each field).
 
     NOT_FOUND never asserts inequivalence; check_equivalence says what each
     rung that returns it has shown.
     """
 
     status: VerdictStatus
-    witness: FactorSet | None = None
-    witness_residual: float | None = None
     phases: np.ndarray | None = None
-    cut_reports: list[RankOneReport] | None = None
-    objective_history: list[tuple[int, float]] = field(default_factory=list)
+    cuts: list[RankOneReport] | None = None
+    witness_residual: float | None = None
     best_objective: float | None = None
-    used_degenerate_fallback: bool = False
+    degenerate_fallback: bool = False
     seed: int | None = None
     restarts_used: int = 0
-    # the rung that ended the check, in ladder order (check_equivalence):
-    # "bound", "invariant", "frame", "lift", "coset" or "coset-block"; None
-    # when the spectra differ
     path: str | None = None
-    # a lower bound on min over product unitaries W of ||W rho W^dag - rho'||_F:
-    # the larger of ||lambda - lambda'||_2 and L (_marginal_distance), and of
-    # d_T (_invariant_distance) on path "invariant"; the first alone when the
-    # spectra differ
+    # the larger of ||lambda - lambda'||_2 and _marginal_distance, and of
+    # _invariant_distance on path "invariant"
     distance_lower: float | None = None
+    objective_history: list[tuple[int, float]] = field(default_factory=list)
+    witness: FactorSet | None = None
 
 
 class CosetContext:
@@ -782,7 +779,7 @@ def check_equivalence(
 
     Every verdict past the spectra reports distance_lower (Verdict).  One
     that ran no search has restarts_used 0 and an empty objective_history.
-    cut_reports and best_objective (the paper's surrogate, the sum of
+    cuts and best_objective (the paper's surrogate, the sum of
     (sigma2/sigma1)^2 over the cuts) belong to the coset point the verdict
     reports, the lift's or the search's, and are None elsewhere.  phases
     are those of that point, or of x_m^dag W^dag y_m on "frame"; they are
@@ -819,7 +816,7 @@ def check_equivalence(
     # the fields every verdict past the spectra shares
     verdict = functools.partial(
         Verdict,
-        used_degenerate_fallback=fallback,
+        degenerate_fallback=fallback,
         seed=config.seed,
         distance_lower=max(spectral_distance, marginal_distance),
     )
@@ -877,7 +874,7 @@ def check_equivalence(
             witness=witness,
             witness_residual=residual,
             phases=None if fallback else _phases(point),
-            cut_reports=reports,
+            cuts=reports,
             objective_history=[] if outcome is None else outcome.history,
             # the paper's surrogate; the search's f only bounds it from above
             best_objective=sum(r.ratio**2 for r in reports),

@@ -163,22 +163,28 @@ def paper_example(a: float, b: float, c: float) -> tuple[DensityMatrix, DensityM
     {2, 0, 1/a, a, 1/b, b, 1/c, c}, divided by the trace, their sum.  A
     warning is issued when degeneracy_profile groups two of them at TOL,
     which is when ``check`` at its default spec_tol takes the block search
-    instead of the phase criterion.
+    instead of the phase criterion.  ValueError unless a, b and c are
+    positive and finite and so is the trace, with every 1/p in it.
     """
     if not all(0 < p < np.inf for p in (a, b, c)):  # NaN fails both
         raise ValueError(f"parameters must be positive and finite, got {(a, b, c)}")
-    vals = np.array([2.0, 0.0, 1 / a, a, 1 / b, b, 1 / c, c])
-    if max(degeneracy_profile(np.sort(vals) / vals.sum(), TOL)) > 1:
+    first = np.diag([1.0, 1 / a, 1 / b, 1 / c, c, b, a, 1.0]).astype(np.complex128)
+    first[0, 7] = first[7, 0] = -1.0
+    second = np.diag([1.0, a, b, c, 1 / c, 1 / b, 1 / a, 1.0]).astype(np.complex128)
+    second[0, 7] = second[7, 0] = 1.0
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        trace = float(np.trace(first).real)
+    if not np.isfinite(trace):  # inf when a 1/p overflows or the sum does
+        raise ValueError(
+            f"parameters {(a, b, c)} give an eigenvalue or a trace beyond the double range"
+        )
+    vals = np.sort([2.0, 0.0, 1 / a, a, 1 / b, b, 1 / c, c]) / trace
+    if max(degeneracy_profile(vals, TOL)) > 1:
         warnings.warn(
             f"parameters {(a, b, c)} give a degenerate spectrum; "
             "the phase criterion needs distinct eigenvalues",
             stacklevel=2,
         )
-    first = np.diag([1.0, 1 / a, 1 / b, 1 / c, c, b, a, 1.0]).astype(np.complex128)
-    first[0, 7] = first[7, 0] = -1.0
-    second = np.diag([1.0, a, b, c, 1 / c, 1 / b, 1 / a, 1.0]).astype(np.complex128)
-    second[0, 7] = second[7, 0] = 1.0
-    trace = float(np.trace(first).real)
     profile = DimProfile((2, 2, 2))
     return (
         DensityMatrix(matrix=first / trace, profile=profile),

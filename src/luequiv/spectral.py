@@ -71,13 +71,14 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class RankOneReport:
-    """Two leading singular values and the rank-one verdict at a tolerance."""
+    """Two leading singular values and the rank-one verdict at a tolerance;
+    cut is the realignment's cut k, or None for a matrix given as is."""
 
+    cut: int | None
     sigma1: float
     sigma2: float
     ratio: float
-    is_rank_one: bool
-    cut: int | None = None
+    rank_one: bool
 
 
 def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
@@ -138,7 +139,7 @@ def spectra_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
 def rank_one_test(m, tol: float, cut: int | None = None) -> RankOneReport:
     """Rank-one verdict via the ratio of the two leading singular values of m.
 
-    is_rank_one <=> sigma1 > 0 and sigma2 <= tol * sigma1.  The ratio is
+    rank_one <=> sigma1 > 0 and sigma2 <= tol * sigma1.  The ratio is
     scale-invariant, so the verdict ignores any overall scalar factor.
     sigma2 is 0 when min(shape) < 2, so a nonzero single row or column is rank one.
     """
@@ -148,9 +149,9 @@ def rank_one_test(m, tol: float, cut: int | None = None) -> RankOneReport:
     s1 = float(sv[0]) if sv.size else 0.0
     s2 = float(sv[1]) if sv.size > 1 else 0.0
     return RankOneReport(
+        cut=cut,
         sigma1=s1,
         sigma2=s2,
         ratio=s2 / s1 if s1 > 0 else 0.0,
-        is_rank_one=bool(s1 > 0 and s2 <= tol * s1),
-        cut=cut,
+        rank_one=bool(s1 > 0 and s2 <= tol * s1),
     )

@@ -102,7 +102,7 @@ def test_criterion_2_reference_matrix_regression():
         assert np.array_equal(mask_got, mask_want)
         for cut in (1, 2):
             report = lq.rank_one_test(lq.realign(v_w, TRIPARTITE, cut), 1e-7, cut=cut)
-            assert report.is_rank_one and report.ratio < 1e-10
+            assert report.rank_one and report.ratio < 1e-10
         # same rank-one claim for the eigenvalue-paired bases of the actual states
         for a, b, c in TRIPLES:
             x, y, _ = example_bases(a, b, c)
@@ -167,7 +167,7 @@ def test_criterion_5_decomposability_oracle_equivalence():
             v = lq.kron_all([lq.haar_unitary(d, rng) for d in profile.dims])
             reports, fs = lq.factor_full(v, profile, 1e-7)
             assert fs is not None and all(r.ratio < 1e-12 for r in reports), profile.dims
-            assert fs.residual < 1e-9, profile.dims
+            assert fs.factorization_residual < 1e-9, profile.dims
         for _ in range(200):
             profile = _random_profile(rng)
             v = lq.haar_unitary(profile.total, rng)
@@ -241,7 +241,7 @@ def test_criterion_8_degenerate_fallback():
                 rho, rho_prime = make(seed)
                 verdict = lq.check_equivalence(rho, rho_prime, lq.SearchConfig(seed=seed))
                 if verdict.status is lq.VerdictStatus.EQUIVALENT:
-                    assert verdict.used_degenerate_fallback
+                    assert verdict.degenerate_fallback
                     assert verdict.witness_residual < 1e-8
                     wins += 1
             assert wins >= 40, f"{name}: {wins}/50"

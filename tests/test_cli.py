@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import os
 import re
@@ -9,7 +11,16 @@ import numpy as np
 import orjson
 import pytest
 
-from luequiv import DimProfile, SearchConfig, kron_all, load_matrix, save_matrix
+from luequiv import (
+    DimProfile,
+    FactorSet,
+    RankOneReport,
+    SearchConfig,
+    Verdict,
+    kron_all,
+    load_matrix,
+    save_matrix,
+)
 from luequiv.cli import EXIT_CODES, _config_from, _parse_args, build_parser, main
 from luequiv.equivalence import _gate_distance, check_equivalence
 from luequiv.matfile import NEST_CHARS
@@ -498,15 +509,15 @@ def _reference_doc(v) -> dict:
         "status": v.status.value,
         "phases": None if v.phases is None else [float(t) for t in v.phases],
         "cuts": None
-        if v.cut_reports is None
+        if v.cuts is None
         else [
             {"cut": r.cut, "sigma1": r.sigma1, "sigma2": r.sigma2, "ratio": r.ratio,
-             "rank_one": r.is_rank_one}
-            for r in v.cut_reports
+             "rank_one": r.rank_one}
+            for r in v.cuts
         ],
         "witness_residual": v.witness_residual,
         "best_objective": v.best_objective,
-        "degenerate_fallback": v.used_degenerate_fallback,
+        "degenerate_fallback": v.degenerate_fallback,
         "seed": v.seed,
         "restarts_used": v.restarts_used,
         "path": v.path,
@@ -520,9 +531,28 @@ def _reference_doc(v) -> dict:
                  "data": [[float(z.real), float(z.imag)] for z in f.reshape(-1)]}
                 for f in v.witness.factors
             ],
-            "factorization_residual": v.witness.residual,
+            "factorization_residual": v.witness.factorization_residual,
         },
     }
+
+
+def test_check_json_keeps_no_memory_alive(tmp_path, capsys):
+    # orjson 3.8.3 never frees what a default hook returns: a hook that wrote
+    # the witness factors kept about six blocks alive a check
+    prefix = _gen(tmp_path, "pair-equivalent", "--dims", "2,2,2", "--seed", "7")
+    argv = ["check", f"{prefix}_a.json", f"{prefix}_b.json", "--json"]
+
+    def run(n):
+        for _ in range(n):
+            assert main(argv) == 0
+            capsys.readouterr()
+
+    run(300)  # the interpreter's free lists and caches fill first
+    gc.collect()
+    before = sys.getallocatedblocks()
+    run(300)
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 300
 
 
 def _bitwise(x):
@@ -622,6 +652,10 @@ def test_readme_json_table_names_every_check_json_field(tmp_path, capsys):
     fields = _readme_column("| field |", "field")
     assert all(len(names) == 1 for names in fields)
     assert sorted(name for (name,) in fields) == sorted(keys)
+    # the library's names are the document's, in its order
+    assert list(doc) == [f.name for f in dataclasses.fields(Verdict)]
+    assert list(doc["cuts"][0]) == [f.name for f in dataclasses.fields(RankOneReport)]
+    assert list(doc["witness"]) == [f.name for f in dataclasses.fields(FactorSet)]
 
 
 def test_gen_paper_example_files_match_literal_matrices(tmp_path):
@@ -673,12 +707,50 @@ def test_gen_generator_error_exit_one(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_gen_paper_example_non_finite_exit_one(tmp_path, capsys, value):
-    rc = main(["gen", "paper-example", "--a", value, "-o", str(tmp_path / "g")])
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--a", "nan"], id="nan"),
+        pytest.param(["--a", "inf"], id="inf"),
+        # the trace 2 + sum(p + 1/p) overflows, or a 1/p does: refused before
+        # numpy forms it, so no RuntimeWarning and no all-zero state on disk
+        pytest.param(["--a", "1e308", "--b", "1e308"], id="trace-overflow"),
+        pytest.param(["--a", "3e-309"], id="inverse-overflow"),
+        # finite when summed left to right, inf in numpy's pairwise order
+        pytest.param(
+            ["--a", "1.7976931348623157e308", "--b", "6e291", "--c", "6e291"],
+            id="trace-overflow-pairwise",
+        ),
+    ],
+)
+def test_gen_paper_example_non_finite_exit_one(tmp_path, capsys, args):
+    rc = main(["gen", "paper-example", *args, "-o", str(tmp_path / "g")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "error: Unable to allocate 7.28 TiB for an array\n"),
+        # what an allocation in C code raises: no message of its own
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_gen_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, exc, line):
+    # numpy's MemoryError for an allocation the machine refuses; raised here
+    # without allocating, since an overcommitting kernel could grant it
+    def refuse(profile, seed):
+        raise exc
+
+    monkeypatch.setattr("luequiv.cli.make_equivalent_pair", refuse)
+    rc = main(["gen", "pair-equivalent", "--dims", "1000,1000", "-o", str(tmp_path / "g")])
+    assert rc == 1
+    assert capsys.readouterr().err == line
     assert not list(tmp_path.iterdir())
 
 

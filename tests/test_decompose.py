@@ -27,8 +27,8 @@ def test_is_decomposable_product_true():
 def test_is_decomposable_entangling_fails_at_cut_one():
     reports, fs = factor_full(_cnot_on_first_two(), DimProfile((2, 2, 2)), 1e-7)
     assert fs is None
-    assert not reports[0].is_rank_one
-    assert reports[1].is_rank_one  # the gate is a product across the 12|3 cut
+    assert not reports[0].rank_one
+    assert reports[1].rank_one  # the gate is a product across the 12|3 cut
 
 
 def test_is_decomposable_paper_witness_true():
@@ -82,7 +82,7 @@ def test_factor_pair_absorbs_scale():
 def test_factor_pair_not_decomposable():
     (report,), fs = factor_full(np.diag([1.0, 1.0, 1.0, -1.0]), DimProfile((2, 2)), 1e-7)
     assert fs is None
-    assert report.cut == 1 and not report.is_rank_one
+    assert report.cut == 1 and not report.rank_one
     assert np.isclose(report.ratio, 1.0)
 
 
@@ -91,7 +91,7 @@ def test_factor_full_bipartite_delegates():
     a, b = haar_unitary(2, rng), haar_unitary(3, rng)
     _, fs = factor_full(np.kron(a, b), DimProfile((2, 3)), 1e-7)
     assert len(fs.factors) == 2
-    assert fs.residual < 1e-10
+    assert fs.factorization_residual < 1e-10
 
 
 def test_factor_full_mixed_dims():
@@ -101,7 +101,7 @@ def test_factor_full_mixed_dims():
     v = kron_all(factors)
     _, fs = factor_full(v, DimProfile(dims), 1e-7)
     assert len(fs.factors) == 4
-    assert fs.residual < 1e-9
+    assert fs.factorization_residual < 1e-9
     for f, d in zip(fs.factors, dims):
         assert f.shape == (d, d)
         assert unitarity_defect(f) < 1e-8
@@ -110,7 +110,7 @@ def test_factor_full_mixed_dims():
 def test_factor_full_names_failing_cut():
     reports, fs = factor_full(_cnot_on_first_two(), DimProfile((2, 2, 2)), 1e-7)
     assert fs is None
-    assert [r.cut for r in reports if not r.is_rank_one] == [1]
+    assert [r.cut for r in reports if not r.rank_one] == [1]
 
 
 def test_factor_full_phase_convention():
@@ -158,8 +158,8 @@ def test_factor_full_factors_exactly_when_every_cut_passes():
     for v, tol in cases:
         reports, fs = factor_full(v, profile, tol)
         assert [r.cut for r in reports] == [1, 2]
-        assert (fs is None) == (not all(r.is_rank_one for r in reports))
+        assert (fs is None) == (not all(r.rank_one for r in reports))
         if fs is not None:
             factored += 1
-            assert fs.residual < 10 * tol
+            assert fs.factorization_residual < 10 * tol
     assert factored == 16

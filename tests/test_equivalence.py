@@ -238,7 +238,7 @@ def test_check_paper_example():
     verdict = check_equivalence(rho, rho_p, SearchConfig(seed=0))
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.witness_residual < 1e-8
-    assert not verdict.used_degenerate_fallback
+    assert not verdict.degenerate_fallback
     # the marginals make the frame fall back, so the paper's search decides it
     assert verdict.path == "coset"
 
@@ -360,7 +360,7 @@ def test_not_found_for_equal_spectrum_inequivalent_pair():
     assert verdict.status is VerdictStatus.NOT_FOUND
     assert verdict.witness is None
     assert verdict.path == "invariant" and verdict.restarts_used == 0
-    assert verdict.best_objective is None and verdict.cut_reports is None
+    assert verdict.best_objective is None and verdict.cuts is None
     assert verdict.distance_lower > equivalence._gate_distance(rho)
 
 
@@ -372,7 +372,7 @@ def test_check_degenerate_bell_pair_end_to_end():
     rho_p = DensityMatrix(matrix=hh @ rho.matrix @ hh.conj().T, profile=profile)
     verdict = check_equivalence(rho, rho_p, SearchConfig(seed=2))
     assert verdict.status is VerdictStatus.EQUIVALENT
-    assert verdict.used_degenerate_fallback
+    assert verdict.degenerate_fallback
     assert verdict.witness_residual < 1e-8
 
 
@@ -416,7 +416,7 @@ def test_blocks_larger_than_two_are_searched(make, config):
     verdict = check_equivalence(rho, rho_prime, config)
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.path == "coset-block"
-    assert verdict.used_degenerate_fallback
+    assert verdict.degenerate_fallback
     assert verdict.witness_residual <= TOL
     assert verify_witness(rho, rho_prime, verdict.witness) <= TOL
 
@@ -472,7 +472,7 @@ def test_order_of_tied_eigenvectors_leaves_the_verdict(monkeypatch, make):
     monkeypatch.setattr(equivalence, "validate_density", validate)
     got = check_equivalence(rho, rho_prime, config)
     assert len(calls) == 2
-    assert got.used_degenerate_fallback and want.used_degenerate_fallback
+    assert got.degenerate_fallback and want.degenerate_fallback
     assert (got.status, got.path) == (want.status, want.path)
 
 
@@ -538,8 +538,8 @@ def test_best_objective_is_the_surrogate_of_the_reported_cuts():
     verdict = check_equivalence(rho, rho_p, SearchConfig(seed=5))
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.path == "coset"
-    assert [r.cut for r in verdict.cut_reports] == [1, 2]
-    assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cut_reports)
+    assert [r.cut for r in verdict.cuts] == [1, 2]
+    assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cuts)
 
 
 def test_exact_cut_reports_gate_the_witness_when_the_search_bound_stalls():
@@ -689,12 +689,12 @@ def test_frame_rung_skips_the_coset(monkeypatch):
         assert calls == [], (label, calls)
         assert verdict.status is VerdictStatus.EQUIVALENT, label
         assert verdict.path == "frame", label
-        assert verdict.cut_reports is None and verdict.best_objective is None, label
-        assert verdict.witness.residual == 0.0, label
+        assert verdict.cuts is None and verdict.best_objective is None, label
+        assert verdict.witness.factorization_residual == 0.0, label
         assert all(unitarity_defect(u) <= TOL for u in verdict.witness.factors), label
         assert verdict.witness_residual <= TOL, label
         assert verify_witness(sample.rho, sample.rho_prime, verdict.witness) <= TOL
-        if verdict.used_degenerate_fallback:
+        if verdict.degenerate_fallback:
             assert verdict.phases is None, label
             continue
         # the phases of the projected frame point the search would start from,
@@ -1072,7 +1072,7 @@ def test_invariant_rung_ends_a_state_against_its_conjugate_without_a_coset(monke
         assert verdict.status is VerdictStatus.NOT_FOUND, label
         assert verdict.path == "invariant" and verdict.restarts_used == 0, label
         assert verdict.witness is None and verdict.phases is None, label
-        assert verdict.cut_reports is None and verdict.best_objective is None, label
+        assert verdict.cuts is None and verdict.best_objective is None, label
         assert verdict.objective_history == [], label
         assert verdict.distance_lower > equivalence._gate_distance(rho), label
 
@@ -1849,7 +1849,7 @@ def test_lift_rung_ends_a_state_against_its_conjugate_without_a_search(monkeypat
         assert verdict.status is VerdictStatus.NOT_FOUND, label
         assert verdict.path == "lift" and verdict.restarts_used == 0, label
         assert verdict.witness is None and verdict.phases is None, label
-        assert verdict.cut_reports is None and verdict.best_objective is None, label
+        assert verdict.cuts is None and verdict.best_objective is None, label
         assert verdict.objective_history == [], label
         assert verdict.distance_lower is not None, label
 
@@ -1868,9 +1868,9 @@ def test_lift_rung_decides_locally_mixed_plants_without_a_search(monkeypatch):
         assert all(unitarity_defect(u) <= TOL for u in verdict.witness.factors), seed
         assert verdict.witness_residual <= TOL, seed
         assert verify_witness(rho, rho_prime, verdict.witness) <= TOL, seed
-        assert [r.cut for r in verdict.cut_reports] == [1, 2], seed
-        assert all(r.is_rank_one for r in verdict.cut_reports), seed
-        assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cut_reports)
+        assert [r.cut for r in verdict.cuts] == [1, 2], seed
+        assert all(r.rank_one for r in verdict.cuts), seed
+        assert verdict.best_objective == sum(r.ratio**2 for r in verdict.cuts)
 
 
 def test_lift_rung_hands_larger_kernels_and_cosets_on_to_the_search(monkeypatch):

@@ -173,7 +173,7 @@ def test_paper_example_warns_exactly_when_check_takes_the_block_search(params, d
         rho, rho_prime = paper_example(*params)
     assert len(caught) == degenerate
     verdict = check_equivalence(rho, rho_prime, SearchConfig(sweeps=40, restarts=6))
-    assert verdict.used_degenerate_fallback is degenerate
+    assert verdict.degenerate_fallback is degenerate
 
 
 def test_paper_example_rejects_nonpositive():

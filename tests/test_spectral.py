@@ -171,28 +171,28 @@ def test_rank_one_outer_product_of_unitaries():
     rng = np.random.default_rng(37)
     u1, u2 = haar_unitary(2, rng), haar_unitary(4, rng)
     report = rank_one_test(np.outer(u1.reshape(-1), u2.reshape(-1)), 1e-7)
-    assert report.is_rank_one and report.ratio < 1e-12
+    assert report.rank_one and report.ratio < 1e-12
 
 
 def test_rank_one_identity_is_not():
     report = rank_one_test(np.eye(4), 1e-7)
-    assert not report.is_rank_one
+    assert not report.rank_one
     assert np.isclose(report.sigma1, 1.0) and np.isclose(report.sigma2, 1.0)
 
 
 def test_rank_one_reference_realignment_at_witness():
     report = rank_one_test(reference_cut1(WITNESS_SIGNS), 1e-7)
-    assert report.is_rank_one and report.ratio < 1e-14
+    assert report.rank_one and report.ratio < 1e-14
 
 
 def test_rank_one_zero_matrix():
     report = rank_one_test(np.zeros((3, 3)), 1e-7)
-    assert not report.is_rank_one and report.sigma1 == 0.0 and report.ratio == 0.0
+    assert not report.rank_one and report.sigma1 == 0.0 and report.ratio == 0.0
 
 
 def test_rank_one_single_row_has_no_second_singular_value():
     report = rank_one_test(np.arange(1.0, 17.0).reshape(1, 16), 1e-7)
-    assert report.sigma2 == 0.0 and report.ratio == 0.0 and report.is_rank_one
+    assert report.sigma2 == 0.0 and report.ratio == 0.0 and report.rank_one
 
 
 def test_rank_one_scale_invariant():
@@ -201,7 +201,7 @@ def test_rank_one_scale_invariant():
     base = rank_one_test(m, 1e-7)
     for alpha in [1e-9, 3.7, -2.0, 1e9]:
         scaled = rank_one_test(alpha * m, 1e-7)
-        assert scaled.is_rank_one == base.is_rank_one
+        assert scaled.rank_one == base.rank_one
         assert np.isclose(scaled.ratio, base.ratio, rtol=1e-10)
 
 
@@ -276,7 +276,7 @@ def _spectra_within(eps):
 def _degeneracy_within(eps):
     # span 0.25, so a gap relative to the span would group at TOL / 4
     rho = _state(0.32, 0.32 - eps, 0.29 + eps, 0.07)
-    return check_equivalence(rho, rho).used_degenerate_fallback
+    return check_equivalence(rho, rho).degenerate_fallback
 
 
 @pytest.mark.parametrize(
