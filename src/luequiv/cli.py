@@ -233,7 +233,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     d = SearchConfig()  # the one source of the search defaults
     search_flags = (
-        ("--tol-rank", float, d.rank_tol, "rank-one threshold on sigma2/sigma1"),
+        ("--tol-rank", float, d.rank_tol, "rank-one threshold on sigma2/sigma1: the rank_one "
+         "flags, search success, lift floor and factor's refusal; check's witness gate ignores it"),
         ("--tol-spec", float, d.spec_tol,
          "absolute eigenvalue tolerance: spectra match and degeneracy grouping"),
         ("--sweeps", int, d.sweeps, "alignment passes per start"),

@@ -1,11 +1,12 @@
 """Tensor factorization of unitaries whose cut realignments are rank one.
 
 A unitary V on N_1 x ... x N_M decomposes as V_1 kron ... kron V_M exactly
-when every sequential-cut realignment has rank one.  ``factor_full`` runs
-that test once, on V's own realignments, and factors only when every cut
-passes.  The factors come from the leading singular triple of each peeled
-realignment, rescaled so both sides are unitary (the positive scale k
-relating the raw factors is absorbed).
+when every sequential-cut realignment has rank one.  ``peel`` factors any V
+with no test; ``factor_full`` runs that test once, on V's own
+realignments, and peels only when every cut passes.  The factors come from
+the leading singular triple of each peeled realignment, rescaled so both
+sides are unitary (the positive scale k relating the raw factors is
+absorbed).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def cut_reports(v, profile: DimProfile, tol: float) -> list[RankOneReport]:
     ]
 
 
-def _peel(u: np.ndarray, d_left: int) -> tuple[np.ndarray, np.ndarray]:
+def _split(u: np.ndarray, d_left: int) -> tuple[np.ndarray, np.ndarray]:
     """Split u across its d_left | rest cut into (U_1, U_2).
 
     From the leading singular triple sigma * x * y^t of the realignment,
@@ -77,26 +78,34 @@ def _peel(u: np.ndarray, d_left: int) -> tuple[np.ndarray, np.ndarray]:
     return left / phase, (float(sv[0]) / s) * b * phase
 
 
-def factor_full(
-    v, profile: DimProfile, tol: float
-) -> tuple[list[RankOneReport], FactorSet | None]:
-    """The cut reports of a unitary v, and its factors when every cut passes.
-
-    Unitarity is checked once, on v: a remainder is as close to unitary as v
-    is to a product, so a near product that passes the rank-one tests
-    factors.  Factors are peeled left to right across the sequential cuts;
-    the phase convention fixes every left factor's leading entry real
-    positive, pushing the accumulated global phase into the final factor.
+def peel(v: np.ndarray, profile: DimProfile) -> FactorSet:
+    """The factors of v peeled left to right across the sequential cuts, and
+    their reconstruction residual ||kron_i U_i - v||_F, whatever v's cut
+    ratios: no rank-one test runs, and off a product the factors miss
+    unitarity, which is the caller's to test.  The phase convention fixes
+    every left factor's leading entry real positive, pushing the
+    accumulated global phase into the final factor.
     """
-    v = _checked_unitary(v, profile, "factor_full input")
-    reports = cut_reports(v, profile, tol)
-    if not all(r.rank_one for r in reports):
-        return reports, None
     factors: list[np.ndarray] = []
     rest = v
     for d_left in profile.dims[:-1]:
-        left, rest = _peel(rest, d_left)
+        left, rest = _split(rest, d_left)
         factors.append(left)
     factors.append(rest)
     residual = float(np.linalg.norm(kron_all(factors) - v))
-    return reports, FactorSet(factors=tuple(factors), factorization_residual=residual)
+    return FactorSet(factors=tuple(factors), factorization_residual=residual)
+
+
+def factor_full(
+    v, profile: DimProfile, tol: float
+) -> tuple[list[RankOneReport], FactorSet | None]:
+    """The cut reports of a unitary v, and its peeled factors when every cut
+    passes.
+
+    Unitarity is checked once, on v: a remainder is as close to unitary as v
+    is to a product, so a near product that passes the rank-one tests
+    factors.
+    """
+    v = _checked_unitary(v, profile, "factor_full input")
+    reports = cut_reports(v, profile, tol)
+    return reports, peel(v, profile) if all(r.rank_one for r in reports) else None

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .decompose import FactorSet, factor_full, unitarity_defect
+from .decompose import FactorSet, cut_reports, peel, unitarity_defect
 from .oracle import haar_unitary
 from .search import run_search
 from .spectral import TOL, RankOneReport, degeneracy_profile, spectra_match
@@ -462,8 +462,8 @@ def _lift(ctx: CosetContext, rank_tol: float) -> tuple[bool, np.ndarray | None]:
     and a_i = E_ij / sqrt(E_jj), with j the largest |E_jj|, is a up to a
     sign and a scale, which ``project`` removes.  From a larger kernel the
     point is some mix of solutions, and from a least eigenvalue between the
-    floor and mu it passes no rank-one test; the caller's certify rejects
-    both and hands on.
+    floor and mu it passes no rank-one test; the caller's certify hands
+    either on unless the point's peeled factors pass the witness gate.
     """
     h = _lifted_gram(ctx)
     margin = 2.0 * (len(h) + 1) * sys.float_info.epsilon * float(np.trace(h).real)
@@ -770,12 +770,14 @@ def check_equivalence(
        that certifies: EQUIVALENT when the point it returns certifies,
        else NOT_FOUND.
 
-    A coset point certifies when factor_full's rank-one test passes at every
-    cut of its V and the factors pass _verified.  No NOT_FOUND claims
-    inequivalence: "bound" and "invariant" show that no witness could pass
-    the gate, "lift" that no coset point passes the rank-one test, and the
-    search only that it found none within budget; each is the status the
-    search would have returned.
+    A coset point certifies when the factors peeled from its V (peel) pass
+    _verified, whatever its cut ratios: the gate alone decides.  No
+    NOT_FOUND claims inequivalence.  "bound" and "invariant" show that no
+    witness could pass the gate, so the search would have returned
+    NOT_FOUND too.  "lift" shows only that no coset point passes the
+    rank-one test at rank_tol; a point above it whose factors pass the gate
+    is not excluded, so the search might still have certified one.  The
+    search shows only that it found none within budget.
 
     Every verdict past the spectra reports distance_lower (Verdict).  One
     that ran no search has restarts_used 0 and an empty objective_history.
@@ -854,21 +856,19 @@ def check_equivalence(
 
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
 
-    def certify(point: np.ndarray):
-        """The exact cut reports of a point, and its verified witness and
-        that witness's residual, or None and None."""
-        # f bounds sum (sigma2/sigma1)^2, so a search success passes the cut
-        # tests too; soundness rests on the verified witness, not on them
-        reports, fs = factor_full(ctx.build(point), rho.profile, config.rank_tol)
-        if fs is not None:
-            witness = fs.adjoints()
-            passed, residual, _ = _verified(rho, rho_prime, witness)
-            if passed:
-                return reports, witness, residual
-        return reports, None, None
+    def certify(v: np.ndarray):
+        """The witness peeled from a coset point's V and its residual when
+        _verified passes it, else None and None."""
+        witness = peel(v, rho.profile).adjoints()
+        passed, residual, _ = _verified(rho, rho_prime, witness)
+        return (witness, residual) if passed else (None, None)
 
     def coset_verdict(point: np.ndarray, path: str, outcome=None) -> Verdict:
-        reports, witness, residual = certify(point)
+        v = ctx.build(point)
+        # the exact cut reports only fill the verdict's cuts: a point whose
+        # witness passes the gate is EQUIVALENT whatever its ratios
+        reports = cut_reports(v, rho.profile, config.rank_tol)
+        witness, residual = certify(v)
         return verdict(
             VerdictStatus.NOT_FOUND if witness is None else VerdictStatus.EQUIVALENT,
             witness=witness,
@@ -885,8 +885,9 @@ def check_equivalence(
     if ctx.size <= LIFT_MAX_SIZE:
         excluded, point = _lift(ctx, config.rank_tol)
         if excluded:
-            # no coset point passes the rank-one test, so no search point
-            # could certify: NOT_FOUND, as on "bound", with no search
+            # no coset point passes the rank-one test: NOT_FOUND with no
+            # search, though unlike "bound" a point above rank_tol might
+            # still pass the gate
             return verdict(VerdictStatus.NOT_FOUND, path="lift")
         if point is not None:
             lifted = coset_verdict(point, "lift")
@@ -897,6 +898,6 @@ def check_equivalence(
         ctx,
         config,
         start=None if w is None else _frame_point(ctx, w),
-        accept=lambda p: certify(p)[1] is not None,
+        accept=lambda p: certify(ctx.build(p))[0] is not None,
     )
     return coset_verdict(outcome.point, "coset-block" if fallback else "coset", outcome)

@@ -52,8 +52,10 @@ Alone, a start converges linearly, so its passes are Anderson-mixed (Walker
 & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) over the last MIX_DEPTH outputs.
 A mix is kept only when it lowers f; else the pass output is, with no history.
 
-A lone descent can stall just above f_success at a point the caller can
-still certify (f only bounds the caller's test from above).  The caller's
+A lone descent can stall above f_success at a point the caller can still
+certify: f_success is a level of the cut ratios, and check_equivalence
+certifies a point by its witness gate alone, which on a noisy input can
+pass a point whose ratios stay above rank_tol.  The caller's
 ``accept(point)`` is asked at every such point, and the search stops at the
 first it accepts.  A start that reaches f_success ends the search without
 a call to ``accept``.

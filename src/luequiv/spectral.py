@@ -33,7 +33,9 @@ from .tensor import as_cmatrix, lead_phases
 # soundness, which rests on the witness gate (the unitarity and witness
 # residual rows) alone.  rank_tol (SearchConfig, --tol-rank) bounds a
 # singular-value ratio, sigma2 / sigma1, tested once per unitary V at each
-# of V's own cut realignments (factor_full).  search.OBJECTIVE_POLISH,
+# of V's own cut realignments (cut_reports): factor_full refuses on it,
+# while check reports it and certifies a coset point by the gate alone.
+# search.OBJECTIVE_POLISH,
 # search.ESCAPE_LEVEL_PER_CUT and search.ALIGN_STALL_REL (the relative gain
 # below which a lone descent stalls) set only the search's cost and reach;
 # a point it returns must still pass the gate.  tensor.LEAD_RTOL only

@@ -303,13 +303,12 @@ def test_witness_gate_rejects_non_unitary_search_factors(monkeypatch):
     verdict = check_equivalence(rho, rho_prime, QUICK)
     assert verdict.status is VerdictStatus.EQUIVALENT and verdict.path == "coset"
     assert verify_witness(rho, rho_prime, scaled(verdict.witness.factors)) <= TOL
-    real = equivalence.factor_full
+    real = equivalence.peel
 
-    def factor_scaled(*args):
-        reports, fs = real(*args)
-        return reports, None if fs is None else scaled(fs.factors)
+    def peel_scaled(*args):
+        return scaled(real(*args).factors)
 
-    monkeypatch.setattr(equivalence, "factor_full", factor_scaled)
+    monkeypatch.setattr(equivalence, "peel", peel_scaled)
     verdict = check_equivalence(rho, rho_prime, QUICK)
     assert verdict.status is VerdictStatus.NOT_FOUND and verdict.witness is None
 
@@ -489,25 +488,40 @@ def test_noisy_werner_against_a_local_rotation_is_equivalent(seed):
 
 
 @pytest.mark.parametrize(
-    "make, config",
+    "make, config, path",
     [
-        (lambda: degenerate_plant((2, 2, 2), 0, rank=3)[0], QUICK),
-        (lambda: random_density(DimProfile((2,) * 4), [0.7, 0.3] + [0.0] * 14, 5), SearchConfig()),
+        (
+            lambda: with_mixed_marginal(degenerate_plant((2, 2, 2), 0, rank=3)[0]),
+            QUICK,
+            "coset-block",
+        ),
+        (
+            lambda: with_mixed_marginal(
+                random_density(DimProfile((2,) * 4), [0.7, 0.3] + [0.0] * 14, 5)
+            ),
+            SearchConfig(),
+            "coset-block",
+        ),
+        (lambda: locally_mixed_qubits(5, 5), SearchConfig(), "coset"),
+        (lambda: degenerate_plant((2, 2, 2), 3, tie=0, rank=1)[0], SearchConfig(), "coset-block"),
     ],
-    ids=["rank-3-2x2x2", "rank-2-2^4"],
+    ids=["rank-3-2x2x2", "rank-2-2^4", "locally-mixed-2^5", "pure-2x2x2"],
 )
 def test_degenerate_state_with_a_mixed_marginal_against_its_conjugate_is_not_conclusive(
-    make, config
+    make, config, path
 ):
     # a degenerate spectrum and a marginal I/2, so neither the invariant rung
     # nor the lift (a coset of 3 + 25 or 2 + 196 entries) runs: the block
     # search runs every start and ends NOT_FOUND on an inequivalent pair
-    # without a false witness
-    rho = with_mixed_marginal(make())
+    # without a false witness.  A soundness canary for the witness gate,
+    # which alone decides each coset point: the locally-mixed 2^5 state
+    # (every marginal I/2, 32 coset entries) and the pure (2,2,2) state
+    # (the invariant rung cannot tell psi from psi*) reach the search too
+    rho = make()
     rho_conj = DensityMatrix(matrix=rho.matrix.conj(), profile=rho.profile)
     verdict = check_equivalence(rho, rho_conj, config)
     assert verdict.status is VerdictStatus.NOT_FOUND
-    assert verdict.path == "coset-block"
+    assert verdict.path == path
     assert verdict.restarts_used == config.restarts
     assert verdict.witness is None
 
@@ -592,6 +606,20 @@ def test_search_stops_at_a_verified_stalled_start(monkeypatch):
     assert verdict.witness_residual <= 1e-8
     assert verdict.objective_history[-1][1] > config.rank_tol**2
     assert verdict.restarts_used == STARTS_PER_ROUND
+
+
+@pytest.mark.parametrize("seed", [1, 5, 9])
+def test_witness_gate_alone_certifies_a_noisy_locally_mixed_plant(seed):
+    # every marginal is I/2, so there is no frame guess, and 64 coset
+    # entries are past the lift; with noise of norm 3e-9 on rho' the search
+    # point's outer cut ratios stay above rank_tol, yet the factors peeled
+    # from its V pass the witness gate, which alone decides the point
+    rho = locally_mixed_qubits(6, seed)
+    rho_prime = _with_noise(local_rotation(rho, 7), 3e-9, seed)
+    verdict = check_equivalence(rho, rho_prime, SearchConfig())
+    assert verdict.status is VerdictStatus.EQUIVALENT and verdict.path == "coset"
+    assert verdict.witness_residual <= 1e-8
+    assert not all(r.rank_one for r in verdict.cuts)
 
 
 def _hand_on_to_the_search(monkeypatch):
@@ -682,7 +710,7 @@ def test_frame_rung_skips_the_coset(monkeypatch):
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(CosetContext, "__init__", init)
-        for name in ("factor_full", "run_search"):
+        for name in ("cut_reports", "peel", "run_search"):
             monkeypatch.setattr(equivalence, name, lambda *a, _n=name, **k: calls.append(_n))
         monkeypatch.setattr(equivalence, "_invariant_bound", _raiser("_invariant_bound"))
         verdict, factors, _ = _check_with_frame(monkeypatch, sample.rho, sample.rho_prime, config)
