@@ -79,8 +79,8 @@ class SearchConfig:
     """Tolerances and budgets for the equivalence pipeline.
 
     ``sweeps`` is the number of alignment passes each restart may run;
-    search.run_search reads it, ``restarts``, ``rank_tol`` and ``seed``
-    from the config check_equivalence validated.  A value out of range is
+    search.run_search reads it, ``restarts`` and ``seed`` from the config
+    check_equivalence validated.  A value out of range is
     a ValueError naming the field.  spec_tol starts
     at spectral.TOL, on the absolute eigenvalue scale of its table: it
     decides both whether the spectra match and which eigenvalues share a
@@ -766,9 +766,8 @@ def check_equivalence(
     6. "coset", or "coset-block" on a degenerate spectrum: search.run_search
        from the refused frame guess's coset point (_frame_point, read from
        that W), or the identity without one, with config.restarts starts
-       of up to config.sweeps passes, stopping at the first stalled point
-       that certifies: EQUIVALENT when the point it returns certifies,
-       else NOT_FOUND.
+       of up to config.sweeps passes, stopping at the first point that
+       certifies: EQUIVALENT with that point's witness, else NOT_FOUND.
 
     A coset point certifies when the factors peeled from its V (peel) pass
     _verified, whatever its cut ratios: the gate alone decides.  No
@@ -856,19 +855,20 @@ def check_equivalence(
 
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, sizes)
 
-    def certify(v: np.ndarray):
-        """The witness peeled from a coset point's V and its residual when
-        _verified passes it, else None and None."""
-        witness = peel(v, rho.profile).adjoints()
+    def certify(point: np.ndarray):
+        """(witness, residual) of the witness peeled from a coset point's V
+        when _verified passes it, else None."""
+        witness = peel(ctx.build(point), rho.profile).adjoints()
         passed, residual, _ = _verified(rho, rho_prime, witness)
-        return (witness, residual) if passed else (None, None)
+        return (witness, residual) if passed else None
 
-    def coset_verdict(point: np.ndarray, path: str, outcome=None) -> Verdict:
-        v = ctx.build(point)
+    def coset_verdict(point: np.ndarray, path: str, certified, outcome=None) -> Verdict:
+        """The verdict on a coset point: EQUIVALENT with ``certified``,
+        certify's (witness, residual), else NOT_FOUND."""
         # the exact cut reports only fill the verdict's cuts: a point whose
         # witness passes the gate is EQUIVALENT whatever its ratios
-        reports = cut_reports(v, rho.profile, config.rank_tol)
-        witness, residual = certify(v)
+        reports = cut_reports(ctx.build(point), rho.profile, config.rank_tol)
+        witness, residual = certified or (None, None)
         return verdict(
             VerdictStatus.NOT_FOUND if witness is None else VerdictStatus.EQUIVALENT,
             witness=witness,
@@ -889,15 +889,14 @@ def check_equivalence(
             # search, though unlike "bound" a point above rank_tol might
             # still pass the gate
             return verdict(VerdictStatus.NOT_FOUND, path="lift")
-        if point is not None:
-            lifted = coset_verdict(point, "lift")
-            if lifted.status is VerdictStatus.EQUIVALENT:
-                return lifted
+        certified = None if point is None else certify(point)
+        if certified:
+            return coset_verdict(point, "lift", certified)
 
+    # the search stops at the first point certify passes and carries its
+    # witness, so no point is peeled and gated twice
     outcome = run_search(
-        ctx,
-        config,
-        start=None if w is None else _frame_point(ctx, w),
-        accept=lambda p: certify(ctx.build(p))[0] is not None,
+        ctx, config, accept=certify, start=None if w is None else _frame_point(ctx, w)
     )
-    return coset_verdict(outcome.point, "coset-block" if fallback else "coset", outcome)
+    path = "coset-block" if fallback else "coset"
+    return coset_verdict(outcome.point, path, outcome.certificate, outcome)

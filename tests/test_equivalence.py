@@ -60,6 +60,12 @@ from helpers import (
 QUICK = SearchConfig(sweeps=40, restarts=6)
 
 
+def takes_solutions(ctx):
+    """A run_search accept that takes a point at f <= 1e-14, f from a fresh
+    decompose of the point by ``ctx``."""
+    return lambda point: ctx.decompose(point[np.newaxis])[0][0] <= 1e-14
+
+
 def witness_phases() -> np.ndarray:
     return np.where(WITNESS_SIGNS > 0, 0.0, np.pi)
 
@@ -173,7 +179,7 @@ def test_phase_search_identical_state_succeeds_from_zero_seed():
     ctx = CosetContext(s.basis, s.basis, rho.profile, (1,) * 8)
     (f,), _ = ctx.decompose(ctx.identity()[np.newaxis])
     assert f < 1e-14  # the identity start is already a solution
-    outcome = run_search(ctx, QUICK)
+    outcome = run_search(ctx, QUICK, accept=takes_solutions(ctx))
     assert outcome.objective < 1e-14
 
 
@@ -181,7 +187,7 @@ def test_phase_search_paper_pair_and_decompose_agreement():
     rho, rho_p = paper_example(3, 5, 7)
     s1, s2 = eig_hermitian(rho.matrix), eig_hermitian(rho_p.matrix)
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, (1,) * 8)
-    outcome = run_search(ctx, QUICK)
+    outcome = run_search(ctx, QUICK, accept=takes_solutions(ctx))
     assert outcome.objective <= QUICK.rank_tol**2
     theta = np.angle(outcome.point)
     _, fs = factor_full(ctx.build(np.exp(1j * theta)), rho.profile, 1e-7)
@@ -620,6 +626,21 @@ def test_witness_gate_alone_certifies_a_noisy_locally_mixed_plant(seed):
     assert verdict.status is VerdictStatus.EQUIVALENT and verdict.path == "coset"
     assert verdict.witness_residual <= 1e-8
     assert not all(r.rank_one for r in verdict.cuts)
+
+
+def test_search_goes_on_past_a_rank_one_point_the_gate_refuses():
+    # a pure (2,2,2) plant with one marginal I/2: no frame guess, and a coset
+    # of 1 + 49 entries is past the lift.  The first lone descent ends at
+    # f < rank_tol^2, yet its peeled factors miss the gate (residual 2e-8);
+    # the search goes on, and a later start's point passes the gate
+    m = with_mixed_marginal(degenerate_plant((2, 2, 2), 30, tie=0, rank=1)[0]).matrix
+    m = m / np.trace(m).real
+    rho = DensityMatrix((m + m.conj().T) / 2.0, DimProfile((2, 2, 2)))
+    rho_prime = local_rotation(rho, 1030)
+    verdict = check_equivalence(rho, rho_prime, SearchConfig())
+    assert verdict.status is VerdictStatus.EQUIVALENT and verdict.path == "coset-block"
+    passed, residual, _ = equivalence._verified(rho, rho_prime, verdict.witness)
+    assert passed and residual == verdict.witness_residual
 
 
 def _hand_on_to_the_search(monkeypatch):
@@ -1472,7 +1493,7 @@ def test_solo_descent_objective_never_rises():
     for label, ctx in _planted_contexts():
         for point, f, pairs in _escaped_starts(ctx, 3, 89):
             trace = [f]
-            _align_until_stall(ctx, point, f, pairs, 200, OBJECTIVE_POLISH, trace)
+            _align_until_stall(ctx, point, f, pairs, 200, trace)
             assert all(b <= a for a, b in zip(trace, trace[1:])), label
 
 
@@ -1499,7 +1520,7 @@ def test_solo_descent_drops_mixes_that_do_not_lower_the_objective():
         for point, f, pairs in _escaped_starts(ctx, 2, 107):
             spoiled = _SpoiledMixContext(ctx)
             trace = []
-            _align_until_stall(spoiled, point, f, pairs, 200, OBJECTIVE_POLISH, trace)
+            _align_until_stall(spoiled, point, f, pairs, 200, trace)
             assert spoiled.mixes == len(trace) // 2, label
             plain = []
             for _ in trace:
@@ -1514,7 +1535,7 @@ def test_mixed_descent_reaches_the_target_in_fewer_passes_than_plain_passes():
         mixed = plain = 0
         for point, f, pairs in _escaped_starts(ctx, 3, 97):
             trace = []
-            _, f_mixed = _align_until_stall(ctx, point, f, pairs, 1000, OBJECTIVE_POLISH, trace)
+            _, f_mixed = _align_until_stall(ctx, point, f, pairs, 1000, trace)
             assert f_mixed <= OBJECTIVE_POLISH, label
             mixed += len(trace)
             for _ in range(1000):
@@ -1565,7 +1586,9 @@ def test_race_carries_the_decomposition_of_its_points():
     contexts = [(label, make()) for label, make in _context_factories()]
     for label, ctx in contexts + _planted_contexts():
         checked = _CheckedContext(ctx)
-        outcome = run_search(checked, SearchConfig(sweeps=60, restarts=4, seed=3))
+        outcome = run_search(
+            checked, SearchConfig(sweeps=60, restarts=4, seed=3), accept=takes_solutions(ctx)
+        )
         assert checked.sweeps == len(outcome.history), label
         assert checked.cold == outcome.restarts_used, label
         assert outcome.objective == checked.decomposed[outcome.point.tobytes()][0], label
@@ -1601,12 +1624,14 @@ def test_reported_objective_never_understates_the_surrogate():
         for point, f, pairs in _escaped_starts(ctx, 2, 109):
             bounded = _BoundContext(ctx, _profile(label))
             trace = []
-            _align_until_stall(bounded, point, f, pairs, 200, OBJECTIVE_POLISH, trace)
+            _align_until_stall(bounded, point, f, pairs, 200, trace)
             assert len(bounded.seen) >= len(trace), label
             assert all(f >= paper - 1e-24 for f, paper in bounded.seen), label
     contexts = [(label, make()) for label, make in _context_factories()]
     for label, ctx in contexts + _planted_contexts():
-        outcome = run_search(ctx, SearchConfig(sweeps=60, restarts=4, seed=5))
+        outcome = run_search(
+            ctx, SearchConfig(sweeps=60, restarts=4, seed=5), accept=takes_solutions(ctx)
+        )
         paper = surrogate(ctx, outcome.point, _profile(label))
         assert outcome.objective >= paper - 1e-24, label
 
@@ -1674,7 +1699,9 @@ class _ScriptedContext:
 
 
 def _search(ctx, restarts, passes=1000):
-    return run_search(ctx, SearchConfig(sweeps=passes, restarts=restarts))
+    # a fresh scripted context, so that the accept adds no call to ctx's log
+    accept = takes_solutions(_ScriptedContext(ctx.scripts))
+    return run_search(ctx, SearchConfig(sweeps=passes, restarts=restarts), accept=accept)
 
 
 def test_race_goes_on_after_an_escaped_start_stalls():
@@ -1694,7 +1721,7 @@ def test_race_goes_on_after_an_escaped_start_stalls():
 
 
 def test_search_stops_at_the_first_stall_accept_takes():
-    # start 0 stalls above f_success and is accepted: the race ends there;
+    # start 0 stalls at f = 1e-2 and is accepted: the race ends there;
     # points still in the bulk are never offered
     ctx = _ScriptedContext(
         [lambda k: 1.0 if k == 0 else 1e-2] + [lambda k: 1.0] * (2 * STARTS_PER_ROUND - 1)
@@ -1708,6 +1735,30 @@ def test_search_stops_at_the_first_stall_accept_takes():
     assert outcome.point[0] == 0 and outcome.objective == 1e-2
     assert outcome.restarts_used == STARTS_PER_ROUND
     assert [p[0] for p in offered] == [0]
+
+
+def test_race_goes_on_past_a_rank_one_point_accept_refuses():
+    # start 0 stalls at f = 1e-16, below rank_tol^2, at a point accept
+    # refuses: no level of f ends the race, so it goes on, and start 1, which
+    # escapes one pass later, is offered to accept and taken with the
+    # certificate accept returned
+    ctx = _ScriptedContext(
+        [lambda k: 1.0 if k == 0 else 1e-16, lambda k: 1.0 if k < 2 else 10.0 ** (-3 * k)]
+        + [lambda k: 1.0] * (2 * STARTS_PER_ROUND - 2)
+    )
+    config = SearchConfig(sweeps=1000, restarts=2 * STARTS_PER_ROUND)
+    assert 1e-16 <= config.rank_tol**2
+    offered = []
+
+    def accept(point):
+        offered.append(point.copy())
+        return "witness" if point[0] == 1 else None
+
+    outcome = run_search(ctx, config, accept=accept)
+    assert [p[0] for p in offered] == [0, 1]
+    assert outcome.point[0] == 1 and outcome.objective <= OBJECTIVE_POLISH
+    assert outcome.certificate == "witness"
+    assert outcome.restarts_used == STARTS_PER_ROUND
 
 
 def test_start_stuck_in_the_bulk_costs_a_fixed_number_of_passes():
