@@ -23,7 +23,7 @@ from .decompose import factor_full
 from .equivalence import SearchConfig, StateError, Verdict, VerdictStatus, check_equivalence
 from .matfile import MatrixFileError, entry_pairs, load_matrix, save_matrix
 from .oracle import PairSample, make_equivalent_pair, make_spectrum_mismatch_pair, paper_example
-from .spectral import rank_one_test
+from .spectral import RANK_TOL, rank_one_test
 from .states import DensityMatrix
 from .tensor import DimProfile, realign
 
@@ -44,11 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _config_from(args) -> SearchConfig:
     return SearchConfig(
-        sweeps=args.sweeps,
-        restarts=args.restarts,
-        rank_tol=args.tol_rank,
-        spec_tol=args.tol_spec,
-        seed=args.seed,
+        sweeps=args.sweeps, restarts=args.restarts, spec_tol=args.tol_spec, seed=args.seed
     )
 
 
@@ -161,7 +157,7 @@ def cmd_realign(args) -> int:
     m, profile = _load_operator(args.file)
     realigned = realign(m, profile, args.cut)
     # the verdict is not printed, so any tolerance serves
-    r = rank_one_test(realigned, SearchConfig.rank_tol)
+    r = rank_one_test(realigned, RANK_TOL)
     out_path = args.out or f"{args.file}.cut{args.cut}.realigned.json"
     _save(out_path, realigned, dims=None, label=f"realigned cut {args.cut}")
     print(f"cut {args.cut}: shape {realigned.shape[0]}x{realigned.shape[1]} -> {out_path}")
@@ -170,6 +166,9 @@ def cmd_realign(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    # a flag error, so it names the flag, not the file, and comes first
+    if not 0 < args.tol_rank < 1:
+        raise ValueError(f"--tol-rank must lie in (0, 1), got {args.tol_rank}")
     m, profile = _load_operator(args.file)
     try:
         reports, fs = factor_full(m, profile, args.tol_rank)
@@ -231,26 +230,19 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    d = SearchConfig()  # the one source of the search defaults
-    search_flags = (
-        ("--tol-rank", float, d.rank_tol, "rank-one threshold on sigma2/sigma1: the rank_one "
-         "flags, lift floor and factor's refusal; check's witness gate and search ignore it"),
-        ("--tol-spec", float, d.spec_tol,
-         "absolute eigenvalue tolerance: spectra match and degeneracy grouping"),
-        ("--sweeps", int, d.sweeps, "alignment passes per start"),
-        ("--restarts", int, d.restarts, "search starts: three race, then all the others at once"),
-        ("--seed", int, d.seed, "search seed"),
-    )
-
-    def add_flags(p, flags):
-        for flag, kind, default, what in flags:
-            p.add_argument(flag, type=kind, default=default, help=f"{what} (default %(default)s)")
-
+    d = SearchConfig()  # the one source of check's defaults
     p_check = sub.add_parser("check", help="decide LU equivalence of two states")
     p_check.add_argument("file_a")
     p_check.add_argument("file_b")
     p_check.add_argument("--json", action="store_true", help="emit the verdict as JSON")
-    add_flags(p_check, search_flags)
+    p_check.add_argument("--tol-spec", type=float, default=d.spec_tol, help="absolute eigenvalue "
+                         "tolerance: spectra match and degeneracy grouping (default %(default)s)")
+    p_check.add_argument("--sweeps", type=int, default=d.sweeps,
+                         help="alignment passes per start (default %(default)s)")
+    p_check.add_argument("--restarts", type=int, default=d.restarts, help="search starts: three "
+                         "race, then all the others at once (default %(default)s)")
+    p_check.add_argument("--seed", type=int, default=d.seed,
+                         help="search seed (default %(default)s)")
     p_check.set_defaults(func=cmd_check)
 
     p_re = sub.add_parser("realign", help="realign an operator across one cut")
@@ -261,7 +253,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p_fac = sub.add_parser("factor", help="factor a unitary into local tensor factors")
     p_fac.add_argument("file")
-    add_flags(p_fac, search_flags[:1])
+    p_fac.add_argument("--tol-rank", type=float, default=RANK_TOL, help="rank-one threshold on "
+                       "sigma2/sigma1 at every cut of the input (default %(default)s)")
     p_fac.add_argument("-o", "--out-prefix", default=None, help="prefix for factor files")
     p_fac.set_defaults(func=cmd_factor)
 
@@ -299,7 +292,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 def main(argv=None) -> int:
     # the one place a failure becomes an exit code: a ValueError (a usage or
     # file error, MatrixFileError, ShapeError, LinAlgError, a SearchConfig
-    # range error) or a MemoryError (numpy's names the allocation it refused)
+    # value error) or a MemoryError (numpy's names the allocation it refused)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning

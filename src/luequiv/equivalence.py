@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,7 +31,7 @@ import numpy as np
 from .decompose import FactorSet, cut_reports, peel, unitarity_defect
 from .oracle import haar_unitary
 from .search import run_search
-from .spectral import TOL, RankOneReport, degeneracy_profile, spectra_match
+from .spectral import RANK_TOL, TOL, RankOneReport, degeneracy_profile, spectra_match
 from .states import DensityMatrix, validate_density
 from .tensor import DimProfile, _realign_matrix, as_cmatrix, kron_all, partial_trace
 
@@ -76,27 +77,33 @@ class StateError(ValueError):
 
 @dataclass
 class SearchConfig:
-    """Tolerances and budgets for the equivalence pipeline.
+    """Tolerance and budgets for the equivalence pipeline.
 
     ``sweeps`` is the number of alignment passes each restart may run;
     search.run_search reads it, ``restarts`` and ``seed`` from the config
-    check_equivalence validated.  A value out of range is
-    a ValueError naming the field.  spec_tol starts
-    at spectral.TOL, on the absolute eigenvalue scale of its table: it
-    decides both whether the spectra match and which eigenvalues share a
-    coset block.
+    check_equivalence validated.  A value that is not an integer where one
+    is due, or is out of range, is a ValueError naming the field.  spec_tol
+    starts at spectral.TOL, on the absolute eigenvalue scale of its table:
+    it decides both whether the spectra match and which eigenvalues share a
+    coset block.  The rank-one test's bound is no setting: check_equivalence
+    reads spectral.RANK_TOL for its cut reports and the lift floor, and
+    certifies a point by the witness gate alone.
     """
 
     sweeps: int = 1000
     restarts: int = 20
-    rank_tol: float = 1e-7
     spec_tol: float = TOL
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rank_tol", "spec_tol"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        for name in ("sweeps", "restarts", "seed"):
+            # a bool is an int to Python but no count; a numpy integer becomes an int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, operator.index(value))
+        if not 0 < self.spec_tol < 1:
+            raise ValueError(f"spec_tol must lie in (0, 1), got {self.spec_tol}")
         for name in ("sweeps", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -774,7 +781,7 @@ def check_equivalence(
     NOT_FOUND claims inequivalence.  "bound" and "invariant" show that no
     witness could pass the gate, so the search would have returned
     NOT_FOUND too.  "lift" shows only that no coset point passes the
-    rank-one test at rank_tol; a point above it whose factors pass the gate
+    rank-one test at RANK_TOL; a point above it whose factors pass the gate
     is not excluded, so the search might still have certified one.  The
     search shows only that it found none within budget.
 
@@ -867,7 +874,7 @@ def check_equivalence(
         certify's (witness, residual), else NOT_FOUND."""
         # the exact cut reports only fill the verdict's cuts: a point whose
         # witness passes the gate is EQUIVALENT whatever its ratios
-        reports = cut_reports(ctx.build(point), rho.profile, config.rank_tol)
+        reports = cut_reports(ctx.build(point), rho.profile, RANK_TOL)
         witness, residual = certified or (None, None)
         return verdict(
             VerdictStatus.NOT_FOUND if witness is None else VerdictStatus.EQUIVALENT,
@@ -883,10 +890,10 @@ def check_equivalence(
         )
 
     if ctx.size <= LIFT_MAX_SIZE:
-        excluded, point = _lift(ctx, config.rank_tol)
+        excluded, point = _lift(ctx, RANK_TOL)
         if excluded:
             # no coset point passes the rank-one test: NOT_FOUND with no
-            # search, though unlike "bound" a point above rank_tol might
+            # search, though unlike "bound" a point above RANK_TOL might
             # still pass the gate
             return verdict(VerdictStatus.NOT_FOUND, path="lift")
         certified = None if point is None else certify(point)

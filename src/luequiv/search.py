@@ -56,9 +56,9 @@ The caller's ``accept(point)`` is the search's one stop.  It returns a
 falsy value to refuse a point and anything else, a certificate, to take
 it; the search stops at the first point it takes and carries its
 certificate.  check_equivalence certifies a point by its witness gate
-alone, which can pass a point that stalled with cut ratios above its
-rank_tol on a noisy input and refuse one whose ratios are below it, so no
-level of f stands in for the gate.
+alone, which can pass a point that stalled with cut ratios above
+spectral.RANK_TOL on a noisy input and refuse one whose ratios are below
+it, so no level of f stands in for the gate.
 """
 
 from __future__ import annotations

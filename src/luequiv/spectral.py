@@ -31,10 +31,11 @@ from .tensor import as_cmatrix, lead_phases
 #
 # Five thresholds are not rows: none is TOL times a scale, and none decides
 # soundness, which rests on the witness gate (the unitarity and witness
-# residual rows) alone.  rank_tol (SearchConfig, --tol-rank) bounds a
-# singular-value ratio, sigma2 / sigma1, tested once per unitary V at each
-# of V's own cut realignments (cut_reports): factor_full refuses on it,
-# while check reports it and certifies a coset point by the gate alone.
+# residual rows) alone.  RANK_TOL bounds a singular-value ratio,
+# sigma2 / sigma1, tested once per unitary V at each of V's own cut
+# realignments (cut_reports): check reports it in its cuts and sets the
+# lift floor with it, but certifies a coset point by the gate alone;
+# factor_full refuses on the factor command's --tol-rank, default RANK_TOL.
 # search.OBJECTIVE_POLISH,
 # search.ESCAPE_LEVEL_PER_CUT and search.ALIGN_STALL_REL (the relative gain
 # below which a lone descent stalls) set only the search's cost and reach;
@@ -48,6 +49,7 @@ from .tensor import as_cmatrix, lead_phases
 # image, carried to the marginal spectra and the frames' cycle products,
 # with no threshold of its own.
 TOL = 1e-8
+RANK_TOL = 1e-7
 
 
 @dataclass(frozen=True)

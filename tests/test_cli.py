@@ -21,7 +21,7 @@ from luequiv import (
     load_matrix,
     save_matrix,
 )
-from luequiv.cli import EXIT_CODES, _config_from, _parse_args, build_parser, main
+from luequiv.cli import EXIT_CODES, _config_from, _parse_args, _parsers, build_parser, main
 from luequiv.equivalence import _gate_distance, check_equivalence
 from luequiv.matfile import NEST_CHARS
 from luequiv.oracle import haar_unitary, local_unitaries, random_density
@@ -448,7 +448,6 @@ def test_check_defaults_are_the_search_config_defaults():
 @pytest.mark.parametrize(
     "flag, value, field",
     [
-        ("--tol-rank", "1", "rank_tol"),
         ("--tol-spec", "0", "spec_tol"),
         # spec_tol also groups eigenvalues: at 2 or inf every one joins one block
         ("--tol-spec", "2", "spec_tol"),
@@ -656,6 +655,21 @@ def test_readme_json_table_names_every_check_json_field(tmp_path, capsys):
     assert list(doc) == [f.name for f in dataclasses.fields(Verdict)]
     assert list(doc["cuts"][0]) == [f.name for f in dataclasses.fields(RankOneReport)]
     assert list(doc["witness"]) == [f.name for f in dataclasses.fields(FactorSet)]
+
+
+def test_readme_flag_table_names_each_commands_flags():
+    # README's flag table against each command's own parser: row by row, the
+    # long options of every command but --help, and no others
+    readme = {}
+    rows = zip(_readme_column("| command |", "command"), _readme_column("| command |", "flags"))
+    for (command,), flags in rows:
+        readme.setdefault(command, set()).update(flags)
+    parsed = {
+        name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, p in _parsers()[1].items()
+    }
+    assert readme == parsed
+    assert "--tol-rank" in parsed["factor"] and "--tol-rank" not in parsed["check"]
 
 
 def test_gen_paper_example_files_match_literal_matrices(tmp_path):
@@ -947,6 +961,19 @@ def test_factor_near_product_at_loose_tolerance(tmp_path):
     assert proc.stdout.count("rank_one=True") == 2
     for i in (1, 2, 3):
         assert load_matrix(str(tmp_path / f"f{i}.json")).matrix.shape == (2, 2)
+
+
+@pytest.mark.parametrize("value", ["1", "0", "nan"])
+def test_factor_bad_tol_rank_names_the_flag_before_reading_the_file(tmp_path, capsys, value):
+    # a flag error, not an error in a file's content: it names --tol-rank and
+    # no file, and comes before the file is read or tested for unitarity
+    save_matrix(tmp_path / "n.json", np.diag([1.0, 2.0, 3.0, 4.0]), dims=(2, 2))
+    for path in (tmp_path / "n.json", tmp_path / "missing.json"):
+        rc = main(["factor", str(path), "--tol-rank", value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol-rank must lie in (0, 1), got ")
+        assert err.count("\n") == 1 and str(tmp_path) not in err
 
 
 def test_factor_non_unitary_exit_one(tmp_path, capsys):

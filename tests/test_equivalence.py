@@ -32,7 +32,7 @@ from luequiv.search import (
     _align_until_stall,
     run_search,
 )
-from luequiv.spectral import TOL, Spectrum
+from luequiv.spectral import RANK_TOL, TOL, Spectrum
 from luequiv.oracle import (
     haar_unitary,
     local_unitaries,
@@ -188,7 +188,7 @@ def test_phase_search_paper_pair_and_decompose_agreement():
     s1, s2 = eig_hermitian(rho.matrix), eig_hermitian(rho_p.matrix)
     ctx = CosetContext(s1.basis, s2.basis, rho.profile, (1,) * 8)
     outcome = run_search(ctx, QUICK, accept=takes_solutions(ctx))
-    assert outcome.objective <= QUICK.rank_tol**2
+    assert outcome.objective <= RANK_TOL**2
     theta = np.angle(outcome.point)
     _, fs = factor_full(ctx.build(np.exp(1j * theta)), rho.profile, 1e-7)
     assert fs is not None
@@ -564,7 +564,7 @@ def test_best_objective_is_the_surrogate_of_the_reported_cuts():
 
 def test_exact_cut_reports_gate_the_witness_when_the_search_bound_stalls():
     # with noise of norm 1e-9 on rho', the search's bound f stalls just above
-    # rank_tol^2 while every exact cut ratio is below rank_tol: the best point
+    # RANK_TOL^2 while every exact cut ratio is below RANK_TOL: the best point
     # still factors into a witness that verifies
     sample = make_equivalent_pair(DimProfile((2,) * 6), 0)
     rng = np.random.default_rng(100)
@@ -601,7 +601,7 @@ def _noisy_six_qubit_pair(seed):
 def test_search_stops_at_a_verified_stalled_start(monkeypatch):
     # without the product frames there is no frame guess (which verifies on
     # this pair before any search), so the search starts at the identity;
-    # the lone descent stalls above rank_tol^2 at a point that passes the
+    # the lone descent stalls above RANK_TOL^2 at a point that passes the
     # exact cut test and verifies, so the first round's starts are the only
     # ones used
     monkeypatch.setattr(equivalence, "_product_frames", lambda *args: None)
@@ -610,7 +610,7 @@ def test_search_stops_at_a_verified_stalled_start(monkeypatch):
     verdict = check_equivalence(rho, rho_prime, config)
     assert verdict.status is VerdictStatus.EQUIVALENT
     assert verdict.witness_residual <= 1e-8
-    assert verdict.objective_history[-1][1] > config.rank_tol**2
+    assert verdict.objective_history[-1][1] > RANK_TOL**2
     assert verdict.restarts_used == STARTS_PER_ROUND
 
 
@@ -618,7 +618,7 @@ def test_search_stops_at_a_verified_stalled_start(monkeypatch):
 def test_witness_gate_alone_certifies_a_noisy_locally_mixed_plant(seed):
     # every marginal is I/2, so there is no frame guess, and 64 coset
     # entries are past the lift; with noise of norm 3e-9 on rho' the search
-    # point's outer cut ratios stay above rank_tol, yet the factors peeled
+    # point's outer cut ratios stay above RANK_TOL, yet the factors peeled
     # from its V pass the witness gate, which alone decides the point
     rho = locally_mixed_qubits(6, seed)
     rho_prime = _with_noise(local_rotation(rho, 7), 3e-9, seed)
@@ -631,7 +631,7 @@ def test_witness_gate_alone_certifies_a_noisy_locally_mixed_plant(seed):
 def test_search_goes_on_past_a_rank_one_point_the_gate_refuses():
     # a pure (2,2,2) plant with one marginal I/2: no frame guess, and a coset
     # of 1 + 49 entries is past the lift.  The first lone descent ends at
-    # f < rank_tol^2, yet its peeled factors miss the gate (residual 2e-8);
+    # f < RANK_TOL^2, yet its peeled factors miss the gate (residual 2e-8);
     # the search goes on, and a later start's point passes the gate
     m = with_mixed_marginal(degenerate_plant((2, 2, 2), 30, tie=0, rank=1)[0]).matrix
     m = m / np.trace(m).real
@@ -695,7 +695,7 @@ def _frame_samples():
 
 def test_frame_point_decides_planted_pairs_without_a_search(monkeypatch):
     # the guess the frame rung verifies is a coset solution: its coset point,
-    # the search's start when the rung does not decide, is already at f <= rank_tol^2
+    # the search's start when the rung does not decide, is already at f <= RANK_TOL^2
     config = SearchConfig(seed=4)
     for sample in _frame_samples():
         searches = []
@@ -707,7 +707,7 @@ def test_frame_point_decides_planted_pairs_without_a_search(monkeypatch):
         assert searches == [] and start is None, label
         ctx, point = _coset_point(sample.rho, sample.rho_prime, factors)
         (f,), _ = ctx.decompose(point[np.newaxis])
-        assert f <= config.rank_tol**2, label
+        assert f <= RANK_TOL**2, label
         assert verdict.status is VerdictStatus.EQUIVALENT, label
         assert verdict.path == "frame", label
         assert verdict.objective_history == [] and verdict.restarts_used == 0, label
@@ -800,7 +800,7 @@ def test_phases_of_a_state_against_itself_are_zero_and_below_two_pi(dims):
 )
 def test_frame_rung_decides_pairs_with_noise_near_the_witness_tolerance(dims, seeds):
     # at noise 3e-9 on rho' the frame guess's residual is within 1e-8 while
-    # its coset point can fail the rank-one test (sigma2/sigma1 > rank_tol):
+    # its coset point can fail the rank-one test (sigma2/sigma1 > RANK_TOL):
     # the frame rung verifies the guess itself, so none of these ends NOT_FOUND
     for seed in seeds:
         rho, rho_prime = _noisy_pair(dims, seed, eta=3e-9)
@@ -1259,6 +1259,29 @@ def test_check_deterministic_given_seed():
     assert np.array_equal(v1.phases, v2.phases)
     for f1, f2 in zip(v1.witness.factors, v2.witness.factors):
         assert np.array_equal(f1, f2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sweeps", 1.5),
+        ("restarts", 2.5),
+        ("seed", 1.5),
+        ("seed", np.float64(3.0)),
+        ("restarts", "3"),
+        ("sweeps", True),
+        ("seed", False),
+    ],
+)
+def test_search_config_refuses_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_takes_numpy_integers_as_ints():
+    config = SearchConfig(sweeps=np.int32(40), restarts=np.int64(6), seed=np.uint64(2**64 - 1))
+    assert config == SearchConfig(sweeps=40, restarts=6, seed=2**64 - 1)
+    assert all(type(getattr(config, name)) is int for name in ("sweeps", "restarts", "seed"))
 
 
 def _coset_of(rho, rho_prime):
@@ -1738,7 +1761,7 @@ def test_search_stops_at_the_first_stall_accept_takes():
 
 
 def test_race_goes_on_past_a_rank_one_point_accept_refuses():
-    # start 0 stalls at f = 1e-16, below rank_tol^2, at a point accept
+    # start 0 stalls at f = 1e-16, below RANK_TOL^2, at a point accept
     # refuses: no level of f ends the race, so it goes on, and start 1, which
     # escapes one pass later, is offered to accept and taken with the
     # certificate accept returned
@@ -1747,7 +1770,7 @@ def test_race_goes_on_past_a_rank_one_point_accept_refuses():
         + [lambda k: 1.0] * (2 * STARTS_PER_ROUND - 2)
     )
     config = SearchConfig(sweeps=1000, restarts=2 * STARTS_PER_ROUND)
-    assert 1e-16 <= config.rank_tol**2
+    assert 1e-16 <= RANK_TOL**2
     offered = []
 
     def accept(point):
@@ -2015,18 +2038,18 @@ def test_lift_rung_fires_only_above_its_floor(monkeypatch):
     ctx = _coset_of(rho, conjugate(rho))
     h = equivalence._lifted_gram(ctx)
     lam = np.linalg.eigvalsh(h)[0]
-    floor = equivalence._lift_floor(ctx, config.rank_tol, h)
+    floor = equivalence._lift_floor(ctx, RANK_TOL, h)
     assert 0 < floor < 1e-11 < lam
     for above, path in ((1.5, "lift"), (0.5, "coset")):
         shifted = h
         # mu depends on the shifted H's trace and row sums, weakly: a few
         # rounds of the fixed point settle the shift
         for _ in range(3):
-            target = equivalence._lift_floor(ctx, config.rank_tol, shifted)
+            target = equivalence._lift_floor(ctx, RANK_TOL, shifted)
             target += above * _certificate_margin(shifted)
             shifted = h - (lam - target) * np.eye(len(h))
         w = np.linalg.eigvalsh(shifted)
-        assert w[0] > equivalence._lift_floor(ctx, config.rank_tol, shifted), above
+        assert w[0] > equivalence._lift_floor(ctx, RANK_TOL, shifted), above
         monkeypatch.setattr(equivalence, "_lifted_gram", lambda ctx, _h=shifted: _h)
         verdict = check_equivalence(rho, conjugate(rho), config)
         assert verdict.status is VerdictStatus.NOT_FOUND, above
